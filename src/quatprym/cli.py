@@ -145,26 +145,9 @@ def _cmd_spin(args) -> int:
             print(f"{mono}  {subsets}  coefficient {inv.get(mono, 0)}")
         return 0
     if args.check_bracket:
-        from itertools import combinations
-
         bad = 0
-        for x, y in combinations(spin_explicit.SO7_PAIRS, 2):
-            lhs = spin_explicit._mat_sub(
-                spin_explicit.mat_mul(rep.rho[x], rep.rho[y]),
-                spin_explicit.mat_mul(rep.rho[y], rep.rho[x]),
-            )
-            mx = spin_explicit.so7_action_matrix(*x)
-            my = spin_explicit.so7_action_matrix(*y)
-            comm = spin_explicit._mat_sub(
-                spin_explicit.mat_mul(mx, my), spin_explicit.mat_mul(my, mx)
-            )
-            rhs = [[spin_explicit.F0] * 8 for _ in range(8)]
-            for pair, c in spin_explicit.matrix_to_pair_coeffs(comm).items():
-                if c:
-                    rhs = spin_explicit._mat_add(
-                        rhs, spin_explicit._mat_scale(rep.rho[pair], c)
-                    )
-            ok = lhs == rhs
+        for x, y in spin_explicit.BRACKET_PAIRS:
+            ok = spin_explicit.bracket_holds(rep.rho, x, y)
             if not ok:
                 bad += 1
             print(f"[{x}, {y}]: {'pass' if ok else 'FAIL'}")

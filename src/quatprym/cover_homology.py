@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
-from .linalg import frac_mat, det, inverse, mat_mul, transpose, identity, solve
+from .linalg import frac_mat, inverse, mat_mul, transpose, solve
 from .qalg import (
     HAMILTON,
     QuatElem,
@@ -341,18 +341,6 @@ class PrymLatticeModel:
         return True
 
 
-def _block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x
-        off += len(b)
-    return out
-
-
 def _find_dual_intertwiner(a_i, a_j):
     """Integer T of determinant +-1 with T * transpose(A)^{-1} = A * T
     for A in {a_i, a_j}; exists because the dual of the Hurwitz order is
@@ -461,7 +449,7 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
 
     # the explicit basis must realize the block module structure
     for q in ((1, 1), (1, 2)):
-        expected = _block_diag(
+        expected = linalg.block_diag(
             [_hurwitz_left_mult(q)] + [_hz_left_mult(q)] * (g - 2)
         )
         assert a_blocks[q] == expected, "module structure constants do not match"
@@ -473,7 +461,7 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
         bt = transpose(inverse(fa))
         assert all(v.denominator == 1 for row in bt for v in row)
         b = [[v.numerator for v in row] for row in bt]
-        rho[q] = _block_diag([a, b])
+        rho[q] = linalg.block_diag([a, b])
     j_form = [[0] * (2 * rk) for _ in range(2 * rk)]
     for t in range(rk):
         j_form[t][rk + t] = 1

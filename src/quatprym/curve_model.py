@@ -10,75 +10,29 @@ is the hyperelliptic one.  Under the tricanonical embedding by
 (1 : x : x^2 : x^3 : y) the image is cut out by four quadrics, the
 group acts on P^4 by explicit matrices, and four quartics in the
 quadrics are invariant.  Everything here is exact arithmetic over the
-Gaussian rationals; the only non-symbolic check is a finite-field
-enumeration comparing zero loci pointwise.
+Gaussian rationals Q(i), as ``qalg.KNum`` with r = -1, and the matrix
+algebra over them is the ``linalg`` kernel; the only non-symbolic check
+is a finite-field enumeration comparing zero loci pointwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
-F0 = Fraction(0)
-F1 = Fraction(1)
+from .linalg import inverse, mat_mul, rank, solve
+from .qalg import KNum
 
 
-@dataclass(frozen=True)
-class GaussRational:
-    """a + b*i with rational a, b."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def make(re, im=0) -> "GaussRational":
-        return GaussRational(Fraction(re), Fraction(im))
-
-    def __add__(self, other):
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def inv(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"{self.re}+{self.im}*i"
-
-
-G0 = GaussRational.make(0)
-G1 = GaussRational.make(1)
-GI = GaussRational.make(0, 1)
+G0 = KNum.make(-1, 0)
+G1 = KNum.make(-1, 1)
+GI = KNum.make(-1, 0, 1)
 UNITS = (G1, -G1, GI, -GI)
 
 
 class PolyGauss:
-    """Multivariate polynomial with GaussRational coefficients.
+    """Multivariate polynomial with Gaussian rational (KNum) coefficients.
 
     Terms live in a dict keyed by exponent tuples; zero coefficients
     are never stored, so equality is dict equality."""
@@ -90,13 +44,13 @@ class PolyGauss:
         self.terms = {}
         if terms:
             for exp, c in terms.items():
-                if not c.is_zero():
+                if c:
                     self.terms[exp] = c
 
     @staticmethod
     def const(nvars, c) -> "PolyGauss":
-        if not isinstance(c, GaussRational):
-            c = GaussRational.make(c)
+        if not isinstance(c, KNum):
+            c = G1.scale(c)
         return PolyGauss(nvars, {(0,) * nvars: c})
 
     @staticmethod
@@ -137,7 +91,7 @@ class PolyGauss:
                     out[exp] = prod
         return PolyGauss(self.nvars, out)
 
-    def scale(self, c: GaussRational) -> "PolyGauss":
+    def scale(self, c: KNum) -> "PolyGauss":
         return PolyGauss(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def pow(self, k: int) -> "PolyGauss":
@@ -160,7 +114,7 @@ class PolyGauss:
             if exp[idx] == 0:
                 continue
             nexp = exp[:idx] + (exp[idx] - 1,) + exp[idx + 1 :]
-            out[nexp] = out.get(nexp, G0) + c * GaussRational.make(exp[idx])
+            out[nexp] = out.get(nexp, G0) + c.scale(exp[idx])
         return PolyGauss(self.nvars, out)
 
     def monomial_gcd(self):
@@ -442,34 +396,11 @@ MAT_J = _gmat(
 )
 
 
-def gmat_mul(a, b):
-    return tuple(
-        tuple(sum((a[p][t] * b[t][q] for t in range(5)), G0) for q in range(5))
-        for p in range(5)
-    )
-
-
-def gmat_inverse(a):
-    aug = [[a[p][q] for q in range(5)] + [G1 if p == q else G0 for q in range(5)] for p in range(5)]
-    for col in range(5):
-        piv = next((p for p in range(col, 5) if not aug[p][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for p in range(5):
-            if p != col and not aug[p][col].is_zero():
-                f = aug[p][col]
-                aug[p] = [x - f * y for x, y in zip(aug[p], aug[col])]
-    return tuple(tuple(row[5:]) for row in aug)
-
-
 def proj_canon(m):
     """Scale so the first nonzero entry (row-major) is 1."""
     for row in m:
         for entry in row:
-            if not entry.is_zero():
+            if entry:
                 inv = entry.inv()
                 return tuple(tuple(x * inv for x in r) for r in m)
     raise ValueError("zero matrix")
@@ -485,7 +416,7 @@ def matrix_pullback(poly: PolyGauss, m) -> PolyGauss:
     for p in range(5):
         acc = PolyGauss(P4, {})
         for q in range(5):
-            if not m[p][q].is_zero():
+            if m[p][q]:
                 acc = acc + PolyGauss.var(q, P4).scale(m[p][q])
         rows.append(acc)
     return poly.substitute(rows)
@@ -494,36 +425,10 @@ def matrix_pullback(poly: PolyGauss, m) -> PolyGauss:
 def _in_quadric_span(poly: PolyGauss):
     """Coefficients of poly in the quadric basis, or None."""
     monos = sorted({e for q in QUADRICS for e in q.terms} | set(poly.terms))
-    rows = []
-    rhs = []
-    for e in monos:
-        rows.append([q.terms.get(e, G0) for q in QUADRICS])
-        rhs.append(poly.terms.get(e, G0))
-    # Gaussian elimination on the 4-column system
-    cols = 4
-    aug = [rows[t] + [rhs[t]] for t in range(len(rows))]
-    pivots = []
-    prow = 0
-    for col in range(cols):
-        piv = next((p for p in range(prow, len(aug)) if not aug[p][col].is_zero()), None)
-        if piv is None:
-            continue
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        inv = aug[prow][col].inv()
-        aug[prow] = [x * inv for x in aug[prow]]
-        for p in range(len(aug)):
-            if p != prow and not aug[p][col].is_zero():
-                f = aug[p][col]
-                aug[p] = [x - f * y for x, y in zip(aug[p], aug[prow])]
-        pivots.append(col)
-        prow += 1
-    sol = [G0] * cols
-    for t, col in enumerate(pivots):
-        sol[col] = aug[t][cols]
-    for p in range(prow, len(aug)):
-        if not aug[p][cols].is_zero():
-            return None
-    # consistency rows above prow with no pivot columns are exact by construction
+    rows = [[q.terms.get(e, G0) for q in QUADRICS] for e in monos]
+    sol = solve(rows, [poly.terms.get(e, G0) for e in monos])
+    if sol is None:
+        return None
     recon = PolyGauss(P4, {})
     for c, q in zip(sol, QUADRICS):
         recon = recon + q.scale(c)
@@ -571,19 +476,19 @@ def _transport_matrix(auto: CurveAuto):
 def verify_p4_action() -> dict:
     """Projective relations, quadric-span stability, and agreement of
     the stated matrices with the transported section action."""
-    mi_inv = gmat_inverse(MAT_I)
-    mj_inv = gmat_inverse(MAT_J)
+    mi_inv = inverse(MAT_I)
+    mj_inv = inverse(MAT_J)
     eye = _gmat([[G1 if p == q else G0 for q in range(5)] for p in range(5)])
-    mi2 = gmat_mul(MAT_I, MAT_I)
-    mj2 = gmat_mul(MAT_J, MAT_J)
-    comm = gmat_mul(gmat_mul(MAT_I, MAT_J), gmat_mul(mi_inv, mj_inv))
+    mi2 = mat_mul(MAT_I, MAT_I)
+    mj2 = mat_mul(MAT_J, MAT_J)
+    comm = mat_mul(mat_mul(MAT_I, MAT_J), mat_mul(mi_inv, mj_inv))
     # group generated modulo scalars
     seen = {proj_canon(eye)}
     frontier = [eye]
     while frontier:
         cur = frontier.pop()
         for gen in (MAT_I, MAT_J):
-            nxt = proj_canon(gmat_mul(gen, cur))
+            nxt = proj_canon(mat_mul(gen, cur))
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
@@ -604,7 +509,7 @@ def verify_p4_action() -> dict:
         scal = None
         for p in range(5):
             for q in range(5):
-                if not m[p][q].is_zero():
+                if m[p][q]:
                     scal = t[p][q] / m[p][q]
                     break
             if scal is not None:
@@ -615,7 +520,7 @@ def verify_p4_action() -> dict:
         transports[name] = {"scalar": str(scal), "matches": match}
         transport_ok = transport_ok and match
     report = {
-        "i_fourth_power_projectively_trivial": proj_eq(gmat_mul(mi2, mi2), eye),
+        "i_fourth_power_projectively_trivial": proj_eq(mat_mul(mi2, mi2), eye),
         "i2_projectively_equals_j2": proj_eq(mi2, mj2),
         "commutator_projectively_equals_i2": proj_eq(comm, mi2),
         "projective_group_order": len(seen),
@@ -661,31 +566,11 @@ def verify_invariant_quartics() -> dict:
                 ok = False
         scalars[name] = row
     monos = sorted({e for q in quartics for e in q.terms})
-    rows = [[q.terms.get(e, G0) for e in monos] for q in quartics]
-    rank = 0
-    work = [list(r) for r in rows]
-    ncols = len(monos)
-    col = 0
-    for r in range(4):
-        while col < ncols:
-            piv = next((p for p in range(r, 4) if not work[p][col].is_zero()), None)
-            if piv is None:
-                col += 1
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = work[r][col].inv()
-            work[r] = [x * inv for x in work[r]]
-            for p in range(4):
-                if p != r and not work[p][col].is_zero():
-                    f = work[p][col]
-                    work[p] = [x - f * y for x, y in zip(work[p], work[r])]
-            rank += 1
-            col += 1
-            break
+    span_rank = rank([[q.terms.get(e, G0) for e in monos] for q in quartics])
     report = {
         "eigen_scalars": scalars,
-        "span_rank": rank,
-        "ok": ok and rank == 4,
+        "span_rank": span_rank,
+        "ok": ok and span_rank == 4,
     }
     return report
 

@@ -729,12 +729,6 @@ def _fmt_weight(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _fmt_decomposition(dec):
-    return " + ".join(
-        (f"{m}*" if m != 1 else "") + _fmt_weight(lam) for lam, m in dec
-    )
-
-
 SCENARIOS = (
     "so7_hodge",
     "so8_hodge",

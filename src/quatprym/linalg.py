@@ -1,18 +1,48 @@
-"""Exact dense linear algebra over Q and Z.
+"""Exact dense linear algebra over any exact field, and over Z.
 
-Matrices are plain lists of row lists with ``fractions.Fraction`` entries
-(integer routines take and return ints).  Everything in this package is
-small enough (a few hundred rows at most) that textbook Gaussian
-elimination and Smith reduction are entirely adequate; no floating point
-is used anywhere.
+Matrices are plain lists of rows.  The field routines (``mat_mul``
+through ``intersect_row_spaces``) work over any exact field whose
+elements support ``+ - * /``, with ``bool(x)`` false exactly for zero.
+The field is read off the entries: ``fractions.Fraction`` entries give
+results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  Integer
+entries are read as elements of Q, so results come back as ``Fraction``,
+never ``float``.  A routine that needs the field's 0 takes x - x for an
+entry x, and one that needs its 1 takes x / x for a nonzero entry;
+``nullspace`` of a matrix with no nonzero entry has no such entry and
+returns the standard basis over Q.  ``frac_mat``, ``identity`` and
+``zeros`` build matrices over Q.  The integer routines (Smith form and
+what is built on it) take and return ints.
+
+Everything in this package is small enough (a few hundred rows at most)
+that textbook Gaussian elimination and Smith reduction are entirely
+adequate; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def _exact(x):
+    """x, with an int read as an element of Q."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def _one(a):
+    """The field's 1, read off the first nonzero entry of a (Q's 1 if a
+    has none)."""
+    x = next((_exact(x) for row in a for x in row if x), F1)
+    return x / x
+
+
+def _eye(n, one):
+    zero = one - one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def frac_mat(rows):
@@ -21,7 +51,7 @@ def frac_mat(rows):
 
 
 def identity(n):
-    return [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
+    return _eye(n, F1)
 
 
 def zeros(m, n):
@@ -36,17 +66,22 @@ def mat_mul(a, b):
     if not a or not b:
         return []
     n = len(b)
-    assert all(len(row) == n for row in a), "shape mismatch"
+    if any(len(row) != n for row in a):
+        raise ValueError("shape mismatch")
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [reduce(add, map(mul, row, v)) for row in a]
 
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
@@ -57,23 +92,53 @@ def mat_eq(a, b):
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
+def block_diag(blocks):
+    """Square blocks along the diagonal, zero elsewhere.  The zero has the
+    type of the entries: int blocks give an int matrix."""
+    if not blocks:
+        return []
+    x = blocks[0][0][0]
+    zero = x - x
+    n = sum(len(b) for b in blocks)
+    out = [[zero] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[off + i][off : off + len(row)] = row
+        off += len(b)
+    return out
+
+
+def perm_sign(seq):
+    """Sign of the permutation that sorts ``seq`` (distinct items), by
+    counting the swaps of a bubble sort."""
+    seq = list(seq)
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                sign = -sign
+    return sign
+
+
 def rref(a):
     """Reduced row echelon form.  Returns (matrix, pivot column list)."""
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = _exact(m[r][c])
+        m[r] = [x / p for x in m[r]]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
@@ -97,11 +162,13 @@ def nullspace(a):
         return []
     r, pivots = rref(a)
     cols = len(a[0])
+    one = _one(a)
+    zero = one - one
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [F0] * cols
-        v[fc] = F1
+        v = [zero] * cols
+        v[fc] = one
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][fc]
         basis.append(v)
@@ -113,11 +180,12 @@ def solve(a, b):
     if not a:
         return None
     cols = len(a[0])
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
+    aug = [list(row) + [bv] for row, bv in zip(a, b)]
     r, pivots = rref(aug)
     if cols in pivots:
         return None
-    x = [F0] * cols
+    z = _exact(r[0][cols])
+    x = [z - z] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols]
     return x
@@ -125,27 +193,31 @@ def solve(a, b):
 
 def det(a):
     n = len(a)
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
+    sign = 1
     d = F1
     for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
-            return F0
+            return _exact(m[c][c])
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = F1 / m[c][c]
+            sign = -sign
+        p = _exact(m[c][c])
+        d = p if c == 0 else d * p
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
+            if m[i][c]:
+                f = m[i][c] / p
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
+    return d if sign > 0 else -d
 
 
 def inverse(a):
     n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
+    if n and not any(map(any, a)):
+        # no nonzero entry to read the field's 1 off for the identity
+        raise ValueError("matrix is singular")
+    aug = [list(row) + ident_row for row, ident_row in zip(a, _eye(n, _one(a)))]
     r, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -167,7 +239,7 @@ def intersect_row_spaces(a, b):
     stacked = na + nb
     if not stacked:
         # both row spaces are the full ambient space
-        return row_space_basis(identity(len(a[0])))
+        return _eye(len(a[0]), _one(a))
     return row_space_basis(nullspace(stacked))
 
 
@@ -278,5 +350,6 @@ def integer_kernel(a):
 
 def int_det(a):
     d = det(frac_mat(a))
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ValueError("determinant is not an integer")
     return d.numerator

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import frac_mat, det, inverse, mat_mul, mat_eq
+from .linalg import det, frac_mat, solve
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -131,8 +131,6 @@ def left_mult_matrix(x, basis):
 
 def coords_in_basis(x, basis):
     """Coordinates of x in a 4-element basis of B, or None."""
-    from .linalg import solve
-
     a = [[b.coords()[t] for b in basis] for t in range(4)]
     return solve(frac_mat(a), list(x.coords()))
 
@@ -166,14 +164,6 @@ def qinv(g):
     if a == 0:
         return g
     return (-s, a)
-
-
-def qelem(g, params=HAMILTON):
-    """The group element g as a QuatElem."""
-    s, a = g
-    coords = [0, 0, 0, 0]
-    coords[a] = s
-    return QuatElem.make(params, *coords)
 
 
 def qstr(g):
@@ -337,7 +327,11 @@ def group_ring_wedderburn():
 
 @dataclass(frozen=True)
 class KNum:
-    """Element u + v*sqrt(r) of the quadratic field K = Q(sqrt(r))."""
+    """Element u + v*sqrt(r) of the quadratic field K = Q(sqrt(r)).
+
+    The one Q(sqrt(r)) type of the package; at r = -1 it is the field of
+    Gaussian rationals Q(i), written ``a+b*i``.  ``bool`` is the zero
+    test, so matrices of KNum go through the ``linalg`` kernel."""
 
     r: Fraction
     u: Fraction
@@ -364,6 +358,12 @@ class KNum:
                     self.u * other.u + self.r * self.v * other.v,
                     self.u * other.v + self.v * other.u)
 
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __bool__(self):
+        return bool(self.u) or bool(self.v)
+
     def conj(self):
         return KNum(self.r, self.u, -self.v)
 
@@ -371,8 +371,19 @@ class KNum:
         t = Fraction(t)
         return KNum(self.r, t * self.u, t * self.v)
 
-    def is_zero(self):
-        return self.u == 0 and self.v == 0
+    def inv(self):
+        n = self.u * self.u - self.r * self.v * self.v
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return KNum(self.r, self.u / n, -self.v / n)
+
+    def __str__(self):
+        unit = "i" if self.r == -1 else f"sqrt({self.r})"
+        if self.v == 0:
+            return str(self.u)
+        if self.u == 0:
+            return f"{self.v}*{unit}"
+        return f"{self.u}+{self.v}*{unit}"
 
 
 def embed_in_m2(x):
@@ -383,7 +394,8 @@ def embed_in_m2(x):
 
         [[z, w], [s * conj(w), conj(z)]].
 
-    Multiplicativity and det = norm are checked by the test suite.
+    Multiplicativity and det = norm are checked by the test suite, with
+    ``linalg.mat_mul`` and ``linalg.det`` over K.
     """
     r, s = x.params.r, x.params.s
     z = KNum.make(r, x.a, x.b)
@@ -392,18 +404,3 @@ def embed_in_m2(x):
         [z, w],
         [w.conj().scale(s), z.conj()],
     ]
-
-
-def m2_mul(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
-
-
-def m2_det(a):
-    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
-
-def m2_eq(a, b):
-    return all((a[i][j] - b[i][j]).is_zero() for i in range(2) for j in range(2))

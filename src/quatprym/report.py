@@ -24,6 +24,7 @@ from . import (
     cover_homology,
     curve_model,
     lie_engine,
+    linalg,
     qalg,
     spin_explicit,
     surface_homs,
@@ -104,10 +105,10 @@ def _qalg_claims(budgets: Budgets):
         for x in sample:
             for y in sample:
                 lhs = qalg.embed_in_m2(x * y)
-                rhs = qalg.m2_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y))
-                if not qalg.m2_eq(lhs, rhs):
+                rhs = linalg.mat_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y))
+                if not linalg.mat_eq(lhs, rhs):
                     embed_ok = False
-            det = qalg.m2_det(qalg.embed_in_m2(x))
+            det = linalg.det(qalg.embed_in_m2(x))
             if det != qalg.KNum.make(params.r, x.norm()):
                 embed_ok = False
     recs.append(

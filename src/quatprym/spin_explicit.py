@@ -27,7 +27,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import lie_engine
-from .linalg import frac_mat, mat_mul, nullspace
+from .linalg import (
+    frac_mat,
+    identity,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    nullspace,
+    perm_sign,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -141,38 +150,26 @@ class SpinRep:
         )
 
 
-def _mat_scale(m, c):
-    return [[c * x for x in row] for row in m]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _assemble(s1, s2, s3, s4, c):
     w = [_wedge_op(i) for i in range(3)]
     d = [_contract_op(i) for i in range(3)]
     p = _parity_op()
-    eye = [[F1 if i == j else F0 for j in range(8)] for i in range(8)]
+    eye = identity(8)
     rho = {}
     for a, b in SO7_PAIRS:
         if b < 3:
-            rho[(a, b)] = _mat_scale(mat_mul(w[a], w[b]), s1)
+            rho[(a, b)] = mat_scale(mat_mul(w[a], w[b]), s1)
         elif a < 3 and b < 6:
-            m = _mat_scale(mat_mul(w[a], d[b - 3]), s3)
+            m = mat_scale(mat_mul(w[a], d[b - 3]), s3)
             if a == b - 3:
-                m = _mat_add(m, _mat_scale(eye, c))
+                m = mat_add(m, mat_scale(eye, c))
             rho[(a, b)] = m
         elif a < 3:
             rho[(a, b)] = mat_mul(w[a], p)
         elif b < 6:
-            rho[(a, b)] = _mat_scale(mat_mul(d[a - 3], d[b - 3]), s2)
+            rho[(a, b)] = mat_scale(mat_mul(d[a - 3], d[b - 3]), s2)
         else:
-            rho[(a, b)] = _mat_scale(mat_mul(d[a - 3], p), s4)
+            rho[(a, b)] = mat_scale(mat_mul(d[a - 3], p), s4)
     return rho
 
 
@@ -191,19 +188,22 @@ def _formula_holds(rho):
     return True
 
 
-def _brackets_hold(rho):
-    for (x, y) in combinations(SO7_PAIRS, 2):
-        lhs = _mat_sub(mat_mul(rho[x], rho[y]), mat_mul(rho[y], rho[x]))
-        mx = so7_action_matrix(*x)
-        my = so7_action_matrix(*y)
-        comm = _mat_sub(mat_mul(mx, my), mat_mul(my, mx))
-        rhs = _zero8()
-        for pair, c in matrix_to_pair_coeffs(comm).items():
-            if c:
-                rhs = _mat_add(rhs, _mat_scale(rho[pair], c))
-        if lhs != rhs:
-            return False
-    return True
+# the 210 unordered pairs of basis elements whose brackets are checked
+BRACKET_PAIRS = tuple(combinations(SO7_PAIRS, 2))
+
+
+def bracket_holds(rho, x, y) -> bool:
+    """[rho(x), rho(y)] = rho([x, y]) for two basis elements x, y of
+    wedge^2 C^7, given as index pairs."""
+    lhs = mat_sub(mat_mul(rho[x], rho[y]), mat_mul(rho[y], rho[x]))
+    mx = so7_action_matrix(*x)
+    my = so7_action_matrix(*y)
+    comm = mat_sub(mat_mul(mx, my), mat_mul(my, mx))
+    rhs = _zero8()
+    for pair, c in matrix_to_pair_coeffs(comm).items():
+        if c:
+            rhs = mat_add(rhs, mat_scale(rho[pair], c))
+    return lhs == rhs
 
 
 def build_spin_rep() -> SpinRep:
@@ -215,7 +215,7 @@ def build_spin_rep() -> SpinRep:
             candidates.append((s1, s2, s3, s4, c))
     for cand in candidates:
         rho = _assemble(*cand)
-        if _formula_holds(rho) and _brackets_hold(rho):
+        if _formula_holds(rho) and all(bracket_holds(rho, x, y) for x, y in BRACKET_PAIRS):
             return SpinRep(rho=rho, scalars=cand)
     raise SpinConstructionError(
         "no scalar assignment satisfies the sample formula and all brackets"
@@ -244,20 +244,9 @@ def _derive_wedge(mat, mono):
             srt = tuple(sorted(rest))
             if len(set(rest)) < len(rest):
                 continue
-            sign = _sort_sign(rest)
+            sign = perm_sign(rest)
             out[srt] = out.get(srt, F0) + coef * sign
     return {k: v for k, v in out.items() if v}
-
-
-def _sort_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return sign
 
 
 def weight_zero_monomials(rep: SpinRep):

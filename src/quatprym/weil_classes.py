@@ -26,31 +26,20 @@ from itertools import product as iproduct
 from .linalg import (
     F0,
     F1,
+    block_diag,
     frac_mat,
     identity,
     intersect_row_spaces,
     inverse,
     mat_mul,
     nullspace,
+    perm_sign,
     row_space_basis,
     transpose,
 )
 from .qalg import AlgebraParams, QuatElem, basis_elems, left_mult_matrix
 
 EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
-
-
-def _block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[F0] * n for _ in range(n)]
-    pos = 0
-    for b in blocks:
-        k = len(b)
-        for p in range(k):
-            for q in range(k):
-                out[pos + p][pos + q] = b[p][q]
-        pos += k
-    return out
 
 
 @dataclass(frozen=True)
@@ -73,7 +62,7 @@ class HModel:
         mats = []
         for x in (one, qi, qj, qk):
             block = left_mult_matrix(x, basis)
-            mats.append(tuple(map(tuple, _block_diag([block] * n))))
+            mats.append(tuple(map(tuple, block_diag([block] * n))))
         m1, mi, mj, mk = mats
         model = HModel(params=params, n=n, mat_one=m1, mat_i=mi, mat_j=mj, mat_k=mk)
         model._check()
@@ -239,21 +228,10 @@ def exterior_action(mat, k: int):
             coef = F1
             for _, c in choice:
                 coef *= c
-            sign = _perm_sign(rows)
+            sign = perm_sign(rows)
             tgt = index[tuple(sorted(rows))]
             out[tgt][srcpos] += sign * coef
     return out
-
-
-def _perm_sign(seq):
-    seq = list(seq)
-    sign = 1
-    for a in range(len(seq)):
-        for b in range(len(seq) - 1 - a):
-            if seq[b] > seq[b + 1]:
-                seq[b], seq[b + 1] = seq[b + 1], seq[b]
-                sign = -sign
-    return sign
 
 
 def annihilator_coefficients(x: KElement, power: int):

@@ -8,10 +8,12 @@ library is exact, so every comparison below is exact equality.
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from quatprym import cover_homology as ch
 from quatprym import curve_model as cm
 from quatprym import lie_engine as le
+from quatprym import linalg
 from quatprym import qalg
 from quatprym import report
 from quatprym import spin_explicit as sp
@@ -315,11 +317,11 @@ def test_order_index_identity():
     ]
     for x in sample:
         for y in sample:
-            assert qalg.m2_eq(
+            assert linalg.mat_eq(
                 qalg.embed_in_m2(x * y),
-                qalg.m2_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y)),
+                linalg.mat_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y)),
             )
-        det = qalg.m2_det(qalg.embed_in_m2(x))
+        det = linalg.det(qalg.embed_in_m2(x))
         assert det.v == 0 and det.u == x.norm()
 
     _done(
@@ -386,6 +388,9 @@ def test_full_claim_registry_is_green():
     ]
     assert counts == {"PASS": 35, "EVIDENCE": 3, "FLAGGED": 1}
     assert len(records) == 39
+    # the emitted JSON is the frozen golden file, byte for byte
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
+    assert report.emit(records, "json").encode() == golden.read_bytes()
 
     _done(
         "full-claim-registry",

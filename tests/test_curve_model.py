@@ -12,28 +12,38 @@ from fractions import Fraction
 
 import pytest
 
-from quatprym import curve_model as cm
+from quatprym import curve_model as cm, linalg
+from quatprym.qalg import KNum
 
 
 # ------------------------------------------------------- coefficient field
 
 
+def gauss(re, im=0):
+    """re + im*i in Q(i), the curve's coefficient field."""
+    return KNum.make(-1, re, im)
+
+
 def test_gauss_rational_field_ops():
-    a = cm.GaussRational.make(1, 2)
-    b = cm.GaussRational.make(3, -1)
-    assert str((a * b)) == str(cm.GaussRational.make(5, 5))
-    assert (a * a.inv()).re == 1 and (a * a.inv()).im == 0
-    assert str(cm.GaussRational.make(0, -1)) == "-1*i"
+    a = gauss(1, 2)
+    b = gauss(3, -1)
+    assert str((a * b)) == str(gauss(5, 5))
+    assert (a * a.inv()).u == 1 and (a * a.inv()).v == 0
+    assert a / b * b == a
+    assert str(gauss(0, -1)) == "-1*i"
+    assert str(gauss(Fraction(1, 2), 3)) == "1/2+3*i"
+    assert str(gauss(-2)) == "-2" and str(gauss(0)) == "0"
+    assert not gauss(0) and gauss(0, 1)
     with pytest.raises(ZeroDivisionError):
-        cm.GaussRational.make(0, 0).inv()
+        gauss(0, 0).inv()
 
 
 def rand_poly(rng, nvars, max_terms=3):
-    p = cm.PolyGauss.const(nvars, cm.GaussRational.make(0, 0))
+    p = cm.PolyGauss.const(nvars, gauss(0, 0))
     for _ in range(rng.randint(1, max_terms)):
         exps = tuple(rng.randint(0, 2) for _ in range(nvars))
-        coeff = cm.GaussRational.make(rng.randint(-3, 3), rng.randint(-2, 2))
-        if not coeff.is_zero():
+        coeff = gauss(rng.randint(-3, 3), rng.randint(-2, 2))
+        if coeff:
             p = p + cm.PolyGauss(nvars, {exps: coeff})
     return p
 
@@ -61,10 +71,10 @@ def test_substitution_is_a_ring_map():
 def test_rational_function_normalization():
     x, y = cm.X, cm.Y
     f = cm.RatFunc.make(x * y, x)
-    g = cm.RatFunc.make(y, cm.PolyGauss.const(2, cm.GaussRational.make(1, 0)))
+    g = cm.RatFunc.make(y, cm.PolyGauss.const(2, gauss(1, 0)))
     assert f.eq(g)
     with pytest.raises(ZeroDivisionError):
-        cm.RatFunc.make(x, cm.PolyGauss.const(2, cm.GaussRational.make(0, 0)))
+        cm.RatFunc.make(x, cm.PolyGauss.const(2, gauss(0, 0)))
 
 
 # ---------------------------------------------------------- automorphisms
@@ -174,13 +184,19 @@ def test_projective_action_report_frozen():
 def test_action_matrices_respect_relations():
     mi, mj = cm.MAT_I, cm.MAT_J
     ident = [[cm.G1 if r == c else cm.G0 for c in range(5)] for r in range(5)]
-    m2 = cm.gmat_mul(mi, mi)
-    m4 = cm.gmat_mul(m2, m2)
+    m2 = linalg.mat_mul(mi, mi)
+    m4 = linalg.mat_mul(m2, m2)
     assert cm.proj_eq(m4, ident)
-    assert cm.proj_eq(m2, cm.gmat_mul(mj, mj))
+    assert cm.proj_eq(m2, linalg.mat_mul(mj, mj))
     # the matrices themselves are not projectively trivial
     assert not cm.proj_eq(mi, ident)
     assert not cm.proj_eq(m2, ident)
+
+
+def test_action_matrix_inverses():
+    ident = [[cm.G1 if r == c else cm.G0 for c in range(5)] for r in range(5)]
+    for m in (cm.MAT_I, cm.MAT_J):
+        assert linalg.mat_mul(m, linalg.inverse(m)) == ident
 
 
 # ------------------------------------------------------ invariant quartics

@@ -161,6 +161,21 @@ def test_cli_spin_invariant(capsys):
     assert out.count("\n") >= 8
 
 
+def test_cli_spin_check_bracket(capsys):
+    # one line per unordered pair of basis elements e_a ^ e_b of so(7),
+    # in lexicographic order, then the summary line
+    basis = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+    expected = [
+        f"[{basis[s]}, {basis[t]}]: pass"
+        for s in range(len(basis))
+        for t in range(s + 1, len(basis))
+    ]
+    code, out = run_cli(capsys, "spin", "--check-bracket")
+    assert code == 0
+    assert len(expected) == 210
+    assert out.splitlines() == expected + ["all brackets pass"]
+
+
 def test_cli_report_module_json(capsys):
     code, out = run_cli(capsys, "report", "--module", "qalg", "--format", "json")
     assert code == 0
