@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Median seconds of the exact kernels on the inputs the registry uses.
+
+    python3 scripts/kernel_bench.py [--repeat N]
+
+Prints one JSON object.  wedge4_product: mat_mul(X, X), X the 70x70 wedge^4
+action of 1 + sqrt(-1) on the n = 2 model of B(-1, -1); weil_nullspace:
+nullspace(X^2 + aX + b) as in weil_kernel; hurwitz_coords: the Hurwitz order
+and the coordinates of the 2,400 nonzero points of its [-3, 3]^4 box.
+quatprym is imported from the ``src`` directory beside this script.
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from itertools import product
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from quatprym import linalg, qalg, weil_classes as wc  # noqa: E402
+
+
+def seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=5)
+    repeat = ap.parse_args(argv).repeat
+    x = wc.KElement.make(1, 1, -1)
+    xm = wc.exterior_action(x.matrix(wc.HModel.make(2, qalg.HAMILTON)), 4)
+    a, b = wc.annihilator_coefficients(x, 4)
+    p = linalg.mat_add(linalg.mat_add(linalg.mat_mul(xm, xm), linalg.mat_scale(xm, a)),
+                       linalg.mat_scale(linalg.identity(len(xm)), b))
+    zeta, i, j, k = qalg.hurwitz_order().basis
+    box = [zeta.scale(c0) + i.scale(c1) + j.scale(c2) + k.scale(c3)
+           for c0, c1, c2, c3 in filter(any, product(range(-3, 4), repeat=4))]
+
+    def hurwitz_coords():
+        order = qalg.hurwitz_order()
+        for m in box:
+            order.coords(m)
+
+    kernels = {"wedge4_product": lambda: linalg.mat_mul(xm, xm),
+               "weil_nullspace": lambda: linalg.nullspace(p),
+               "hurwitz_coords": hurwitz_coords}
+    out = {name: statistics.median(seconds(fn) for _ in range(repeat)) for name, fn in kernels.items()}
+    print(json.dumps({**out, "repeat": repeat, "python": platform.python_version()}))
+
+
+if __name__ == "__main__":
+    main()

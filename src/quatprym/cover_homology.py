@@ -429,9 +429,11 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
             explicit.append([p - q for p, q in zip(plus, minus)])
 
     coords = [vm.coords(b) for b in explicit]
-    assert all(co is not None for co in coords), "explicit basis left the minus part"
+    if any(co is None for co in coords):
+        raise ValueError("explicit basis left the minus part")
     basis_det = linalg.int_det(coords)
-    assert abs(basis_det) == 1, "explicit vectors do not form a basis of the minus part"
+    if abs(basis_det) != 1:
+        raise ValueError("explicit vectors do not form a basis of the minus part")
 
     # action matrices in the explicit basis
     cb_cols = transpose(frac_mat(coords))
@@ -452,7 +454,8 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
         expected = linalg.block_diag(
             [_hurwitz_left_mult(q)] + [_hz_left_mult(q)] * (g - 2)
         )
-        assert a_blocks[q] == expected, "module structure constants do not match"
+        if a_blocks[q] != expected:
+            raise ValueError("module structure constants do not match")
 
     rk = 4 * (g - 1)
     rho = {}

@@ -1,28 +1,33 @@
-"""Exact dense linear algebra over any exact field, and over Z.
+"""Exact linear algebra over any exact field, and over Z.
 
 Matrices are plain lists of rows.  The field routines (``mat_mul``
 through ``intersect_row_spaces``) work over any exact field whose
 elements support ``+ - * /``, with ``bool(x)`` false exactly for zero.
 The field is read off the entries: ``fractions.Fraction`` entries give
-results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  Integer
-entries are read as elements of Q, so results come back as ``Fraction``,
-never ``float``.  A routine that needs the field's 0 takes x - x for an
-entry x, and one that needs its 1 takes x / x for a nonzero entry;
-``nullspace`` of a matrix with no nonzero entry has no such entry and
-returns the standard basis over Q.  ``frac_mat``, ``identity`` and
+results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  The ring
+routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub`` and
+``mat_scale`` keep the entry type, so int matrices give int results.
+The eliminations (``rref`` and ``det``, and everything built on them)
+read integer entries as elements of Q, so their results come back as
+``Fraction``, never ``float``.  A routine that needs the field's 0 takes
+x - x for an entry x, and one that needs its 1 takes x / x for a nonzero
+entry; ``nullspace`` of a matrix with no nonzero entry has no such entry
+and returns the standard basis over Q.  ``frac_mat``, ``identity`` and
 ``zeros`` build matrices over Q.  The integer routines (Smith form and
 what is built on it) take and return ints.
 
-Everything in this package is small enough (a few hundred rows at most)
-that textbook Gaussian elimination and Smith reduction are entirely
-adequate; no floating point is used anywhere.
+Zeros are skipped, never multiplied: the matrices met here are sparse
+(the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
+an exact product by zero costs as much as any other.  ``mat_mul`` and
+``mat_vec`` touch only the nonzero entries of the right operand, and
+every elimination step updates a row only at the nonzero columns of the
+pivot row.  The values are those of the dense textbook algorithms, which
+the tests keep as oracles.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -62,18 +67,53 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _nonzeros(row):
+    """The (column, entry) pairs of the nonzero entries of a row."""
+    return [(j, y) for j, y in enumerate(row) if y]
+
+
+def _zero_of_product(x, y):
+    """The zero of the ring that x * y lives in."""
+    p = x * y
+    return p - p
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []
     n = len(b)
     if any(len(row) != n for row in a):
         raise ValueError("shape mismatch")
-    bt = list(zip(*b))
-    return [[reduce(add, map(mul, row, col)) for col in bt] for row in a]
+    m = len(b[0])
+    if not m:
+        return [[] for _ in a]
+    zero = _zero_of_product(a[0][0], b[0][0])
+    b_rows = [_nonzeros(row) for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * m
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
-    return [reduce(add, map(mul, row, v)) for row in a]
+    if not a:
+        return []
+    zero = _zero_of_product(a[0][0], v[0])
+    v_nz = _nonzeros(v)
+    out = []
+    for row in a:
+        acc = zero
+        for j, y in v_nz:
+            x = row[j]
+            if x:
+                acc += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a, b):
@@ -122,9 +162,30 @@ def perm_sign(seq):
     return sign
 
 
+def _exact_copy(a):
+    """A copy of a with its rows as new lists and ints read as elements of Q."""
+    return [[_exact(x) for x in row] for row in a]
+
+
+def _pivot(m, r, c, rows):
+    """Divide row r of m by its entry p in column c, then clear column c of
+    each row in ``rows`` with it, updating a row only at the nonzero columns
+    of the pivot row.  Returns p."""
+    p = m[r][c]
+    pivot_row = m[r] = [x / p if x else x for x in m[r]]
+    pivot_nz = _nonzeros(pivot_row)
+    for i in rows:
+        row = m[i]
+        f = row[c]
+        if f:
+            for j, y in pivot_nz:
+                row[j] -= f * y
+    return p
+
+
 def rref(a):
     """Reduced row echelon form.  Returns (matrix, pivot column list)."""
-    m = [list(row) for row in a]
+    m = _exact_copy(a)
     if not m:
         return m, []
     rows, cols = len(m), len(m[0])
@@ -135,12 +196,7 @@ def rref(a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        p = _exact(m[r][c])
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        _pivot(m, r, c, (i for i in range(rows) if i != r))
         pivots.append(c)
         r += 1
         if r == rows:
@@ -184,7 +240,7 @@ def solve(a, b):
     r, pivots = rref(aug)
     if cols in pivots:
         return None
-    z = _exact(r[0][cols])
+    z = r[0][cols]
     x = [z - z] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols]
@@ -193,22 +249,18 @@ def solve(a, b):
 
 def det(a):
     n = len(a)
-    m = [list(row) for row in a]
+    m = _exact_copy(a)
     sign = 1
     d = F1
     for c in range(n):
         pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
-            return _exact(m[c][c])
+            return m[c][c]
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             sign = -sign
-        p = _exact(m[c][c])
+        p = _pivot(m, c, c, range(c + 1, n))
         d = p if c == 0 else d * p
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return d if sign > 0 else -d
 
 

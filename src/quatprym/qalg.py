@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import det, frac_mat, solve
+from .linalg import det, frac_mat, inverse, mat_vec, solve
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -129,10 +129,14 @@ def left_mult_matrix(x, basis):
     return [list(row) for row in zip(*cols)]
 
 
+def _basis_matrix(basis):
+    """The 4x4 rational matrix whose columns are the coordinates of ``basis``."""
+    return frac_mat([[b.coords()[t] for b in basis] for t in range(4)])
+
+
 def coords_in_basis(x, basis):
     """Coordinates of x in a 4-element basis of B, or None."""
-    a = [[b.coords()[t] for b in basis] for t in range(4)]
-    return solve(frac_mat(a), list(x.coords()))
+    return solve(_basis_matrix(basis), list(x.coords()))
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +202,30 @@ def q8_elements():
 
 
 class OrderLattice:
-    """A rank-4 lattice in B(params), given by a basis."""
+    """A rank-4 lattice in B(params), given by a basis.
 
-    __slots__ = ("params", "basis")
+    The basis matrix is inverted once, here, so each coordinate query is
+    one matrix-vector product.  Raises ValueError unless the basis has
+    four linearly independent elements."""
+
+    __slots__ = ("params", "basis", "_to_coords")
 
     def __init__(self, params, basis):
-        assert len(basis) == 4
+        if len(basis) != 4:
+            raise ValueError("an order lattice needs a basis of 4 elements")
         self.params = params
         self.basis = tuple(basis)
+        try:
+            self._to_coords = inverse(_basis_matrix(self.basis))
+        except ValueError:
+            raise ValueError("order lattice basis is linearly dependent") from None
 
     def coords(self, x):
-        return coords_in_basis(x, self.basis)
+        """Rational coordinates of x in the basis."""
+        return mat_vec(self._to_coords, list(x.coords()))
 
     def contains(self, x) -> bool:
-        c = self.coords(x)
-        return c is not None and all(v.denominator == 1 for v in c)
+        return all(v.denominator == 1 for v in self.coords(x))
 
     def is_order(self) -> bool:
         """Ring check: 1 in L and L closed under multiplication."""
@@ -251,7 +264,7 @@ def hurwitz_index_identity(m, order=None):
     one, i, j, k = basis_elems(m.params)
     for u in (one, i, j, k):
         c = order.coords(u * m)
-        assert c is not None and all(v.denominator == 1 for v in c)
+        assert all(v.denominator == 1 for v in c)
         cols.append(c)
     d = abs(det(frac_mat(cols)))
     return d, 2 * m.norm() ** 2

@@ -78,11 +78,14 @@ class HModel:
         mj = [list(row) for row in self.mat_j]
         rid = [[Fraction(r) * x for x in row] for row in identity(self.dim)]
         sid = [[Fraction(s) * x for x in row] for row in identity(self.dim)]
-        assert mat_mul(mi, mi) == rid, "i-action squares to r"
-        assert mat_mul(mj, mj) == sid, "j-action squares to s"
+        if mat_mul(mi, mi) != rid:
+            raise ValueError("i-action squares to r")
+        if mat_mul(mj, mj) != sid:
+            raise ValueError("j-action squares to s")
         ij = mat_mul(mi, mj)
         ji = mat_mul(mj, mi)
-        assert ij == [[-x for x in row] for row in ji], "i and j anticommute"
+        if ij != [[-x for x in row] for row in ji]:
+            raise ValueError("i and j anticommute")
 
     def mat_of(self, x: QuatElem):
         """Matrix of left multiplication by an arbitrary algebra element."""

@@ -207,6 +207,27 @@ def test_lattice_model_normalizes_nonstandard_input():
     assert model.symplectic_ok()
 
 
+@pytest.mark.parametrize(
+    "target,replacement,message",
+    [
+        ("IntLattice.coords", lambda self, vec: None, "explicit basis left the minus part"),
+        ("linalg.int_det", lambda m: 2, "do not form a basis of the minus part"),
+        ("_hurwitz_left_mult", lambda q: [[int(i == j) for j in range(4)] for i in range(4)],
+         "module structure constants do not match"),
+    ],
+)
+def test_lattice_model_consistency_checks_raise(monkeypatch, target, replacement, message):
+    """Each internal consistency check of the lattice model raises, and
+    does not vanish as an assert would under python -O."""
+    owner = ch
+    *path, name = target.split(".")
+    for attr in path:
+        owner = getattr(owner, attr)
+    monkeypatch.setattr(owner, name, replacement)
+    with pytest.raises(ValueError, match=message):
+        ch.prym_lattice_model(2)
+
+
 def test_lattice_model_rejects_unsupported_genus():
     with pytest.raises(ValueError):
         ch.prym_lattice_model(4)

@@ -1,8 +1,12 @@
 """Exact linear algebra: oracles are permutation-expansion determinants
 and the defining transform identities of the Smith normal form.  The
 field routines are also checked over Q(i) and Q(sqrt(-3)) against
-oracles built only from the Leibniz expansion."""
+oracles built only from the Leibniz expansion.  The zero-skipping
+products and eliminations are checked against the dense textbook
+algorithms, kept here as oracles, on random sparse matrices and on the
+Weil-kernel matrix of the registry."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatprym import linalg
-from quatprym.qalg import KNum
+from quatprym import weil_classes as wc
+from quatprym.qalg import HAMILTON, KNum
 
 
 def perm_sign(p):
@@ -306,3 +311,155 @@ def test_quadratic_field_inverse_and_solve_match_cramer(system):
         for j in range(n)
     ]
     assert linalg.solve(m, b) == cramer
+
+
+# ------------------------------------------ zero skipping against dense oracles
+
+
+def dense_mat_mul(a, b):
+    """The dense product: every row times every column, zeros included."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+def dense_mat_vec(a, v):
+    return [reduce(add, map(mul, row, v)) for row in a]
+
+
+def dense_rref(a):
+    """Textbook Gauss-Jordan elimination over whole rows."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def assert_same_entries(got, expected):
+    """Equal values and equal types, entry by entry."""
+    assert got == expected
+    assert [[type(x) for x in row] for row in got] == [[type(x) for x in row] for row in expected]
+
+
+ENTRY_MAKERS = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "Fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    "KNum": lambda rng: KNum.make(-3, rng.randint(-3, 3), rng.randint(-3, 3)),
+}
+
+
+def sparse_matrix(rng, rows, cols, density, entry):
+    """A random matrix whose entries are nonzero with probability about
+    ``density``; its zeros have the type of its entries."""
+    x = entry(rng)
+    zero = x - x
+    return [
+        [entry(rng) if rng.random() < density else zero for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def zeroed(m, rows=(), cols=()):
+    """m with the given rows and columns replaced by zeros of its type."""
+    zero = m[0][0] - m[0][0]
+    return [
+        [zero if i in rows or j in cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_MAKERS))
+def test_sparse_mat_mul_matches_dense_oracle(kind):
+    entry = ENTRY_MAKERS[kind]
+    rng = random.Random(f"mat_mul-{kind}")
+    for trial in range(60):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.0, 0.1, 0.3, 0.7, 1.0))
+        a = sparse_matrix(rng, m, k, density, entry)
+        b = sparse_matrix(rng, k, n, density, entry)
+        if trial % 3 == 1:
+            # an all-zero row of a and an all-zero column of b
+            a = zeroed(a, rows=(rng.randrange(m),))
+            b = zeroed(b, cols=(rng.randrange(n),))
+        assert_same_entries(linalg.mat_mul(a, b), dense_mat_mul(a, b))
+        v = [row[0] for row in b]
+        assert_same_entries([linalg.mat_vec(a, v)], [dense_mat_vec(a, v)])
+    # all-zero matrices: the product is still made of zeros of the entry type
+    x = entry(rng)
+    zero = x - x
+    full = sparse_matrix(rng, 3, 3, 1.0, entry)
+    z = [[zero] * 3 for _ in range(3)]
+    for a, b in ((z, full), (full, z), (z, z)):
+        got = linalg.mat_mul(a, b)
+        assert_same_entries(got, dense_mat_mul(a, b))
+        assert all(type(x) is type(zero) and not x for row in got for x in row)
+
+
+@pytest.mark.parametrize("kind", ["Fraction", "KNum"])
+def test_sparse_elimination_matches_dense_oracle(kind):
+    entry = ENTRY_MAKERS[kind]
+    rng = random.Random(f"rref-{kind}")
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        a = sparse_matrix(rng, m, n, rng.choice((0.0, 0.2, 0.5, 1.0)), entry)
+        r, pivots = linalg.rref(a)
+        expected_r, expected_pivots = dense_rref(a)
+        assert pivots == expected_pivots
+        assert_same_entries(r, expected_r)
+        square = sparse_matrix(rng, 4, 4, rng.choice((0.2, 0.5, 1.0)), entry)
+        assert linalg.det(square) == leibniz(square)
+
+
+def weil_matrix():
+    """X^2 + aX + b for X the wedge^4 action of 1 + sqrt(-1) on the n = 2
+    model of B(-1, -1): the 70x70 matrix whose nullspace weil_kernel takes
+    first in the registry's Weil computation, captured from that call."""
+    seen = []
+
+    def capture(p):
+        seen.append([list(row) for row in p])
+        return linalg.nullspace(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wc, "nullspace", capture)
+        wc.weil_kernel(wc.HModel.make(2, HAMILTON), wc.KElement.make(1, 1, -1))
+    (p,) = seen
+    return p
+
+
+# the nullspace computed before zero skipping, as {index: value}
+WEIL_NULLSPACE = (
+    {21: -1, 22: -1, 26: -1, 29: 1, 40: -1, 43: 1, 47: 1, 48: 1},
+    {20: 1, 23: -1, 27: -1, 28: -1, 41: -1, 42: -1, 46: -1, 49: 1},
+)
+
+
+def test_weil_kernel_matrix_elimination_unchanged():
+    p = weil_matrix()
+    assert len(p) == 70 and sum(1 for row in p for x in row if x) == 454
+    r, pivots = linalg.rref(p)
+    assert pivots == [c for c in range(70) if c not in (48, 49)]
+    expected_r, expected_pivots = dense_rref(p)
+    assert pivots == expected_pivots
+    assert_same_entries(r, expected_r)
+    ns = linalg.nullspace(p)
+    assert [{i: x for i, x in enumerate(v) if x} for v in ns] == list(WEIL_NULLSPACE)
+    assert all(type(x) is Fraction for v in ns for x in v)
+    assert linalg.det(p) == 0
+    # det of the wedge^4 action itself: det(X)^C(7,3) with det(X) = N(1+i)^4
+    model = wc.HModel.make(2, HAMILTON)
+    xm = wc.exterior_action(wc.KElement.make(1, 1, -1).matrix(model), 4)
+    assert linalg.det(xm) == 2**140

@@ -136,6 +136,47 @@ def test_left_ideal_index_identity_box():
     assert checked == 5**4 - 1
 
 
+def index_box_elements():
+    """The 2,400 nonzero elements of the [-3, 3]^4 coordinate box of the
+    Hurwitz order, built as the registry's qalg.left_ideal_index claim
+    builds them."""
+    zeta, i, j, k = hurwitz_order().basis
+    return [
+        zeta.scale(c0) + i.scale(c1) + j.scale(c2) + k.scale(c3)
+        for c0, c1, c2, c3 in product(range(-3, 4), repeat=4)
+        if (c0, c1, c2, c3) != (0, 0, 0, 0)
+    ]
+
+
+def test_order_coords_match_a_fresh_solve():
+    """One inverse per order gives the coordinates a solve per query gave."""
+    box = index_box_elements()
+    assert len(box) == 2400
+    extra = [
+        quat(HAMILTON, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 2), Fraction(1, 2)),
+        quat(HAMILTON, Fraction(2, 3), 0, Fraction(-1, 7), 4),
+        quat(HAMILTON, 0, 0, 0, 0),
+    ]
+    for order in (hz_order(), hurwitz_order()):
+        basis_matrix = linalg.frac_mat(
+            [[b.coords()[t] for b in order.basis] for t in range(4)]
+        )
+        for x in box + extra:
+            got = order.coords(x)
+            assert got == linalg.solve(basis_matrix, list(x.coords()))
+            assert all(type(v) is Fraction for v in got)
+
+
+def test_order_rejects_a_dependent_basis():
+    one, i, j, _ = qalg.basis_elems(HAMILTON)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        qalg.OrderLattice(HAMILTON, (one, i, j, one + i))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        qalg.OrderLattice(HAMILTON, (one, i, j, quat(HAMILTON, 0, 0, 0, 0)))
+    with pytest.raises(ValueError):
+        qalg.OrderLattice(HAMILTON, (one, i, j))
+
+
 def test_index_identity_on_half_integer_points():
     order = hurwitz_order()
     zeta = quat(HAMILTON, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))

@@ -6,6 +6,7 @@ annihilator coefficients are rechecked against quadratic-field powers
 computed with the field arithmetic from the algebra module.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -96,6 +97,22 @@ def test_model_satisfies_quaternion_relations(n, params):
     assert linalg.mat_eq(linalg.mat_mul(mj, mj), linalg.mat_scale(linalg.identity(h.dim), s))
     anti = linalg.mat_add(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
     assert all(x == 0 for row in anti for x in row)
+
+
+@pytest.mark.parametrize(
+    "field,replacement,message",
+    [
+        ("mat_i", "mat_one", "i-action squares to r"),
+        ("mat_j", "mat_one", "j-action squares to s"),
+        # i squares to r = s, so only the anticommutation fails
+        ("mat_j", "mat_i", "i and j anticommute"),
+    ],
+)
+def test_model_check_raises_on_a_wrong_action(field, replacement, message):
+    good = model(1, M11)
+    bad = dataclasses.replace(good, **{field: getattr(good, replacement)})
+    with pytest.raises(ValueError, match=message):
+        bad._check()
 
 
 # ---------------------------------------------------------- annihilators
