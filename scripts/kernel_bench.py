@@ -33,8 +33,9 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=5)
     repeat = ap.parse_args(argv).repeat
-    x = wc.KElement.make(1, 1, -1)
-    xm = wc.exterior_action(x.matrix(wc.HModel.make(2, qalg.HAMILTON)), 4)
+    x = qalg.KNum.make(-1, 1, 1)
+    model = wc.HModel.make(2, qalg.HAMILTON)
+    xm = wc.exterior_action(model.mat_of(qalg.QuatElem.make(qalg.HAMILTON, x.u, x.v)), 4)
     a, b = wc.annihilator_coefficients(x, 4)
     p = linalg.mat_add(linalg.mat_add(linalg.mat_mul(xm, xm), linalg.mat_scale(xm, a)),
                        linalg.mat_scale(linalg.identity(len(xm)), b))

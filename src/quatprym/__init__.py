@@ -17,6 +17,7 @@ from .config import Budgets, load_budgets
 from .qalg import (
     HAMILTON,
     AlgebraParams,
+    KNum,
     QuatElem,
     group_ring_wedderburn,
     hurwitz_index_identity,
@@ -34,7 +35,7 @@ from .surface_homs import (
 from .cover_homology import check_cycle_c_and_basis, prym_lattice_model
 from .lie_engine import AlgebraType, decompose, invariant_dim, irrep_weights, weyl_dim
 from .spin_explicit import build_spin_rep, project_even, so7_invariant
-from .weil_classes import HModel, KElement, weil_kernel, weil_report, weil_space
+from .weil_classes import HModel, weil_kernel, weil_report, weil_space
 from .curve_model import (
     finite_field_locus,
     scroll_numerology,
@@ -54,7 +55,7 @@ __all__ = [
     "HAMILTON",
     "HModel",
     "HomTuple",
-    "KElement",
+    "KNum",
     "QuatElem",
     "build_spin_rep",
     "check_cycle_c_and_basis",

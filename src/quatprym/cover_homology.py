@@ -220,8 +220,7 @@ def minus_part(h1: H1Data) -> IntLattice:
     basis = linalg.integer_kernel(a)
     lat = IntLattice(r, basis)
     for b in basis:
-        img = [sum(m[i][j] * b[j] for j in range(r)) for i in range(r)]
-        assert img == [-x for x in b]
+        assert linalg.mat_vec(m, b) == [-x for x in b]
     return lat
 
 
@@ -267,6 +266,26 @@ def _hz_left_mult(q):
     return [list(row) for row in zip(*cols)]
 
 
+def _c_translates(h1: H1Data, c):
+    """The vectors c, ic, jc and zeta c = (c + ic + jc + kc) / 2 for a
+    cycle c in the fundamental-cycle basis, and whether that half-sum is
+    integral."""
+    ic, jc, kc = (linalg.mat_vec(h1.rho(q), c) for q in ((1, 1), (1, 2), (1, 3)))
+    total = [sum(xs) for xs in zip(c, ic, jc, kc)]
+    return [c, ic, jc, [x // 2 for x in total]], all(x % 2 == 0 for x in total)
+
+
+def _actions_in_basis(h1: H1Data, vm: IntLattice, vecs, coords, qs):
+    """q -> matrix of the deck action of q in the basis ``vecs`` of the
+    minus part, whose coordinates in vm are ``coords``."""
+    cb_inv = inverse(transpose(frac_mat(coords)))
+    out = {}
+    for q in qs:
+        act = [vm.coords(linalg.mat_vec(h1.rho(q), b)) for b in vecs]
+        out[q] = mat_mul(cb_inv, transpose(frac_mat(act)))
+    return out
+
+
 def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
     """Verify the 8-term cycle data in the genus-2 cover graph: boundary
     zero, integrality of the half-sum translate, and that the four
@@ -281,34 +300,17 @@ def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
     vm = minus_part(h1)
     vec = chain_c_edge_vector(graph)
     boundary_zero = all(x == 0 for x in h1.boundary(vec))
-    c = h1.coords_of_cycle(vec)
-    r = h1.rank
-    translates = {(1, 0): c}
-    for q in ((1, 1), (1, 2), (1, 3)):
-        m = h1.rho(q)
-        translates[q] = [sum(m[i][j] * c[j] for j in range(r)) for i in range(r)]
-    total = [sum(translates[q][i] for q in translates) for i in range(r)]
-    zeta_integral = all(x % 2 == 0 for x in total)
-    zeta_c = [x // 2 for x in total]
-    basis_vecs = [c, translates[(1, 1)], translates[(1, 2)], zeta_c]
+    basis_vecs, zeta_integral = _c_translates(h1, h1.coords_of_cycle(vec))
     coords = [vm.coords(b) for b in basis_vecs]
     in_minus = all(co is not None for co in coords)
     d = linalg.int_det(coords) if in_minus else 0
     structure_match = True
     if in_minus and abs(d) == 1:
-        cb_cols = transpose(frac_mat(coords))
-        cb_inv = inverse(cb_cols)
-        for q in ((1, 1), (1, 2)):
-            m = h1.rho(q)
-            act = [
-                vm.coords([sum(m[i][j] * b[j] for j in range(r)) for i in range(r)])
-                for b in basis_vecs
-            ]
-            # matrix of rho(q) in the (c, ic, jc, zeta c) basis
-            x = mat_mul(cb_inv, transpose(frac_mat(act)))
-            expect = frac_mat(_hurwitz_left_mult(q))
-            if not linalg.mat_eq(x, expect):
-                structure_match = False
+        # matrices of rho(q) in the (c, ic, jc, zeta c) basis
+        actions = _actions_in_basis(h1, vm, basis_vecs, coords, ((1, 1), (1, 2)))
+        structure_match = all(
+            linalg.mat_eq(x, frac_mat(_hurwitz_left_mult(q))) for q, x in actions.items()
+        )
     return {
         "boundary_zero": boundary_zero,
         "zeta_integral": zeta_integral,
@@ -404,17 +406,9 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
     assert vm.rank == 4 * (g - 1)
     divisors = vm.inclusion_divisors()
 
-    r = h1.rank
-    vec = chain_c_edge_vector(graph)
-    c = h1.coords_of_cycle(vec)
-    translates = {(1, 0): c}
-    for q in ((1, 1), (1, 2), (1, 3)):
-        m = h1.rho(q)
-        translates[q] = [sum(m[i][j] * c[j] for j in range(r)) for i in range(r)]
-    total = [sum(t[i] for t in translates.values()) for i in range(r)]
-    assert all(x % 2 == 0 for x in total)
-    zeta_c = [x // 2 for x in total]
-    explicit = [c, translates[(1, 1)], translates[(1, 2)], zeta_c]
+    explicit, zeta_integral = _c_translates(h1, h1.coords_of_cycle(chain_c_edge_vector(graph)))
+    if not zeta_integral:
+        raise ValueError("the half-sum of the cycle translates is not integral")
 
     # one free quaternion block per handle mapped to +1: self-loop cycles
     for m_idx in range(1, g - 1):
@@ -436,16 +430,8 @@ def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLattice
         raise ValueError("explicit vectors do not form a basis of the minus part")
 
     # action matrices in the explicit basis
-    cb_cols = transpose(frac_mat(coords))
-    cb_inv = inverse(cb_cols)
     a_blocks = {}
-    for q in VERTEX_ORDER:
-        m = h1.rho(q)
-        act = [
-            vm.coords([sum(m[i][j] * b[j] for j in range(r)) for i in range(r)])
-            for b in explicit
-        ]
-        x = mat_mul(cb_inv, transpose(frac_mat(act)))
+    for q, x in _actions_in_basis(h1, vm, explicit, coords, VERTEX_ORDER).items():
         assert all(v.denominator == 1 for row in x for v in row)
         a_blocks[q] = [[v.numerator for v in row] for row in x]
 

@@ -4,13 +4,17 @@ A, B and D and their direct sums.
 Representations are handled purely through their weight multisets, with
 exact rational coordinates.  Irreducible multisets come from the
 Freudenthal recursion (cross-checked against the Weyl dimension
-formula), multisets are combined by exterior/symmetric powers, tensor
-products, direct sums and concatenation across commuting factors, and
-any Weyl-symmetric multiset can be decomposed back into irreducibles by
-greedy highest-weight stripping.  The point of the module is counting
-invariants in powers of small spin and standard representations, so
-everything is sized for spaces of dimension up to a few thousand
-(the largest exterior power used has C(16,8) = 12870 monomials).
+formula), which sees a factor only through its positive roots and the
+dominance helpers: rho is half their sum, and the dominant weights below
+a highest weight, which must be dominant and integral (else ValueError),
+are reached from it by subtracting positive roots.  Multisets are
+combined by exterior/symmetric powers, tensor products, direct sums and
+concatenation across commuting factors, and any Weyl-symmetric multiset
+can be decomposed back into irreducibles by greedy highest-weight
+stripping.  The point of the module is counting invariants in powers of
+small spin and standard representations, so everything is sized for
+spaces of dimension up to a few thousand (the largest exterior power
+used has C(16,8) = 12870 monomials).
 
 Weight coordinates: a weight of a direct sum is the concatenation of
 factor coordinate blocks.  B_n and D_n use n orthogonal coordinates.
@@ -23,7 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -209,40 +215,24 @@ def _factor_orbit(f: SimpleFactor, w):
 # roots, rho, Weyl dimension
 
 
+@cache
 def _factor_roots(f: SimpleFactor):
-    """Positive roots, in the internal coordinates (sum-zero for A)."""
-    n = f.rank
-    roots = []
-    if f.family == "A":
-        d = n + 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                v = [F0] * d
-                v[i], v[j] = F1, -F1
-                roots.append(tuple(v))
-        return roots
-    for i in range(n):
-        for j in range(i + 1, n):
-            for s in (F1, -F1):
-                v = [F0] * n
-                v[i], v[j] = F1, s
-                roots.append(tuple(v))
+    """Positive roots, in the internal coordinates (sum-zero for A):
+    e_i - e_j and, for B and D, e_i + e_j (i < j); for B also e_i."""
+    unit = [tuple(F1 if t == i else F0 for t in range(f.ncoords)) for i in range(f.ncoords)]
+    pairs = list(combinations(unit, 2))
+    roots = [_vadd(u, v, -1) for u, v in pairs]
+    if f.family != "A":
+        roots += [_vadd(u, v) for u, v in pairs]
     if f.family == "B":
-        for i in range(n):
-            v = [F0] * n
-            v[i] = F1
-            roots.append(tuple(v))
-    return roots
+        roots += unit
+    return tuple(roots)
 
 
+@cache
 def _factor_rho(f: SimpleFactor):
-    n = f.rank
-    if f.family == "A":
-        d = n + 1
-        return tuple(Fraction(d - 1 - 2 * t, 2) for t in range(d))
-    if f.family == "B":
-        return tuple(Fraction(2 * (n - t) - 1, 2) for t in range(n))
-    return tuple(Fraction(n - 1 - t) for t in range(n))
+    """Half the sum of the positive roots."""
+    return tuple(sum(col) / 2 for col in zip(*_factor_roots(f)))
 
 
 def _dot(u, v):
@@ -274,107 +264,46 @@ def _from_internal(f: SimpleFactor, w):
     return _a_canon(w) if f.family == "A" else tuple(w)
 
 
-def weyl_dim(alg: AlgebraType, lam) -> int:
+def _highest_weight_parts(alg: AlgebraType, lam):
+    """(factor, block of lam in internal coordinates) for each factor.
+
+    Raises ValueError unless lam is dominant and integral, that is,
+    2<lam, a>/<a, a> is an integer for every positive root a."""
     lam = canonicalize(alg, lam)
     if not is_dominant(alg, lam):
         raise ValueError("weight is not dominant")
-    d = 1
+    parts = []
     for f, lo, hi in alg.slices():
-        d *= _factor_weyl_dim(f, _to_internal(f, lam[lo:hi]))
-    return d
+        part = _to_internal(f, lam[lo:hi])
+        if any((2 * _dot(part, a) / _dot(a, a)).denominator != 1 for a in _factor_roots(f)):
+            raise ValueError(f"weight is not integral for {f}")
+        parts.append((f, part))
+    return parts
+
+
+def weyl_dim(alg: AlgebraType, lam) -> int:
+    return prod(_factor_weyl_dim(f, part) for f, part in _highest_weight_parts(alg, lam))
 
 
 # ---------------------------------------------------------------------------
 # Freudenthal multiplicities
 
 
-def _value_range(top, frac):
-    """0-anchored ladder frac, frac+1, ..., up to top."""
-    out = []
-    v = frac
-    while v <= top:
-        out.append(v)
-        v += 1
-    return out
-
-
 def _candidates(f: SimpleFactor, lam_internal):
-    """All dominant weights that can occur in the irrep with highest
-    weight lam: same coset of the root lattice and below lam in the
-    dominance order.  Returned in internal coordinates."""
-    n = f.ncoords
-    lam = lam_internal
-    if f.family == "B":
-        top = lam[0]
-        frac = top - int(top)
-        vals = sorted(_value_range(top, frac), reverse=True)
-        out = []
-        for mu in combinations_with_replacement(vals, n):
-            t = F0
-            ok = True
-            for lt, mt in zip(lam, mu):
-                t += lt - mt
-                if t < 0 or t.denominator != 1:
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple(mu))
-        return out
-    if f.family == "D":
-        top = lam[0]
-        frac = top - int(top)
-        pos = _value_range(top, frac)
-        vals = sorted(set(pos + [-v for v in pos]), reverse=True)
-        out = []
-        for mu0 in combinations_with_replacement(vals, n):
-            variants = {mu0}
-            if mu0[-1] > 0:
-                variants.add(mu0[:-1] + (-mu0[-1],))
-            for mu in variants:
-                if not _factor_dominant(f, mu):
-                    continue
-                t = F0
-                ok = True
-                for idx in range(n - 1):
-                    t += lam[idx] - mu[idx]
-                    if idx <= n - 3 and (t < 0 or t.denominator != 1):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                dn = lam[-1] - mu[-1]
-                c_n = (t + dn) / 2
-                c_n1 = (t - dn) / 2
-                if (
-                    c_n.denominator == 1
-                    and c_n1.denominator == 1
-                    and c_n >= 0
-                    and c_n1 >= 0
-                ):
-                    out.append(tuple(mu))
-        return out
-    # A family: enumerate in canonical coordinates, convert to sum-zero
-    lam_c = _a_canon(lam)
-    if any(x.denominator != 1 for x in lam_c):
-        raise ValueError("A-type weights must have integer canonical coordinates")
-    top = int(lam_c[0])
-    total = sum(lam_c)
-    d = n
-    out = []
-    for head in combinations_with_replacement(range(top, -1, -1), d - 1):
-        mu_c = tuple(Fraction(x) for x in head) + (F0,)
-        if (sum(mu_c) - total) % d != 0:
-            continue
-        mu0 = _a_zero(mu_c)
-        t = F0
-        ok = True
-        for idx in range(d - 1):
-            t += lam[idx] - mu0[idx]
-            if t < 0 or t.denominator != 1:
-                ok = False
-                break
-        if ok:
-            out.append(mu0)
+    """All dominant weights below lam in the dominance order, lam first,
+    in internal coordinates.  Among dominant weights every covering step
+    mu < nu has nu - mu a positive root (Stembridge, The partial order of
+    dominant weights, 1998), so subtracting positive roots and keeping
+    the dominant results reaches all of them."""
+    roots = _factor_roots(f)
+    out = [lam_internal]
+    seen = {lam_internal}
+    for mu in out:
+        for a in roots:
+            nu = _vadd(mu, a, -1)
+            if nu not in seen and _factor_dominant(f, nu):
+                seen.add(nu)
+                out.append(nu)
     return out
 
 
@@ -388,15 +317,13 @@ def _factor_dominant_table(f: SimpleFactor, lam_internal):
         return _FREUD_CACHE[key]
     rho = _factor_rho(f)
     roots = _factor_roots(f)
-    cands = _candidates(f, lam_internal)
-    assert lam_internal in cands
-    order = sorted(cands, key=lambda mu: _dot(mu, rho), reverse=True)
+    # _candidates puts lam first; the rest go in decreasing height, so
+    # every weight above mu is done before mu
+    order = sorted(_candidates(f, lam_internal)[1:], key=lambda mu: _dot(mu, rho), reverse=True)
     lr = _vadd(lam_internal, rho)
     lam_norm = _dot(lr, lr)
     mult = {lam_internal: 1}
     for mu in order:
-        if mu == lam_internal:
-            continue
         acc = F0
         for a in roots:
             k = 1
@@ -415,9 +342,9 @@ def _factor_dominant_table(f: SimpleFactor, lam_internal):
         assert val.denominator == 1 and val >= 0
         if val:
             mult[mu] = val.numerator
-    mult = {mu: m for mu, m in mult.items() if m}
     total = sum(len(_factor_orbit(f, _from_internal(f, mu))) * m for mu, m in mult.items())
-    assert total == _factor_weyl_dim(f, lam_internal), "Freudenthal/Weyl mismatch"
+    if total != _factor_weyl_dim(f, lam_internal):
+        raise RuntimeError(f"Freudenthal/Weyl mismatch for {f} at {lam_internal}")
     _FREUD_CACHE[key] = mult
     return mult
 
@@ -425,16 +352,13 @@ def _factor_dominant_table(f: SimpleFactor, lam_internal):
 def dominant_table(alg: AlgebraType, lam) -> dict:
     """dominant weight -> multiplicity for the irrep with highest weight
     lam, in stored (canonical) coordinates."""
-    lam = canonicalize(alg, lam)
-    if not is_dominant(alg, lam):
-        raise ValueError("weight is not dominant")
     table = {(): 1}
-    for f, lo, hi in alg.slices():
-        part = _factor_dominant_table(f, _to_internal(f, lam[lo:hi]))
+    for f, part in _highest_weight_parts(alg, lam):
+        mult = _factor_dominant_table(f, part)
         table = {
             w + _from_internal(f, mu): m0 * m
             for w, m0 in table.items()
-            for mu, m in part.items()
+            for mu, m in mult.items()
         }
     return table
 
@@ -449,16 +373,16 @@ def irrep_weights(alg: AlgebraType, lam) -> dict:
     if key in _IRREP_CACHE:
         return dict(_IRREP_CACHE[key])
     ms = {(): 1}
-    for f, lo, hi in alg.slices():
-        part = _factor_dominant_table(f, _to_internal(f, lam[lo:hi]))
+    for f, part in _highest_weight_parts(alg, lam):
         full = {}
-        for mu, m in part.items():
+        for mu, m in _factor_dominant_table(f, part).items():
             for w in _factor_orbit(f, _from_internal(f, mu)):
                 full[w] = full.get(w, 0) + m
         ms = {
             w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()
         }
-    assert sum(ms.values()) == weyl_dim(alg, lam)
+    if sum(ms.values()) != weyl_dim(alg, lam):
+        raise RuntimeError(f"irrep of highest weight {lam} has the wrong size")
     _IRREP_CACHE[key] = dict(ms)
     return ms
 

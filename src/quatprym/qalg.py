@@ -257,6 +257,7 @@ def hurwitz_index_identity(m, order=None):
     M m in M with twice the squared norm.
 
     Returns (index, 2 * norm(m)^2).  The two agree for every m in M.
+    Raises ValueError if m is not in M.
     """
     if order is None:
         order = hurwitz_order(m.params)
@@ -264,7 +265,8 @@ def hurwitz_index_identity(m, order=None):
     one, i, j, k = basis_elems(m.params)
     for u in (one, i, j, k):
         c = order.coords(u * m)
-        assert all(v.denominator == 1 for v in c)
+        if any(v.denominator != 1 for v in c):
+            raise ValueError("element is not in the order")
         cols.append(c)
     d = abs(det(frac_mat(cols)))
     return d, 2 * m.norm() ** 2

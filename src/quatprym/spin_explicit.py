@@ -149,6 +149,13 @@ class SpinRep:
             self.rho[(i, i + 3)][s][s] for i in range(3)
         )
 
+    def weight_of_monomial(self, mono) -> tuple:
+        """Cartan weight of a product of spinor basis vectors."""
+        total = (F0, F0, F0)
+        for s in mono:
+            total = tuple(a + b for a, b in zip(total, self.weight_of_spinor(s)))
+        return total
+
 
 def _assemble(s1, s2, s3, s4, c):
     w = [_wedge_op(i) for i in range(3)]
@@ -251,15 +258,7 @@ def _derive_wedge(mat, mono):
 
 def weight_zero_monomials(rep: SpinRep):
     """The degree-4 monomials of total weight zero, in monomial order."""
-    out = []
-    for mono in MONOMIALS:
-        tot = [F0, F0, F0]
-        for s in mono:
-            w = rep.weight_of_spinor(s)
-            tot = [a + b for a, b in zip(tot, w)]
-        if all(x == 0 for x in tot):
-            out.append(mono)
-    return out
+    return [mono for mono in MONOMIALS if not any(rep.weight_of_monomial(mono))]
 
 
 def so7_invariant(rep: SpinRep) -> dict:
@@ -295,7 +294,8 @@ def so7_invariant(rep: SpinRep) -> dict:
         for mono, coef in inv.items():
             for target, c in _derive_wedge(rep.rho[pair], mono).items():
                 acc[target] = acc.get(target, F0) + coef * c
-        assert all(v == 0 for v in acc.values()), f"not invariant under {pair}"
+        if any(acc.values()):
+            raise SpinConstructionError(f"degree-4 line is not invariant under {pair}")
     return inv
 
 
@@ -344,9 +344,6 @@ def reference_comparison(rep: SpinRep = None) -> dict:
         if mono in zset and inv.get(mono, F0) == coef:
             terms.append({"position": pos, "monomial": mono, "match": True})
         else:
-            tot = [F0, F0, F0]
-            for s in mono:
-                tot = [a + b for a, b in zip(tot, rep.weight_of_spinor(s))]
             candidates = [
                 m
                 for m in zset
@@ -357,7 +354,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
                     "position": pos,
                     "monomial": mono,
                     "match": False,
-                    "weight": tuple(tot),
+                    "weight": rep.weight_of_monomial(mono),
                     "nearest_computed": candidates[0] if len(candidates) == 1 else None,
                 }
             )
@@ -366,7 +363,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
         "terms": terms,
         "mismatch_positions": mismatches,
         "matches": len(REFERENCE_TERMS) - len(mismatches),
-        "computed": {m: int(c) for m, c in sorted(so7_invariant(rep).items())},
+        "computed": {m: int(c) for m, c in sorted(inv.items())},
     }
 
 
@@ -398,13 +395,7 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
         derive = _derive_sym
     else:
         raise ValueError("kind must be 'wedge' or 'sym'")
-    zmonos = []
-    for mono in monos:
-        tot = [F0, F0, F0]
-        for s in mono:
-            tot = [a + b for a, b in zip(tot, rep.weight_of_spinor(s))]
-        if all(x == 0 for x in tot):
-            zmonos.append(mono)
+    zmonos = [mono for mono in monos if not any(rep.weight_of_monomial(mono))]
     if not zmonos:
         return 0
     rows = {}
@@ -431,10 +422,7 @@ def cross_check_weights(rep: SpinRep) -> dict:
     wedge4_engine = lie_engine.wedge_power(alg, spin, 4)
     model4 = {}
     for mono in MONOMIALS:
-        tot = [F0, F0, F0]
-        for s in mono:
-            tot = [a + b for a, b in zip(tot, rep.weight_of_spinor(s))]
-        key = tuple(tot)
+        key = rep.weight_of_monomial(mono)
         model4[key] = model4.get(key, 0) + 1
     wedge4_match = model4 == wedge4_engine
     return {

@@ -4,7 +4,9 @@ The ambient space is F^n viewed as a 4n-dimensional rational vector
 space, with the definite quaternion algebra F = (r, s | Q) acting by
 left multiplication in each coordinate.  Inside F sits the imaginary
 quadratic field K = Q(sqrt(r)), realized on the model by the matrix of
-i.  For a non-rational x in K with trace t and norm m, the polynomial
+i: x = u + v sqrt(r), a ``qalg.KNum``, acts as the algebra element
+u + v i.  For a non-rational x in K with trace t and norm m, the
+polynomial
 
     f(T) = T^2 + a T + b,   a = -(sigma^{2n} + sigmabar^{2n}),  b = m^{2n}
 
@@ -37,7 +39,7 @@ from .linalg import (
     row_space_basis,
     transpose,
 )
-from .qalg import AlgebraParams, QuatElem, basis_elems, left_mult_matrix
+from .qalg import AlgebraParams, KNum, QuatElem, basis_elems, left_mult_matrix
 
 EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
 
@@ -125,42 +127,6 @@ class HModel:
 
 
 @dataclass(frozen=True)
-class KElement:
-    """u + v sqrt(r) in the quadratic subfield, acting via the i-matrix."""
-
-    u: Fraction
-    v: Fraction
-    r: int
-
-    @staticmethod
-    def make(u, v, r) -> "KElement":
-        return KElement(u=Fraction(u), v=Fraction(v), r=int(r))
-
-    @property
-    def trace(self) -> Fraction:
-        return 2 * self.u
-
-    @property
-    def norm(self) -> Fraction:
-        return self.u * self.u - self.r * self.v * self.v
-
-    def is_rational(self) -> bool:
-        return self.v == 0
-
-    def matrix(self, model: HModel):
-        if model.params.r != self.r:
-            raise ValueError("field element and model disagree on r")
-        d = model.dim
-        out = [[self.v * model.mat_i[p][q] for q in range(d)] for p in range(d)]
-        for p in range(d):
-            out[p][p] += self.u
-        return out
-
-    def __str__(self):
-        return f"{self.u}+{self.v}*sqrt({self.r})"
-
-
-@dataclass(frozen=True)
 class SubspaceQ:
     """Rational subspace, stored as canonical reduced-echelon rows."""
 
@@ -237,13 +203,13 @@ def exterior_action(mat, k: int):
     return out
 
 
-def annihilator_coefficients(x: KElement, power: int):
+def annihilator_coefficients(x: KNum, power: int):
     """Coefficients (a, b) of T^2 + aT + b killing the induced action.
 
     p_m = sigma^m + sigmabar^m satisfies the trace/norm recursion
     p_m = t p_{m-1} - nrm p_{m-2}; then a = -p_{2n} and b = nrm^{2n}."""
-    t = x.trace
-    nrm = x.norm
+    t = 2 * x.u
+    nrm = x.u * x.u - x.r * x.v * x.v
     p_prev, p_cur = Fraction(2), t
     for _ in range(power - 1):
         p_prev, p_cur = p_cur, t * p_cur - nrm * p_prev
@@ -251,13 +217,15 @@ def annihilator_coefficients(x: KElement, power: int):
     return -p_power, nrm ** power
 
 
-def weil_kernel(model: HModel, x: KElement) -> SubspaceQ:
-    """ker(X^2 + aX + b) on wedge^{2n}, X the induced action of x."""
-    if x.is_rational():
+def weil_kernel(model: HModel, x: KNum) -> SubspaceQ:
+    """ker(X^2 + aX + b) on wedge^{2n}, X the induced action of x = u + v i."""
+    if not x.v:
         raise ValueError("rational field elements give a degenerate kernel")
+    if x.r != model.params.r:
+        raise ValueError("field element and model disagree on r")
     k = 2 * model.n
     a, b = annihilator_coefficients(x, k)
-    xm = exterior_action(x.matrix(model), k)
+    xm = exterior_action(model.mat_of(QuatElem.make(model.params, x.u, x.v)), k)
     cdim = len(xm)
     p = mat_mul(xm, xm)
     for row in range(cdim):
@@ -280,7 +248,7 @@ def weil_space(model: HModel, generators=None, ladder_max: int = 20):
     used = []
     space = None
     stable = 0
-    ladder = (g for g in (KElement.make(u, 1, r) for u in range(1, ladder_max + 1)))
+    ladder = (KNum.make(r, u, 1) for u in range(1, ladder_max + 1))
     pending = list(generators or [])
     steps = 0
     while stable < 2:
@@ -290,7 +258,7 @@ def weil_space(model: HModel, generators=None, ladder_max: int = 20):
             x = next(ladder, None)
             if x is None:
                 raise ValueError("kernel intersection did not stabilize within the ladder")
-        if x.is_rational():
+        if not x.v:
             raise ValueError("generators must not be rational")
         steps += 1
         if steps > ladder_max + 8:
@@ -370,5 +338,5 @@ def weil_report(n: int, params: AlgebraParams, ladder_max: int = 20) -> dict:
         "params": [params.r, params.s],
         "dim_WK": wk.dim,
         "dim_WF": wf.dim,
-        "generators_used": [str(x) for x in used],
+        "generators_used": [f"{x.u}+{x.v}*sqrt({x.r})" for x in used],
     }

@@ -149,7 +149,7 @@ def test_explicit_invariant_line():
     zmonos = sp.weight_zero_monomials(rep)
     assert len(zmonos) == 8
 
-    # one invariant line in degree 4; so7_invariant itself asserts that
+    # one invariant line in degree 4; so7_invariant itself raises unless
     # all 21 basis operators annihilate the normalized vector
     assert sp.invariant_count(rep, 4, "wedge") == 1
     inv = sp.so7_invariant(rep)

@@ -4,15 +4,20 @@ Oracles: closed-form weight systems (sign vectors for spin
 representations, root systems for adjoints, single strings for rank
 one) are written out in the tests and compared to the Freudenthal
 computation; decompose is exercised on randomly assembled sums whose
-content is known by construction.
+content is known by construction.  The root-driven search for the
+dominant weights below a highest weight is gated against the three
+family-specific enumerators it replaced, kept here as the oracle, and
+half the sum of the positive roots against the closed forms of rho.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from quatprym import lie_engine as le
+from quatprym import report
 
 H = Fraction(1, 2)
 
@@ -93,6 +98,182 @@ def test_a1_string_weights():
 def test_a3_third_wedge_matches_highest_weight():
     std = le.irrep_weights(le.A3, (1, 0, 0, 0))
     assert ms_eq(le.irrep_weights(le.A3, (1, 1, 1, 0)), le.wedge_power(le.A3, std, 3))
+
+
+# ------------------------------------- dominant weights below lambda
+
+
+def value_range(top, frac):
+    """0-anchored ladder frac, frac+1, ..., up to top."""
+    out = []
+    v = frac
+    while v <= top:
+        out.append(v)
+        v += 1
+    return out
+
+
+def family_candidates(f, lam):
+    """The per-family enumeration of the dominant weights below lam (same
+    coset of the root lattice, below lam in the dominance order), in
+    internal coordinates: B and D by coordinate values and partial sums,
+    A in canonical coordinates."""
+    n = f.ncoords
+    if f.family == "B":
+        top = lam[0]
+        frac = top - int(top)
+        vals = sorted(value_range(top, frac), reverse=True)
+        out = []
+        for mu in combinations_with_replacement(vals, n):
+            t = Fraction(0)
+            ok = True
+            for lt, mt in zip(lam, mu):
+                t += lt - mt
+                if t < 0 or t.denominator != 1:
+                    ok = False
+                    break
+            if ok:
+                out.append(tuple(mu))
+        return out
+    if f.family == "D":
+        top = lam[0]
+        frac = top - int(top)
+        pos = value_range(top, frac)
+        vals = sorted(set(pos + [-v for v in pos]), reverse=True)
+        out = []
+        for mu0 in combinations_with_replacement(vals, n):
+            variants = {mu0}
+            if mu0[-1] > 0:
+                variants.add(mu0[:-1] + (-mu0[-1],))
+            for mu in variants:
+                if not le._factor_dominant(f, mu):
+                    continue
+                t = Fraction(0)
+                ok = True
+                for idx in range(n - 1):
+                    t += lam[idx] - mu[idx]
+                    if idx <= n - 3 and (t < 0 or t.denominator != 1):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                dn = lam[-1] - mu[-1]
+                c_n = (t + dn) / 2
+                c_n1 = (t - dn) / 2
+                if c_n.denominator == 1 and c_n1.denominator == 1 and c_n >= 0 and c_n1 >= 0:
+                    out.append(tuple(mu))
+        return out
+    lam_c = le._a_canon(lam)
+    top = int(lam_c[0])
+    total = sum(lam_c)
+    out = []
+    for head in combinations_with_replacement(range(top, -1, -1), n - 1):
+        mu_c = tuple(Fraction(x) for x in head) + (Fraction(0),)
+        if (sum(mu_c) - total) % n != 0:
+            continue
+        mu0 = le._a_zero(mu_c)
+        t = Fraction(0)
+        ok = True
+        for idx in range(n - 1):
+            t += lam[idx] - mu0[idx]
+            if t < 0 or t.denominator != 1:
+                ok = False
+                break
+        if ok:
+            out.append(mu0)
+    return out
+
+
+BOX_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "B4", "D3", "D4")
+BOX_VALUES = [Fraction(k, 2) for k in range(-7, 8)]
+
+
+def box_weights(f):
+    """Every dominant integral highest weight of f with stored
+    coordinates in {-7/2, -3, ..., 7/2}, in internal coordinates."""
+    alg = le.AlgebraType((f,))
+    out = []
+    for w in product(BOX_VALUES, repeat=f.ncoords):
+        if f.family == "A" and w[-1] != 0:
+            continue
+        try:
+            (part,) = le._highest_weight_parts(alg, w)
+        except ValueError:
+            continue
+        out.append(part[1])
+    return out
+
+
+def assert_same_candidates(f, lam):
+    got = le._candidates(f, lam)
+    assert got[0] == lam
+    assert len(set(got)) == len(got)
+    assert set(got) == set(family_candidates(f, lam)), (f, lam)
+
+
+def test_candidates_match_family_enumerators_on_box():
+    count = 0
+    for name in BOX_ALGEBRAS:
+        (f,) = le.AlgebraType.parse(name).factors
+        for lam in box_weights(f):
+            assert_same_candidates(f, lam)
+            count += 1
+    assert count == 354
+
+
+def test_candidates_match_family_enumerators_on_registry_tables():
+    report._lie_claims(report.Budgets())
+    keys = list(le._FREUD_CACHE)
+    assert {str(f) for f, _ in keys} >= {"A1", "A3", "B3", "D4"}
+    for f, lam in keys:
+        assert_same_candidates(f, lam)
+
+
+def closed_form_rho(f):
+    n = f.rank
+    if f.family == "A":
+        return tuple(Fraction(n - 2 * t, 2) for t in range(n + 1))
+    if f.family == "B":
+        return tuple(Fraction(2 * (n - t) - 1, 2) for t in range(n))
+    return tuple(Fraction(n - 1 - t) for t in range(n))
+
+
+@pytest.mark.parametrize("name", BOX_ALGEBRAS + ("A5", "B6", "D2", "D6"))
+def test_rho_is_the_closed_form(name):
+    (f,) = le.AlgebraType.parse(name).factors
+    assert le._factor_rho(f) == closed_form_rho(f)
+
+
+@pytest.mark.parametrize(
+    "alg,lam",
+    [
+        (le.A1, (H, 0)),
+        (le.A3, (H, 0, 0, 0)),
+        (le.B3, (H, 0, 0)),
+        (le.D4, (H, H, H, 0)),
+        (le.B3A1, (1, 0, 0, H, 0)),
+    ],
+)
+def test_non_integral_highest_weights_are_rejected(alg, lam):
+    for fn in (le.weyl_dim, le.dominant_table, le.irrep_weights):
+        with pytest.raises(ValueError, match="not integral"):
+            fn(alg, lam)
+
+
+def test_non_dominant_highest_weights_are_rejected():
+    for fn in (le.weyl_dim, le.dominant_table, le.irrep_weights):
+        with pytest.raises(ValueError, match="not dominant"):
+            fn(le.B3, (0, 1, 0))
+
+
+def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
+    # drop the zero weight, the lowest dominant weight of the adjoint
+    search = le._candidates
+    monkeypatch.setattr(le, "_candidates", lambda f, lam: [mu for mu in search(f, lam) if any(mu)])
+    monkeypatch.setattr(le, "_FREUD_CACHE", {})
+    monkeypatch.setattr(le, "_IRREP_CACHE", {})
+    with pytest.raises(RuntimeError, match="Freudenthal/Weyl mismatch"):
+        le.irrep_weights(le.B3, (1, 1, 0))
 
 
 # ----------------------------------------------------------- dimensions

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from quatprym import linalg
 from quatprym import weil_classes as wc
-from quatprym.qalg import HAMILTON, KNum
+from quatprym.qalg import HAMILTON, KNum, QuatElem
 
 
 def perm_sign(p):
@@ -435,7 +435,7 @@ def weil_matrix():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wc, "nullspace", capture)
-        wc.weil_kernel(wc.HModel.make(2, HAMILTON), wc.KElement.make(1, 1, -1))
+        wc.weil_kernel(wc.HModel.make(2, HAMILTON), KNum.make(-1, 1, 1))
     (p,) = seen
     return p
 
@@ -461,5 +461,5 @@ def test_weil_kernel_matrix_elimination_unchanged():
     assert linalg.det(p) == 0
     # det of the wedge^4 action itself: det(X)^C(7,3) with det(X) = N(1+i)^4
     model = wc.HModel.make(2, HAMILTON)
-    xm = wc.exterior_action(wc.KElement.make(1, 1, -1).matrix(model), 4)
+    xm = wc.exterior_action(model.mat_of(QuatElem.make(HAMILTON, 1, 1)), 4)
     assert linalg.det(xm) == 2**140

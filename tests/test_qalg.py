@@ -184,6 +184,11 @@ def test_index_identity_on_half_integer_points():
     assert got == expected == 2 * zeta.norm() ** 2
 
 
+def test_index_identity_rejects_elements_outside_the_order():
+    with pytest.raises(ValueError, match="not in the order"):
+        hurwitz_index_identity(quat(HAMILTON, Fraction(1, 3), 0, 0, 0))
+
+
 # -------------------------------------------------------- group ring shape
 
 

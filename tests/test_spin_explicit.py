@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from quatprym import lie_engine as le
+from quatprym.linalg import identity
 from quatprym import spin_explicit as sp
 
 H = Fraction(1, 2)
@@ -184,6 +185,22 @@ def test_invariant_line_frozen(rep):
         (1, 3, 4, 6): Fraction(-1),
         (2, 3, 4, 5): Fraction(1),
     }
+
+
+def test_invariance_check_raises_on_a_broken_rho(rep):
+    # the raising operators and the Cartan part are kept, so the raising
+    # kernel is still one line, but e1 ^ e2 now acts as the identity
+    broken = sp.SpinRep(rho={**rep.rho, (0, 1): identity(8)}, scalars=rep.scalars)
+    with pytest.raises(sp.SpinConstructionError, match=r"not invariant under \(0, 1\)"):
+        sp.so7_invariant(broken)
+
+
+def test_monomial_weight_is_the_sum_of_spinor_weights(rep):
+    for mono in ((), (3,), (0, 4, 5, 6), (1, 3, 4, 5), (0, 0, 7)):
+        total = [Fraction(0)] * 3
+        for idx in mono:
+            total = [a + b for a, b in zip(total, rep.weight_of_spinor(idx))]
+        assert rep.weight_of_monomial(mono) == tuple(total)
 
 
 def test_even_projection_value(rep):

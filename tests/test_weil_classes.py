@@ -15,7 +15,7 @@ import pytest
 
 from quatprym import linalg
 from quatprym import weil_classes as wc
-from quatprym.qalg import AlgebraParams, KNum
+from quatprym.qalg import AlgebraParams, KNum, QuatElem
 
 M11 = AlgebraParams.make(-1, -1)
 M13 = AlgebraParams.make(-1, -3)
@@ -124,9 +124,9 @@ def knum_annihilator_oracle(x, m):
     so the polynomial is X^2 - trace(x^m) X + norm(x)^m."""
     xm = KNum.make(x.r, 1, 0)
     for _ in range(m):
-        xm = xm * KNum.make(x.r, x.u, x.v)
+        xm = xm * x
     trace = 2 * xm.u
-    norm = (x.u * x.u - x.r * x.v * x.v) ** m
+    norm = (x * x.conj()).u ** m
     return (-trace, norm)
 
 
@@ -140,7 +140,7 @@ def knum_annihilator_oracle(x, m):
     ],
 )
 def test_annihilator_coefficients_frozen_and_oracle(r, u, v, n, expected):
-    x = wc.KElement.make(u, v, r)
+    x = KNum.make(r, u, v)
     got = wc.annihilator_coefficients(x, 2 * n)
     assert got == expected
     assert got == knum_annihilator_oracle(x, 2 * n)
@@ -151,31 +151,41 @@ def test_annihilator_coefficients_frozen_and_oracle(r, u, v, n, expected):
 
 def test_weil_kernel_dims_frozen():
     h1 = model(1, M11)
-    assert wc.weil_kernel(h1, wc.KElement.make(0, 1, -1)).dim == 2
-    assert wc.weil_kernel(h1, wc.KElement.make(1, 1, -1)).dim == 2
+    assert wc.weil_kernel(h1, KNum.make(-1, 0, 1)).dim == 2
+    assert wc.weil_kernel(h1, KNum.make(-1, 1, 1)).dim == 2
     h2 = model(2, M11)
-    assert wc.weil_kernel(h2, wc.KElement.make(1, 1, -1)).dim == 2
+    assert wc.weil_kernel(h2, KNum.make(-1, 1, 1)).dim == 2
 
 
 def test_weil_kernel_rejects_rational_elements():
     with pytest.raises(ValueError):
-        wc.weil_kernel(model(), wc.KElement.make(3, 0, -1))
+        wc.weil_kernel(model(), KNum.make(-1, 3, 0))
+
+
+def test_weil_kernel_rejects_an_element_of_another_field():
+    with pytest.raises(ValueError, match="disagree on r"):
+        wc.weil_kernel(model(), KNum.make(-3, 1, 1))
 
 
 def test_weil_kernel_is_stable_under_the_field():
     h = model(1, M11)
-    x = wc.KElement.make(1, 1, -1)
+    x = KNum.make(-1, 1, 1)
     ker = wc.weil_kernel(h, x)
     k = h.dim // 2
-    gen_action = wc.exterior_action(x.matrix(h), k)
+    # x = 1 + sqrt(-1) acts as u + v * (matrix of i)
+    x_mat = linalg.mat_add(
+        linalg.mat_scale(linalg.identity(h.dim), x.u),
+        linalg.mat_scale(linalg.frac_mat(h.mat_i), x.v),
+    )
+    gen_action = wc.exterior_action(x_mat, k)
     moved = ker.apply(gen_action)
     assert ker.contains_space(moved)
 
 
 def test_conjugate_element_has_same_kernel():
     h = model(1, M11)
-    a = wc.weil_kernel(h, wc.KElement.make(2, 1, -1))
-    b = wc.weil_kernel(h, wc.KElement.make(2, -1, -1))
+    a = wc.weil_kernel(h, KNum.make(-1, 2, 1))
+    b = wc.weil_kernel(h, KNum.make(-1, 2, -1))
     assert a.rows == b.rows
 
 
@@ -190,11 +200,7 @@ def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
     h = model(n, params)
     wk, used = wc.weil_space(h)
     assert wk.dim == dim_wk
-    assert [str(x) for x in used] == [
-        "1+1*sqrt(-1)",
-        "2+1*sqrt(-1)",
-        "3+1*sqrt(-1)",
-    ]
+    assert used == [KNum.make(-1, 1, 1), KNum.make(-1, 2, 1), KNum.make(-1, 3, 1)]
     wf = wc.quaternion_span(h, wk)
     assert wf.dim == dim_wf
     assert wf.contains_space(wk)
@@ -214,8 +220,6 @@ def test_span_dimensions_survive_conjugation():
     h = model(1, M11)
     base = wc.weil_report(1, M11)
     # conjugate the model by 1 + j and recompute both spans
-    from quatprym.qalg import QuatElem
-
     u = QuatElem.make(M11, 1, 0, 1, 0)
     hc = h.conjugated(h.mat_of(u))
     wk, _ = wc.weil_space(hc)
@@ -237,7 +241,7 @@ def test_weil_report_shape():
 
 def test_weil_space_accepts_explicit_generators():
     h = model(1, M11)
-    gens = [wc.KElement.make(1, 1, -1), wc.KElement.make(2, 1, -1), wc.KElement.make(3, 1, -1)]
+    gens = [KNum.make(-1, 1, 1), KNum.make(-1, 2, 1), KNum.make(-1, 3, 1)]
     wk, used = wc.weil_space(h, generators=gens)
     assert wk.dim == 2
     assert used == gens
