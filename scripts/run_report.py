@@ -12,24 +12,21 @@ from collections import Counter
 from pathlib import Path
 
 from quatprym import report
-from quatprym.config import load_budgets
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--module", help="restrict to one module", default=None)
-    ap.add_argument("--config", help="budget config file", default=None)
     ap.add_argument(
         "--out", type=Path, default=Path("."), help="output directory"
     )
     args = ap.parse_args(argv)
 
-    budgets = load_budgets(path=args.config)
-    records = report.run_suite(module=args.module, budgets=budgets)
+    records = report.run_suite(module=args.module)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "report.json").write_text(report.emit(records, "json") + "\n")
-    (args.out / "report.md").write_text(report.emit(records, "markdown") + "\n")
+    (args.out / "report.json").write_text(report.emit(records, "json"))
+    (args.out / "report.md").write_text(report.emit(records, "markdown"))
 
     counts = Counter(r.status for r in records)
     for status in ("PASS", "EVIDENCE", "FLAGGED", "FAIL"):

@@ -21,7 +21,6 @@ from . import (
     spin_explicit,
     surface_homs,
 )
-from .config import load_budgets
 from .weil_classes import weil_report
 
 
@@ -66,8 +65,7 @@ def _cmd_homs(args) -> int:
         return 0
     if args.normalize is not None:
         h = surface_homs.parse_hom(g, args.normalize)
-        budgets = load_budgets(args.config)
-        out = surface_homs.normalize_hom(h, node_budget=budgets.bfs_node_cap)
+        out = surface_homs.normalize_hom(h)
         _print_json(
             {
                 "reached": out["reached"],
@@ -84,13 +82,10 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_prym(args) -> int:
-    budgets = load_budgets(args.config)
     h = None
     if args.hom is not None:
         h = surface_homs.parse_hom(args.genus, args.hom)
-    model = cover_homology.prym_lattice_model(
-        args.genus, h, node_budget=budgets.bfs_node_cap
-    )
+    model = cover_homology.prym_lattice_model(args.genus, h)
     _print_json(
         {
             "genus": model.g,
@@ -163,14 +158,12 @@ def _cmd_weil(args) -> int:
         print("--params expects r,s", file=sys.stderr)
         return 2
     params = qalg.AlgebraParams.make(int(r_s[0]), int(r_s[1]))
-    budgets = load_budgets(args.config)
-    rep = weil_report(args.n, params, ladder_max=budgets.ladder_max)
+    rep = weil_report(args.n, params)
     _print_json(rep)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    budgets = load_budgets(args.config)
     if args.check == "autos":
         rep = curve_model.verify_curve_autos()
     elif args.check == "quadrics":
@@ -183,7 +176,7 @@ def _cmd_curve(args) -> int:
         if args.p is None:
             print("--check locus requires --p", file=sys.stderr)
             return 2
-        rep = curve_model.finite_field_locus(args.p, prime_cap=budgets.locus_prime_cap)
+        rep = curve_model.finite_field_locus(args.p)
     elif args.check == "numerology":
         if args.n is None:
             print("--check numerology requires --n", file=sys.stderr)
@@ -197,8 +190,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    budgets = load_budgets(args.config)
-    records = report_mod.run_suite(args.module, budgets)
+    records = report_mod.run_suite(args.module)
     sys.stdout.write(report_mod.emit(records, args.format))
     return 1 if report_mod.has_failures(records) else 0
 
@@ -208,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hodge",
         description="exact-arithmetic checks for quaternionic covers, their "
         "lattices, and the associated invariant computations",
-    )
-    parser.add_argument(
-        "--config", default=None, help="budget config file (flat key=value lines)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prym", help="anti-invariant lattice model")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--hom", metavar="TUPLE", default=None)
-    p.add_argument("--report", action="store_true")
     p.set_defaults(func=_cmd_prym)
 
     p = sub.add_parser("lie", help="weight-multiset representation engine")
@@ -245,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weil", help="kernel-intersection dimensions")
     p.add_argument("--n", type=int, choices=(1, 2), required=True)
     p.add_argument("--params", default="-1,-1", help="algebra parameters r,s")
-    p.add_argument("--report", action="store_true")
     p.set_defaults(func=_cmd_weil)
 
     p = sub.add_parser("curve", help="genus-2 curve symbolic checks")

@@ -1,69 +1,25 @@
 """Search and enumeration budgets.
 
-Budgets come from three layers: built-in defaults, an optional flat
-key=value config file, and the HODGE_BUDGET_SCALE environment variable,
-which scales the two search-shaped budgets (BFS nodes and the field
-generator ladder) but not the finite-field prime cap, since primes are
-a correctness boundary rather than a search horizon.
+The three caps are fixed constants, set here and nowhere else: every
+input the registry checks is pinned by the paper, and the caps cover all
+of them.  There is no config file and no environment override; to run
+past a cap off the registry, edit the constant.  The kernels that take a
+cap as a parameter default to the value here, and ``report.run_suite``
+accepts a ``Budgets`` with smaller caps for tests.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-DEFAULTS = {
-    "bfs_node_cap": 200000,
-    "locus_prime_cap": 41,
-    "ladder_max": 20,
-}
 
 
 @dataclass(frozen=True)
 class Budgets:
-    bfs_node_cap: int = DEFAULTS["bfs_node_cap"]
-    locus_prime_cap: int = DEFAULTS["locus_prime_cap"]
-    ladder_max: int = DEFAULTS["ladder_max"]
+    bfs_node_cap: int = 200000  # normalization breadth-first search
+    locus_prime_cap: int = 41  # largest prime for finite-field loci
+    ladder_max: int = 20  # generator ladder length in weil_classes
 
 
-def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; blank lines and '#' comments are skipped."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValueError(f"line {lineno}: unknown budget key {key!r}")
-        try:
-            out[key] = int(value.strip())
-        except ValueError:
-            raise ValueError(f"line {lineno}: budget {key!r} must be an integer")
-    return out
-
-
-def load_budgets(path: str = None, env: dict = None) -> Budgets:
-    values = dict(DEFAULTS)
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
-    if env is None:
-        env = os.environ
-    scale_raw = env.get("HODGE_BUDGET_SCALE")
-    if scale_raw:
-        try:
-            scale = float(scale_raw)
-        except ValueError:
-            raise ValueError(f"HODGE_BUDGET_SCALE must be a number, got {scale_raw!r}")
-        if scale <= 0:
-            raise ValueError("HODGE_BUDGET_SCALE must be positive")
-        for key in ("bfs_node_cap", "ladder_max"):
-            values[key] = max(1, int(round(values[key] * scale)))
-    for key, val in values.items():
-        if val < 1:
-            raise ValueError(f"budget {key} must be at least 1")
-    return Budgets(**values)
+def load_budgets() -> Budgets:
+    """The fixed budgets; always equal to ``Budgets()``."""
+    return Budgets()

@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from . import linalg
+from .config import Budgets
 from .linalg import frac_mat, inverse, mat_mul, transpose, solve
 from .qalg import (
     HAMILTON,
@@ -378,7 +379,9 @@ def _find_dual_intertwiner(a_i, a_j):
     raise ValueError("no unimodular intertwiner found in the search range")
 
 
-def prym_lattice_model(g, h: HomTuple = None, node_budget=200000) -> PrymLatticeModel:
+def prym_lattice_model(
+    g, h: HomTuple = None, node_budget=Budgets.bfs_node_cap
+) -> PrymLatticeModel:
     """The rank-8(g-1) lattice with symplectic deck action attached to a
     quaternionic cover in genus 2 or 3.
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .config import Budgets
 from .linalg import inverse, mat_mul, rank, solve
 from .qalg import KNum
 
@@ -575,7 +576,7 @@ def verify_invariant_quartics() -> dict:
     return report
 
 
-def finite_field_locus(p: int, prime_cap: int = 41) -> dict:
+def finite_field_locus(p: int, prime_cap: int = Budgets.locus_prime_cap) -> dict:
     """Compare, point by point over F_p, the zero locus of the four
     quartics with the zero locus of the four quadrics and with the
     parametrized curve points.  Exhaustive over P^4(F_p); this is

@@ -46,10 +46,10 @@ class SimpleFactor:
     rank: int
 
     def __post_init__(self):
-        assert self.family in ("A", "B", "D")
-        assert self.rank >= 1
-        if self.family == "D":
-            assert self.rank >= 2
+        if self.family not in ("A", "B", "D"):
+            raise ValueError(f"unknown family {self.family!r}; know A, B, D")
+        if self.rank < (2 if self.family == "D" else 1):
+            raise ValueError(f"rank {self.rank} is too small for family {self.family}")
 
     @property
     def ncoords(self):

@@ -595,22 +595,6 @@ MODULE_BUILDERS = (
     ("curve", _curve_claims),
 )
 
-_ALIASES = {
-    "qalg": "qalg",
-    "surface_homs": "homs",
-    "homs": "homs",
-    "cover_homology": "cover",
-    "cover": "cover",
-    "lie_engine": "lie",
-    "lie": "lie",
-    "spin_explicit": "spin",
-    "spin": "spin",
-    "weil_classes": "weil",
-    "weil": "weil",
-    "curve_model": "curve",
-    "curve": "curve",
-}
-
 
 def module_names():
     return tuple(name for name, _ in MODULE_BUILDERS)
@@ -621,19 +605,16 @@ def run_suite(module: str = None, budgets: Budgets = None):
     records sorted by claim id."""
     if budgets is None:
         budgets = Budgets()
-    if module is not None:
-        key = _ALIASES.get(module)
-        if key is None:
-            raise ValueError(f"unknown module {module!r}; know {sorted(set(_ALIASES))}")
-        builders = [b for name, b in MODULE_BUILDERS if name == key]
-    else:
-        builders = [b for _, b in MODULE_BUILDERS]
+    builders = [b for name, b in MODULE_BUILDERS if module in (None, name)]
+    if not builders:
+        raise ValueError(f"unknown module {module!r}; know {list(module_names())}")
     records = []
     for builder in builders:
         records.extend(builder(budgets))
     records.sort(key=lambda r: r.claim_id)
     ids = [r.claim_id for r in records]
-    assert len(ids) == len(set(ids)), "claim ids must be unique"
+    if len(ids) != len(set(ids)):
+        raise RuntimeError("claim ids must be unique")
     return records
 
 

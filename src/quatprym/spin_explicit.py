@@ -117,7 +117,8 @@ def so7_action_matrix(a, b):
 
 def matrix_to_pair_coeffs(m):
     """Inverse of so7_action_matrix on its image: coefficients c_{ab}
-    with m = sum c_{ab} so7_action_matrix(a,b); asserts membership."""
+    with m = sum c_{ab} so7_action_matrix(a,b); raises ValueError if m
+    is outside that image."""
     coeffs = {}
     for a, b in SO7_PAIRS:
         pb = _partner(b)
@@ -130,7 +131,8 @@ def matrix_to_pair_coeffs(m):
             for p in range(7):
                 for q in range(7):
                     recon[p][q] += c * act[p][q]
-    assert recon == m, "matrix is outside the span of the basis actions"
+    if recon != m:
+        raise ValueError("matrix is outside the span of the basis actions")
     return coeffs
 
 
@@ -267,7 +269,10 @@ def so7_invariant(rep: SpinRep) -> dict:
     three raising operators on the weight-0 subspace, then checked
     against the whole algebra."""
     zmonos = weight_zero_monomials(rep)
-    assert len(zmonos) == 8
+    if len(zmonos) != 8:
+        raise SpinConstructionError(
+            f"weight-zero subspace has dimension {len(zmonos)}, expected 8"
+        )
     rows = {}
     for t, mono in enumerate(zmonos):
         for i in range(3):
@@ -285,7 +290,8 @@ def so7_invariant(rep: SpinRep) -> dict:
         )
     vec = kernel[0]
     lead = vec[zmonos.index((0, 4, 5, 6))]
-    assert lead != 0
+    if not lead:
+        raise SpinConstructionError("invariant line has no all-even coefficient")
     vec = [x * 2 / lead for x in vec]
     inv = {mono: coef for mono, coef in zip(zmonos, vec) if coef}
     # full invariance: every basis operator annihilates the vector

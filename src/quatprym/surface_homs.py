@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from collections import deque
 from itertools import product
 
+from .config import Budgets
 from .qalg import qmul, qinv, qparse, qstr
 
 
@@ -279,7 +280,7 @@ def _flip_moves(g, m):
     return inner + [psi_move(g, m)] + inner
 
 
-def normalize_hom(h: HomTuple, node_budget=200000) -> dict:
+def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
     """Drive h to the standard surjection by moves, if possible.
 
     Phase 1 handles tuples already in the shape reached by the
@@ -430,15 +431,14 @@ def enumerate_surjections(g) -> EnumReport:
 # numerology
 
 
-def genus_numerology(g, n=None) -> dict:
+def genus_numerology(g) -> dict:
     """Genus of the two covers, the dimension of the associated abelian
     quotient, and the dimension count n(n-1)/2 for the relevant period
-    domain (n defaults to half the abelian-variety dimension 4(g-1))."""
+    domain, n half the abelian-variety dimension 4(g-1)."""
     if g < 2:
         raise ValueError("genus must be at least 2")
     prym_dim = 4 * (g - 1)
-    if n is None:
-        n = prym_dim // 2
+    n = prym_dim // 2
     return {
         "genus_tilde": 8 * g - 7,
         "genus_hat": 4 * g - 3,

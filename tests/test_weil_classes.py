@@ -239,14 +239,6 @@ def test_weil_report_shape():
     }
 
 
-def test_weil_space_accepts_explicit_generators():
-    h = model(1, M11)
-    gens = [KNum.make(-1, 1, 1), KNum.make(-1, 2, 1), KNum.make(-1, 3, 1)]
-    wk, used = wc.weil_space(h, generators=gens)
-    assert wk.dim == 2
-    assert used == gens
-
-
 def test_subspace_operations():
     amb = 4
     a = wc.SubspaceQ.from_vectors([[1, 0, 0, 0], [0, 1, 0, 0]], amb)
