@@ -23,9 +23,7 @@ from .config import Budgets
 from .linalg import frac_mat, inverse, mat_mul, transpose, solve
 from .qalg import (
     HAMILTON,
-    QuatElem,
     qmul,
-    qinv,
     qstr,
     basis_elems,
     left_mult_matrix,

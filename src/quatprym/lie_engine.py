@@ -7,19 +7,20 @@ Freudenthal recursion (cross-checked against the Weyl dimension
 formula), which sees a factor only through its positive roots and the
 dominance helpers: rho is half their sum, and the dominant weights below
 a highest weight, which must be dominant and integral (else ValueError),
-are reached from it by subtracting positive roots.  Multisets are
-combined by exterior/symmetric powers, tensor products, direct sums and
-concatenation across commuting factors, and any Weyl-symmetric multiset
-can be decomposed back into irreducibles by greedy highest-weight
-stripping.  The point of the module is counting invariants in powers of
-small spin and standard representations, so everything is sized for
-spaces of dimension up to a few thousand (the largest exterior power
-used has C(16,8) = 12870 monomials).
+are reached from it by subtracting positive roots.  Exterior and
+symmetric powers are the coefficients of prod (1 + t e^mu) and
+prod 1/(1 - t e^mu) over the weights mu, in integer counts; tensor
+products, direct sums and concatenation across commuting factors
+complete the calculus.  A Weyl-symmetric multiset is decomposed by the
+Brauer-Klimyk formula: the irrep of highest weight lam occurs
+sum_w sign(w) ms[lam + rho - w rho] times.  Sizes: wedge^12 of three
+8-dim spin representations has C(24,12) = 2704156 weights, 553 distinct.
 
 Weight coordinates: a weight of a direct sum is the concatenation of
 factor coordinate blocks.  B_n and D_n use n orthogonal coordinates.
 A_n uses n+1 coordinates modulo the all-ones vector; stored weights are
-canonicalized so the last coordinate of the block is zero.
+canonicalized so the last coordinate of the block is zero, so sums of
+stored weights are stored weights.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import prod
 
 F0 = Fraction(0)
@@ -112,7 +113,8 @@ def _a_zero(w):
 
 def canonicalize(alg: AlgebraType, w) -> tuple:
     w = tuple(Fraction(x) for x in w)
-    assert len(w) == alg.ncoords
+    if len(w) != alg.ncoords:
+        raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {alg.ncoords}")
     out = []
     for f, lo, hi in alg.slices():
         part = w[lo:hi]
@@ -243,6 +245,10 @@ def _vadd(u, v, k=1):
     return tuple(x + k * y for x, y in zip(u, v))
 
 
+def _fmt_weight(w):
+    return "(" + ",".join(str(x) for x in w) + ")"
+
+
 def _factor_weyl_dim(f: SimpleFactor, lam_internal) -> int:
     rho = _factor_rho(f)
     num = F1
@@ -252,7 +258,8 @@ def _factor_weyl_dim(f: SimpleFactor, lam_internal) -> int:
         num *= _dot(lr, a)
         den *= _dot(rho, a)
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise RuntimeError(f"Weyl dimension {d} of {_fmt_weight(lam_internal)} for {f}")
     return d.numerator
 
 
@@ -337,9 +344,11 @@ def _factor_dominant_table(f: SimpleFactor, lam_internal):
                 k += 1
         mr = _vadd(mu, rho)
         denom = lam_norm - _dot(mr, mr)
-        assert denom > 0
+        if denom <= 0:
+            raise RuntimeError(f"Freudenthal denominator {denom} at {_fmt_weight(mu)} for {f}")
         val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise RuntimeError(f"Freudenthal multiplicity {val} at {_fmt_weight(mu)} for {f}")
         if val:
             mult[mu] = val.numerator
     total = sum(len(_factor_orbit(f, _from_internal(f, mu))) * m for mu, m in mult.items())
@@ -347,20 +356,6 @@ def _factor_dominant_table(f: SimpleFactor, lam_internal):
         raise RuntimeError(f"Freudenthal/Weyl mismatch for {f} at {lam_internal}")
     _FREUD_CACHE[key] = mult
     return mult
-
-
-def dominant_table(alg: AlgebraType, lam) -> dict:
-    """dominant weight -> multiplicity for the irrep with highest weight
-    lam, in stored (canonical) coordinates."""
-    table = {(): 1}
-    for f, part in _highest_weight_parts(alg, lam):
-        mult = _factor_dominant_table(f, part)
-        table = {
-            w + _from_internal(f, mu): m0 * m
-            for w, m0 in table.items()
-            for mu, m in mult.items()
-        }
-    return table
 
 
 _IRREP_CACHE = {}
@@ -395,46 +390,43 @@ def multiset_size(ms) -> int:
     return sum(ms.values())
 
 
-def _expand(ms):
-    out = []
-    for w, m in sorted(ms.items()):
-        out.extend([w] * m)
-    return out
-
-
-def _sum_weights(alg, ws):
-    total = [F0] * alg.ncoords
-    for w in ws:
-        for t, x in enumerate(w):
-            total[t] += x
-    return canonicalize(alg, total)
+def _powers(alg: AlgebraType, ms, k, sym):
+    """[S^0, ..., S^k] (sym) or [wedge^0, ..., wedge^k] of ms: the t^j
+    coefficients of prod 1/(1 - t e^mu) or prod (1 + t e^mu) over the
+    weights mu of ms.  Each factor updates the degrees in place, ascending
+    for S so a weight may repeat, descending for wedge so it may not."""
+    n = multiset_size(ms)
+    if k < 0:
+        raise ValueError(f"power exponent {k} is negative")
+    if not sym and k > n:
+        raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
+    levels = [{tuple([F0] * alg.ncoords): 1}] + [{} for _ in range(k)]
+    degrees = range(1, k + 1) if sym else range(k, 0, -1)
+    shared = {}  # one tuple per weight across all degrees, to keep the peak memory down
+    for mu, m in ms.items():
+        for _ in range(m):
+            for j in degrees:
+                dst = levels[j]
+                for w, c in levels[j - 1].items():
+                    v = _vadd(w, mu)
+                    v = shared.setdefault(v, v)
+                    dst[v] = dst.get(v, 0) + c
+    return levels
 
 
 def wedge_power(alg: AlgebraType, ms, k) -> dict:
-    items = _expand(ms)
-    if k > len(items):
-        raise ValueError(f"wedge exponent {k} exceeds dimension {len(items)}")
-    out = {}
-    for combo in combinations(items, k):
-        w = _sum_weights(alg, combo)
-        out[w] = out.get(w, 0) + 1
-    return out
+    return _powers(alg, ms, k, sym=False)[k]
 
 
 def sym_power(alg: AlgebraType, ms, k) -> dict:
-    items = _expand(ms)
-    out = {}
-    for combo in combinations_with_replacement(items, k):
-        w = _sum_weights(alg, combo)
-        out[w] = out.get(w, 0) + 1
-    return out
+    return _powers(alg, ms, k, sym=True)[k]
 
 
 def tensor(alg: AlgebraType, a, b) -> dict:
     out = {}
     for w0, m0 in a.items():
         for w1, m1 in b.items():
-            w = _sum_weights(alg, (w0, w1))
+            w = _vadd(w0, w1)
             out[w] = out.get(w, 0) + m0 * m1
     return out
 
@@ -469,7 +461,8 @@ def restrict_d4_to_b3(ms) -> dict:
     """Restriction along B3 inside D4: drop the last coordinate."""
     out = {}
     for w, m in ms.items():
-        assert len(w) == 4
+        if len(w) != 4:
+            raise ValueError(f"weight {_fmt_weight(w)} is not a D4 weight")
         out[w[:3]] = out.get(w[:3], 0) + m
     return out
 
@@ -483,33 +476,38 @@ def restrict_b3_to_d3(ms) -> dict:
 # decomposition
 
 
-def decompose(alg: AlgebraType, ms) -> list:
-    """Greedy decomposition into irreducibles.
+@cache
+def _factor_shifts(f: SimpleFactor):
+    """(rho - w rho, sign w) for every w in the Weyl group of f, in stored
+    coordinates.  rho is regular, so its orbit lists each w once, and
+    sign w = (-1)^#{a > 0 : <w rho, a> < 0}."""
+    rho = _from_internal(f, _factor_rho(f))
+    roots = _factor_roots(f)
+    out = []
+    for w in _factor_orbit(f, rho):
+        w_int = _to_internal(f, w)
+        neg = sum(1 for a in roots if _dot(w_int, a) < 0)
+        out.append((_vadd(rho, w, -1), -1 if neg % 2 else 1))
+    return tuple(out)
 
-    Strips the lexicographically largest dominant weight (lex refines
-    the dominance order in these coordinates) with its full Freudenthal
-    table, so only the dominant-restricted multiset is tracked.  Raises
-    NotARepresentation when a multiplicity goes negative or the counted
-    dimensions do not exhaust the input.
-    """
-    dom = {w: m for w, m in ms.items() if m and is_dominant(alg, w)}
+
+def decompose(alg: AlgebraType, ms) -> list:
+    """[(highest weight, multiplicity)] in decreasing lexicographic order,
+    by Brauer-Klimyk at each dominant weight of ms.  Raises
+    NotARepresentation when a multiplicity is negative or the counted
+    dimensions do not exhaust the input."""
     if any(m < 0 for m in ms.values()):
         raise NotARepresentation("negative input multiplicity")
+    shifts = [((), 1)]
+    for f, _, _ in alg.slices():
+        shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
     out = []
-    while dom:
-        lam = max(dom)
-        mult = dom[lam]
+    for lam in sorted((w for w, m in ms.items() if m and is_dominant(alg, w)), reverse=True):
+        mult = sum(e * ms.get(_vadd(lam, s), 0) for s, e in shifts)
         if mult < 0:
             raise NotARepresentation(f"negative multiplicity at {lam}")
-        out.append((lam, mult))
-        for mu, m in dominant_table(alg, lam).items():
-            left = dom.get(mu, 0) - mult * m
-            if left < 0:
-                raise NotARepresentation(f"negative multiplicity at {mu}")
-            if left:
-                dom[mu] = left
-            else:
-                dom.pop(mu, None)
+        if mult:
+            out.append((lam, mult))
     counted = sum(m * weyl_dim(alg, lam) for lam, m in out)
     if counted != multiset_size(ms):
         raise NotARepresentation(
@@ -527,11 +525,7 @@ def reconstruct(alg: AlgebraType, decomposition) -> dict:
 
 
 def invariant_dim(alg: AlgebraType, ms) -> int:
-    zero = tuple([F0] * alg.ncoords)
-    for lam, mult in decompose(alg, ms):
-        if lam == zero:
-            return mult
-    return 0
+    return dict(decompose(alg, ms)).get(tuple([F0] * alg.ncoords), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +641,6 @@ def parse_expr(text):
 
 # ---------------------------------------------------------------------------
 # canned verification scenarios
-
-
-def _fmt_weight(w):
-    return "(" + ",".join(str(x) for x in w) + ")"
 
 
 SCENARIOS = (

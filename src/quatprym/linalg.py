@@ -11,8 +11,9 @@ The eliminations (``rref`` and ``det``, and everything built on them)
 read integer entries as elements of Q, so their results come back as
 ``Fraction``, never ``float``.  A routine that needs the field's 0 takes
 x - x for an entry x, and one that needs its 1 takes x / x for a nonzero
-entry; ``nullspace`` of a matrix with no nonzero entry has no such entry
-and returns the standard basis over Q.  ``frac_mat``, ``identity`` and
+entry; ``nullspace`` of a matrix with no nonzero entry has no such entry:
+it returns the standard basis over Q for rational zeros and raises
+ValueError for zeros of another field.  ``frac_mat``, ``identity`` and
 ``zeros`` build matrices over Q.  The integer routines (Smith form and
 what is built on it) take and return ints.
 
@@ -216,6 +217,8 @@ def nullspace(a):
     """
     if not a:
         return []
+    if not any(map(any, a)) and not all(isinstance(x, (int, Fraction)) for row in a for x in row):
+        raise ValueError("no nonzero entry to read the field's 1 off")
     r, pivots = rref(a)
     cols = len(a[0])
     one = _one(a)

@@ -57,13 +57,18 @@ class QuatElem:
     def coords(self):
         return (self.a, self.b, self.c, self.d)
 
+    def _same_algebra(self, other):
+        if self.params != other.params:
+            raise ValueError(f"mixed algebras B({self.params.r}, {self.params.s})"
+                             f" and B({other.params.r}, {other.params.s})")
+
     def __add__(self, other):
-        assert self.params == other.params
+        self._same_algebra(other)
         return QuatElem(self.params, self.a + other.a, self.b + other.b,
                         self.c + other.c, self.d + other.d)
 
     def __sub__(self, other):
-        assert self.params == other.params
+        self._same_algebra(other)
         return QuatElem(self.params, self.a - other.a, self.b - other.b,
                         self.c - other.c, self.d - other.d)
 
@@ -75,7 +80,7 @@ class QuatElem:
         return QuatElem(self.params, t * self.a, t * self.b, t * self.c, t * self.d)
 
     def __mul__(self, other):
-        assert self.params == other.params
+        self._same_algebra(other)
         r, s = self.params.r, self.params.s
         a1, b1, c1, d1 = self.coords()
         a2, b2, c2, d2 = other.coords()
@@ -356,19 +361,23 @@ class KNum:
     def make(r, u, v=0):
         return KNum(Fraction(r), Fraction(u), Fraction(v))
 
+    def _same_field(self, other):
+        if self.r != other.r:
+            raise ValueError(f"mixed fields Q(sqrt({self.r})) and Q(sqrt({other.r}))")
+
     def __add__(self, other):
-        assert self.r == other.r
+        self._same_field(other)
         return KNum(self.r, self.u + other.u, self.v + other.v)
 
     def __sub__(self, other):
-        assert self.r == other.r
+        self._same_field(other)
         return KNum(self.r, self.u - other.u, self.v - other.v)
 
     def __neg__(self):
         return KNum(self.r, -self.u, -self.v)
 
     def __mul__(self, other):
-        assert self.r == other.r
+        self._same_field(other)
         return KNum(self.r,
                     self.u * other.u + self.r * self.v * other.v,
                     self.u * other.v + self.v * other.u)

@@ -8,11 +8,15 @@ content is known by construction.  The root-driven search for the
 dominant weights below a highest weight is gated against the three
 family-specific enumerators it replaced, kept here as the oracle, and
 half the sum of the positive roots against the closed forms of rho.
+The generating-function powers and the Brauer-Klimyk decomposition are
+gated against the subset walks and the greedy Freudenthal stripping
+they replaced, also kept here as oracles.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -255,13 +259,13 @@ def test_rho_is_the_closed_form(name):
     ],
 )
 def test_non_integral_highest_weights_are_rejected(alg, lam):
-    for fn in (le.weyl_dim, le.dominant_table, le.irrep_weights):
+    for fn in (le.weyl_dim, le.irrep_weights):
         with pytest.raises(ValueError, match="not integral"):
             fn(alg, lam)
 
 
 def test_non_dominant_highest_weights_are_rejected():
-    for fn in (le.weyl_dim, le.dominant_table, le.irrep_weights):
+    for fn in (le.weyl_dim, le.irrep_weights):
         with pytest.raises(ValueError, match="not dominant"):
             fn(le.B3, (0, 1, 0))
 
@@ -358,6 +362,7 @@ def test_decompose_recovers_random_sums(alg, lams):
             continue
         got = le.decompose(alg, ms)
         assert sorted(got) == sorted(chosen)
+        assert got == oracle_decompose(alg, ms)
         assert ms_eq(le.reconstruct(alg, got), ms)
 
 
@@ -374,6 +379,147 @@ def test_decompose_rejects_negative_virtual_content():
     ms[(Fraction(2), Fraction(0), Fraction(0))] = 1  # stray high weight
     with pytest.raises(le.NotARepresentation):
         le.decompose(le.B3, ms)
+
+
+# ------------------------------------- subset walks and greedy stripping
+
+
+def oracle_sum(alg, ws):
+    total = [Fraction(0)] * alg.ncoords
+    for w in ws:
+        for t, x in enumerate(w):
+            total[t] += x
+    return le.canonicalize(alg, total)
+
+
+def oracle_power(alg, ms, k, walk):
+    """Every k-subset (combinations) or k-multiset (combinations_with_
+    replacement) of the weights of ms, listed with multiplicity."""
+    items = [w for w, m in sorted(ms.items()) for _ in range(m)]
+    out = {}
+    for combo in walk(items, k):
+        w = oracle_sum(alg, combo)
+        out[w] = out.get(w, 0) + 1
+    return out
+
+
+def oracle_dominant_table(alg, lam):
+    """dominant weight -> multiplicity of the irrep of highest weight lam,
+    in stored coordinates, from the Freudenthal tables of the factors."""
+    table = {(): 1}
+    for f, part in le._highest_weight_parts(alg, lam):
+        mult = le._factor_dominant_table(f, part)
+        table = {
+            w + le._from_internal(f, mu): m0 * m
+            for w, m0 in table.items()
+            for mu, m in mult.items()
+        }
+    return table
+
+
+def oracle_decompose(alg, ms):
+    """Strip the lexicographically largest dominant weight with its full
+    Freudenthal table until nothing is left."""
+    dom = {w: m for w, m in ms.items() if m and le.is_dominant(alg, w)}
+    out = []
+    while dom:
+        lam = max(dom)
+        mult = dom[lam]
+        assert mult > 0, lam
+        out.append((lam, mult))
+        for mu, m in oracle_dominant_table(alg, lam).items():
+            left = dom.get(mu, 0) - mult * m
+            assert left >= 0, mu
+            if left:
+                dom[mu] = left
+            else:
+                dom.pop(mu, None)
+    assert sum(m * le.weyl_dim(alg, lam) for lam, m in out) == le.multiset_size(ms)
+    return out
+
+
+def assert_power_matches_oracle(alg, ms, k, sym):
+    if sym:
+        op, walk = le.sym_power, combinations_with_replacement
+    else:
+        op, walk = le.wedge_power, combinations
+    got = op(alg, ms, k)
+    assert got == oracle_power(alg, ms, k, walk)
+    assert le.decompose(alg, got) == oracle_decompose(alg, got)
+
+
+@pytest.mark.parametrize("name", le.atom_names())
+def test_powers_of_doubled_atoms_match_oracles(name):
+    alg, a = le.atom(name)
+    two = le.dsum(a, a)
+    for k in range(5):
+        assert_power_matches_oracle(alg, two, k, sym=False)
+        assert_power_matches_oracle(alg, two, k, sym=True)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_wedge_of_doubled_spin_matches_oracles(k):
+    alg, gamma = le.atom("Gamma")
+    assert_power_matches_oracle(alg, le.dsum(gamma, gamma), k, sym=False)
+
+
+def test_sym_of_spin_matches_oracles():
+    alg, gamma = le.atom("Gamma")
+    for k in range(4):
+        assert_power_matches_oracle(alg, gamma, k, sym=True)
+
+
+def test_lemma68_wedge_matches_oracles():
+    alg, big = le.box_tensor(le.B3, le.atom("Gamma")[1], le.A1, le.atom("V2")[1])
+    assert_power_matches_oracle(alg, big, 4, sym=False)
+
+
+def test_powers_reject_bad_exponents():
+    _, gamma = le.atom("Gamma")
+    for op in (le.wedge_power, le.sym_power):
+        with pytest.raises(ValueError, match="negative"):
+            op(le.B3, gamma, -1)
+    with pytest.raises(ValueError, match="exceeds dimension 8"):
+        le.wedge_power(le.B3, gamma, 9)
+
+
+@pytest.mark.parametrize("name,order", [("A1", 2), ("A3", 24), ("B3", 48), ("D4", 192)])
+def test_weyl_shifts_list_the_group_once_with_its_signs(name, order):
+    (f,) = le.AlgebraType.parse(name).factors
+    shifts = le._factor_shifts(f)
+    assert len(shifts) == len({s for s, _ in shifts}) == order
+    assert sorted(e for _, e in shifts) == [-1] * (order // 2) + [1] * (order // 2)
+    # the identity, and each simple reflection (shift a simple root, sign -1)
+    assert (tuple([Fraction(0)] * f.ncoords), 1) in shifts
+    rho = le._from_internal(f, le._factor_rho(f))
+    for r in le._factor_reflections(f):
+        assert (le._vadd(rho, r(rho), -1), -1) in shifts
+
+
+def spin_row(m):
+    """invariant dims and sizes of wedge^k(Gamma^m), k = 0..8m, from one
+    generating-function pass."""
+    alg, gamma = le.atom("Gamma")
+    ms = {}
+    for _ in range(m):
+        ms = le.dsum(ms, gamma)
+    levels = le._powers(alg, ms, 8 * m, sym=False)
+    return [le.invariant_dim(alg, p) for p in levels], [le.multiset_size(p) for p in levels]
+
+
+def test_doubled_spin_row_is_pinned_in_every_degree():
+    inv, sizes = spin_row(2)
+    assert inv == [1, 0, 1, 0, 6, 0, 6, 0, 16, 0, 6, 0, 6, 0, 1, 0, 1]
+    assert sizes == [comb(16, k) for k in range(17)]
+    assert sum(sizes) == 2**16
+
+
+def test_tripled_spin_row_is_pinned_in_every_degree():
+    inv, sizes = spin_row(3)
+    assert inv[:13] == [1, 0, 3, 0, 21, 0, 55, 0, 165, 0, 231, 0, 309]
+    assert inv == inv[::-1]
+    assert sizes == [comb(24, k) for k in range(25)]
+    assert sum(sizes) == 2**24
 
 
 # --------------------------------------------------- product operations

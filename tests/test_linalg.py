@@ -231,6 +231,22 @@ def test_int_det_rejects_non_integral_determinant():
         linalg.int_det([[Fraction(1, 2)]])
 
 
+def test_nullspace_of_rational_zeros_is_the_standard_basis():
+    for zero in (0, Fraction(0)):
+        ns = linalg.nullspace([[zero] * 3, [zero] * 3])
+        assert ns == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert all(type(v) is Fraction for row in ns for v in row)
+
+
+def test_nullspace_of_quadratic_field_zeros_is_rejected():
+    # no nonzero entry to read the field's 1 off, as in inverse
+    zero = KNum.make(-1, 0)
+    with pytest.raises(ValueError, match="no nonzero entry"):
+        linalg.nullspace([[zero, zero]])
+    one = KNum.make(-1, 1)
+    assert linalg.nullspace([[zero, one]]) == [[one, zero]]
+
+
 # ------------------------------------------------- over a quadratic field
 
 

@@ -39,10 +39,37 @@ def suite_with_duplicate_ids():
     return report.run_suite()
 
 
+def freudenthal_with(candidates):
+    real = le._candidates
+    le._candidates = lambda f, lam: candidates(real(f, lam))
+    le._FREUD_CACHE.clear()
+    try:
+        return le._factor_dominant_table(le.B3.factors[0], (Fraction(2), Fraction(0), Fraction(0)))
+    finally:
+        le._candidates = real
+
+
+i_field = qalg.KNum.make(-1, 1, 1)
+w_field = qalg.KNum.make(-3, 1, 1)
+other_algebra = qalg.QuatElem.make(qalg.AlgebraParams.make(-1, -3), 1)
+
+
 cases = [
     ("hurwitz_index_identity", lambda: qalg.hurwitz_index_identity(third)),
     ("weyl_dim", lambda: le.weyl_dim(le.B3, (Fraction(1, 2), 0, 0))),
-    ("dominant_table", lambda: le.dominant_table(le.B3, (Fraction(1, 2), 0, 0))),
+    ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
+    ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
+    ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (Fraction(-5, 2), 0, 0))),
+    ("freudenthal weight above", lambda: freudenthal_with(lambda c: c + [(Fraction(3), 0, 0)])),
+    ("freudenthal weight missing",
+     lambda: freudenthal_with(lambda c: [mu for mu in c if mu != (1, 1, 0)])),
+    ("restrict_d4_to_b3", lambda: le.restrict_d4_to_b3({(0, 0, 0): 1})),
+    ("KNum +", lambda: i_field + w_field),
+    ("KNum -", lambda: i_field - w_field),
+    ("KNum *", lambda: i_field * w_field),
+    ("QuatElem +", lambda: third + other_algebra),
+    ("QuatElem -", lambda: third - other_algebra),
+    ("QuatElem *", lambda: third * other_algebra),
     ("irrep_weights", lambda: le.irrep_weights(le.B3, (Fraction(1, 2), 0, 0))),
     ("parse A0", lambda: le.AlgebraType.parse("A0")),
     ("parse D1", lambda: le.AlgebraType.parse("D1")),
@@ -72,7 +99,18 @@ def test_checks_raise_under_python_O():
         "debug False",
         "hurwitz_index_identity ValueError element is not in the order",
         "weyl_dim ValueError weight is not integral for B3",
-        "dominant_table ValueError weight is not integral for B3",
+        "weyl_dim short ValueError weight has 2 coordinates, B3 needs 3",
+        "weyl_dim long ValueError weight has 4 coordinates, B3 needs 3",
+        "factor weyl_dim RuntimeError Weyl dimension 0 of (-5/2,0,0) for B3",
+        "freudenthal weight above RuntimeError Freudenthal denominator -10 at (3,0,0) for B3",
+        "freudenthal weight missing RuntimeError Freudenthal multiplicity 1/2 at (1,0,0) for B3",
+        "restrict_d4_to_b3 ValueError weight (0,0,0) is not a D4 weight",
+        "KNum + ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
+        "KNum - ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
+        "KNum * ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
+        "QuatElem + ValueError mixed algebras B(-1, -1) and B(-1, -3)",
+        "QuatElem - ValueError mixed algebras B(-1, -1) and B(-1, -3)",
+        "QuatElem * ValueError mixed algebras B(-1, -1) and B(-1, -3)",
         "irrep_weights ValueError weight is not integral for B3",
         "parse A0 ValueError rank 0 is too small for family A",
         "parse D1 ValueError rank 1 is too small for family D",

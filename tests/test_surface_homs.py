@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from quatprym import surface_homs as sh
 from quatprym.qalg import qinv, qmul
