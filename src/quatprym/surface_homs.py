@@ -11,7 +11,8 @@ finite set of free-group automorphisms (each sending R to a conjugate of
 itself) acts on such tuples by precomposition.  This module provides the
 word calculus, the move set, a two-phase normalization to the standard
 surjection, exhaustive enumeration in low genus, and the genus counts
-for the associated covers.
+for the associated covers.  The census and the normalization search run
+on tuples packed into one int, with each move compiled to lookup tables.
 
 Free words are tuples of nonzero ints: letter m in 1..g is alpha_m,
 g+m is beta_m, and a negative letter is the inverse.
@@ -19,8 +20,9 @@ g+m is beta_m, and a negative letter is the inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
+from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from .config import Budgets
@@ -97,7 +99,8 @@ class HomTuple:
     images: tuple
 
     def __post_init__(self):
-        assert len(self.images) == 2 * self.g
+        if len(self.images) != 2 * self.g:
+            raise ValueError(f"genus {self.g} needs {2 * self.g} images, got {len(self.images)}")
 
     def alpha(self, m):
         return self.images[m - 1]
@@ -124,7 +127,8 @@ def classify_hom(h: HomTuple) -> dict:
 
 def standard_hom(g) -> HomTuple:
     """alpha_{g-1} -> i, alpha_g -> j, every other generator -> +1."""
-    assert g >= 2
+    if g < 2:
+        raise ValueError("genus must be at least 2")
     images = [(1, 0)] * (2 * g)
     images[g - 2] = (1, 1)
     images[g - 1] = (1, 2)
@@ -235,7 +239,8 @@ def move_set(g):
 
 
 def apply_move(h: HomTuple, mv: Move) -> HomTuple:
-    assert mv.g == h.g
+    if mv.g != h.g:
+        raise ValueError(f"move of genus {mv.g} applied to a genus-{h.g} tuple")
     return HomTuple(h.g, tuple(eval_word(h, w) for w in mv.images))
 
 
@@ -251,6 +256,81 @@ def verify_psi_in_Ag(g, k) -> bool:
     r = surface_relator(g)
     image = psi_move(g, k).substitute(r)
     return image == conj_word(r, (k + 1,))
+
+
+# ---------------------------------------------------------------------------
+# packed tuples and compiled moves
+#
+# The census and the normalization search work on tuples packed into one
+# int: bits 3t..3t+2 hold the GROUP8 position of images[t].  Each move of
+# move_set(g) is compiled once per genus into lookup tables: output slot s
+# reads only the (at most three) input slots its image word names.
+
+
+GROUP8 = tuple((s, a) for a in range(4) for s in (1, -1))
+_POS = {x: n for n, x in enumerate(GROUP8)}
+_MUL = tuple(_POS[qmul(x, y)] for x in GROUP8 for y in GROUP8)  # [8x + y] = xy
+_INV = tuple(_POS[qinv(x)] for x in GROUP8)
+# [8a + b] = a b a^-1 b^-1, the relator of one handle
+_COMM = tuple(_MUL[8 * _MUL[8 * a + b] + _MUL[8 * _INV[a] + _INV[b]]]
+              for a in range(8) for b in range(8))
+_AXIS_BIT = tuple(0 if a == 0 else 1 << (a - 1) for _, a in GROUP8)
+_AXIS_COUNT = tuple(bin(x).count("1") for x in range(8))
+
+
+def pack_images(images) -> int:
+    return sum(_POS[x] << 3 * t for t, x in enumerate(images))
+
+
+def unpack_images(p, g) -> tuple:
+    return tuple(GROUP8[p >> 3 * t & 7] for t in range(2 * g))
+
+
+def _compile_move(mv: Move) -> tuple:
+    """(keep, slots) for mv: the bits of the slots it fixes, and for every
+    other output slot (shift1, shift2, shift3, table).  The table maps
+    v1 | v2 << 3 | v3 << 6, vk the positions at the input shifts, to the
+    output position already shifted into place; missing inputs read the
+    zero bits above the tuple, i.e. +1."""
+    g = mv.g
+    keep = 0
+    slots = []
+    for s, word in enumerate(mv.images):
+        if word == (s + 1,):
+            keep |= 7 << 3 * s
+            continue
+        srcs = sorted({abs(x) - 1 for x in word})
+        if len(srcs) > 3:
+            raise ValueError(f"{mv.kind}: image word {word} names more than three generators")
+        table = [0] * 8 ** len(srcs)
+        for vals in product(range(8), repeat=len(srcs)):
+            images = [(1, 0)] * (2 * g)
+            index = 0
+            for k, (t, v) in enumerate(zip(srcs, vals)):
+                images[t] = GROUP8[v]
+                index |= v << 3 * k
+            table[index] = _POS[eval_word(HomTuple(g, tuple(images)), word)] << 3 * s
+        shifts = [3 * t for t in srcs] + [6 * g] * (3 - len(srcs))
+        slots.append((*shifts, tuple(table)))
+    return keep, tuple(slots)
+
+
+@cache
+def _compiled_moves(g) -> tuple:
+    """move_set(g) as a tuple, and its compiled form in the same order."""
+    moves = tuple(move_set(g))
+    return moves, tuple(_compile_move(mv) for mv in moves)
+
+
+def _successors(p, compiled) -> list:
+    """The packed images of the packed tuple p under each compiled move."""
+    out = []
+    for keep, slots in compiled:
+        q = p & keep
+        for s1, s2, s3, table in slots:
+            q |= table[(p >> s1 & 7) | (p >> s2 & 7) << 3 | (p >> s3 & 7) << 6]
+        out.append(q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +367,8 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
     constructive part of the normalization argument (beta images and the
     first g-2 alpha images central, then alpha_{g-1} = i, alpha_g = j)
     with an explicit move program.  Phase 2 is a breadth-first search
-    over the full move set, bounded by ``node_budget`` visited tuples.
+    over the full move set, in ``move_set`` order, on packed tuples,
+    bounded by ``node_budget`` visited tuples.
 
     Returns {"reached": bool, "moves": [Move]}; replaying the moves on h
     reproduces the standard tuple whenever reached is True.
@@ -327,35 +408,32 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
             if work.alpha(m) == (-1, 0):
                 for mv in _flip_moves(g, m):
                     push(mv)
-        assert work == target, "phase-1 program left an unexpected tuple"
+        if work != target:
+            raise RuntimeError(f"phase-1 program left {format_hom(work)}, not the standard tuple")
         return {"reached": True, "moves": moves}
 
     # phase 2: bounded breadth-first search
-    moves = move_set(g)
-    seen = {h.images: (None, None)}
-    queue = deque([h.images])
-    found = None
+    moves, compiled = _compiled_moves(g)
+    start, goal = pack_images(h.images), pack_images(target.images)
+    seen = {start: None}  # packed tuple -> (packed parent, move index)
+    queue = deque([start])
     while queue and len(seen) <= node_budget:
         cur = queue.popleft()
-        cur_h = HomTuple(g, cur)
-        for mv in moves:
-            nxt = apply_move(cur_h, mv).images
+        for i, nxt in enumerate(_successors(cur, compiled)):
             if nxt in seen:
                 continue
-            seen[nxt] = (cur, mv)
-            if nxt == target.images:
-                found = nxt
+            seen[nxt] = (cur, i)
+            if nxt == goal:
                 queue.clear()
                 break
             queue.append(nxt)
-    if found is None:
+    if goal not in seen:
         return {"reached": False, "moves": []}
     path = []
-    node = found
-    while seen[node][0] is not None:
-        prev, mv = seen[node]
-        path.append(mv)
-        node = prev
+    node = goal
+    while seen[node] is not None:
+        node, i = seen[node]
+        path.append(moves[i])
     path.reverse()
     return {"reached": True, "moves": path}
 
@@ -374,52 +452,60 @@ class EnumReport:
     standard_orbit_size: int
 
 
-GROUP8 = tuple((s, a) for a in range(4) for s in (1, -1))
-
-
 def enumerate_surjections(g) -> EnumReport:
     """Exhaustive census of valid tuples at genus g <= 3, with the orbit
-    partition of the surjective ones under the move set."""
+    partition of the surjective ones under the move set.
+
+    Tuples are built handle by handle on packed ints: the relator is the
+    product of the handle commutators, read from ``_COMM``, and a tuple is
+    surjective when its images meet at least two of the axes i, j, k.
+    """
     if g > 3:
         raise ValueError("enumeration only supported for genus <= 3")
-    total = 0
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    # the (alpha_m, beta_m) image pairs of handle m: packed, commutator, axes met;
+    # genus 0 has one empty pair
+    *inner, outer = [
+        [(a << 3 * m | b << 3 * (g + m), _COMM[8 * a + b], _AXIS_BIT[a] | _AXIS_BIT[b])
+         for a in range(8) for b in range(8)]
+        for m in range(g)
+    ] or [[(0, 0, 0)]]
+    prefixes = [(0, 0, 0)]  # the inner handles: packed, relator so far, axes met
+    for pairs in inner:
+        prefixes = [(p | q, _MUL[8 * r + c], x | y) for p, r, x in prefixes for q, c, y in pairs]
+    last = {}  # the outer handle's pairs grouped by (commutator, axes met)
+    for q, c, y in outer:
+        last.setdefault((c, y), []).append(q)
     valid = 0
     surjective = []
-    for images in product(GROUP8, repeat=2 * g):
-        total += 1
-        acc = (1, 0)
-        for m in range(g):
-            a, b = images[m], images[g + m]
-            acc = qmul(acc, qmul(qmul(a, b), qmul(qinv(a), qinv(b))))
-        if acc != (1, 0):
-            continue
-        valid += 1
-        axes = {ax for (_, ax) in images if ax != 0}
-        if len(axes) >= 2:
-            surjective.append(images)
-    moves = move_set(g)
+    for p, r, x in prefixes:
+        for (c, y), qs in last.items():
+            if _MUL[8 * r + c] == 0:
+                valid += len(qs)
+                if _AXIS_COUNT[x | y] >= 2:
+                    surjective.extend([p | q for q in qs])
+    _, compiled = _compiled_moves(g)
     remaining = set(surjective)
     orbit_sizes = []
     standard_orbit = 0
-    std = standard_hom(g).images if g >= 2 else None
+    std = pack_images(standard_hom(g).images) if g >= 2 else None
     while remaining:
         seed = remaining.pop()
         orbit = {seed}
         queue = deque([seed])
         while queue:
-            cur = HomTuple(g, queue.popleft())
-            for mv in moves:
-                nxt = apply_move(cur, mv).images
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
+            for q in _successors(queue.popleft(), compiled):
+                if q not in orbit:
+                    orbit.add(q)
+                    queue.append(q)
         remaining -= orbit
         orbit_sizes.append(len(orbit))
-        if std is not None and std in orbit:
+        if std in orbit:
             standard_orbit = len(orbit)
     return EnumReport(
         genus=g,
-        total=total,
+        total=8 ** (2 * g),
         valid=valid,
         surjective=len(surjective),
         orbit_sizes=tuple(sorted(orbit_sizes, reverse=True)),

@@ -92,7 +92,9 @@ class HModel:
 
     def mat_of(self, x: QuatElem):
         """Matrix of left multiplication by an arbitrary algebra element."""
-        assert x.params == self.params
+        if x.params != self.params:
+            raise ValueError(f"mixed algebras B({self.params.r}, {self.params.s})"
+                             f" and B({x.params.r}, {x.params.s})")
         coeffs = (x.a, x.b, x.c, x.d)
         mats = (self.mat_one, self.mat_i, self.mat_j, self.mat_k)
         d = self.dim
@@ -152,7 +154,8 @@ class SubspaceQ:
         return merged.dim == self.dim
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
-        assert self.ambient == other.ambient
+        if self.ambient != other.ambient:
+            raise ValueError(f"ambient dimensions {self.ambient} and {other.ambient} differ")
         if self.dim == 0 or other.dim == 0:
             return SubspaceQ(ambient=self.ambient, rows=())
         got = intersect_row_spaces([list(r) for r in self.rows], [list(r) for r in other.rows])

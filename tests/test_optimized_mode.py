@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 from fractions import Fraction
 from quatprym import lie_engine as le, linalg, qalg, report, spin_explicit as sp
+from quatprym import surface_homs as sh, weil_classes as wc
 
 print("debug", __debug__)
 third = qalg.QuatElem.make(qalg.HAMILTON, Fraction(1, 3))
@@ -49,6 +50,15 @@ def freudenthal_with(candidates):
         le._candidates = real
 
 
+def phase1_without_flips():
+    real = sh._flip_moves
+    sh._flip_moves = lambda g, m: []
+    try:
+        return sh.normalize_hom(sh.parse_hom(3, "-1,i,j,1,1,1"))
+    finally:
+        sh._flip_moves = real
+
+
 i_field = qalg.KNum.make(-1, 1, 1)
 w_field = qalg.KNum.make(-3, 1, 1)
 other_algebra = qalg.QuatElem.make(qalg.AlgebraParams.make(-1, -3), 1)
@@ -80,6 +90,13 @@ cases = [
     ("so7_invariant lead 0",
      lambda: spin_with("nullspace", lambda m: [[Fraction(0)] * 7 + [Fraction(1)]])),
     ("run_suite", suite_with_duplicate_ids),
+    ("HomTuple", lambda: sh.HomTuple(2, ((1, 0),) * 3)),
+    ("standard_hom", lambda: sh.standard_hom(1)),
+    ("apply_move", lambda: sh.apply_move(sh.standard_hom(2), sh.move_set(3)[0])),
+    ("normalize_hom phase 1", phase1_without_flips),
+    ("mat_of", lambda: wc.HModel.make(1, qalg.HAMILTON).mat_of(other_algebra)),
+    ("intersect", lambda: wc.SubspaceQ.from_vectors([[1, 0]], 2).intersect(
+        wc.SubspaceQ.from_vectors([[1, 0, 0]], 3))),
 ]
 for name, call in cases:
     try:
@@ -121,4 +138,11 @@ def test_checks_raise_under_python_O():
         "so7_invariant lead 0 SpinConstructionError "
         "invariant line has no all-even coefficient",
         "run_suite RuntimeError claim ids must be unique",
+        "HomTuple ValueError genus 2 needs 4 images, got 3",
+        "standard_hom ValueError genus must be at least 2",
+        "apply_move ValueError move of genus 3 applied to a genus-2 tuple",
+        "normalize_hom phase 1 RuntimeError "
+        "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
+        "mat_of ValueError mixed algebras B(-1, -1) and B(-1, -3)",
+        "intersect ValueError ambient dimensions 2 and 3 differ",
     ]

@@ -39,3 +39,17 @@ def test_orbit_survey_genus_2():
         "  its orbit size     1440",
         "  single orbit: every surjection normalizes to the standard tuple",
     ]
+
+
+def test_orbit_survey_genus_3():
+    lines = run_script("orbit_survey.py", "--genus", "3").stdout.splitlines()
+    assert lines[0].startswith("genus 3 (")
+    assert lines[1:] == [
+        "  candidate tuples   262144",
+        "  satisfy relation   133120",
+        "  surjective         120960",
+        "  orbit sizes        [120960]",
+        "  standard tuple     1,i,j,1,1,1",
+        "  its orbit size     120960",
+        "  single orbit: every surjection normalizes to the standard tuple",
+    ]

@@ -4,10 +4,16 @@ Census oracles are computed in this file from first principles: the
 count of relator-satisfying tuples comes from the character-degree
 formula for the 8-element quaternion group (four degree-1 characters
 and one degree-2), and the non-surjective count from inclusion and
-exclusion over the three maximal cyclic subgroups.
+exclusion over the three maximal cyclic subgroups.  The same counts in
+closed form (Mednykh; Hall's Moebius inversion) gate the packed census.
+
+The packed move tables and the packed normalization search are gated
+against the tuple-level path: ``apply_move`` on HomTuples, and a
+breadth-first search over HomTuples kept here as the oracle.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -104,6 +110,53 @@ def test_moves_preserve_validity_and_surjectivity(imgs, data):
     assert after == before
 
 
+# ------------------------------------------------- packed tuples and tables
+
+
+def compiled_images(h):
+    """The images of h under move_set(h.g), through the compiled tables."""
+    _, compiled = sh._compiled_moves(h.g)
+    return [sh.unpack_images(q, h.g) for q in sh._successors(sh.pack_images(h.images), compiled)]
+
+
+def moved_images(h):
+    return [sh.apply_move(h, mv).images for mv in sh.move_set(h.g)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_compiled_moves_follow_move_set_order(g):
+    moves, compiled = sh._compiled_moves(g)
+    assert moves == tuple(sh.move_set(g))
+    assert len(compiled) == len(moves)
+
+
+def test_pack_round_trip():
+    for imgs in product(sh.GROUP8, repeat=2):
+        p = sh.pack_images(imgs)
+        assert 0 <= p < 8**2
+        assert sh.unpack_images(p, 1) == imgs
+    assert sh.pack_images(sh.standard_hom(2).images) == 2 | 4 << 3
+
+
+def test_compiled_moves_match_apply_move_on_every_genus2_tuple():
+    for imgs in product(sh.GROUP8, repeat=4):
+        h = sh.HomTuple(2, imgs)
+        assert compiled_images(h) == moved_images(h), imgs
+
+
+def test_compiled_moves_match_apply_move_on_genus3_sample():
+    rng = random.Random(31)
+    for _ in range(3000):
+        h = sh.HomTuple(3, tuple(rng.choice(sh.GROUP8) for _ in range(6)))
+        assert compiled_images(h) == moved_images(h), h.images
+
+
+def test_compile_rejects_words_on_four_generators():
+    mv = sh.Move("WIDE", 2, ((1, 2, 3, 4), (2,), (3,), (4,)))
+    with pytest.raises(ValueError):
+        sh._compile_move(mv)
+
+
 # ----------------------------------------------------------------- census
 
 
@@ -121,11 +174,48 @@ def non_surjective_count(g):
     return 3 * 4 ** (2 * g) - 3 * 2 ** (2 * g) + 2 ** (2 * g)
 
 
+def mednykh_count(g):
+    """|Hom(pi_1, Q8)| in closed form: 8 (4 8^(2g-2) + 4^(2g-2))."""
+    return 8 * (4 * 8 ** (2 * g - 2) + 4 ** (2 * g - 2))
+
+
+def hall_surjective_count(g):
+    """Surjections by Hall's Moebius inversion over the subgroups of Q8."""
+    return mednykh_count(g) - 3 * 4 ** (2 * g) + 2 * 2 ** (2 * g)
+
+
 def test_census_formulas_have_expected_values():
     assert character_count(2) == 2176
     assert character_count(3) == 133120
     assert non_surjective_count(2) == 736
     assert non_surjective_count(3) == 12160
+    for g in (1, 2, 3, 4):
+        assert mednykh_count(g) == character_count(g)
+        assert hall_surjective_count(g) == character_count(g) - non_surjective_count(g)
+    assert [hall_surjective_count(g) for g in (1, 2, 3)] == [0, 1440, 120960]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_census_matches_closed_forms(g):
+    rep = sh.enumerate_surjections(g)
+    assert rep.genus == g
+    assert rep.total == 8 ** (2 * g)
+    assert rep.valid == mednykh_count(g)
+    assert rep.surjective == hall_surjective_count(g)
+    assert sum(rep.orbit_sizes) == rep.surjective
+    if g == 3:
+        assert rep.orbit_sizes == (120960,)
+        assert rep.standard_orbit_size == 120960
+
+
+def test_census_genus0_is_the_trivial_hom():
+    assert sh.enumerate_surjections(0) == sh.EnumReport(0, 1, 1, 0, (), 0)
+
+
+@pytest.mark.parametrize("g", [-1, 4])
+def test_census_rejects_unsupported_genus(g):
+    with pytest.raises(ValueError):
+        sh.enumerate_surjections(g)
 
 
 def test_genus1_has_no_surjections():
@@ -183,6 +273,52 @@ def test_normalize_reaches_standard_and_replays(g, seed, count):
         for mv in result["moves"]:
             cur = sh.apply_move(cur, mv)
         assert cur == target
+
+
+def bfs_oracle(h, node_budget):
+    """The breadth-first search of normalize_hom's phase 2 on HomTuples."""
+    moves = sh.move_set(h.g)
+    target = sh.standard_hom(h.g).images
+    seen = {h.images: None}
+    queue = deque([h.images])
+    while queue and len(seen) <= node_budget:
+        cur = sh.HomTuple(h.g, queue.popleft())
+        for mv in moves:
+            nxt = sh.apply_move(cur, mv).images
+            if nxt in seen:
+                continue
+            seen[nxt] = (cur.images, mv)
+            if nxt == target:
+                queue.clear()
+                break
+            queue.append(nxt)
+    if target not in seen:
+        return {"reached": False, "moves": []}
+    path = []
+    node = target
+    while seen[node] is not None:
+        node, mv = seen[node]
+        path.append(mv)
+    return {"reached": True, "moves": path[::-1]}
+
+
+def test_normalize_search_matches_homtuple_oracle():
+    target = sh.standard_hom(2)
+    batch = [h for h in surjective_samples(2, 60, 23) if not sh._phase1_shape(h) and h != target]
+    assert len(batch) >= 40
+    for h in batch:
+        assert sh.normalize_hom(h) == bfs_oracle(h, 200000), h.images
+
+
+def test_normalize_search_budget_matches_homtuple_oracle():
+    reached = set()
+    batch = [h for h in surjective_samples(2, 8, 29) if not sh._phase1_shape(h)]
+    for budget in (1, 40, 500, 1000):
+        for h in batch:
+            out = sh.normalize_hom(h, node_budget=budget)
+            assert out == bfs_oracle(h, budget), (budget, h.images)
+            reached.add(out["reached"])
+    assert reached == {True, False}
 
 
 def test_normalize_rejects_bad_input():
