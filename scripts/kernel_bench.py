@@ -5,8 +5,9 @@
 
 Prints one JSON object.  wedge4_product: mat_mul(X, X), X the 70x70 wedge^4
 action of 1 + sqrt(-1) on the n = 2 model of B(-1, -1); weil_nullspace:
-nullspace(X^2 + aX + b) as in weil_kernel; hurwitz_coords: the Hurwitz order
-and the coordinates of the 2,400 nonzero points of its [-3, 3]^4 box.
+nullspace(X^2 + aX + b) as in weil_kernel; hurwitz_index_box: the registry's
+qalg.left_ideal_index check, at the 2,400 nonzero points of the [-3, 3]^4 box
+of the Hurwitz order.
 quatprym is imported from the ``src`` directory beside this script.
 """
 
@@ -39,18 +40,16 @@ def main(argv=None):
     a, b = wc.annihilator_coefficients(x, 4)
     p = linalg.mat_add(linalg.mat_add(linalg.mat_mul(xm, xm), linalg.mat_scale(xm, a)),
                        linalg.mat_scale(linalg.identity(len(xm)), b))
-    zeta, i, j, k = qalg.hurwitz_order().basis
-    box = [zeta.scale(c0) + i.scale(c1) + j.scale(c2) + k.scale(c3)
-           for c0, c1, c2, c3 in filter(any, product(range(-3, 4), repeat=4))]
+    box = list(filter(any, product(range(-3, 4), repeat=4)))
 
-    def hurwitz_coords():
+    def hurwitz_index_box():
         order = qalg.hurwitz_order()
-        for m in box:
-            order.coords(m)
+        for coords in box:
+            qalg.left_ideal_index(order, coords)
 
     kernels = {"wedge4_product": lambda: linalg.mat_mul(xm, xm),
                "weil_nullspace": lambda: linalg.nullspace(p),
-               "hurwitz_coords": hurwitz_coords}
+               "hurwitz_index_box": hurwitz_index_box}
     out = {name: statistics.median(seconds(fn) for _ in range(repeat)) for name, fn in kernels.items()}
     print(json.dumps({**out, "repeat": repeat, "python": platform.python_version()}))
 

@@ -22,6 +22,7 @@ from .qalg import (
     group_ring_wedderburn,
     hurwitz_index_identity,
     hurwitz_order,
+    left_ideal_index,
 )
 from .report import ClaimRecord, run_suite
 from .surface_homs import (
@@ -68,6 +69,7 @@ __all__ = [
     "hurwitz_order",
     "invariant_dim",
     "irrep_weights",
+    "left_ideal_index",
     "load_budgets",
     "normalize_hom",
     "project_even",

@@ -96,7 +96,8 @@ class PolyGauss:
         return PolyGauss(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def pow(self, k: int) -> "PolyGauss":
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = PolyGauss.const(self.nvars, G1)
         base = self
         while k:
@@ -131,7 +132,8 @@ class PolyGauss:
 
     def substitute(self, polys) -> "PolyGauss":
         """Plug polynomials (in some common ring) in for the variables."""
-        assert len(polys) == self.nvars
+        if len(polys) != self.nvars:
+            raise ValueError(f"substitute needs {self.nvars} polynomials, got {len(polys)}")
         nv = polys[0].nvars
         out = PolyGauss(nv, {})
         for exp, c in self.terms.items():
@@ -347,7 +349,8 @@ PARAM = (
 
 def reduce_mod_curve(poly: PolyGauss) -> PolyGauss:
     """Rewrite y^2 -> x^5 - x until the y-degree is at most 1."""
-    assert poly.nvars == XY
+    if poly.nvars != XY:
+        raise ValueError(f"polynomial in {poly.nvars} variables, the curve needs {XY}")
     rhs = X.pow(5) - X
     out = PolyGauss(XY, {})
     for (ex, ey), c in poly.terms.items():

@@ -13,6 +13,7 @@ Lipschitz units is the quaternion group of order 8, modelled here as
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,7 +214,7 @@ class OrderLattice:
     one matrix-vector product.  Raises ValueError unless the basis has
     four linearly independent elements."""
 
-    __slots__ = ("params", "basis", "_to_coords")
+    __slots__ = ("params", "basis", "_to_coords", "_index_constants")
 
     def __init__(self, params, basis):
         if len(basis) != 4:
@@ -224,6 +225,7 @@ class OrderLattice:
             self._to_coords = inverse(_basis_matrix(self.basis))
         except ValueError:
             raise ValueError("order lattice basis is linearly dependent") from None
+        self._index_constants = None
 
     def coords(self, x):
         """Rational coordinates of x in the basis."""
@@ -244,37 +246,80 @@ class OrderLattice:
         a = frac_mat([other.coords(b) for b in self.basis])
         return abs(det(a))
 
+    def _left_ideal_constants(self):
+        """Structure constants of ``left_ideal_index``, computed at first use.
+
+        Returns (units, gram).  units[u][s][t] is coordinate s of u * b_t,
+        for u = 1, i, j, k and b_t the basis, so for m = sum_t c_t b_t the
+        coordinates of u * m are linear in c.  gram[s][t] is
+        N(b_s + b_t) - N(b_s) - N(b_t), so 2 N(m) = c^T gram c; it is an
+        int matrix for every order.  Raises ValueError if some u * b_t is
+        not in the lattice."""
+        if self._index_constants is None:
+            prods = [[self.coords(u * b) for b in self.basis] for u in basis_elems(self.params)]
+            if any(v.denominator != 1 for row in prods for col in row for v in col):
+                raise ValueError("lattice is not stable under left multiplication by i, j, k")
+            units = tuple(tuple(tuple(int(col[s]) for col in row) for s in range(4))
+                          for row in prods)
+            gram = tuple(
+                tuple(_int_if_integral((x + y).norm() - x.norm() - y.norm()) for y in self.basis)
+                for x in self.basis
+            )
+            self._index_constants = (units, gram)
+        return self._index_constants
+
+
+def _int_if_integral(x):
+    return int(x) if x.denominator == 1 else x
+
 
 def hz_order(params=HAMILTON):
     """The Lipschitz order Z<1, i, j, k>."""
     return OrderLattice(params, basis_elems(params))
 
 
+@functools.cache
 def hurwitz_order(params=HAMILTON):
-    """The Hurwitz order, basis (zeta, i, j, k) with zeta = (1+i+j+k)/2."""
+    """The Hurwitz order, basis (zeta, i, j, k) with zeta = (1+i+j+k)/2.
+
+    One instance per algebra, so its ``left_ideal_index`` constants are
+    computed once."""
     one, i, j, k = basis_elems(params)
     zeta = (one + i + j + k).scale(Fraction(1, 2))
     return OrderLattice(params, (zeta, i, j, k))
 
 
-def hurwitz_index_identity(m, order=None):
-    """For m in the Hurwitz order M, compare the index of the left ideal
-    M m in M with twice the squared norm.
+def left_ideal_index(order, coords):
+    """For m in ``order`` with basis coordinates ``coords``, compare the
+    index of the left ideal spanned by m, i m, j m, k m in the order with
+    twice the squared norm of m.
 
-    Returns (index, 2 * norm(m)^2).  The two agree for every m in M.
-    Raises ValueError if m is not in M.
+    Returns (index, 2 * norm(m)^2), both Fraction; the two agree for
+    every m in the Hurwitz order.  The index is |det| of the integer
+    matrix whose row u holds the coordinates of u * m, read off the
+    order's structure constants.  Raises ValueError if a coordinate is
+    not an integer (m is not in the order) or if the order is not stable
+    under left multiplication by i, j, k.
+    """
+    units, gram = order._left_ideal_constants()
+    if any(c.denominator != 1 for c in coords):
+        raise ValueError("element is not in the order")
+    c = c0, c1, c2, c3 = tuple(map(int, coords))
+    mat = [[c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3 for a0, a1, a2, a3 in row] for row in units]
+    twice_norm = sum(x * sum(g * y for g, y in zip(row, c)) for x, row in zip(c, gram))
+    return abs(det(mat)), Fraction(twice_norm * twice_norm, 2)
+
+
+def hurwitz_index_identity(m, order=None):
+    """``left_ideal_index`` of an element m of B, in the Hurwitz order of
+    its algebra unless ``order`` is given.
+
+    Returns (index, 2 * norm(m)^2).  Raises ValueError if m is not in the
+    order.
     """
     if order is None:
         order = hurwitz_order(m.params)
-    cols = []
-    one, i, j, k = basis_elems(m.params)
-    for u in (one, i, j, k):
-        c = order.coords(u * m)
-        if any(v.denominator != 1 for v in c):
-            raise ValueError("element is not in the order")
-        cols.append(c)
-    d = abs(det(frac_mat(cols)))
-    return d, 2 * m.norm() ** 2
+    return left_ideal_index(order, order.coords(m))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +364,11 @@ def group_ring_wedderburn():
     for ci, cls in enumerate(classes):
         g = cls[0]
         val = Fraction(reg.get(ci, 0) - sum(chi(g) for chi in linears), 2)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise RuntimeError(f"2-dim character value {val} on class {ci} is not an integer")
         two_dim.append(int(val))
-    assert two_dim == [2, -2, 0, 0, 0]
+    if two_dim != [2, -2, 0, 0, 0]:
+        raise RuntimeError(f"2-dim character {two_dim}, expected [2, -2, 0, 0, 0]")
 
     def fs_indicator(chi_vals):
         # (1/8) * sum over g of chi(g^2)
@@ -330,7 +377,8 @@ def group_ring_wedderburn():
             g2 = qmul(g, g)
             ci = next(i for i, cls in enumerate(classes) if g2 in cls)
             total += chi_vals[ci]
-        assert total % 8 == 0
+        if total % 8:
+            raise RuntimeError(f"Frobenius-Schur sum {total} is not divisible by 8")
         return total // 8
 
     out = []

@@ -71,10 +71,7 @@ def _qalg_claims(budgets: Budgets):
     for coords in iproduct(range(-3, 4), repeat=4):
         if coords == (0, 0, 0, 0):
             continue
-        m = qalg.QuatElem.make(qalg.HAMILTON, 0)
-        for c, b in zip(coords, order.basis):
-            m = m + b.scale(c)
-        idx, twice_norm_sq = qalg.hurwitz_index_identity(m, order)
+        idx, twice_norm_sq = qalg.left_ideal_index(order, coords)
         checked += 1
         if idx != twice_norm_sq:
             bad += 1

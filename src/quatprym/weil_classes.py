@@ -147,15 +147,19 @@ class SubspaceQ:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _same_ambient(self, other):
+        if self.ambient != other.ambient:
+            raise ValueError(f"ambient dimensions {self.ambient} and {other.ambient} differ")
+
     def contains_space(self, other: "SubspaceQ") -> bool:
+        self._same_ambient(other)
         if other.dim == 0:
             return True
         merged = SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
         return merged.dim == self.dim
 
     def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
-        if self.ambient != other.ambient:
-            raise ValueError(f"ambient dimensions {self.ambient} and {other.ambient} differ")
+        self._same_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return SubspaceQ(ambient=self.ambient, rows=())
         got = intersect_row_spaces([list(r) for r in self.rows], [list(r) for r in other.rows])

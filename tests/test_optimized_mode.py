@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 from fractions import Fraction
-from quatprym import lie_engine as le, linalg, qalg, report, spin_explicit as sp
+from quatprym import curve_model as cm, lie_engine as le, linalg, qalg, report, spin_explicit as sp
 from quatprym import surface_homs as sh, weil_classes as wc
 
 print("debug", __debug__)
@@ -29,6 +29,15 @@ def spin_with(name, fake):
         return sp.so7_invariant(rep)
     finally:
         setattr(sp, name, real)
+
+
+def wedderburn_with(name, fake):
+    real = getattr(qalg, name)
+    setattr(qalg, name, fake)
+    try:
+        return qalg.group_ring_wedderburn()
+    finally:
+        setattr(qalg, name, real)
 
 
 def duplicate_claims(budgets):
@@ -66,6 +75,11 @@ other_algebra = qalg.QuatElem.make(qalg.AlgebraParams.make(-1, -3), 1)
 
 cases = [
     ("hurwitz_index_identity", lambda: qalg.hurwitz_index_identity(third)),
+    ("wedderburn character value",
+     lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 3 * d))),
+    ("wedderburn character", lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 2 * d))),
+    ("wedderburn indicator",
+     lambda: wedderburn_with("qmul", lambda g, h: (1, 0) if g == (1, 0) else (1, 1))),
     ("weyl_dim", lambda: le.weyl_dim(le.B3, (Fraction(1, 2), 0, 0))),
     ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
     ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
@@ -97,6 +111,8 @@ cases = [
     ("mat_of", lambda: wc.HModel.make(1, qalg.HAMILTON).mat_of(other_algebra)),
     ("intersect", lambda: wc.SubspaceQ.from_vectors([[1, 0]], 2).intersect(
         wc.SubspaceQ.from_vectors([[1, 0, 0]], 3))),
+    ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
+    ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
 ]
 for name, call in cases:
     try:
@@ -115,6 +131,11 @@ def test_checks_raise_under_python_O():
     assert proc.stdout.splitlines() == [
         "debug False",
         "hurwitz_index_identity ValueError element is not in the order",
+        "wedderburn character value RuntimeError 2-dim character value 2/3 on class 0 "
+        "is not an integer",
+        "wedderburn character RuntimeError 2-dim character [1, -1, 0, 0, 0], "
+        "expected [2, -2, 0, 0, 0]",
+        "wedderburn indicator RuntimeError Frobenius-Schur sum -6 is not divisible by 8",
         "weyl_dim ValueError weight is not integral for B3",
         "weyl_dim short ValueError weight has 2 coordinates, B3 needs 3",
         "weyl_dim long ValueError weight has 4 coordinates, B3 needs 3",
@@ -145,4 +166,24 @@ def test_checks_raise_under_python_O():
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
         "mat_of ValueError mixed algebras B(-1, -1) and B(-1, -3)",
         "intersect ValueError ambient dimensions 2 and 3 differ",
+        "substitute ValueError substitute needs 2 polynomials, got 1",
+        "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
     ]
+
+
+def test_negative_power_raises_under_python_O():
+    """``k >>= 1`` keeps k = -1 forever, so without the check the loop
+    never ends: the constant 1 keeps memory flat while the timeout ends it."""
+    script = (
+        "from quatprym import curve_model as cm\n"
+        "try:\n"
+        "    cm.PolyGauss.const(2, cm.G1).pow(-1)\n"
+        "except ValueError as exc:\n"
+        "    print('pow', type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=20, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.splitlines() == ["pow ValueError negative exponent -1"]

@@ -177,16 +177,95 @@ def test_order_rejects_a_dependent_basis():
         qalg.OrderLattice(HAMILTON, (one, i, j))
 
 
+def index_oracle(m, order):
+    """The per-element computation that ``left_ideal_index`` replaced: the
+    products u * m for u = 1, i, j, k, their coordinates in the order, and
+    a determinant over Q."""
+    cols = []
+    for u in qalg.basis_elems(m.params):
+        c = order.coords(u * m)
+        if any(v.denominator != 1 for v in c):
+            raise ValueError("element is not in the order")
+        cols.append(c)
+    return abs(linalg.det(linalg.frac_mat(cols))), 2 * m.norm() ** 2
+
+
+def lipschitz_box_elements():
+    """The 2,400 nonzero points of the [-3, 3]^4 box in 1, i, j, k coordinates."""
+    return [quat(HAMILTON, *c) for c in product(range(-3, 4), repeat=4) if any(c)]
+
+
+def half_integer_elements():
+    """The 256 points with every 1, i, j, k coordinate in +-1/2, +-3/2."""
+    halves = [Fraction(t, 2) for t in (-3, -1, 1, 3)]
+    return [quat(HAMILTON, *c) for c in product(halves, repeat=4)]
+
+
+def assert_same(got, want):
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize(
+    "order, points, inside",
+    [
+        pytest.param(hurwitz_order(), ("hurwitz", "lipschitz", "half"), 5056, id="hurwitz"),
+        pytest.param(hz_order(), ("lipschitz", "half"), 2400, id="lipschitz"),
+        pytest.param(
+            qalg.OrderLattice(HAMILTON, [b.scale(Fraction(1, 2)) for b in qalg.basis_elems(HAMILTON)]),
+            ("half",), 256, id="half-lipschitz",
+        ),
+    ],
+)
+def test_left_ideal_index_matches_the_per_element_oracle(order, points, inside):
+    """Structure constants give the oracle's value and types, per order.
+
+    The half-Lipschitz lattice is stable under i, j, k but not an order;
+    its norm form has denominators."""
+    sets = {
+        "hurwitz": index_box_elements(),
+        "lipschitz": lipschitz_box_elements(),
+        "half": half_integer_elements(),
+    }
+    checked = 0
+    for m in [m for name in points for m in sets[name]]:
+        coords = order.coords(m)
+        try:
+            want = index_oracle(m, order)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in the order"):
+                qalg.left_ideal_index(order, coords)
+            with pytest.raises(ValueError, match="not in the order"):
+                hurwitz_index_identity(m, order)
+            continue
+        assert_same(qalg.left_ideal_index(order, tuple(map(int, coords))), want)
+        assert_same(hurwitz_index_identity(m, order), want)
+        checked += 1
+    assert checked == inside
+
+
 def test_index_identity_on_half_integer_points():
     order = hurwitz_order()
-    zeta = quat(HAMILTON, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    got, expected = hurwitz_index_identity(zeta, order)
-    assert got == expected == 2 * zeta.norm() ** 2
+    for m in half_integer_elements():
+        got, expected = hurwitz_index_identity(m, order)
+        assert got == expected == 2 * m.norm() ** 2
 
 
 def test_index_identity_rejects_elements_outside_the_order():
     with pytest.raises(ValueError, match="not in the order"):
         hurwitz_index_identity(quat(HAMILTON, Fraction(1, 3), 0, 0, 0))
+    with pytest.raises(ValueError, match="not in the order"):
+        qalg.left_ideal_index(hurwitz_order(), (Fraction(1, 2), 0, 0, 0))
+
+
+def test_index_identity_rejects_a_lattice_not_stable_under_i_j_k():
+    """Z<1, 2i, j, k> holds 1 but not i * 1, so it has no constants."""
+    one, i, j, k = qalg.basis_elems(HAMILTON)
+    lattice = qalg.OrderLattice(HAMILTON, (one, i.scale(2), j, k))
+    with pytest.raises(ValueError, match="not stable under left multiplication"):
+        qalg.left_ideal_index(lattice, (1, 0, 0, 0))
+    with pytest.raises(ValueError, match="not stable under left multiplication"):
+        hurwitz_index_identity(one, lattice)
 
 
 # -------------------------------------------------------- group ring shape

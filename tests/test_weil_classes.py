@@ -246,3 +246,18 @@ def test_subspace_operations():
     assert a.intersect(b).dim == 1
     assert a.union_span(b).dim == 3
     assert a.contains_space(a.intersect(b))
+
+
+def test_subspace_comparisons_need_one_ambient_space():
+    line3 = wc.SubspaceQ.from_vectors([[0, 0, 1]], 3)
+    line2 = wc.SubspaceQ.from_vectors([[1, 0]], 2)
+    zero2 = wc.SubspaceQ.from_vectors([], 2)
+    with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
+        line3.contains_space(line2)
+    with pytest.raises(ValueError, match="ambient dimensions 2 and 3 differ"):
+        line2.contains_space(line3)
+    with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
+        line3.contains_space(zero2)
+    with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
+        line3.intersect(line2)
+    assert line2.contains_space(zero2)
