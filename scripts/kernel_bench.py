@@ -7,7 +7,8 @@ Prints one JSON object.  wedge4_product: mat_mul(X, X), X the 70x70 wedge^4
 action of 1 + sqrt(-1) on the n = 2 model of B(-1, -1); weil_nullspace:
 nullspace(X^2 + aX + b) as in weil_kernel; hurwitz_index_box: the registry's
 qalg.left_ideal_index check, at the 2,400 nonzero points of the [-3, 3]^4 box
-of the Hurwitz order.
+of the Hurwitz order; wedge_row: invariant_dim of wedge_power(B3, Gamma (+)
+Gamma (+) Gamma, k) for k = 0..12, Gamma the 8-dim spin representation.
 quatprym is imported from the ``src`` directory beside this script.
 """
 
@@ -21,7 +22,7 @@ from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from quatprym import linalg, qalg, weil_classes as wc  # noqa: E402
+from quatprym import lie_engine as le, linalg, qalg, weil_classes as wc  # noqa: E402
 
 
 def seconds(fn):
@@ -47,9 +48,17 @@ def main(argv=None):
         for coords in box:
             qalg.left_ideal_index(order, coords)
 
+    _, gamma = le.atom("Gamma")
+    three = le.dsum(le.dsum(gamma, gamma), gamma)
+
+    def wedge_row():
+        for k in range(13):
+            le.invariant_dim(le.B3, le.wedge_power(le.B3, three, k))
+
     kernels = {"wedge4_product": lambda: linalg.mat_mul(xm, xm),
                "weil_nullspace": lambda: linalg.nullspace(p),
-               "hurwitz_index_box": hurwitz_index_box}
+               "hurwitz_index_box": hurwitz_index_box,
+               "wedge_row": wedge_row}
     out = {name: statistics.median(seconds(fn) for _ in range(repeat)) for name, fn in kernels.items()}
     print(json.dumps({**out, "repeat": repeat, "python": platform.python_version()}))
 

@@ -21,6 +21,13 @@ factor coordinate blocks.  B_n and D_n use n orthogonal coordinates.
 A_n uses n+1 coordinates modulo the all-ones vector; stored weights are
 canonicalized so the last coordinate of the block is zero, so sums of
 stored weights are stored weights.
+
+Inside the power, tensor and decompose loops a weight is one int: its
+coordinates times their common denominator, read as signed digits in an
+odd base wide enough for every sum the loop forms (``_packer``), so
+adding weights is adding ints and dict keys hash as ints.  Weights are
+packed on entry and unpacked on exit; the API takes and returns tuples
+of Fraction throughout.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -390,45 +397,91 @@ def multiset_size(ms) -> int:
     return sum(ms.values())
 
 
+def _packer(weights, reach):
+    """(pack, unpack) between weights and ints for sums of up to ``reach``
+    of the given weights.  A weight is scaled by the common denominator D
+    of the coordinates of ``weights`` and read as signed base-B digits,
+    coordinate 0 lowest, with B odd and above twice the largest |scaled
+    coordinate| such a sum can reach.  pack is linear, so pack(u) + pack(v)
+    == pack(u + v), and it is one-to-one on the vectors those sums reach."""
+    den = lcm(*(x.denominator for w in weights for x in w))
+    top = max((abs(x.numerator) * (den // x.denominator) for w in weights for x in w), default=0)
+    base = 2 * reach * top + 1
+    half = base // 2
+    ncoords = len(weights[0]) if weights else 0
+    digits = {}  # digit -> its Fraction, built once and reused by every unpack
+
+    def pack(w):
+        n = 0
+        for x in reversed(w):
+            n = n * base + x.numerator * (den // x.denominator)
+        return n
+
+    def unpack(n):
+        out = []
+        for _ in range(ncoords):
+            n, r = divmod(n + half, base)
+            x = digits.get(r)
+            if x is None:
+                x = digits[r] = Fraction(r - half, den)
+            out.append(x)
+        return tuple(out)
+
+    return pack, unpack
+
+
+def _unpack_multiset(packed, unpack) -> dict:
+    return {unpack(w): m for w, m in packed.items()}
+
+
 def _powers(alg: AlgebraType, ms, k, sym):
-    """[S^0, ..., S^k] (sym) or [wedge^0, ..., wedge^k] of ms: the t^j
-    coefficients of prod 1/(1 - t e^mu) or prod (1 + t e^mu) over the
-    weights mu of ms.  Each factor updates the degrees in place, ascending
-    for S so a weight may repeat, descending for wedge so it may not."""
+    """(levels, unpack): levels[j] is S^j (sym) or wedge^j of ms for
+    j = 0..k, keyed by packed weight, the t^j coefficient of
+    prod 1/(1 - t e^mu) or prod (1 + t e^mu) over the weights mu of ms.
+    Each factor updates the degrees in place, ascending for S so a weight
+    may repeat, descending for wedge so it may not."""
     n = multiset_size(ms)
     if k < 0:
         raise ValueError(f"power exponent {k} is negative")
     if not sym and k > n:
         raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
-    levels = [{tuple([F0] * alg.ncoords): 1}] + [{} for _ in range(k)]
+    zero = tuple([F0] * alg.ncoords)
+    pack, unpack = _packer([zero, *ms], k)
+    levels = [{pack(zero): 1}] + [{} for _ in range(k)]
     degrees = range(1, k + 1) if sym else range(k, 0, -1)
-    shared = {}  # one tuple per weight across all degrees, to keep the peak memory down
     for mu, m in ms.items():
+        pm = pack(mu)
         for _ in range(m):
             for j in degrees:
                 dst = levels[j]
+                get = dst.get
                 for w, c in levels[j - 1].items():
-                    v = _vadd(w, mu)
-                    v = shared.setdefault(v, v)
-                    dst[v] = dst.get(v, 0) + c
-    return levels
+                    v = w + pm
+                    dst[v] = get(v, 0) + c
+    return levels, unpack
 
 
 def wedge_power(alg: AlgebraType, ms, k) -> dict:
-    return _powers(alg, ms, k, sym=False)[k]
+    levels, unpack = _powers(alg, ms, k, sym=False)
+    return _unpack_multiset(levels[k], unpack)
 
 
 def sym_power(alg: AlgebraType, ms, k) -> dict:
-    return _powers(alg, ms, k, sym=True)[k]
+    levels, unpack = _powers(alg, ms, k, sym=True)
+    return _unpack_multiset(levels[k], unpack)
 
 
 def tensor(alg: AlgebraType, a, b) -> dict:
+    pack, unpack = _packer([*a, *b], 2)
+    packed_b = [(pack(w), m) for w, m in b.items()]
     out = {}
+    get = out.get
     for w0, m0 in a.items():
-        for w1, m1 in b.items():
-            w = _vadd(w0, w1)
-            out[w] = out.get(w, 0) + m0 * m1
-    return out
+        p0 = pack(w0)
+        for p1, m1 in packed_b:
+            v = p0 + p1
+            out[v] = get(v, 0) + m0 * m1
+    return _unpack_multiset(out, unpack)
 
 
 def dsum(a, b) -> dict:
@@ -494,16 +547,33 @@ def _factor_shifts(f: SimpleFactor):
 def decompose(alg: AlgebraType, ms) -> list:
     """[(highest weight, multiplicity)] in decreasing lexicographic order,
     by Brauer-Klimyk at each dominant weight of ms.  Raises
-    NotARepresentation when a multiplicity is negative or the counted
-    dimensions do not exhaust the input."""
+    NotARepresentation when a multiplicity is negative, a simple
+    reflection does not preserve the multiset, or the counted dimensions
+    do not exhaust the input."""
     if any(m < 0 for m in ms.values()):
         raise NotARepresentation("negative input multiplicity")
     shifts = [((), 1)]
     for f, _, _ in alg.slices():
         shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
+    # a reflected stored weight, and a weight plus a shift, are sums of
+    # at most two of the packed vectors (an A-block reflection subtracts
+    # a coordinate), so reach 2 keeps every lookup below exact
+    pack, _ = _packer([*ms, *(s for s, _ in shifts)], 2)
+    support = [(w, m) for w, m in ms.items() if m]
+    packed = {pack(w): m for w, m in support}
+    get = packed.get
+    for r in reflections(alg):
+        for w, m in support:
+            if get(pack(r(w))) != m:
+                raise NotARepresentation(
+                    f"weight {_fmt_weight(w)} and its reflection {_fmt_weight(r(w))} "
+                    "have different multiplicities"
+                )
+    packed_shifts = [(pack(s), e) for s, e in shifts]
     out = []
-    for lam in sorted((w for w, m in ms.items() if m and is_dominant(alg, w)), reverse=True):
-        mult = sum(e * ms.get(_vadd(lam, s), 0) for s, e in shifts)
+    for lam in sorted((w for w, _ in support if is_dominant(alg, w)), reverse=True):
+        p = pack(lam)
+        mult = sum(e * get(p + s, 0) for s, e in packed_shifts)
         if mult < 0:
             raise NotARepresentation(f"negative multiplicity at {lam}")
         if mult:

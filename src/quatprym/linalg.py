@@ -9,9 +9,11 @@ routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub`` and
 ``mat_scale`` keep the entry type, so int matrices give int results.
 The eliminations (``rref`` and ``det``, and everything built on them)
 read integer entries as elements of Q, so their results come back as
-``Fraction``, never ``float``.  A routine that needs the field's 0 takes
-x - x for an entry x, and one that needs its 1 takes x / x for a nonzero
-entry; ``nullspace`` of a matrix with no nonzero entry has no such entry:
+``Fraction``, never ``float``; ``det`` of an all-int matrix eliminates
+fraction-free in ints (Bareiss) and returns that integer as a
+``Fraction``.  A routine that needs the field's 0 takes x - x for an
+entry x, and one that needs its 1 takes x / x for a nonzero entry;
+``nullspace`` of a matrix with no nonzero entry has no such entry:
 it returns the standard basis over Q for rational zeros and raises
 ValueError for zeros of another field.  ``frac_mat``, ``identity`` and
 ``zeros`` build matrices over Q.  The integer routines (Smith form and
@@ -21,9 +23,10 @@ Zeros are skipped, never multiplied: the matrices met here are sparse
 (the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
 an exact product by zero costs as much as any other.  ``mat_mul`` and
 ``mat_vec`` touch only the nonzero entries of the right operand, and
-every elimination step updates a row only at the nonzero columns of the
-pivot row.  The values are those of the dense textbook algorithms, which
-the tests keep as oracles.  No floating point is used anywhere.
+every elimination step over a field updates a row only at the nonzero
+columns of the pivot row.  The values are those of the dense textbook
+algorithms, which the tests keep as oracles.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -250,7 +253,34 @@ def solve(a, b):
     return x
 
 
+def _bareiss_det(a):
+    """Fraction-free (Bareiss) elimination of an int matrix: each update
+    p*x - f*y is divided exactly (//) by the previous pivot, a row swap
+    flips the sign, and the last diagonal entry is the determinant."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for c in range(n - 1):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        pivot_row = m[c]
+        p = pivot_row[c]
+        for row in m[c + 1:]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
 def det(a):
+    if all(isinstance(x, int) for row in a for x in row):
+        return Fraction(_bareiss_det(a))
     n = len(a)
     m = _exact_copy(a)
     sign = 1

@@ -16,7 +16,8 @@ def test_kernel_bench_prints_one_json_object():
     lines = proc.stdout.strip().splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
-    assert set(out) == {"wedge4_product", "weil_nullspace", "hurwitz_index_box", "repeat", "python"}
+    kernels = ("wedge4_product", "weil_nullspace", "hurwitz_index_box", "wedge_row")
+    assert set(out) == {*kernels, "repeat", "python"}
     assert out["repeat"] == 1
-    for key in ("wedge4_product", "weil_nullspace", "hurwitz_index_box"):
+    for key in kernels:
         assert isinstance(out[key], float) and out[key] > 0

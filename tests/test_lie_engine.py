@@ -10,7 +10,9 @@ family-specific enumerators it replaced, kept here as the oracle, and
 half the sum of the positive roots against the closed forms of rho.
 The generating-function powers and the Brauer-Klimyk decomposition are
 gated against the subset walks and the greedy Freudenthal stripping
-they replaced, also kept here as oracles.
+they replaced, also kept here as oracles.  The packed-int weights inside
+those loops are checked for round trips and additivity against tuple
+sums, and tensor against a tuple loop.
 """
 
 import random
@@ -381,6 +383,35 @@ def test_decompose_rejects_negative_virtual_content():
         le.decompose(le.B3, ms)
 
 
+def test_decompose_rejects_a_multiset_a_reflection_does_not_preserve():
+    # the B3 vector weights with -e1 moved to -e2: the right size, and
+    # Brauer-Klimyk alone (like the greedy oracle) reads it as (1,0,0)
+    ms = dict(le.irrep_weights(le.B3, (1, 0, 0)))
+    del ms[(-1, 0, 0)]
+    ms[(0, -1, 0)] += 1
+    with pytest.raises(le.NotARepresentation, match="reflection"):
+        le.decompose(le.B3, ms)
+    # an A-block: sym^2 of V2 with (-2,0) moved to (-1,0)
+    ms = frozen({(2, 0): 1, (0, 0): 1, (-1, 0): 1})
+    with pytest.raises(le.NotARepresentation, match="reflection"):
+        le.decompose(le.A1, ms)
+    # a zero multiplicity is no weight, so it needs no reflected partner
+    ms = dict(le.irrep_weights(le.B3, (1, 0, 0)))
+    ms[(Fraction(5), Fraction(0), Fraction(0))] = 0
+    assert le.decompose(le.B3, ms) == [((1, 0, 0), 1)]
+
+
+def test_decompose_rejects_a_symmetric_virtual_character():
+    # adjoint + (2,0,0) - vector: Weyl-symmetric with non-negative
+    # multiplicities, but the vector irrep occurs -1 times
+    ms = le.dsum(le.irrep_weights(le.B3, (1, 1, 0)), le.irrep_weights(le.B3, (2, 0, 0)))
+    for w, m in le.irrep_weights(le.B3, (1, 0, 0)).items():
+        ms[w] -= m
+    assert min(ms.values()) >= 0
+    with pytest.raises(le.NotARepresentation, match="negative multiplicity"):
+        le.decompose(le.B3, ms)
+
+
 # ------------------------------------- subset walks and greedy stripping
 
 
@@ -503,7 +534,8 @@ def spin_row(m):
     ms = {}
     for _ in range(m):
         ms = le.dsum(ms, gamma)
-    levels = le._powers(alg, ms, 8 * m, sym=False)
+    levels, unpack = le._powers(alg, ms, 8 * m, sym=False)
+    levels = [{unpack(w): c for w, c in p.items()} for p in levels]
     return [le.invariant_dim(alg, p) for p in levels], [le.multiset_size(p) for p in levels]
 
 
@@ -520,6 +552,86 @@ def test_tripled_spin_row_is_pinned_in_every_degree():
     assert inv == inv[::-1]
     assert sizes == [comb(24, k) for k in range(25)]
     assert sum(sizes) == 2**24
+
+
+# ---------------------------------------------------------- packed weights
+
+
+PACK_CASES = {
+    "negative": (le.B3, [(-3, 1, -2), (2, -2, 0), (0, 0, -1)]),
+    "half-integer": (le.B3, list(le.atom("Gamma")[1])),
+    "mixed-denominators": (le.B3, [(Fraction(1, 3), -H, 2), (Fraction(-2, 3), 1, 0)]),
+    "A-block": (le.A3, list(le.atom("W")[1]) + list(le.atom("W*")[1])),
+    "B3+A1": (le.B3A1, list(le.box_tensor(le.B3, le.atom("Gamma")[1], le.A1, le.atom("V2")[1])[1])),
+}
+
+
+@pytest.mark.parametrize("reach", [1, 2, 3])
+@pytest.mark.parametrize("name", PACK_CASES)
+def test_packer_round_trips_and_adds_up_to_its_reach(name, reach):
+    alg, ws = PACK_CASES[name]
+    ws = [le.canonicalize(alg, w) for w in ws]
+    pack, unpack = le._packer(ws, reach)
+    seen = {}
+    for j in range(reach + 1):
+        for combo in combinations_with_replacement(ws, j):
+            total = oracle_sum(alg, combo)
+            p = sum(pack(w) for w in combo)
+            assert p == pack(total)
+            got = unpack(p)
+            assert got == total and all(type(x) is Fraction for x in got)
+            assert seen.setdefault(p, total) == total  # no two sums share an int
+
+
+def test_sym_power_of_v2_at_a_large_degree_is_the_closed_form():
+    alg, v2 = le.atom("V2")
+    got = le.sym_power(alg, v2, 10)
+    assert list(got.items()) == [((Fraction(10 - 2 * i), Fraction(0)), 1) for i in range(11)]
+
+
+@pytest.mark.parametrize("alg", [le.B3, le.A3, le.B3A1])
+def test_trivial_multiset_passes_through_every_operation(alg):
+    zero = tuple([Fraction(0)] * alg.ncoords)
+    triv = {zero: 3}
+    assert le.wedge_power(alg, triv, 0) == {zero: 1}
+    assert le.wedge_power(alg, triv, 2) == {zero: 3}
+    assert le.wedge_power(alg, triv, 3) == {zero: 1}
+    assert le.sym_power(alg, triv, 4) == {zero: comb(6, 4)}
+    assert le.tensor(alg, triv, triv) == {zero: 9}
+    assert le.decompose(alg, triv) == [(zero, 3)]
+    assert le.invariant_dim(alg, triv) == 3
+
+
+def oracle_tensor(alg, a, b):
+    out = {}
+    for w0, m0 in a.items():
+        for w1, m1 in b.items():
+            w = oracle_sum(alg, (w0, w1))
+            out[w] = out.get(w, 0) + m0 * m1
+    return out
+
+
+_GAMMA = le.atom("Gamma")[1]
+_W2 = le.wedge_power(le.B3, _GAMMA, 2)
+_BIG = le.box_tensor(le.B3, _GAMMA, le.A1, le.atom("V2")[1])[1]
+TENSOR_CASES = {
+    "Gamma x Gamma": (le.B3, _GAMMA, _GAMMA),
+    "wedge2 x wedge2": (le.B3, _W2, _W2),
+    "V x Gamma": (le.B3, le.atom("V")[1], _GAMMA),
+    "Gamma+ x Gamma+": (le.D4, le.atom("Gamma+")[1], le.atom("Gamma+")[1]),
+    "W x W*": (le.A3, le.atom("W")[1], le.atom("W*")[1]),
+    "sym3 V2 x V2": (le.A1, le.sym_power(le.A1, le.atom("V2")[1], 3), le.atom("V2")[1]),
+    "B3+A1 square": (le.B3A1, _BIG, _BIG),
+    "empty x Gamma": (le.B3, {}, _GAMMA),
+}
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+def test_tensor_matches_the_tuple_loop_oracle(name):
+    alg, a, b = TENSOR_CASES[name]
+    got = le.tensor(alg, a, b)
+    # same weights, counts and insertion order
+    assert list(got.items()) == list(oracle_tensor(alg, a, b).items())
 
 
 # --------------------------------------------------- product operations

@@ -4,7 +4,8 @@ field routines are also checked over Q(i) and Q(sqrt(-3)) against
 oracles built only from the Leibniz expansion.  The zero-skipping
 products and eliminations are checked against the dense textbook
 algorithms, kept here as oracles, on random sparse matrices and on the
-Weil-kernel matrix of the registry."""
+Weil-kernel matrix of the registry.  The fraction-free determinant of
+int matrices is checked against the Fraction elimination and Leibniz."""
 
 import random
 from fractions import Fraction
@@ -71,6 +72,45 @@ def test_det_matches_leibniz_4x4(m):
 def test_det_multiplicative(a, b):
     fa, fb = linalg.frac_mat(a), linalg.frac_mat(b)
     assert linalg.det(linalg.mat_mul(fa, fb)) == linalg.det(fa) * linalg.det(fb)
+
+
+@st.composite
+def int_square_any(draw):
+    """A small int matrix, 0x0 to 5x5; a third are made singular (the last
+    row a multiple of the first) and a third need a row swap at the first
+    pivot (a zero corner)."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    m = draw(square(n))
+    shape = draw(st.sampled_from(("plain", "singular", "swap")))
+    if shape == "singular" and n >= 2:
+        k = draw(small_entry)
+        m[-1] = [k * x for x in m[0]]
+    elif shape == "swap" and n >= 2:
+        m[0][0] = 0
+    return m
+
+
+@given(int_square_any())
+@settings(max_examples=300)
+def test_int_det_matches_fraction_elimination_and_leibniz(m):
+    got = linalg.det(m)
+    assert type(got) is Fraction
+    assert got == linalg.det(linalg.frac_mat(m)) == det_oracle(m)
+
+
+@pytest.mark.parametrize("m,expected", [
+    ([], 1),
+    ([[0]], 0),
+    ([[0, 1], [1, 0]], -1),                      # swap at the first pivot
+    ([[1, 2, 3], [2, 4, 5], [1, 1, 1]], -1),     # swap at the second pivot
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),     # one swap, then none
+    ([[2, 4, 6], [1, 5, 9], [3, 9, 15]], 0),     # singular only after a step
+    ([[1, 2], [0, 0]], 0),                       # zero column at the last pivot
+])
+def test_int_det_swaps_and_singular_cases(m, expected):
+    got = linalg.det(m)
+    assert got == expected == det_oracle(m) == linalg.det(linalg.frac_mat(m))
+    assert type(got) is Fraction
 
 
 def int_matrix(rows, cols):
