@@ -2,7 +2,7 @@
 anti-invariant lattices, and the invariant theory attached to them.
 
 Modules:
-  linalg          dense rational linear algebra and integer Smith form
+  linalg          exact linear algebra over any field, integer Smith form
   qalg            quaternion algebras, orders, the group ring
   surface_homs    surface-group tuples, moves, normalization, census
   cover_homology  the 8-sheeted cover graph and its lattice model

@@ -5,7 +5,7 @@ input the registry checks is pinned by the paper, and the caps cover all
 of them.  There is no config file and no environment override; to run
 past a cap off the registry, edit the constant.  The kernels that take a
 cap as a parameter default to the value here, and ``report.run_suite``
-accepts a ``Budgets`` with smaller caps for tests.
+takes a ``Budgets`` that every caller leaves at these defaults.
 """
 
 from __future__ import annotations

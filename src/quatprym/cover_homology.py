@@ -128,7 +128,8 @@ class H1Data:
                 chain[w] = vec
                 tree.add(idx)
                 order.append(w)
-        assert len(chain) == 8
+        if len(chain) != 8:
+            raise ValueError(f"spanning tree reaches {len(chain)} of 8 vertices")
         self.nontree = [idx for idx in range(ne) if idx not in tree]
         self.rank = len(self.nontree)
         cycles = []
@@ -159,7 +160,8 @@ class H1Data:
             if c:
                 for t, x in enumerate(cyc):
                     recon[t] += c * x
-        assert recon == list(edge_vec), "cycle outside the fundamental span"
+        if recon != list(edge_vec):
+            raise ValueError("cycle outside the fundamental span")
         return coords
 
     def edge_perm(self, q):
@@ -219,7 +221,8 @@ def minus_part(h1: H1Data) -> IntLattice:
     basis = linalg.integer_kernel(a)
     lat = IntLattice(r, basis)
     for b in basis:
-        assert linalg.mat_vec(m, b) == [-x for x in b]
+        if linalg.mat_vec(m, b) != [-x for x in b]:
+            raise ValueError("minus-part basis vector is not negated by -1")
     return lat
 
 
@@ -250,7 +253,8 @@ def _hurwitz_left_mult(q):
     s, a = q
     x = (one, i, j, k)[a].scale(s)
     m = left_mult_matrix(x, basis)
-    assert all(v.denominator == 1 for row in m for v in row)
+    if any(v.denominator != 1 for row in m for v in row):
+        raise ValueError(f"left multiplication by {qstr(q)} is not integral on the Hurwitz order")
     return [[v.numerator for v in row] for row in m]
 
 
@@ -357,7 +361,8 @@ def _find_dual_intertwiner(a_i, a_j):
             for q in range(n):
                 row = [0] * (n * n)
                 for t in range(n):
-                    assert b[t][q].denominator == 1 and fa[p][t].denominator == 1
+                    if b[t][q].denominator != 1 or fa[p][t].denominator != 1:
+                        raise ValueError("block or its inverse transpose is not integral")
                     row[p * n + t] += int(b[t][q])
                     row[t * n + q] -= int(fa[p][t])
                 rows.append(row)
@@ -365,7 +370,8 @@ def _find_dual_intertwiner(a_i, a_j):
     # cleared denominators can sit at finite index and miss every
     # unimodular point, so saturation matters here
     ints = linalg.integer_kernel(rows)
-    assert ints, "no intertwiner between the block and its dual"
+    if not ints:
+        raise ValueError("no intertwiner between the block and its dual")
     for bound in (1, 2, 3):
         for coeffs in iproduct(range(-bound, bound + 1), repeat=len(ints)):
             if max((abs(c) for c in coeffs), default=0) != bound:
@@ -402,9 +408,11 @@ def prym_lattice_model(
     std = standard_hom(g)
     graph = build_cover_graph(std)
     h1 = H1Data(graph)
-    assert h1.rank == 8 * g - 7
+    if h1.rank != 8 * g - 7:
+        raise ValueError(f"H_1 has rank {h1.rank}, expected {8 * g - 7}")
     vm = minus_part(h1)
-    assert vm.rank == 4 * (g - 1)
+    if vm.rank != 4 * (g - 1):
+        raise ValueError(f"minus part has rank {vm.rank}, expected {4 * (g - 1)}")
     divisors = vm.inclusion_divisors()
 
     explicit, zeta_integral = _c_translates(h1, h1.coords_of_cycle(chain_c_edge_vector(graph)))
@@ -413,7 +421,8 @@ def prym_lattice_model(
 
     # one free quaternion block per handle mapped to +1: self-loop cycles
     for m_idx in range(1, g - 1):
-        assert std.alpha(m_idx) == (1, 0)
+        if std.alpha(m_idx) != (1, 0):
+            raise ValueError(f"handle {m_idx} of the standard tuple does not map to 1")
         for a in range(4):
             plus = h1.coords_of_cycle(
                 _self_loop_vec(graph, _VINDEX[(1, a)], m_idx)
@@ -433,7 +442,8 @@ def prym_lattice_model(
     # action matrices in the explicit basis
     a_blocks = {}
     for q, x in _actions_in_basis(h1, vm, explicit, coords, VERTEX_ORDER).items():
-        assert all(v.denominator == 1 for row in x for v in row)
+        if any(v.denominator != 1 for row in x for v in row):
+            raise ValueError(f"action of {qstr(q)} on the explicit basis is not integral")
         a_blocks[q] = [[v.numerator for v in row] for row in x]
 
     # the explicit basis must realize the block module structure
@@ -449,7 +459,8 @@ def prym_lattice_model(
     for q, a in a_blocks.items():
         fa = frac_mat(a)
         bt = transpose(inverse(fa))
-        assert all(v.denominator == 1 for row in bt for v in row)
+        if any(v.denominator != 1 for row in bt for v in row):
+            raise ValueError(f"inverse transpose of the block of {qstr(q)} is not integral")
         b = [[v.numerator for v in row] for row in bt]
         rho[q] = linalg.block_diag([a, b])
     j_form = [[0] * (2 * rk) for _ in range(2 * rk)]
@@ -480,6 +491,7 @@ def _self_loop_vec(graph: CoverGraph, u_idx, m):
     vec = [0] * graph.n_edges
     idx = graph.edge_index(u_idx, m)
     eu, ev, em = graph.edges[idx]
-    assert eu == ev == u_idx and em == m
+    if not (eu == ev == u_idx and em == m):
+        raise ValueError(f"edge {idx} is not a self-loop at vertex {u_idx} of handle {m}")
     vec[idx] = 1
     return vec

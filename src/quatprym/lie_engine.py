@@ -2,19 +2,23 @@
 A, B and D and their direct sums.
 
 Representations are handled purely through their weight multisets, with
-exact rational coordinates.  Irreducible multisets come from the
-Freudenthal recursion (cross-checked against the Weyl dimension
-formula), which sees a factor only through its positive roots and the
-dominance helpers: rho is half their sum, and the dominant weights below
-a highest weight, which must be dominant and integral (else ValueError),
-are reached from it by subtracting positive roots.  Exterior and
-symmetric powers are the coefficients of prod (1 + t e^mu) and
-prod 1/(1 - t e^mu) over the weights mu, in integer counts; tensor
-products, direct sums and concatenation across commuting factors
-complete the calculus.  A Weyl-symmetric multiset is decomposed by the
-Brauer-Klimyk formula: the irrep of highest weight lam occurs
-sum_w sign(w) ms[lam + rho - w rho] times.  Sizes: wedge^12 of three
-8-dim spin representations has C(24,12) = 2704156 weights, 553 distinct.
+exact rational coordinates.  One Weyl-group alternating sum does the
+representation theory: the irrep of highest weight lam occurs
+sum_w sign(w) ms[lam + rho - w rho] times in a Weyl-symmetric multiset
+ms (Brauer-Klimyk), which decomposes a multiset, and the same sum over
+the irrep itself, equal to 1 at lam and 0 at every other dominant
+weight, builds its weight system (Racah's recursion; each total is
+checked against the Weyl dimension formula).  A factor is seen only
+through its positive roots and simple reflections: rho is half the sum
+of the roots, the (rho - w rho, sign w) pairs come from the orbit of
+rho, and the dominant weights below a highest weight, which must be
+dominant and integral (else ValueError), are reached from it by
+subtracting positive roots.  Exterior and symmetric powers are the
+coefficients of prod (1 + t e^mu) and prod 1/(1 - t e^mu) over the
+weights mu, in integer counts; tensor products, direct sums and
+concatenation across commuting factors complete the calculus.  Sizes:
+wedge^12 of three 8-dim spin representations has C(24,12) = 2704156
+weights, 553 distinct.
 
 Weight coordinates: a weight of a direct sum is the concatenation of
 factor coordinate blocks.  B_n and D_n use n orthogonal coordinates.
@@ -143,25 +147,6 @@ def is_dominant(alg: AlgebraType, w) -> bool:
     )
 
 
-def _factor_dominant_conjugate(f: SimpleFactor, w):
-    if f.family == "A":
-        return _a_canon(tuple(sorted(w, reverse=True)))
-    if f.family == "B":
-        return tuple(sorted((abs(x) for x in w), reverse=True))
-    mags = sorted((abs(x) for x in w), reverse=True)
-    negs = sum(1 for x in w if x < 0)
-    if negs % 2 == 1 and mags[-1] != 0:
-        mags[-1] = -mags[-1]
-    return tuple(mags)
-
-
-def dominant_conjugate(alg: AlgebraType, w) -> tuple:
-    out = []
-    for f, lo, hi in alg.slices():
-        out.extend(_factor_dominant_conjugate(f, w[lo:hi]))
-    return tuple(out)
-
-
 def _factor_reflections(f: SimpleFactor):
     """Simple reflections as functions on factor-local tuples."""
     n = f.ncoords
@@ -278,6 +263,21 @@ def _from_internal(f: SimpleFactor, w):
     return _a_canon(w) if f.family == "A" else tuple(w)
 
 
+@cache
+def _factor_shifts(f: SimpleFactor):
+    """(rho - w rho, sign w) for every w in the Weyl group of f, in stored
+    coordinates.  rho is regular, so its orbit lists each w once, and
+    sign w = (-1)^#{a > 0 : <w rho, a> < 0}."""
+    rho = _from_internal(f, _factor_rho(f))
+    roots = _factor_roots(f)
+    out = []
+    for w in _factor_orbit(f, rho):
+        w_int = _to_internal(f, w)
+        neg = sum(1 for a in roots if _dot(w_int, a) < 0)
+        out.append((_vadd(rho, w, -1), -1 if neg % 2 else 1))
+    return tuple(out)
+
+
 def _highest_weight_parts(alg: AlgebraType, lam):
     """(factor, block of lam in internal coordinates) for each factor.
 
@@ -300,7 +300,7 @@ def weyl_dim(alg: AlgebraType, lam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Freudenthal multiplicities
+# irreducible weight systems
 
 
 def _candidates(f: SimpleFactor, lam_internal):
@@ -321,48 +321,31 @@ def _candidates(f: SimpleFactor, lam_internal):
     return out
 
 
-_FREUD_CACHE = {}
-
-
-def _factor_dominant_table(f: SimpleFactor, lam_internal):
-    """Freudenthal: dominant weight -> multiplicity, internal coords."""
-    key = (f, lam_internal)
-    if key in _FREUD_CACHE:
-        return _FREUD_CACHE[key]
+@cache
+def _factor_irrep(f: SimpleFactor, lam_internal):
+    """Weight multiset of the irrep of f with highest weight lam, in
+    stored coordinates, by Racah's recursion: on the irrep itself the
+    Brauer-Klimyk sum that decompose evaluates is 1 at lam and 0 at every
+    other dominant mu, so m(mu) = -sum_{w != 1} sign(w) m(mu + rho - w rho)
+    over the shifts of _factor_shifts.  Each such weight is conjugate to a
+    dominant weight higher than mu, so walking the dominant weights in
+    decreasing height finds every term already set.  The total is checked
+    against the Weyl dimension formula."""
     rho = _factor_rho(f)
-    roots = _factor_roots(f)
-    # _candidates puts lam first; the rest go in decreasing height, so
-    # every weight above mu is done before mu
-    order = sorted(_candidates(f, lam_internal)[1:], key=lambda mu: _dot(mu, rho), reverse=True)
-    lr = _vadd(lam_internal, rho)
-    lam_norm = _dot(lr, lr)
-    mult = {lam_internal: 1}
-    for mu in order:
-        acc = F0
-        for a in roots:
-            k = 1
-            while True:
-                nu = _vadd(mu, a, k)
-                nu_dom = _factor_dominant_conjugate(f, _from_internal(f, nu))
-                m = mult.get(_to_internal(f, nu_dom), 0)
-                if m == 0:
-                    break
-                acc += _dot(nu, a) * m
-                k += 1
-        mr = _vadd(mu, rho)
-        denom = lam_norm - _dot(mr, mr)
-        if denom <= 0:
-            raise RuntimeError(f"Freudenthal denominator {denom} at {_fmt_weight(mu)} for {f}")
-        val = 2 * acc / denom
-        if val.denominator != 1 or val < 0:
-            raise RuntimeError(f"Freudenthal multiplicity {val} at {_fmt_weight(mu)} for {f}")
-        if val:
-            mult[mu] = val.numerator
-    total = sum(len(_factor_orbit(f, _from_internal(f, mu))) * m for mu, m in mult.items())
-    if total != _factor_weyl_dim(f, lam_internal):
-        raise RuntimeError(f"Freudenthal/Weyl mismatch for {f} at {lam_internal}")
-    _FREUD_CACHE[key] = mult
-    return mult
+    shifts = _factor_shifts(f)
+    # _candidates puts lam first; the rest go in decreasing height
+    rest = sorted(_candidates(f, lam_internal)[1:], key=lambda mu: _dot(mu, rho), reverse=True)
+    full = dict.fromkeys(_factor_orbit(f, _from_internal(f, lam_internal)), 1)
+    for mu in (_from_internal(f, nu) for nu in rest):
+        # the identity's term is m(mu) itself, not yet set, so it adds 0
+        m = -sum(e * full.get(_vadd(mu, s), 0) for s, e in shifts)
+        if m < 0:
+            raise RuntimeError(f"Racah multiplicity {m} at {_fmt_weight(mu)} for {f}")
+        if m:
+            full.update(dict.fromkeys(_factor_orbit(f, mu), m))
+    if sum(full.values()) != _factor_weyl_dim(f, lam_internal):
+        raise RuntimeError(f"Racah/Weyl mismatch for {f} at {_fmt_weight(lam_internal)}")
+    return full
 
 
 _IRREP_CACHE = {}
@@ -376,15 +359,8 @@ def irrep_weights(alg: AlgebraType, lam) -> dict:
         return dict(_IRREP_CACHE[key])
     ms = {(): 1}
     for f, part in _highest_weight_parts(alg, lam):
-        full = {}
-        for mu, m in _factor_dominant_table(f, part).items():
-            for w in _factor_orbit(f, _from_internal(f, mu)):
-                full[w] = full.get(w, 0) + m
-        ms = {
-            w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()
-        }
-    if sum(ms.values()) != weyl_dim(alg, lam):
-        raise RuntimeError(f"irrep of highest weight {lam} has the wrong size")
+        full = _factor_irrep(f, part)
+        ms = {w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()}
     _IRREP_CACHE[key] = dict(ms)
     return ms
 
@@ -527,21 +503,6 @@ def restrict_b3_to_d3(ms) -> dict:
 
 # ---------------------------------------------------------------------------
 # decomposition
-
-
-@cache
-def _factor_shifts(f: SimpleFactor):
-    """(rho - w rho, sign w) for every w in the Weyl group of f, in stored
-    coordinates.  rho is regular, so its orbit lists each w once, and
-    sign w = (-1)^#{a > 0 : <w rho, a> < 0}."""
-    rho = _from_internal(f, _factor_rho(f))
-    roots = _factor_roots(f)
-    out = []
-    for w in _factor_orbit(f, rho):
-        w_int = _to_internal(f, w)
-        neg = sum(1 for a in roots if _dot(w_int, a) < 0)
-        out.append((_vadd(rho, w, -1), -1 if neg % 2 else 1))
-    return tuple(out)
 
 
 def decompose(alg: AlgebraType, ms) -> list:

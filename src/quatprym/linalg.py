@@ -434,7 +434,7 @@ def integer_kernel(a):
 
 
 def int_det(a):
-    d = det(frac_mat(a))
+    d = det(a)
     if d.denominator != 1:
         raise ValueError("determinant is not an integer")
     return d.numerator

@@ -412,6 +412,8 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
                 if key not in rows:
                     rows[key] = [F0] * len(zmonos)
                 rows[key][t] += coef
+    if not rows:  # every operator kills every weight-0 monomial
+        return len(zmonos)
     system = [rows[key] for key in sorted(rows)]
     return len(nullspace(frac_mat(system)))
 

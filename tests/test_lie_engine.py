@@ -2,21 +2,24 @@
 
 Oracles: closed-form weight systems (sign vectors for spin
 representations, root systems for adjoints, single strings for rank
-one) are written out in the tests and compared to the Freudenthal
-computation; decompose is exercised on randomly assembled sums whose
-content is known by construction.  The root-driven search for the
-dominant weights below a highest weight is gated against the three
-family-specific enumerators it replaced, kept here as the oracle, and
-half the sum of the positive roots against the closed forms of rho.
-The generating-function powers and the Brauer-Klimyk decomposition are
-gated against the subset walks and the greedy Freudenthal stripping
-they replaced, also kept here as oracles.  The packed-int weights inside
-those loops are checked for round trips and additivity against tuple
-sums, and tensor against a tuple loop.
+one) are written out in the tests and compared to the engine's Racah
+recursion, which is also gated weight for weight against the
+Freudenthal recursion it replaced, kept here as the oracle; decompose
+is exercised on randomly assembled sums whose content is known by
+construction.  The root-driven search for the dominant weights below a
+highest weight is gated against the three family-specific enumerators
+it replaced, kept here as the oracle, and half the sum of the positive
+roots against the closed forms of rho.  The generating-function powers
+and the Brauer-Klimyk decomposition are gated against the subset walks
+and the greedy stripping of dominant tables they replaced, also kept
+here as oracles.  The packed-int weights inside those loops are checked
+for round trips and additivity against tuple sums, and tensor against a
+tuple loop.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -194,6 +197,7 @@ BOX_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "B4", "D3", "D4")
 BOX_VALUES = [Fraction(k, 2) for k in range(-7, 8)]
 
 
+@cache
 def box_weights(f):
     """Every dominant integral highest weight of f with stored
     coordinates in {-7/2, -3, ..., 7/2}, in internal coordinates."""
@@ -207,7 +211,7 @@ def box_weights(f):
         except ValueError:
             continue
         out.append(part[1])
-    return out
+    return tuple(out)
 
 
 def assert_same_candidates(f, lam):
@@ -229,10 +233,89 @@ def test_candidates_match_family_enumerators_on_box():
 
 def test_candidates_match_family_enumerators_on_registry_tables():
     report._lie_claims(report.Budgets())
-    keys = list(le._FREUD_CACHE)
+    # (factor, internal highest weight) of every factor table built so far
+    keys = {fp for alg, lam in le._IRREP_CACHE for fp in le._highest_weight_parts(alg, lam)}
     assert {str(f) for f, _ in keys} >= {"A1", "A3", "B3", "D4"}
     for f, lam in keys:
         assert_same_candidates(f, lam)
+
+
+# ------------------------------------- Racah against Freudenthal
+
+
+def oracle_dominant_conjugate(f, w):
+    """The dominant weight in the Weyl orbit of w, stored coordinates."""
+    if f.family == "A":
+        return le._a_canon(tuple(sorted(w, reverse=True)))
+    if f.family == "B":
+        return tuple(sorted((abs(x) for x in w), reverse=True))
+    mags = sorted((abs(x) for x in w), reverse=True)
+    negs = sum(1 for x in w if x < 0)
+    if negs % 2 == 1 and mags[-1] != 0:
+        mags[-1] = -mags[-1]
+    return tuple(mags)
+
+
+def freudenthal_table(f, lam):
+    """Freudenthal's recursion: dominant weight -> multiplicity in the
+    irrep of f with highest weight lam, internal coordinates,
+    m(mu) = 2 sum_{a > 0} sum_{k >= 1} <mu + k a, a> m(mu + k a)
+    / (|lam + rho|^2 - |mu + rho|^2)."""
+    rho = le._factor_rho(f)
+    roots = le._factor_roots(f)
+    order = sorted(le._candidates(f, lam)[1:], key=lambda mu: le._dot(mu, rho), reverse=True)
+    lr = le._vadd(lam, rho)
+    lam_norm = le._dot(lr, lr)
+    mult = {lam: 1}
+    for mu in order:
+        acc = Fraction(0)
+        for a in roots:
+            k = 1
+            while True:
+                nu = le._vadd(mu, a, k)
+                nu_dom = oracle_dominant_conjugate(f, le._from_internal(f, nu))
+                m = mult.get(le._to_internal(f, nu_dom), 0)
+                if m == 0:
+                    break
+                acc += le._dot(nu, a) * m
+                k += 1
+        mr = le._vadd(mu, rho)
+        denom = lam_norm - le._dot(mr, mr)
+        assert denom > 0, mu
+        val = 2 * acc / denom
+        assert val.denominator == 1 and val >= 0, mu
+        if val:
+            mult[mu] = val.numerator
+    return mult
+
+
+def freudenthal_weights(f, lam):
+    """The full weight multiset from the Freudenthal table, stored
+    coordinates, orbit by orbit in the order of the table."""
+    full = {}
+    for mu, m in freudenthal_table(f, lam).items():
+        for w in le._factor_orbit(f, le._from_internal(f, mu)):
+            full[w] = m
+    return full
+
+
+def test_racah_matches_freudenthal_on_box():
+    count = 0
+    for name in BOX_ALGEBRAS:
+        (f,) = le.AlgebraType.parse(name).factors
+        for lam in box_weights(f):
+            if le._factor_weyl_dim(f, lam) <= 200:
+                assert le._factor_irrep(f, lam) == freudenthal_weights(f, lam), (f, lam)
+                count += 1
+    assert count == 142
+
+
+@pytest.mark.parametrize("name", le.atom_names())
+def test_atoms_match_freudenthal_in_order(name):
+    alg, lam = le._ATOM_DEFS[name]
+    (f, part), = le._highest_weight_parts(alg, lam)
+    # same weights, multiplicities and insertion order
+    assert list(le.atom(name)[1].items()) == list(freudenthal_weights(f, part).items())
 
 
 def closed_form_rho(f):
@@ -276,9 +359,9 @@ def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
     # drop the zero weight, the lowest dominant weight of the adjoint
     search = le._candidates
     monkeypatch.setattr(le, "_candidates", lambda f, lam: [mu for mu in search(f, lam) if any(mu)])
-    monkeypatch.setattr(le, "_FREUD_CACHE", {})
     monkeypatch.setattr(le, "_IRREP_CACHE", {})
-    with pytest.raises(RuntimeError, match="Freudenthal/Weyl mismatch"):
+    le._factor_irrep.cache_clear()
+    with pytest.raises(RuntimeError, match=r"Racah/Weyl mismatch for B3 at \(1,1,0\)"):
         le.irrep_weights(le.B3, (1, 1, 0))
 
 
@@ -321,14 +404,6 @@ def test_weight_multisets_are_reflection_invariant():
             for w, m in ms.items():
                 reflected[refl(w)] = reflected.get(refl(w), 0) + m
             assert ms_eq(reflected, ms)
-
-
-def test_dominant_conjugate_is_dominant():
-    rng = random.Random(7)
-    for _ in range(20):
-        w = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-        d = le.dominant_conjugate(le.B3, w)
-        assert le.is_dominant(le.B3, d)
 
 
 # ------------------------------------------------------------ decompose
@@ -436,21 +511,17 @@ def oracle_power(alg, ms, k, walk):
 
 def oracle_dominant_table(alg, lam):
     """dominant weight -> multiplicity of the irrep of highest weight lam,
-    in stored coordinates, from the Freudenthal tables of the factors."""
+    in stored coordinates, from the weight systems of the factors."""
     table = {(): 1}
     for f, part in le._highest_weight_parts(alg, lam):
-        mult = le._factor_dominant_table(f, part)
-        table = {
-            w + le._from_internal(f, mu): m0 * m
-            for w, m0 in table.items()
-            for mu, m in mult.items()
-        }
+        mult = {w: m for w, m in le._factor_irrep(f, part).items() if le._factor_dominant(f, w)}
+        table = {w + mu: m0 * m for w, m0 in table.items() for mu, m in mult.items()}
     return table
 
 
 def oracle_decompose(alg, ms):
     """Strip the lexicographically largest dominant weight with its full
-    Freudenthal table until nothing is left."""
+    dominant table until nothing is left."""
     dom = {w: m for w, m in ms.items() if m and le.is_dominant(alg, w)}
     out = []
     while dom:

@@ -1,10 +1,11 @@
 """Correctness checks that must hold under ``python -O``.
 
 ``-O`` strips every ``assert``, so a check that guards a result has to be a
-raise.  The cases run in one fresh ``python -O`` interpreter, which prints
-one line per case.
+raise, and no ``assert`` statement may appear in the package.  The cases run
+in one fresh ``python -O`` interpreter, which prints one line per case.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,8 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 from fractions import Fraction
-from quatprym import curve_model as cm, lie_engine as le, linalg, qalg, report, spin_explicit as sp
-from quatprym import surface_homs as sh, weil_classes as wc
+from quatprym import cover_homology as ch, curve_model as cm, lie_engine as le, linalg, qalg
+from quatprym import report, spin_explicit as sp, surface_homs as sh, weil_classes as wc
 
 print("debug", __debug__)
 third = qalg.QuatElem.make(qalg.HAMILTON, Fraction(1, 3))
@@ -49,14 +50,49 @@ def suite_with_duplicate_ids():
     return report.run_suite()
 
 
-def freudenthal_with(candidates):
-    real = le._candidates
-    le._candidates = lambda f, lam: candidates(real(f, lam))
-    le._FREUD_CACHE.clear()
+# call() with owner.name replaced by fake(the real one)
+def patched(owner, name, fake, call):
+    real = getattr(owner, name)
+    setattr(owner, name, fake(real))
     try:
-        return le._factor_dominant_table(le.B3.factors[0], (Fraction(2), Fraction(0), Fraction(0)))
+        return call()
     finally:
-        le._candidates = real
+        setattr(owner, name, real)
+
+
+def racah(lam):
+    le._factor_irrep.cache_clear()
+    return le._factor_irrep(le.B3.factors[0], lam)
+
+
+g2 = ch.build_cover_graph(sh.standard_hom(2))
+
+
+def h1_without_cycles():
+    h1 = ch.H1Data(g2)
+    h1.cycles = tuple((0,) * g2.n_edges for _ in h1.cycles)
+    return h1.coords_of_cycle(ch.chain_c_edge_vector(g2))
+
+
+class RankShortH1(ch.H1Data):
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.rank -= 1
+
+
+def minus_one_first_handle(real):
+    def fake(g):
+        h = real(g)
+        return sh.HomTuple(g, ((-1, 0),) + h.images[1:]) if g == 3 else h
+    return fake
+
+
+def doubled_block(real):
+    def fake(h1, vm, vecs, coords, qs):
+        out = real(h1, vm, vecs, coords, qs)
+        out[(-1, 0)] = [[2 * int(i == j) for j in range(len(vecs))] for i in range(len(vecs))]
+        return out
+    return fake
 
 
 def phase1_without_flips():
@@ -84,9 +120,12 @@ cases = [
     ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
     ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
     ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (Fraction(-5, 2), 0, 0))),
-    ("freudenthal weight above", lambda: freudenthal_with(lambda c: c + [(Fraction(3), 0, 0)])),
-    ("freudenthal weight missing",
-     lambda: freudenthal_with(lambda c: [mu for mu in c if mu != (1, 1, 0)])),
+    ("racah sign", lambda: patched(
+        le, "_factor_shifts", lambda real: lambda f: tuple((s, -e) for s, e in real(f)),
+        lambda: racah((1, 0, 0)))),
+    ("racah weight missing", lambda: patched(
+        le, "_candidates", lambda real: lambda f, lam: [mu for mu in real(f, lam) if any(mu)],
+        lambda: racah((1, 1, 0)))),
     ("restrict_d4_to_b3", lambda: le.restrict_d4_to_b3({(0, 0, 0): 1})),
     ("KNum +", lambda: i_field + w_field),
     ("KNum -", lambda: i_field - w_field),
@@ -113,6 +152,33 @@ cases = [
         wc.SubspaceQ.from_vectors([[1, 0, 0]], 3))),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
+    ("H1Data tree", lambda: patched(
+        ch.CoverGraph, "is_connected", lambda real: lambda self: True,
+        lambda: ch.H1Data(ch.build_cover_graph(sh.HomTuple(2, ((1, 0),) * 4))))),
+    ("coords_of_cycle", h1_without_cycles),
+    ("minus_part", lambda: patched(
+        linalg, "integer_kernel", lambda real: lambda a: [[1] + [0] * (len(a) - 1)],
+        lambda: ch.minus_part(ch.H1Data(g2)))),
+    ("_hurwitz_left_mult", lambda: patched(
+        ch, "left_mult_matrix", lambda real: lambda x, basis: [[Fraction(1, 2)]],
+        lambda: ch._hurwitz_left_mult((1, 1)))),
+    ("intertwiner block", lambda: ch._find_dual_intertwiner([[2]], [[1]])),
+    ("intertwiner kernel", lambda: patched(
+        linalg, "integer_kernel", lambda real: lambda a: [],
+        lambda: ch._find_dual_intertwiner([[1]], [[1]]))),
+    ("model H1 rank", lambda: patched(
+        ch, "H1Data", lambda real: RankShortH1, lambda: ch.prym_lattice_model(2))),
+    ("model minus rank", lambda: patched(
+        ch, "minus_part", lambda real: lambda h1: ch.IntLattice(h1.rank, real(h1).basis[1:]),
+        lambda: ch.prym_lattice_model(2))),
+    ("model handle", lambda: patched(
+        ch, "standard_hom", minus_one_first_handle, lambda: ch.prym_lattice_model(3))),
+    ("model action", lambda: patched(
+        ch, "_actions_in_basis", lambda real: lambda *args: {(1, 0): [[Fraction(1, 2)]]},
+        lambda: ch.prym_lattice_model(2))),
+    ("model inverse", lambda: patched(
+        ch, "_actions_in_basis", doubled_block, lambda: ch.prym_lattice_model(2))),
+    ("_self_loop_vec", lambda: ch._self_loop_vec(g2, 0, 1)),
 ]
 for name, call in cases:
     try:
@@ -140,8 +206,8 @@ def test_checks_raise_under_python_O():
         "weyl_dim short ValueError weight has 2 coordinates, B3 needs 3",
         "weyl_dim long ValueError weight has 4 coordinates, B3 needs 3",
         "factor weyl_dim RuntimeError Weyl dimension 0 of (-5/2,0,0) for B3",
-        "freudenthal weight above RuntimeError Freudenthal denominator -10 at (3,0,0) for B3",
-        "freudenthal weight missing RuntimeError Freudenthal multiplicity 1/2 at (1,0,0) for B3",
+        "racah sign RuntimeError Racah multiplicity -1 at (0,0,0) for B3",
+        "racah weight missing RuntimeError Racah/Weyl mismatch for B3 at (1,1,0)",
         "restrict_d4_to_b3 ValueError weight (0,0,0) is not a D4 weight",
         "KNum + ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
         "KNum - ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
@@ -168,6 +234,19 @@ def test_checks_raise_under_python_O():
         "intersect ValueError ambient dimensions 2 and 3 differ",
         "substitute ValueError substitute needs 2 polynomials, got 1",
         "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
+        "H1Data tree ValueError spanning tree reaches 1 of 8 vertices",
+        "coords_of_cycle ValueError cycle outside the fundamental span",
+        "minus_part ValueError minus-part basis vector is not negated by -1",
+        "_hurwitz_left_mult ValueError left multiplication by i is not integral "
+        "on the Hurwitz order",
+        "intertwiner block ValueError block or its inverse transpose is not integral",
+        "intertwiner kernel ValueError no intertwiner between the block and its dual",
+        "model H1 rank ValueError H_1 has rank 8, expected 9",
+        "model minus rank ValueError minus part has rank 3, expected 4",
+        "model handle ValueError handle 1 of the standard tuple does not map to 1",
+        "model action ValueError action of 1 on the explicit basis is not integral",
+        "model inverse ValueError inverse transpose of the block of -1 is not integral",
+        "_self_loop_vec ValueError edge 0 is not a self-loop at vertex 0 of handle 1",
     ]
 
 
@@ -187,3 +266,13 @@ def test_negative_power_raises_under_python_O():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.stdout.splitlines() == ["pow ValueError negative exponent -1"]
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "quatprym").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -217,6 +217,17 @@ def test_invariant_counts_match_weight_engine(rep):
     assert le.invariant_dim(le.B3, le.wedge_power(le.B3, gamma, 4)) == 1
 
 
+@pytest.mark.parametrize(
+    "kind,k", [("wedge", k) for k in range(9)] + [("sym", k) for k in range(4)]
+)
+def test_invariant_count_equals_the_weight_engine_in_every_degree(rep, kind, k):
+    # at k = 0 and wedge k = 8 every operator kills the one weight-0
+    # monomial, so the kernel system has no rows and the count is 1
+    _, gamma = le.atom("Gamma")
+    power = le.wedge_power if kind == "wedge" else le.sym_power
+    assert sp.invariant_count(rep, k, kind) == le.invariant_dim(le.B3, power(le.B3, gamma, k))
+
+
 # ---------------------------------------------------- printed reference
 
 
