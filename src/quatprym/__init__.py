@@ -8,7 +8,7 @@ Modules:
   cover_homology  the 8-sheeted cover graph and its lattice model
   lie_engine      weight-multiset representation calculus
   spin_explicit   explicit 8x8 spinor model and the degree-4 invariant
-  weil_classes    kernel-intersection dimensions on quaternion modules
+  weil_classes    Weil classes on quaternion modules, by derivations
   curve_model     the genus-2 curve, its quadrics, and the P^4 action
   report, cli     claim registry and the hodge command line tool
 """
@@ -36,7 +36,7 @@ from .surface_homs import (
 from .cover_homology import check_cycle_c_and_basis, prym_lattice_model
 from .lie_engine import AlgebraType, decompose, invariant_dim, irrep_weights, weyl_dim
 from .spin_explicit import build_spin_rep, project_even, so7_invariant
-from .weil_classes import HModel, weil_kernel, weil_report, weil_space
+from .weil_classes import HModel, weil_kernel, weil_report
 from .curve_model import (
     finite_field_locus,
     scroll_numerology,
@@ -85,6 +85,5 @@ __all__ = [
     "verify_quadrics",
     "weil_kernel",
     "weil_report",
-    "weil_space",
     "weyl_dim",
 ]

@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-bracket", action="store_true")
     p.set_defaults(func=_cmd_spin)
 
-    p = sub.add_parser("weil", help="kernel-intersection dimensions")
+    p = sub.add_parser("weil", help="dimensions of the Weil spaces W_K and W_F")
     p.add_argument("--n", type=int, choices=(1, 2), required=True)
     p.add_argument("--params", default="-1,-1", help="algebra parameters r,s")
     p.set_defaults(func=_cmd_weil)

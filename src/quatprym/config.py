@@ -1,6 +1,6 @@
 """Search and enumeration budgets.
 
-The three caps are fixed constants, set here and nowhere else: every
+The two caps are fixed constants, set here and nowhere else: every
 input the registry checks is pinned by the paper, and the caps cover all
 of them.  There is no config file and no environment override; to run
 past a cap off the registry, edit the constant.  The kernels that take a
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 class Budgets:
     bfs_node_cap: int = 200000  # normalization breadth-first search
     locus_prime_cap: int = 41  # largest prime for finite-field loci
-    ladder_max: int = 20  # generator ladder length in weil_classes
 
 
 def load_budgets() -> Budgets:

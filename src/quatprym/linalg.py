@@ -5,8 +5,9 @@ through ``intersect_row_spaces``) work over any exact field whose
 elements support ``+ - * /``, with ``bool(x)`` false exactly for zero.
 The field is read off the entries: ``fractions.Fraction`` entries give
 results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  The ring
-routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub`` and
-``mat_scale`` keep the entry type, so int matrices give int results.
+routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub``,
+``mat_scale`` and ``wedge_derivation`` keep the entry type, so int
+matrices give int results.
 The eliminations (``rref`` and ``det``, and everything built on them)
 read integer entries as elements of Q, so their results come back as
 ``Fraction``, never ``float``; ``det`` of an all-int matrix eliminates
@@ -164,6 +165,26 @@ def perm_sign(seq):
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
                 sign = -sign
     return sign
+
+
+def wedge_derivation(mat, mono):
+    """The derivation a square matrix induces on the exterior algebra,
+    applied to one wedge monomial (a sorted tuple of distinct basis
+    indices): each factor e_b in turn is replaced by column b of the
+    matrix.  Returns {monomial: coefficient} without zero coefficients;
+    the coefficients have the type of the entries, so an int matrix
+    gives int coefficients."""
+    present = set(mono)
+    out = {}
+    for pos, b in enumerate(mono):
+        for p, row in enumerate(mat):
+            coef = row[b]
+            if not coef or (p != b and p in present):
+                continue
+            rest = mono[:pos] + (p,) + mono[pos + 1 :]
+            key = tuple(sorted(rest))
+            out[key] = out.get(key, 0) + perm_sign(rest) * coef
+    return {k: v for k, v in out.items() if v}
 
 
 def _exact_copy(a):

@@ -453,9 +453,7 @@ def _weil_claims(budgets: Budgets):
     recs = []
     for n in (1, 2):
         for r, s in ((-1, -1), (-1, -3)):
-            rep = weil_classes.weil_report(
-                n, qalg.AlgebraParams.make(r, s), ladder_max=budgets.ladder_max
-            )
+            rep = weil_classes.weil_report(n, qalg.AlgebraParams.make(r, s))
             recs.append(
                 _record(
                     f"weil.dims_n{n}_r{r}_s{s}",

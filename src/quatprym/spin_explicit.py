@@ -35,7 +35,7 @@ from .linalg import (
     mat_scale,
     mat_sub,
     nullspace,
-    perm_sign,
+    wedge_derivation,
 )
 
 F0 = Fraction(0)
@@ -238,26 +238,6 @@ MONOMIALS = tuple(combinations(range(8), 4))
 _MONO_INDEX = {m: t for t, m in enumerate(MONOMIALS)}
 
 
-def _derive_wedge(mat, mono):
-    """Derivation action of an 8x8 matrix on a wedge monomial (sorted
-    tuple of distinct spinor indices).  Returns {monomial: coefficient}."""
-    out = {}
-    for pos, b in enumerate(mono):
-        for p in range(8):
-            coef = mat[p][b]
-            if not coef:
-                continue
-            if p in mono and p != b:
-                continue
-            rest = mono[:pos] + (p,) + mono[pos + 1 :]
-            srt = tuple(sorted(rest))
-            if len(set(rest)) < len(rest):
-                continue
-            sign = perm_sign(rest)
-            out[srt] = out.get(srt, F0) + coef * sign
-    return {k: v for k, v in out.items() if v}
-
-
 def weight_zero_monomials(rep: SpinRep):
     """The degree-4 monomials of total weight zero, in monomial order."""
     return [mono for mono in MONOMIALS if not any(rep.weight_of_monomial(mono))]
@@ -276,7 +256,7 @@ def so7_invariant(rep: SpinRep) -> dict:
     rows = {}
     for t, mono in enumerate(zmonos):
         for i in range(3):
-            img = _derive_wedge(rep.rho[(i, 6)], mono)
+            img = wedge_derivation(rep.rho[(i, 6)], mono)
             for target, coef in img.items():
                 key = (i, target)
                 if key not in rows:
@@ -298,7 +278,7 @@ def so7_invariant(rep: SpinRep) -> dict:
     for pair in SO7_PAIRS:
         acc = {}
         for mono, coef in inv.items():
-            for target, c in _derive_wedge(rep.rho[pair], mono).items():
+            for target, c in wedge_derivation(rep.rho[pair], mono).items():
                 acc[target] = acc.get(target, F0) + coef * c
         if any(acc.values()):
             raise SpinConstructionError(f"degree-4 line is not invariant under {pair}")
@@ -395,7 +375,7 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
     basis operators on the weight-0 monomial span."""
     if kind == "wedge":
         monos = list(combinations(range(8), k))
-        derive = _derive_wedge
+        derive = wedge_derivation
     elif kind == "sym":
         monos = list(combinations_with_replacement(range(8), k))
         derive = _derive_sym

@@ -1,21 +1,36 @@
-"""Weil-class dimension computations on quaternion-module models.
+"""Weil classes on quaternion-module models, from Lie-algebra derivations.
 
-The ambient space is F^n viewed as a 4n-dimensional rational vector
+The ambient space is V = F^n viewed as a 4n-dimensional rational vector
 space, with the definite quaternion algebra F = (r, s | Q) acting by
-left multiplication in each coordinate.  Inside F sits the imaginary
-quadratic field K = Q(sqrt(r)), realized on the model by the matrix of
-i: x = u + v sqrt(r), a ``qalg.KNum``, acts as the algebra element
-u + v i.  For a non-rational x in K with trace t and norm m, the
-polynomial
+left multiplication in each coordinate; integer r and s give int
+matrices.  An element b of F induces a derivation D_b of the exterior
+algebra (``linalg.wedge_derivation``): the differential of the group
+action of F* on wedge^{2n} V (``exterior_action``).
 
-    f(T) = T^2 + a T + b,   a = -(sigma^{2n} + sigmabar^{2n}),  b = m^{2n}
+Over C, V splits into the eigenspaces V_sigma and V_sigmabar of i for
+the eigenvalues sqrt(r) and -sqrt(r), each of dimension 2n, and
+wedge^{2n} V into the (p, q) summands wedge^p V_sigma (x) wedge^q
+V_sigmabar, p + q = 2n.  D_i acts on the (p, q) summand by
+(p - q) sqrt(r), so D_i^2 acts by (p - q)^2 r, and
 
-has rational coefficients (sigma, sigmabar the embeddings of x), and
-its kernel on the induced action of x on wedge^{2n}(F^n) is the space
-of exterior classes where x acts with eigenvalue sigma^{2n} sigmabar^{2n}
-of absolute weight: the Weil kernel W_x.  Intersecting over enough x
-gives W_K (dimension 2), and the span of the F-translates of W_K gives
-W_F (dimension 2n + 1).
+    W_K = ker(D_i^2 - 4 n^2 r)
+
+is exactly the sum of the summands with pq = 0: the Weil classes of
+K = Q(sqrt(r)), dimension 2 (van Geemen, *An introduction to the Hodge
+conjecture for abelian varieties*, LNM 1594).  It is one rational
+nullspace on the C(4n, 2n) monomials, with no choice of field element.
+
+W_F is the span of the translates of W_K by F*.  F* is a connected
+algebraic group and F*(Q) is Zariski-dense in it (Borel, *Linear
+Algebraic Groups*, 18.3), so a subspace is stable under F*(Q) exactly
+when it is stable under F*, and then exactly when it is stable under the
+Lie algebra F, spanned by 1 (a scalar on wedge^{2n}) and i, j, k.  So
+W_F is the smallest subspace that contains W_K and is stable under D_i,
+D_j and D_k, of dimension 2n + 1.  ``quaternion_span`` applies all three
+to the current span and adds the images.  Every span it builds lies in
+W_F, and a round that adds no dimension leaves a span stable under all
+three, which is then W_F itself: the stopping rule is exact, and the
+dimension of wedge^{2n} V bounds the number of rounds.
 """
 
 from __future__ import annotations
@@ -23,9 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
-from .config import Budgets
 from .linalg import (
     F0,
     F1,
@@ -39,8 +53,9 @@ from .linalg import (
     perm_sign,
     row_space_basis,
     transpose,
+    wedge_derivation,
 )
-from .qalg import AlgebraParams, KNum, QuatElem, basis_elems, left_mult_matrix
+from .qalg import AlgebraParams, QuatElem, basis_elems, left_mult_matrix
 
 EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
 
@@ -64,7 +79,8 @@ class HModel:
         one, qi, qj, qk = basis
         mats = []
         for x in (one, qi, qj, qk):
-            block = left_mult_matrix(x, basis)
+            block = [[int(c) if c.denominator == 1 else c for c in row]
+                     for row in left_mult_matrix(x, basis)]
             mats.append(tuple(map(tuple, block_diag([block] * n))))
         m1, mi, mj, mk = mats
         model = HModel(params=params, n=n, mat_one=m1, mat_i=mi, mat_j=mj, mat_k=mk)
@@ -176,12 +192,9 @@ class SubspaceQ:
         return SubspaceQ.from_vectors(img, self.ambient)
 
 
-def exterior_action(mat, k: int):
-    """Matrix of the induced action on wedge^k, lexicographic subset basis.
-
-    Columns are expanded through the nonzero entries of the input, so
-    sparse inputs stay cheap."""
-    d = len(mat)
+def _wedge_basis(d: int, k: int):
+    """The k-subsets of range(d) in lexicographic order: the monomial
+    basis of wedge^k of a d-dimensional space."""
     if k < 0 or k > d:
         raise ValueError("exterior power out of range")
     cdim = math.comb(d, k)
@@ -189,14 +202,22 @@ def exterior_action(mat, k: int):
         raise ValueError(
             f"exterior power dimension {cdim} exceeds the supported cap {EXTERIOR_DIM_CAP}"
         )
-    from itertools import combinations
+    return list(combinations(range(d), k))
 
-    subsets = list(combinations(range(d), k))
+
+def exterior_action(mat, k: int):
+    """Matrix of the induced group action on wedge^k, lexicographic subset
+    basis.
+
+    Columns are expanded through the nonzero entries of the input, so
+    sparse inputs stay cheap."""
+    d = len(mat)
+    subsets = _wedge_basis(d, k)
     index = {s: t for t, s in enumerate(subsets)}
     col_support = []
     for q in range(d):
         col_support.append([(p, mat[p][q]) for p in range(d) if mat[p][q]])
-    out = [[F0] * cdim for _ in range(cdim)]
+    out = [[F0] * len(subsets) for _ in subsets]
     for srcpos, src in enumerate(subsets):
         for choice in iproduct(*(col_support[q] for q in src)):
             rows = [p for p, _ in choice]
@@ -211,132 +232,55 @@ def exterior_action(mat, k: int):
     return out
 
 
-def annihilator_coefficients(x: KNum, power: int):
-    """Coefficients (a, b) of T^2 + aT + b killing the induced action.
-
-    p_m = sigma^m + sigmabar^m satisfies the trace/norm recursion
-    p_m = t p_{m-1} - nrm p_{m-2}; then a = -p_{2n} and b = nrm^{2n}."""
-    t = 2 * x.u
-    nrm = x.u * x.u - x.r * x.v * x.v
-    p_prev, p_cur = Fraction(2), t
-    for _ in range(power - 1):
-        p_prev, p_cur = p_cur, t * p_cur - nrm * p_prev
-    p_power = p_cur if power >= 1 else Fraction(2)
-    return -p_power, nrm ** power
+def derivation_action(mat, k: int):
+    """Matrix of the induced derivation on wedge^k, lexicographic subset
+    basis; an int matrix gives an int matrix."""
+    subsets = _wedge_basis(len(mat), k)
+    index = {s: t for t, s in enumerate(subsets)}
+    out = [[0] * len(subsets) for _ in subsets]
+    for srcpos, src in enumerate(subsets):
+        for tgt, c in wedge_derivation(mat, src).items():
+            out[index[tgt]][srcpos] = c
+    return out
 
 
-def weil_kernel(model: HModel, x: KNum) -> SubspaceQ:
-    """ker(X^2 + aX + b) on wedge^{2n}, X the induced action of x = u + v i."""
-    if not x.v:
-        raise ValueError("rational field elements give a degenerate kernel")
-    if x.r != model.params.r:
-        raise ValueError("field element and model disagree on r")
-    k = 2 * model.n
-    a, b = annihilator_coefficients(x, k)
-    xm = exterior_action(model.mat_of(QuatElem.make(model.params, x.u, x.v)), k)
-    cdim = len(xm)
-    p = mat_mul(xm, xm)
-    for row in range(cdim):
-        prow = p[row]
-        xrow = xm[row]
-        for col in range(cdim):
-            prow[col] += a * xrow[col]
-        prow[row] += b
-    vecs = nullspace(p)
-    return SubspaceQ.from_vectors(vecs, cdim)
-
-
-def weil_space(model: HModel, ladder_max: int = Budgets.ladder_max):
-    """Intersection of the Weil kernels over the quadratic field.
-
-    Walks the ladder 1 + sqrt(r), 2 + sqrt(r), ... until the dimension
-    is unchanged by two consecutive additions.  Returns (subspace, used
-    generators)."""
-    r = model.params.r
-    used = []
-    space = None
-    stable = 0
-    for u in range(1, ladder_max + 1):
-        x = KNum.make(r, u, 1)
-        ker = weil_kernel(model, x)
-        used.append(x)
-        if space is None:
-            space = ker
-            continue
-        nxt = space.intersect(ker)
-        stable = stable + 1 if nxt.dim == space.dim else 0
-        space = nxt
-        if stable == 2:
-            break
-    else:
-        raise ValueError("kernel intersection did not stabilize within the ladder")
-    if space.dim < 2:
-        raise ValueError(f"intersection collapsed to dimension {space.dim}")
-    return space, used
-
-
-# translates used to saturate the span; the first eight suffice in
-# every tested model, the rest are the stabilization safety margin
-_TRANSLATE_COORDS = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 1, 0, 0),
-    (1, 0, 1, 0),
-    (1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (0, 1, 0, 1),
-    (0, 0, 1, 1),
-    (1, 1, 1, 0),
-    (1, 1, 0, 1),
-    (1, 0, 1, 1),
-    (0, 1, 1, 1),
-    (1, 1, 1, 1),
-    (2, 1, 0, 0),
-    (2, 0, 1, 0),
-    (1, -1, 0, 0),
-    (1, 0, -1, 0),
-    (1, 2, 0, 0),
-)
+def weil_kernel(model: HModel) -> SubspaceQ:
+    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}."""
+    di = derivation_action(model.mat_i, 2 * model.n)
+    m = mat_mul(di, di)
+    shift = 4 * model.n**2 * model.params.r
+    for t, row in enumerate(m):
+        row[t] -= shift
+    return SubspaceQ.from_vectors(nullspace(m), len(m))
 
 
 def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
-    """Span of the algebra translates of W_K inside wedge^{2n}.
-
-    The induced action is multiplicative, not additive, so translates
-    by sums like 1 + i are genuinely new operators; the eight base
-    translates are always applied, then the span must hold its
-    dimension for two consecutive further additions."""
+    """W_F: the smallest subspace of wedge^{2n} that contains W_K and is
+    stable under D_i, D_j and D_k.  Each round adds the images of the
+    current span under all three; the first round that adds no dimension
+    ends the loop."""
     k = 2 * model.n
+    ders = [derivation_action(m, k) for m in (model.mat_i, model.mat_j, model.mat_k)]
     span = wk
-    count = 0
-    stable = 0
-    for coords in _TRANSLATE_COORDS:
-        y = QuatElem.make(model.params, *coords)
-        nxt = span.union_span(wk.apply(exterior_action(model.mat_of(y), k)))
-        count += 1
-        if count > 8:
-            stable = stable + 1 if nxt.dim == span.dim else 0
-        span = nxt
-        if stable >= 2:
+    while True:
+        grown = span
+        for d in ders:
+            grown = grown.union_span(span.apply(d))
+        if grown.dim == span.dim:
             return span
-    raise ValueError(
-        f"translate span did not stabilize within {len(_TRANSLATE_COORDS)} translates"
-    )
+        span = grown
 
 
-def weil_report(n: int, params: AlgebraParams, ladder_max: int = Budgets.ladder_max) -> dict:
+def weil_report(n: int, params: AlgebraParams) -> dict:
     """End-to-end dimensions for one model, as reported by the CLI."""
     if not params.is_definite():
         raise ValueError("the algebra must be definite")
     model = HModel.make(n, params)
-    wk, used = weil_space(model, ladder_max=ladder_max)
+    wk = weil_kernel(model)
     wf = quaternion_span(model, wk)
     return {
         "n": n,
         "params": [params.r, params.s],
         "dim_WK": wk.dim,
         "dim_WF": wf.dim,
-        "generators_used": [f"{x.u}+{x.v}*sqrt({x.r})" for x in used],
     }

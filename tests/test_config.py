@@ -1,4 +1,6 @@
-"""Budgets: three fixed caps, no file and no environment override."""
+"""Budgets: two fixed caps, no file and no environment override."""
+
+import dataclasses
 
 from quatprym import config
 
@@ -11,7 +13,7 @@ def test_defaults():
     b = config.load_budgets()
     assert b.bfs_node_cap == 200000
     assert b.locus_prime_cap == 41
-    assert b.ladder_max == 20
+    assert [f.name for f in dataclasses.fields(b)] == ["bfs_node_cap", "locus_prime_cap"]
 
 
 def test_environment_does_not_scale_budgets(monkeypatch):

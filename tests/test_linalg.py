@@ -3,8 +3,8 @@ and the defining transform identities of the Smith normal form.  The
 field routines are also checked over Q(i) and Q(sqrt(-3)) against
 oracles built only from the Leibniz expansion.  The zero-skipping
 products and eliminations are checked against the dense textbook
-algorithms, kept here as oracles, on random sparse matrices and on the
-Weil-kernel matrix of the registry.  The fraction-free determinant of
+algorithms, kept here as oracles, on random sparse matrices and on a
+70x70 Weil-kernel matrix of the group-action oracle.  The fraction-free determinant of
 int matrices is checked against the Fraction elimination and Leibniz."""
 
 import random
@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from quatprym import linalg
 from quatprym import weil_classes as wc
 from quatprym.qalg import HAMILTON, KNum, QuatElem
+from test_weil_classes import annihilator_coefficients
 
 
 def perm_sign(p):
@@ -480,19 +481,18 @@ def test_sparse_elimination_matches_dense_oracle(kind):
 
 
 def weil_matrix():
-    """X^2 + aX + b for X the wedge^4 action of 1 + sqrt(-1) on the n = 2
-    model of B(-1, -1): the 70x70 matrix whose nullspace weil_kernel takes
-    first in the registry's Weil computation, captured from that call."""
-    seen = []
-
-    def capture(p):
-        seen.append([list(row) for row in p])
-        return linalg.nullspace(p)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wc, "nullspace", capture)
-        wc.weil_kernel(wc.HModel.make(2, HAMILTON), KNum.make(-1, 1, 1))
-    (p,) = seen
+    """X^2 + aX + b for X the wedge^4 group action of 1 + sqrt(-1) on the
+    n = 2 model of B(-1, -1), (a, b) from the oracle's annihilator: the
+    70x70 matrix whose nullspace the group-action oracle of
+    test_weil_classes takes first for the registry's Weil computation."""
+    model = wc.HModel.make(2, HAMILTON)
+    xm = wc.exterior_action(model.mat_of(QuatElem.make(HAMILTON, 1, 1)), 4)
+    a, b = annihilator_coefficients(KNum.make(-1, 1, 1), 4)
+    p = linalg.mat_mul(xm, xm)
+    for i, (prow, xrow) in enumerate(zip(p, xm)):
+        for j, x in enumerate(xrow):
+            prow[j] += a * x
+        prow[i] += b
     return p
 
 

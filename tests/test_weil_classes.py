@@ -1,12 +1,19 @@
-"""Exterior actions, annihilator kernels, and the two span computations.
+"""Exterior actions, wedge derivations, and the two Weil spaces.
 
 The exterior-square oracle below expands 2x2 minors directly from the
 definition, independent of the implementation's column recursion.  The
-annihilator coefficients are rechecked against quadratic-field powers
-computed with the field arithmetic from the algebra module.
+derivation is checked as the differential of the group action and as a
+Lie map.  W_K and W_F, computed from derivations, are gated against
+the group-action path kept here as the oracle: the per-element Weil
+kernels ker(X^2 + aX + b), intersected along the ladder 1 + sqrt(r),
+2 + sqrt(r), ..., and the span of a fixed list of algebra translates.
+The oracle's annihilator coefficients are rechecked against
+quadratic-field powers computed with the field arithmetic of the
+algebra module.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -19,10 +26,97 @@ from quatprym.qalg import AlgebraParams, KNum, QuatElem
 
 M11 = AlgebraParams.make(-1, -1)
 M13 = AlgebraParams.make(-1, -3)
+M25 = AlgebraParams.make(-2, -5)
+M37 = AlgebraParams.make(-3, -7)
 
 
 def model(n=1, params=M11):
     return wc.HModel.make(n, params)
+
+
+# ------------------------------------------- the group-action oracle path
+
+
+def annihilator_coefficients(x: KNum, power: int):
+    """Coefficients (a, b) of T^2 + aT + b killing the induced action.
+
+    p_m = sigma^m + sigmabar^m satisfies the trace/norm recursion
+    p_m = t p_{m-1} - nrm p_{m-2}; then a = -p_{2n} and b = nrm^{2n}."""
+    t = 2 * x.u
+    nrm = x.u * x.u - x.r * x.v * x.v
+    p_prev, p_cur = Fraction(2), t
+    for _ in range(power - 1):
+        p_prev, p_cur = p_cur, t * p_cur - nrm * p_prev
+    p_power = p_cur if power >= 1 else Fraction(2)
+    return -p_power, nrm**power
+
+
+def oracle_weil_kernel(h, x: KNum) -> wc.SubspaceQ:
+    """ker(X^2 + aX + b) on wedge^{2n}, X the group action of x = u + v i."""
+    if not x.v:
+        raise ValueError("rational field elements give a degenerate kernel")
+    if x.r != h.params.r:
+        raise ValueError("field element and model disagree on r")
+    k = 2 * h.n
+    a, b = annihilator_coefficients(x, k)
+    xm = wc.exterior_action(h.mat_of(QuatElem.make(h.params, x.u, x.v)), k)
+    p = linalg.mat_mul(xm, xm)
+    for row in range(len(xm)):
+        for col in range(len(xm)):
+            p[row][col] += a * xm[row][col]
+        p[row][row] += b
+    return wc.SubspaceQ.from_vectors(linalg.nullspace(p), len(xm))
+
+
+def oracle_weil_space(h, ladder_max=20):
+    """Intersection of the Weil kernels along the ladder 1 + sqrt(r),
+    2 + sqrt(r), ..., stopped when two consecutive additions leave the
+    dimension unchanged.  Returns (subspace, generators used)."""
+    r = h.params.r
+    used = []
+    space = None
+    stable = 0
+    for u in range(1, ladder_max + 1):
+        x = KNum.make(r, u, 1)
+        ker = oracle_weil_kernel(h, x)
+        used.append(x)
+        if space is None:
+            space = ker
+            continue
+        nxt = space.intersect(ker)
+        stable = stable + 1 if nxt.dim == space.dim else 0
+        space = nxt
+        if stable == 2:
+            return space, used
+    raise ValueError("kernel intersection did not stabilize within the ladder")
+
+
+# the eight base translates, then twelve more for the stabilization margin
+TRANSLATE_COORDS = (
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+    (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0),
+    (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 0), (1, 1, 0, 1),
+    (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1), (2, 1, 0, 0),
+    (2, 0, 1, 0), (1, -1, 0, 0), (1, 0, -1, 0), (1, 2, 0, 0),
+)
+
+
+def oracle_quaternion_span(h, wk):
+    """Span of the group-action translates of W_K: the eight base
+    translates always, then until two further additions hold the
+    dimension."""
+    k = 2 * h.n
+    span = wk
+    stable = 0
+    for count, coords in enumerate(TRANSLATE_COORDS, start=1):
+        y = QuatElem.make(h.params, *coords)
+        nxt = span.union_span(wk.apply(wc.exterior_action(h.mat_of(y), k)))
+        if count > 8:
+            stable = stable + 1 if nxt.dim == span.dim else 0
+        span = nxt
+        if stable >= 2:
+            return span
+    raise ValueError("translate span did not stabilize")
 
 
 # ----------------------------------------------------- exterior actions
@@ -81,6 +175,66 @@ def test_exterior_identity_and_scaling():
 def test_exterior_size_guard():
     with pytest.raises(ValueError):
         wc.exterior_action(linalg.identity(18), 9)  # C(18,9) = 48620
+    with pytest.raises(ValueError):
+        wc.derivation_action(linalg.identity(18), 9)
+
+
+# ---------------------------------------------------- wedge derivations
+
+
+def commutator(a, b):
+    return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def lagrange_slope_weights(k):
+    """w_t with P'(0) = sum of w_t P(t) over t = 0..k, for every
+    polynomial P of degree at most k."""
+    weights = [-sum(Fraction(1, m) for m in range(1, k + 1))]
+    for t in range(1, k + 1):
+        w = Fraction(1, t)
+        for m in range(1, k + 1):
+            if m != t:
+                w *= Fraction(-m, t - m)
+        weights.append(w)
+    return weights
+
+
+def test_derivation_is_the_differential_of_the_group_action():
+    # t -> wedge^k(1 + tA) is a polynomial of degree k in t, and its
+    # derivative at 0 is the derivation of A
+    rng = random.Random(6)
+    for d, k in ((4, 2), (5, 2), (5, 3)):
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        slope = linalg.zeros(math.comb(d, k), math.comb(d, k))
+        for t, w in enumerate(lagrange_slope_weights(k)):
+            one_plus_ta = [[int(p == q) + t * a[p][q] for q in range(d)] for p in range(d)]
+            term = linalg.mat_scale(wc.exterior_action(one_plus_ta, k), w)
+            slope = linalg.mat_add(slope, term)
+        assert slope == wc.derivation_action(a, k)
+
+
+def test_wedge_derivation_is_a_lie_map():
+    h = model(2, M13)
+    mi, mj, mk = h.mat_i, h.mat_j, h.mat_k
+    for k in (2, 4):
+        di, dj, dk = (wc.derivation_action(m, k) for m in (mi, mj, mk))
+        for (x, dx), (y, dy) in (((mi, di), (mj, dj)), ((mj, dj), (mk, dk)),
+                                 ((mk, dk), (mi, di))):
+            assert commutator(dx, dy) == wc.derivation_action(commutator(x, y), k)
+    rng = random.Random(7)
+    for k in (2, 3):
+        a = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+        b = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+        lhs = commutator(wc.derivation_action(a, k), wc.derivation_action(b, k))
+        assert lhs == wc.derivation_action(commutator(a, b), k)
+
+
+def test_wedge_derivation_keeps_the_entry_type():
+    h = model(1, M13)
+    ints = linalg.wedge_derivation(h.mat_j, (0, 1))
+    assert ints and all(type(c) is int for c in ints.values())
+    fracs = linalg.wedge_derivation(linalg.frac_mat(h.mat_j), (0, 1))
+    assert fracs == ints and all(type(c) is Fraction for c in fracs.values())
 
 
 # ------------------------------------------------------------ the model
@@ -97,6 +251,8 @@ def test_model_satisfies_quaternion_relations(n, params):
     assert linalg.mat_eq(linalg.mat_mul(mj, mj), linalg.mat_scale(linalg.identity(h.dim), s))
     anti = linalg.mat_add(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
     assert all(x == 0 for row in anti for x in row)
+    assert all(type(x) is int for m in (h.mat_one, h.mat_i, h.mat_j, h.mat_k)
+               for row in m for x in row)
 
 
 @pytest.mark.parametrize(
@@ -115,7 +271,7 @@ def test_model_check_raises_on_a_wrong_action(field, replacement, message):
         bad._check()
 
 
-# ---------------------------------------------------------- annihilators
+# ---------------------------------------------- the oracle's annihilators
 
 
 def knum_annihilator_oracle(x, m):
@@ -141,36 +297,37 @@ def knum_annihilator_oracle(x, m):
 )
 def test_annihilator_coefficients_frozen_and_oracle(r, u, v, n, expected):
     x = KNum.make(r, u, v)
-    got = wc.annihilator_coefficients(x, 2 * n)
+    got = annihilator_coefficients(x, 2 * n)
     assert got == expected
     assert got == knum_annihilator_oracle(x, 2 * n)
 
 
-# -------------------------------------------------------------- kernels
+# ------------------------------------------------------------- kernels
 
 
 def test_weil_kernel_dims_frozen():
     h1 = model(1, M11)
-    assert wc.weil_kernel(h1, KNum.make(-1, 0, 1)).dim == 2
-    assert wc.weil_kernel(h1, KNum.make(-1, 1, 1)).dim == 2
+    assert oracle_weil_kernel(h1, KNum.make(-1, 0, 1)).dim == 2
+    assert oracle_weil_kernel(h1, KNum.make(-1, 1, 1)).dim == 2
     h2 = model(2, M11)
-    assert wc.weil_kernel(h2, KNum.make(-1, 1, 1)).dim == 2
+    assert oracle_weil_kernel(h2, KNum.make(-1, 1, 1)).dim == 2
+    assert wc.weil_kernel(h1).dim == 2
+    assert wc.weil_kernel(h2).dim == 2
 
 
 def test_weil_kernel_rejects_rational_elements():
-    with pytest.raises(ValueError):
-        wc.weil_kernel(model(), KNum.make(-1, 3, 0))
+    with pytest.raises(ValueError, match="degenerate kernel"):
+        oracle_weil_kernel(model(), KNum.make(-1, 3, 0))
 
 
 def test_weil_kernel_rejects_an_element_of_another_field():
     with pytest.raises(ValueError, match="disagree on r"):
-        wc.weil_kernel(model(), KNum.make(-3, 1, 1))
+        oracle_weil_kernel(model(), KNum.make(-3, 1, 1))
 
 
 def test_weil_kernel_is_stable_under_the_field():
     h = model(1, M11)
     x = KNum.make(-1, 1, 1)
-    ker = wc.weil_kernel(h, x)
     k = h.dim // 2
     # x = 1 + sqrt(-1) acts as u + v * (matrix of i)
     x_mat = linalg.mat_add(
@@ -178,15 +335,40 @@ def test_weil_kernel_is_stable_under_the_field():
         linalg.mat_scale(linalg.frac_mat(h.mat_i), x.v),
     )
     gen_action = wc.exterior_action(x_mat, k)
-    moved = ker.apply(gen_action)
-    assert ker.contains_space(moved)
+    for ker in (oracle_weil_kernel(h, x), wc.weil_kernel(h)):
+        assert ker.contains_space(ker.apply(gen_action))
 
 
 def test_conjugate_element_has_same_kernel():
     h = model(1, M11)
-    a = wc.weil_kernel(h, KNum.make(-1, 2, 1))
-    b = wc.weil_kernel(h, KNum.make(-1, 2, -1))
+    a = oracle_weil_kernel(h, KNum.make(-1, 2, 1))
+    b = oracle_weil_kernel(h, KNum.make(-1, 2, -1))
     assert a.rows == b.rows
+
+
+# ------------------------------------------- derivations against the oracle
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("params", [M11, M13, M25, M37])
+def test_derivation_spaces_equal_the_oracle(n, params):
+    h = model(n, params)
+    oracle_wk, _ = oracle_weil_space(h)
+    wk = wc.weil_kernel(h)
+    assert wk.rows == oracle_wk.rows
+    assert wc.quaternion_span(h, wk).rows == oracle_quaternion_span(h, oracle_wk).rows
+
+
+def test_derivation_spaces_equal_the_oracle_on_a_conjugated_model():
+    h = model(2, M13)
+    # conjugate by 1 + j: the model's matrices become Fractions
+    hc = h.conjugated(h.mat_of(QuatElem.make(M13, 1, 0, 1, 0)))
+    assert any(type(x) is Fraction for row in hc.mat_i for x in row)
+    oracle_wk, _ = oracle_weil_space(hc)
+    wk = wc.weil_kernel(hc)
+    assert wk.rows == oracle_wk.rows
+    assert wc.quaternion_span(hc, wk).rows == oracle_quaternion_span(hc, oracle_wk).rows
+    assert wk.rows != wc.weil_kernel(h).rows
 
 
 # ---------------------------------------------------------------- spans
@@ -198,9 +380,8 @@ def test_conjugate_element_has_same_kernel():
 )
 def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
     h = model(n, params)
-    wk, used = wc.weil_space(h)
+    wk = wc.weil_kernel(h)
     assert wk.dim == dim_wk
-    assert used == [KNum.make(-1, 1, 1), KNum.make(-1, 2, 1), KNum.make(-1, 3, 1)]
     wf = wc.quaternion_span(h, wk)
     assert wf.dim == dim_wf
     assert wf.contains_space(wk)
@@ -208,8 +389,7 @@ def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
 
 def test_full_span_is_stable_under_generators():
     h = model(1, M11)
-    wk, _ = wc.weil_space(h)
-    wf = wc.quaternion_span(h, wk)
+    wf = wc.quaternion_span(h, wc.weil_kernel(h))
     k = h.dim // 2
     for mat in (h.mat_i, h.mat_j, h.mat_k):
         moved = wf.apply(wc.exterior_action(linalg.frac_mat(mat), k))
@@ -222,7 +402,7 @@ def test_span_dimensions_survive_conjugation():
     # conjugate the model by 1 + j and recompute both spans
     u = QuatElem.make(M11, 1, 0, 1, 0)
     hc = h.conjugated(h.mat_of(u))
-    wk, _ = wc.weil_space(hc)
+    wk = wc.weil_kernel(hc)
     wf = wc.quaternion_span(hc, wk)
     assert wk.dim == base["dim_WK"]
     assert wf.dim == base["dim_WF"]
@@ -235,7 +415,6 @@ def test_weil_report_shape():
         "params": [-1, -3],
         "dim_WK": 2,
         "dim_WF": 5,
-        "generators_used": ["1+1*sqrt(-1)", "2+1*sqrt(-1)", "3+1*sqrt(-1)"],
     }
 
 
