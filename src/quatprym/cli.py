@@ -122,7 +122,8 @@ def _cmd_lie(args) -> int:
                 "decomposition": [
                     {"weight": [str(x) for x in lam], "mult": mult} for lam, mult in dec
                 ],
-                "invariant_dim": lie_engine.invariant_dim(alg, ms),
+                # the multiplicity of the trivial constituent
+                "invariant_dim": dict(dec).get((0,) * alg.ncoords, 0),
             }
         )
         return 0

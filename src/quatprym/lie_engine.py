@@ -1,15 +1,14 @@
 """Exact weight-multiset calculus for the classical Lie algebra families
 A, B and D and their direct sums.
 
-Representations are handled purely through their weight multisets, with
-exact rational coordinates.  One Weyl-group alternating sum does the
-representation theory: the irrep of highest weight lam occurs
-sum_w sign(w) ms[lam + rho - w rho] times in a Weyl-symmetric multiset
-ms (Brauer-Klimyk), which decomposes a multiset, and the same sum over
-the irrep itself, equal to 1 at lam and 0 at every other dominant
-weight, builds its weight system (Racah's recursion; each total is
-checked against the Weyl dimension formula).  A factor is seen only
-through its positive roots and simple reflections: rho is half the sum
+Representations are handled purely through their weight multisets.  One
+Weyl-group alternating sum does the representation theory: the irrep of
+highest weight lam occurs sum_w sign(w) ms[lam + rho - w rho] times in a
+Weyl-symmetric multiset ms (Brauer-Klimyk), which decomposes a multiset,
+and the same sum over the irrep itself, equal to 1 at lam and 0 at every
+other dominant weight, builds its weight system (Racah's recursion; each
+total is checked against the Weyl dimension formula).  A factor is seen
+only through its positive roots and simple reflections: 2 rho is the sum
 of the roots, the (rho - w rho, sign w) pairs come from the orbit of
 rho, and the dominant weights below a highest weight, which must be
 dominant and integral (else ValueError), are reached from it by
@@ -22,16 +21,19 @@ weights, 553 distinct.
 
 Weight coordinates: a weight of a direct sum is the concatenation of
 factor coordinate blocks.  B_n and D_n use n orthogonal coordinates.
-A_n uses n+1 coordinates modulo the all-ones vector; stored weights are
-canonicalized so the last coordinate of the block is zero, so sums of
-stored weights are stored weights.
+A_n uses n+1 coordinates modulo the all-ones vector, canonicalized so
+the last coordinate of the block is zero; sums of canonical weights are
+canonical, and as the roots of A sum to zero, pairings with them,
+dominance and the Weyl product read canonical coordinates as they would
+sum-zero ones.
 
-Inside the power, tensor and decompose loops a weight is one int: its
-coordinates times their common denominator, read as signed digits in an
-odd base wide enough for every sum the loop forms (``_packer``), so
-adding weights is adding ints and dict keys hash as ints.  Weights are
-packed on entry and unpacked on exit; the API takes and returns tuples
-of Fraction throughout.
+The API takes and returns tuples of Fraction.  Every integral weight
+lies in (1/2)Z^n, so inside, a weight is a tuple of ints, its
+coordinates doubled (ValueError for any other coordinate); the roots,
+2 rho, the shifts, Racah and the Weyl product run on these ints.  In
+the power, tensor and decompose loops a doubled weight is one int, its
+coordinates read as signed digits in an odd base wide enough for every
+sum the loop forms (``_packer``), so adding weights is adding ints.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -109,17 +111,12 @@ B3A1 = AlgebraType.parse("B3+A1")
 
 
 # ---------------------------------------------------------------------------
-# per-factor weight helpers (weights as tuples of Fractions)
+# weight helpers (dominance and reflections take any coordinate type)
 
 
 def _a_canon(w):
     last = w[-1]
     return tuple(x - last for x in w)
-
-
-def _a_zero(w):
-    mean = sum(w) / len(w)
-    return tuple(x - mean for x in w)
 
 
 def canonicalize(alg: AlgebraType, w) -> tuple:
@@ -131,6 +128,27 @@ def canonicalize(alg: AlgebraType, w) -> tuple:
         part = w[lo:hi]
         out.extend(_a_canon(part) if f.family == "A" else part)
     return tuple(out)
+
+
+def _doubled(w, owner):
+    """The coordinates of w, a weight of the factor or algebra owner,
+    doubled, as ints.  Every integral weight lies in (1/2)Z^n, so a
+    coordinate outside it raises ValueError, as does a wrong length."""
+    if len(w) != owner.ncoords:
+        raise ValueError(f"weight has {len(w)} coordinates, {owner} needs {owner.ncoords}")
+    if any(2 % x.denominator for x in w):
+        raise ValueError(f"weight is not integral for {owner}")
+    return tuple(x.numerator * (2 // x.denominator) for x in w)
+
+
+@cache
+def _half(n):
+    return Fraction(n, 2)
+
+
+def _halved(w):
+    """The weight with doubled coordinates w, as a tuple of Fractions."""
+    return tuple(map(_half, w))
 
 
 def _factor_dominant(f: SimpleFactor, w) -> bool:
@@ -192,28 +210,29 @@ def reflections(alg: AlgebraType):
 
 
 def _factor_orbit(f: SimpleFactor, w):
+    """The Weyl orbit of w as a list in discovery order, w first, so the
+    order does not depend on how the weights hash."""
     refl = _factor_reflections(f)
-    seen = {tuple(w)}
-    stack = [tuple(w)]
-    while stack:
-        cur = stack.pop()
+    orbit = [tuple(w)]
+    seen = set(orbit)
+    for cur in orbit:
         for r in refl:
             nxt = r(cur)
             if nxt not in seen:
                 seen.add(nxt)
-                stack.append(nxt)
-    return seen
+                orbit.append(nxt)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
-# roots, rho, Weyl dimension
+# roots, rho, Weyl dimension (doubled-int coordinates)
 
 
 @cache
 def _factor_roots(f: SimpleFactor):
-    """Positive roots, in the internal coordinates (sum-zero for A):
-    e_i - e_j and, for B and D, e_i + e_j (i < j); for B also e_i."""
-    unit = [tuple(F1 if t == i else F0 for t in range(f.ncoords)) for i in range(f.ncoords)]
+    """Positive roots as int vectors: e_i - e_j and, for B and D,
+    e_i + e_j (i < j); for B also e_i."""
+    unit = [tuple(int(t == i) for t in range(f.ncoords)) for i in range(f.ncoords)]
     pairs = list(combinations(unit, 2))
     roots = [_vadd(u, v, -1) for u, v in pairs]
     if f.family != "A":
@@ -224,9 +243,10 @@ def _factor_roots(f: SimpleFactor):
 
 
 @cache
-def _factor_rho(f: SimpleFactor):
-    """Half the sum of the positive roots."""
-    return tuple(sum(col) / 2 for col in zip(*_factor_roots(f)))
+def _factor_two_rho(f: SimpleFactor):
+    """The sum of the positive roots: rho in doubled coordinates (sum-zero
+    for A, so heights <mu, 2 rho> read canonical coordinates too)."""
+    return tuple(sum(col) for col in zip(*_factor_roots(f)))
 
 
 def _dot(u, v):
@@ -241,58 +261,54 @@ def _fmt_weight(w):
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _factor_weyl_dim(f: SimpleFactor, lam_internal) -> int:
-    rho = _factor_rho(f)
-    num = F1
-    den = F1
-    lr = _vadd(lam_internal, rho)
-    for a in _factor_roots(f):
-        num *= _dot(lr, a)
-        den *= _dot(rho, a)
-    d = num / den
-    if d.denominator != 1 or d <= 0:
-        raise RuntimeError(f"Weyl dimension {d} of {_fmt_weight(lam_internal)} for {f}")
-    return d.numerator
+def _integral(f: SimpleFactor, lam):
+    """lam, after a ValueError unless 2<lam, a>/<a, a> is an integer for
+    every positive root a; in doubled coordinates, <a, a> divides <lam, a>."""
+    if any(_dot(lam, a) % _dot(a, a) for a in _factor_roots(f)):
+        raise ValueError(f"weight is not integral for {f}")
+    return lam
 
 
-def _to_internal(f: SimpleFactor, w):
-    return _a_zero(w) if f.family == "A" else tuple(w)
-
-
-def _from_internal(f: SimpleFactor, w):
-    return _a_canon(w) if f.family == "A" else tuple(w)
+def _factor_weyl_dim(f: SimpleFactor, lam) -> int:
+    """prod <lam + rho, a> / <rho, a> over the positive roots; the doubling
+    of lam and rho cancels."""
+    rho = _factor_two_rho(f)
+    lr = _vadd(lam, rho)
+    roots = _factor_roots(f)
+    num = prod(_dot(lr, a) for a in roots)
+    den = prod(_dot(rho, a) for a in roots)
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise RuntimeError(
+            f"Weyl dimension {Fraction(num, den)} of {_fmt_weight(_halved(lam))} for {f}"
+        )
+    return d
 
 
 @cache
 def _factor_shifts(f: SimpleFactor):
-    """(rho - w rho, sign w) for every w in the Weyl group of f, in stored
+    """(rho - w rho, sign w) for every w in the Weyl group of f, in doubled
     coordinates.  rho is regular, so its orbit lists each w once, and
     sign w = (-1)^#{a > 0 : <w rho, a> < 0}."""
-    rho = _from_internal(f, _factor_rho(f))
+    rho = _factor_two_rho(f)
+    if f.family == "A":
+        rho = _a_canon(rho)
     roots = _factor_roots(f)
     out = []
     for w in _factor_orbit(f, rho):
-        w_int = _to_internal(f, w)
-        neg = sum(1 for a in roots if _dot(w_int, a) < 0)
+        neg = sum(1 for a in roots if _dot(w, a) < 0)
         out.append((_vadd(rho, w, -1), -1 if neg % 2 else 1))
     return tuple(out)
 
 
 def _highest_weight_parts(alg: AlgebraType, lam):
-    """(factor, block of lam in internal coordinates) for each factor.
+    """(factor, block of lam in doubled coordinates) for each factor.
 
-    Raises ValueError unless lam is dominant and integral, that is,
-    2<lam, a>/<a, a> is an integer for every positive root a."""
+    Raises ValueError unless lam is dominant and integral."""
     lam = canonicalize(alg, lam)
     if not is_dominant(alg, lam):
         raise ValueError("weight is not dominant")
-    parts = []
-    for f, lo, hi in alg.slices():
-        part = _to_internal(f, lam[lo:hi])
-        if any((2 * _dot(part, a) / _dot(a, a)).denominator != 1 for a in _factor_roots(f)):
-            raise ValueError(f"weight is not integral for {f}")
-        parts.append((f, part))
-    return parts
+    return [(f, _integral(f, _doubled(lam[lo:hi], f))) for f, lo, hi in alg.slices()]
 
 
 def weyl_dim(alg: AlgebraType, lam) -> int:
@@ -303,18 +319,20 @@ def weyl_dim(alg: AlgebraType, lam) -> int:
 # irreducible weight systems
 
 
-def _candidates(f: SimpleFactor, lam_internal):
+def _candidates(f: SimpleFactor, lam):
     """All dominant weights below lam in the dominance order, lam first,
-    in internal coordinates.  Among dominant weights every covering step
+    in doubled coordinates.  Among dominant weights every covering step
     mu < nu has nu - mu a positive root (Stembridge, The partial order of
     dominant weights, 1998), so subtracting positive roots and keeping
     the dominant results reaches all of them."""
     roots = _factor_roots(f)
-    out = [lam_internal]
-    seen = {lam_internal}
+    out = [lam]
+    seen = {lam}
     for mu in out:
         for a in roots:
-            nu = _vadd(mu, a, -1)
+            nu = _vadd(mu, a, -2)
+            if f.family == "A":
+                nu = _a_canon(nu)
             if nu not in seen and _factor_dominant(f, nu):
                 seen.add(nu)
                 out.append(nu)
@@ -322,29 +340,29 @@ def _candidates(f: SimpleFactor, lam_internal):
 
 
 @cache
-def _factor_irrep(f: SimpleFactor, lam_internal):
+def _factor_irrep(f: SimpleFactor, lam):
     """Weight multiset of the irrep of f with highest weight lam, in
-    stored coordinates, by Racah's recursion: on the irrep itself the
+    doubled coordinates, by Racah's recursion: on the irrep itself the
     Brauer-Klimyk sum that decompose evaluates is 1 at lam and 0 at every
     other dominant mu, so m(mu) = -sum_{w != 1} sign(w) m(mu + rho - w rho)
     over the shifts of _factor_shifts.  Each such weight is conjugate to a
     dominant weight higher than mu, so walking the dominant weights in
     decreasing height finds every term already set.  The total is checked
     against the Weyl dimension formula."""
-    rho = _factor_rho(f)
+    two_rho = _factor_two_rho(f)
     shifts = _factor_shifts(f)
     # _candidates puts lam first; the rest go in decreasing height
-    rest = sorted(_candidates(f, lam_internal)[1:], key=lambda mu: _dot(mu, rho), reverse=True)
-    full = dict.fromkeys(_factor_orbit(f, _from_internal(f, lam_internal)), 1)
-    for mu in (_from_internal(f, nu) for nu in rest):
+    rest = sorted(_candidates(f, lam)[1:], key=lambda mu: _dot(mu, two_rho), reverse=True)
+    full = dict.fromkeys(_factor_orbit(f, lam), 1)
+    for mu in rest:
         # the identity's term is m(mu) itself, not yet set, so it adds 0
         m = -sum(e * full.get(_vadd(mu, s), 0) for s, e in shifts)
         if m < 0:
-            raise RuntimeError(f"Racah multiplicity {m} at {_fmt_weight(mu)} for {f}")
+            raise RuntimeError(f"Racah multiplicity {m} at {_fmt_weight(_halved(mu))} for {f}")
         if m:
             full.update(dict.fromkeys(_factor_orbit(f, mu), m))
-    if sum(full.values()) != _factor_weyl_dim(f, lam_internal):
-        raise RuntimeError(f"Racah/Weyl mismatch for {f} at {_fmt_weight(lam_internal)}")
+    if sum(full.values()) != _factor_weyl_dim(f, lam):
+        raise RuntimeError(f"Racah/Weyl mismatch for {f} at {_fmt_weight(_halved(lam))}")
     return full
 
 
@@ -361,6 +379,7 @@ def irrep_weights(alg: AlgebraType, lam) -> dict:
     for f, part in _highest_weight_parts(alg, lam):
         full = _factor_irrep(f, part)
         ms = {w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()}
+    ms = {_halved(w): m for w, m in ms.items()}
     _IRREP_CACHE[key] = dict(ms)
     return ms
 
@@ -374,45 +393,40 @@ def multiset_size(ms) -> int:
 
 
 def _packer(weights, reach):
-    """(pack, unpack) between weights and ints for sums of up to ``reach``
-    of the given weights.  A weight is scaled by the common denominator D
-    of the coordinates of ``weights`` and read as signed base-B digits,
-    coordinate 0 lowest, with B odd and above twice the largest |scaled
-    coordinate| such a sum can reach.  pack is linear, so pack(u) + pack(v)
-    == pack(u + v), and it is one-to-one on the vectors those sums reach."""
-    den = lcm(*(x.denominator for w in weights for x in w))
-    top = max((abs(x.numerator) * (den // x.denominator) for w in weights for x in w), default=0)
+    """(pack, unpack) between doubled weights and ints for sums of up to
+    ``reach`` of the given weights.  A weight is read as signed base-B
+    digits, coordinate 0 lowest, with B odd and above twice the largest
+    |coordinate| such a sum can reach.  pack is linear, so pack(u) +
+    pack(v) == pack(u + v), and it is one-to-one on the vectors those sums
+    reach."""
+    top = max((abs(x) for w in weights for x in w), default=0)
     base = 2 * reach * top + 1
     half = base // 2
     ncoords = len(weights[0]) if weights else 0
-    digits = {}  # digit -> its Fraction, built once and reused by every unpack
 
     def pack(w):
         n = 0
         for x in reversed(w):
-            n = n * base + x.numerator * (den // x.denominator)
+            n = n * base + x
         return n
 
     def unpack(n):
         out = []
         for _ in range(ncoords):
             n, r = divmod(n + half, base)
-            x = digits.get(r)
-            if x is None:
-                x = digits[r] = Fraction(r - half, den)
-            out.append(x)
+            out.append(r - half)
         return tuple(out)
 
     return pack, unpack
 
 
 def _unpack_multiset(packed, unpack) -> dict:
-    return {unpack(w): m for w, m in packed.items()}
+    return {_halved(unpack(w)): m for w, m in packed.items()}
 
 
 def _powers(alg: AlgebraType, ms, k, sym):
     """(levels, unpack): levels[j] is S^j (sym) or wedge^j of ms for
-    j = 0..k, keyed by packed weight, the t^j coefficient of
+    j = 0..k, keyed by packed doubled weight, the t^j coefficient of
     prod 1/(1 - t e^mu) or prod (1 + t e^mu) over the weights mu of ms.
     Each factor updates the degrees in place, ascending for S so a weight
     may repeat, descending for wedge so it may not."""
@@ -421,11 +435,12 @@ def _powers(alg: AlgebraType, ms, k, sym):
         raise ValueError(f"power exponent {k} is negative")
     if not sym and k > n:
         raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
-    zero = tuple([F0] * alg.ncoords)
-    pack, unpack = _packer([zero, *ms], k)
+    zero = (0,) * alg.ncoords
+    doubled = [(_doubled(mu, alg), m) for mu, m in ms.items()]
+    pack, unpack = _packer([zero, *(mu for mu, _ in doubled)], k)
     levels = [{pack(zero): 1}] + [{} for _ in range(k)]
     degrees = range(1, k + 1) if sym else range(k, 0, -1)
-    for mu, m in ms.items():
+    for mu, m in doubled:
         pm = pack(mu)
         for _ in range(m):
             for j in degrees:
@@ -448,11 +463,13 @@ def sym_power(alg: AlgebraType, ms, k) -> dict:
 
 
 def tensor(alg: AlgebraType, a, b) -> dict:
-    pack, unpack = _packer([*a, *b], 2)
-    packed_b = [(pack(w), m) for w, m in b.items()]
+    a = [(_doubled(w, alg), m) for w, m in a.items()]
+    b = [(_doubled(w, alg), m) for w, m in b.items()]
+    pack, unpack = _packer([w for w, _ in a + b], 2)
+    packed_b = [(pack(w), m) for w, m in b]
     out = {}
     get = out.get
-    for w0, m0 in a.items():
+    for w0, m0 in a:
         p0 = pack(w0)
         for p1, m1 in packed_b:
             v = p0 + p1
@@ -486,21 +503,6 @@ def dual(alg: AlgebraType, ms) -> dict:
     return out
 
 
-def restrict_d4_to_b3(ms) -> dict:
-    """Restriction along B3 inside D4: drop the last coordinate."""
-    out = {}
-    for w, m in ms.items():
-        if len(w) != 4:
-            raise ValueError(f"weight {_fmt_weight(w)} is not a D4 weight")
-        out[w[:3]] = out.get(w[:3], 0) + m
-    return out
-
-
-def restrict_b3_to_d3(ms) -> dict:
-    """B3 weights read as D3 weights (identity on coordinates)."""
-    return dict(ms)
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -510,49 +512,45 @@ def decompose(alg: AlgebraType, ms) -> list:
     by Brauer-Klimyk at each dominant weight of ms.  Raises
     NotARepresentation when a multiplicity is negative, a simple
     reflection does not preserve the multiset, or the counted dimensions
-    do not exhaust the input."""
+    do not exhaust the input, and ValueError when a highest weight is not
+    integral."""
     if any(m < 0 for m in ms.values()):
         raise NotARepresentation("negative input multiplicity")
     shifts = [((), 1)]
     for f, _, _ in alg.slices():
         shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
-    # a reflected stored weight, and a weight plus a shift, are sums of
-    # at most two of the packed vectors (an A-block reflection subtracts
-    # a coordinate), so reach 2 keeps every lookup below exact
-    pack, _ = _packer([*ms, *(s for s, _ in shifts)], 2)
-    support = [(w, m) for w, m in ms.items() if m]
-    packed = {pack(w): m for w, m in support}
+    doubled = {_doubled(w, alg): m for w, m in ms.items() if m}
+    # a reflected weight, and a weight plus a shift, are sums of at most
+    # two of the packed vectors (an A-block reflection subtracts a
+    # coordinate), so reach 2 keeps every lookup below exact
+    pack, _ = _packer([*doubled, *(s for s, _ in shifts)], 2)
+    packed = {pack(w): m for w, m in doubled.items()}
     get = packed.get
     for r in reflections(alg):
-        for w, m in support:
+        for w, m in doubled.items():
             if get(pack(r(w))) != m:
                 raise NotARepresentation(
-                    f"weight {_fmt_weight(w)} and its reflection {_fmt_weight(r(w))} "
-                    "have different multiplicities"
+                    f"weight {_fmt_weight(_halved(w))} and its reflection "
+                    f"{_fmt_weight(_halved(r(w)))} have different multiplicities"
                 )
     packed_shifts = [(pack(s), e) for s, e in shifts]
     out = []
-    for lam in sorted((w for w, _ in support if is_dominant(alg, w)), reverse=True):
+    for lam in sorted((w for w in doubled if is_dominant(alg, w)), reverse=True):
         p = pack(lam)
         mult = sum(e * get(p + s, 0) for s, e in packed_shifts)
         if mult < 0:
-            raise NotARepresentation(f"negative multiplicity at {lam}")
+            raise NotARepresentation(f"negative multiplicity at {_halved(lam)}")
         if mult:
             out.append((lam, mult))
-    counted = sum(m * weyl_dim(alg, lam) for lam, m in out)
+    counted = sum(
+        m * prod(_factor_weyl_dim(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices())
+        for lam, m in out
+    )
     if counted != multiset_size(ms):
         raise NotARepresentation(
             f"decomposition covers {counted} of {multiset_size(ms)} weights"
         )
-    return out
-
-
-def reconstruct(alg: AlgebraType, decomposition) -> dict:
-    ms = {}
-    for lam, mult in decomposition:
-        for w, m in irrep_weights(alg, lam).items():
-            ms[w] = ms.get(w, 0) + mult * m
-    return ms
+    return [(_halved(lam), m) for lam, m in out]
 
 
 def invariant_dim(alg: AlgebraType, ms) -> int:
@@ -579,10 +577,6 @@ def atom(name):
         raise ValueError(f"unknown atom {name!r}; have {sorted(_ATOM_DEFS)}")
     alg, lam = _ATOM_DEFS[name]
     return alg, irrep_weights(alg, lam)
-
-
-def atom_names():
-    return sorted(_ATOM_DEFS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ it replaced, kept here as the oracle, and half the sum of the positive
 roots against the closed forms of rho.  The generating-function powers
 and the Brauer-Klimyk decomposition are gated against the subset walks
 and the greedy stripping of dominant tables they replaced, also kept
-here as oracles.  The packed-int weights inside those loops are checked
-for round trips and additivity against tuple sums, and tensor against a
-tuple loop.
+here as oracles.  The engine works on doubled-int weights; the oracles
+keep Fraction coordinates (sum-zero for A) and convert.  The packed-int
+weights inside the power loops are checked for round trips and
+additivity against tuple sums, and tensor against a tuple loop.
 """
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
@@ -37,6 +39,32 @@ def ms_eq(a, b):
 
 def frozen(d):
     return {tuple(Fraction(x) for x in w): m for w, m in d.items()}
+
+
+ATOM_NAMES = sorted(le._ATOM_DEFS)
+
+
+def halves(w):
+    return tuple(Fraction(x, 2) for x in w)
+
+
+def a_zero(w):
+    mean = sum(w) / len(w)
+    return tuple(x - mean for x in w)
+
+
+def internal(f, w):
+    """Doubled engine coordinates -> Fraction coordinates, sum-zero for A."""
+    w = halves(w)
+    return a_zero(w) if f.family == "A" else w
+
+
+def doubled(f, w):
+    """Fraction coordinates, sum-zero for A -> doubled engine coordinates."""
+    if f.family == "A":
+        w = le._a_canon(w)
+    assert all((2 * x).denominator == 1 for x in w), w
+    return tuple(int(2 * x) for x in w)
 
 
 # ---------------------------------------------------- closed-form oracles
@@ -180,7 +208,7 @@ def family_candidates(f, lam):
         mu_c = tuple(Fraction(x) for x in head) + (Fraction(0),)
         if (sum(mu_c) - total) % n != 0:
             continue
-        mu0 = le._a_zero(mu_c)
+        mu0 = a_zero(mu_c)
         t = Fraction(0)
         ok = True
         for idx in range(n - 1):
@@ -200,7 +228,7 @@ BOX_VALUES = [Fraction(k, 2) for k in range(-7, 8)]
 @cache
 def box_weights(f):
     """Every dominant integral highest weight of f with stored
-    coordinates in {-7/2, -3, ..., 7/2}, in internal coordinates."""
+    coordinates in {-7/2, -3, ..., 7/2}, in doubled coordinates."""
     alg = le.AlgebraType((f,))
     out = []
     for w in product(BOX_VALUES, repeat=f.ncoords):
@@ -218,7 +246,8 @@ def assert_same_candidates(f, lam):
     got = le._candidates(f, lam)
     assert got[0] == lam
     assert len(set(got)) == len(got)
-    assert set(got) == set(family_candidates(f, lam)), (f, lam)
+    expected = {doubled(f, mu) for mu in family_candidates(f, internal(f, lam))}
+    assert set(got) == expected, (f, lam)
 
 
 def test_candidates_match_family_enumerators_on_box():
@@ -233,7 +262,7 @@ def test_candidates_match_family_enumerators_on_box():
 
 def test_candidates_match_family_enumerators_on_registry_tables():
     report._lie_claims(report.Budgets())
-    # (factor, internal highest weight) of every factor table built so far
+    # (factor, doubled highest weight) of every factor table built so far
     keys = {fp for alg, lam in le._IRREP_CACHE for fp in le._highest_weight_parts(alg, lam)}
     assert {str(f) for f, _ in keys} >= {"A1", "A3", "B3", "D4"}
     for f, lam in keys:
@@ -244,9 +273,9 @@ def test_candidates_match_family_enumerators_on_registry_tables():
 
 
 def oracle_dominant_conjugate(f, w):
-    """The dominant weight in the Weyl orbit of w, stored coordinates."""
+    """The dominant weight in the Weyl orbit of w, sum-zero for A."""
     if f.family == "A":
-        return le._a_canon(tuple(sorted(w, reverse=True)))
+        return tuple(sorted(w, reverse=True))
     if f.family == "B":
         return tuple(sorted((abs(x) for x in w), reverse=True))
     mags = sorted((abs(x) for x in w), reverse=True)
@@ -258,12 +287,18 @@ def oracle_dominant_conjugate(f, w):
 
 def freudenthal_table(f, lam):
     """Freudenthal's recursion: dominant weight -> multiplicity in the
-    irrep of f with highest weight lam, internal coordinates,
+    irrep of f with doubled highest weight lam, in Fraction coordinates,
+    sum-zero for A, where the norms below are Weyl-invariant,
     m(mu) = 2 sum_{a > 0} sum_{k >= 1} <mu + k a, a> m(mu + k a)
     / (|lam + rho|^2 - |mu + rho|^2)."""
-    rho = le._factor_rho(f)
+    rho = closed_form_rho(f)
     roots = le._factor_roots(f)
-    order = sorted(le._candidates(f, lam)[1:], key=lambda mu: le._dot(mu, rho), reverse=True)
+    order = sorted(
+        (internal(f, mu) for mu in le._candidates(f, lam)[1:]),
+        key=lambda mu: le._dot(mu, rho),
+        reverse=True,
+    )
+    lam = internal(f, lam)
     lr = le._vadd(lam, rho)
     lam_norm = le._dot(lr, lr)
     mult = {lam: 1}
@@ -273,8 +308,7 @@ def freudenthal_table(f, lam):
             k = 1
             while True:
                 nu = le._vadd(mu, a, k)
-                nu_dom = oracle_dominant_conjugate(f, le._from_internal(f, nu))
-                m = mult.get(le._to_internal(f, nu_dom), 0)
+                m = mult.get(oracle_dominant_conjugate(f, nu), 0)
                 if m == 0:
                     break
                 acc += le._dot(nu, a) * m
@@ -290,11 +324,11 @@ def freudenthal_table(f, lam):
 
 
 def freudenthal_weights(f, lam):
-    """The full weight multiset from the Freudenthal table, stored
+    """The full weight multiset from the Freudenthal table, doubled
     coordinates, orbit by orbit in the order of the table."""
     full = {}
     for mu, m in freudenthal_table(f, lam).items():
-        for w in le._factor_orbit(f, le._from_internal(f, mu)):
+        for w in le._factor_orbit(f, doubled(f, mu)):
             full[w] = m
     return full
 
@@ -310,12 +344,13 @@ def test_racah_matches_freudenthal_on_box():
     assert count == 142
 
 
-@pytest.mark.parametrize("name", le.atom_names())
+@pytest.mark.parametrize("name", ATOM_NAMES)
 def test_atoms_match_freudenthal_in_order(name):
     alg, lam = le._ATOM_DEFS[name]
     (f, part), = le._highest_weight_parts(alg, lam)
     # same weights, multiplicities and insertion order
-    assert list(le.atom(name)[1].items()) == list(freudenthal_weights(f, part).items())
+    expected = [(halves(w), m) for w, m in freudenthal_weights(f, part).items()]
+    assert list(le.atom(name)[1].items()) == expected
 
 
 def closed_form_rho(f):
@@ -330,7 +365,7 @@ def closed_form_rho(f):
 @pytest.mark.parametrize("name", BOX_ALGEBRAS + ("A5", "B6", "D2", "D6"))
 def test_rho_is_the_closed_form(name):
     (f,) = le.AlgebraType.parse(name).factors
-    assert le._factor_rho(f) == closed_form_rho(f)
+    assert le._factor_two_rho(f) == tuple(2 * x for x in closed_form_rho(f))
 
 
 @pytest.mark.parametrize(
@@ -347,6 +382,39 @@ def test_non_integral_highest_weights_are_rejected(alg, lam):
     for fn in (le.weyl_dim, le.irrep_weights):
         with pytest.raises(ValueError, match="not integral"):
             fn(alg, lam)
+
+
+@pytest.mark.parametrize("x", [H, Fraction(1, 3)])
+def test_decompose_rejects_a_non_integral_highest_weight(x):
+    # reflection-symmetric and of the right size; 1/2 lies in (1/2)Z, so
+    # only the root test rejects it, and 1/3 cannot even be doubled
+    with pytest.raises(ValueError, match="not integral"):
+        le.decompose(le.A1, {(x, 0): 1, (-x, 0): 1})
+
+
+def test_powers_and_tensor_reject_a_coordinate_outside_half_integers():
+    third = {(Fraction(1, 3), 0, 0): 1, (Fraction(-1, 3), 0, 0): 1}
+    _, gamma = le.atom("Gamma")
+    for op in (le.wedge_power, le.sym_power):
+        with pytest.raises(ValueError, match="not integral for B3"):
+            op(le.B3, third, 2)
+    for a, b in ((third, gamma), (gamma, third)):
+        with pytest.raises(ValueError, match="not integral for B3"):
+            le.tensor(le.B3, a, b)
+
+
+def test_multiset_operations_reject_a_weight_of_the_wrong_length():
+    short = {(1, 0): 1, (-1, 0): 1}
+    _, gamma = le.atom("Gamma")
+    calls = [
+        lambda: le.wedge_power(le.B3, short, 1),
+        lambda: le.sym_power(le.B3, short, 1),
+        lambda: le.tensor(le.B3, gamma, short),
+        lambda: le.decompose(le.B3, short),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weight has 2 coordinates, B3 needs 3"):
+            call()
 
 
 def test_non_dominant_highest_weights_are_rejected():
@@ -440,7 +508,16 @@ def test_decompose_recovers_random_sums(alg, lams):
         got = le.decompose(alg, ms)
         assert sorted(got) == sorted(chosen)
         assert got == oracle_decompose(alg, ms)
-        assert ms_eq(le.reconstruct(alg, got), ms)
+        assert ms_eq(reconstruct(alg, got), ms)
+
+
+def reconstruct(alg, decomposition):
+    """mult copies of the weight system of each (lam, mult), summed."""
+    ms = {}
+    for lam, mult in decomposition:
+        for w, m in le.irrep_weights(alg, lam).items():
+            ms[w] = ms.get(w, 0) + mult * m
+    return ms
 
 
 def test_decompose_rejects_non_representation():
@@ -514,7 +591,9 @@ def oracle_dominant_table(alg, lam):
     in stored coordinates, from the weight systems of the factors."""
     table = {(): 1}
     for f, part in le._highest_weight_parts(alg, lam):
-        mult = {w: m for w, m in le._factor_irrep(f, part).items() if le._factor_dominant(f, w)}
+        mult = {
+            halves(w): m for w, m in le._factor_irrep(f, part).items() if le._factor_dominant(f, w)
+        }
         table = {w + mu: m0 * m for w, m0 in table.items() for mu, m in mult.items()}
     return table
 
@@ -550,7 +629,7 @@ def assert_power_matches_oracle(alg, ms, k, sym):
     assert le.decompose(alg, got) == oracle_decompose(alg, got)
 
 
-@pytest.mark.parametrize("name", le.atom_names())
+@pytest.mark.parametrize("name", ATOM_NAMES)
 def test_powers_of_doubled_atoms_match_oracles(name):
     alg, a = le.atom(name)
     two = le.dsum(a, a)
@@ -592,8 +671,10 @@ def test_weyl_shifts_list_the_group_once_with_its_signs(name, order):
     assert len(shifts) == len({s for s, _ in shifts}) == order
     assert sorted(e for _, e in shifts) == [-1] * (order // 2) + [1] * (order // 2)
     # the identity, and each simple reflection (shift a simple root, sign -1)
-    assert (tuple([Fraction(0)] * f.ncoords), 1) in shifts
-    rho = le._from_internal(f, le._factor_rho(f))
+    assert ((0,) * f.ncoords, 1) in shifts
+    rho = le._factor_two_rho(f)
+    if f.family == "A":
+        rho = le._a_canon(rho)
     for r in le._factor_reflections(f):
         assert (le._vadd(rho, r(rho), -1), -1) in shifts
 
@@ -606,7 +687,7 @@ def spin_row(m):
     for _ in range(m):
         ms = le.dsum(ms, gamma)
     levels, unpack = le._powers(alg, ms, 8 * m, sym=False)
-    levels = [{unpack(w): c for w, c in p.items()} for p in levels]
+    levels = [{halves(unpack(w)): c for w, c in p.items()} for p in levels]
     return [le.invariant_dim(alg, p) for p in levels], [le.multiset_size(p) for p in levels]
 
 
@@ -631,7 +712,6 @@ def test_tripled_spin_row_is_pinned_in_every_degree():
 PACK_CASES = {
     "negative": (le.B3, [(-3, 1, -2), (2, -2, 0), (0, 0, -1)]),
     "half-integer": (le.B3, list(le.atom("Gamma")[1])),
-    "mixed-denominators": (le.B3, [(Fraction(1, 3), -H, 2), (Fraction(-2, 3), 1, 0)]),
     "A-block": (le.A3, list(le.atom("W")[1]) + list(le.atom("W*")[1])),
     "B3+A1": (le.B3A1, list(le.box_tensor(le.B3, le.atom("Gamma")[1], le.A1, le.atom("V2")[1])[1])),
 }
@@ -642,15 +722,15 @@ PACK_CASES = {
 def test_packer_round_trips_and_adds_up_to_its_reach(name, reach):
     alg, ws = PACK_CASES[name]
     ws = [le.canonicalize(alg, w) for w in ws]
-    pack, unpack = le._packer(ws, reach)
+    pack, unpack = le._packer([le._doubled(w, alg) for w in ws], reach)
     seen = {}
     for j in range(reach + 1):
         for combo in combinations_with_replacement(ws, j):
-            total = oracle_sum(alg, combo)
-            p = sum(pack(w) for w in combo)
+            total = le._doubled(oracle_sum(alg, combo), alg)
+            p = sum(pack(le._doubled(w, alg)) for w in combo)
             assert p == pack(total)
             got = unpack(p)
-            assert got == total and all(type(x) is Fraction for x in got)
+            assert got == total and all(type(x) is int for x in got)
             assert seen.setdefault(p, total) == total  # no two sums share an int
 
 
@@ -750,14 +830,18 @@ def test_box_tensor_concatenates_weights():
 
 def test_restriction_d4_to_b3_of_half_spin_is_spin():
     _, gp = le.atom("Gamma+")
-    res = le.restrict_d4_to_b3(gp)
+    # B3 inside D4 fixes the last coordinate: drop it
+    res = {}
+    for w, m in gp.items():
+        res[w[:3]] = res.get(w[:3], 0) + m
     assert le.decompose(le.B3, res) == [((H, H, H), 1)]
 
 
 def test_restriction_b3_to_d3_of_spin():
     _, gamma = le.atom("Gamma")
     d3 = le.AlgebraType.parse("D3")
-    parts = le.decompose(d3, le.restrict_b3_to_d3(gamma))
+    # D3 inside B3 keeps the coordinates: the same multiset
+    parts = le.decompose(d3, gamma)
     dims = []
     for lam, mult in parts:
         dims.extend([le.weyl_dim(d3, lam)] * mult)
@@ -794,7 +878,9 @@ def test_spin8_fourth_wedge_content():
 
 
 def test_atom_names_frozen():
-    assert le.atom_names() == ["Gamma", "Gamma+", "V", "V2", "W", "W*"]
+    assert ATOM_NAMES == ["Gamma", "Gamma+", "V", "V2", "W", "W*"]
+    with pytest.raises(ValueError, match=re.escape(f"have {ATOM_NAMES}")):
+        le.atom("nope")
 
 
 @pytest.mark.parametrize("name", le.SCENARIOS)

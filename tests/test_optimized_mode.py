@@ -60,7 +60,7 @@ def patched(owner, name, fake, call):
         setattr(owner, name, real)
 
 
-def racah(lam):
+def racah(lam):  # lam in the engine's doubled coordinates
     le._factor_irrep.cache_clear()
     return le._factor_irrep(le.B3.factors[0], lam)
 
@@ -119,14 +119,13 @@ cases = [
     ("weyl_dim", lambda: le.weyl_dim(le.B3, (Fraction(1, 2), 0, 0))),
     ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
     ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
-    ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (Fraction(-5, 2), 0, 0))),
+    ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (-5, 0, 0))),
     ("racah sign", lambda: patched(
         le, "_factor_shifts", lambda real: lambda f: tuple((s, -e) for s, e in real(f)),
-        lambda: racah((1, 0, 0)))),
+        lambda: racah((2, 0, 0)))),
     ("racah weight missing", lambda: patched(
         le, "_candidates", lambda real: lambda f, lam: [mu for mu in real(f, lam) if any(mu)],
-        lambda: racah((1, 1, 0)))),
-    ("restrict_d4_to_b3", lambda: le.restrict_d4_to_b3({(0, 0, 0): 1})),
+        lambda: racah((2, 2, 0)))),
     ("KNum +", lambda: i_field + w_field),
     ("KNum -", lambda: i_field - w_field),
     ("KNum *", lambda: i_field * w_field),
@@ -208,7 +207,6 @@ def test_checks_raise_under_python_O():
         "factor weyl_dim RuntimeError Weyl dimension 0 of (-5/2,0,0) for B3",
         "racah sign RuntimeError Racah multiplicity -1 at (0,0,0) for B3",
         "racah weight missing RuntimeError Racah/Weyl mismatch for B3 at (1,1,0)",
-        "restrict_d4_to_b3 ValueError weight (0,0,0) is not a D4 weight",
         "KNum + ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
         "KNum - ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
         "KNum * ValueError mixed fields Q(sqrt(-1)) and Q(sqrt(-3))",
