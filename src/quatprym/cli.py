@@ -142,7 +142,7 @@ def _cmd_spin(args) -> int:
     if args.check_bracket:
         bad = 0
         for x, y in spin_explicit.BRACKET_PAIRS:
-            ok = spin_explicit.bracket_holds(rep.rho, x, y)
+            ok = spin_explicit.bracket_holds(rep.two_rho, x, y)
             if not ok:
                 bad += 1
             print(f"[{x}, {y}]: {'pass' if ok else 'FAIL'}")

@@ -539,7 +539,7 @@ def decompose(alg: AlgebraType, ms) -> list:
         p = pack(lam)
         mult = sum(e * get(p + s, 0) for s, e in packed_shifts)
         if mult < 0:
-            raise NotARepresentation(f"negative multiplicity at {_halved(lam)}")
+            raise NotARepresentation(f"negative multiplicity at {_fmt_weight(_halved(lam))}")
         if mult:
             out.append((lam, mult))
     counted = sum(

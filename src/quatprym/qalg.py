@@ -273,11 +273,6 @@ def _int_if_integral(x):
     return int(x) if x.denominator == 1 else x
 
 
-def hz_order(params=HAMILTON):
-    """The Lipschitz order Z<1, i, j, k>."""
-    return OrderLattice(params, basis_elems(params))
-
-
 @functools.cache
 def hurwitz_order(params=HAMILTON):
     """The Hurwitz order, basis (zeta, i, j, k) with zeta = (1+i+j+k)/2.

@@ -2,8 +2,18 @@
 
 The orthogonal space is C^7 with quadratic form x7^2 + x1 x4 + x2 x5 +
 x3 x6, so e1..e3 and e4..e6 span dual isotropic subspaces R and R'.
-The spinor space is S = wedge^*(R), dimension 8, and so(7) is
-identified with wedge^2 C^7 acting by (a^b) v = 2B(b,v) a - 2B(a,v) b.
+With Q(v) = v.B.v, the module works with the Gram form G = 2B, whose
+entries are 1 (pairing e_i with e_{3+i}) and 2 (on e7).  so(7) is
+identified with wedge^2 C^7 acting by (a^b) v = G(b,v) a - G(a,v) b,
+so every basis action is an int matrix.  The spinor space is
+S = wedge^*(R), dimension 8.
+
+The entries of the spin representation rho lie in (1/2)Z, so the
+module carries 2 rho: ``SpinRep.two_rho`` holds int matrices, and the
+weight of a spinor or monomial is an int tuple, the Cartan weight
+doubled, as inside ``lie_engine``.  A weight is halved only where it
+leaves the module: the "weight" entry of ``reference_comparison`` and
+the comparison with ``lie_engine`` in ``cross_check_weights``.
 
 The generator actions on S are assembled from three ingredients: wedge
 by e_i, contraction against e_{3+i}, and the parity involution.  The
@@ -27,31 +37,17 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import lie_engine
-from .linalg import (
-    frac_mat,
-    identity,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    nullspace,
-    wedge_derivation,
-)
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-FH = Fraction(1, 2)
+from .linalg import mat_add, mat_mul, mat_scale, mat_sub, nullspace, wedge_derivation
 
 # spinor basis: subsets of {1,2,3}, fixed order
 SUBSETS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
 _SUBSET_INDEX = {s: t for t, s in enumerate(SUBSETS)}
 
-# bilinear form B with Q(v) = v.B.v
-BFORM = [[F0] * 7 for _ in range(7)]
+# Gram form G = 2B of the quadratic form Q(v) = v.B.v
+GRAM = [[0] * 7 for _ in range(7)]
 for _i in range(3):
-    BFORM[_i][_i + 3] = FH
-    BFORM[_i + 3][_i] = FH
-BFORM[6][6] = F1
+    GRAM[_i][_i + 3] = GRAM[_i + 3][_i] = 1
+GRAM[6][6] = 2
 
 
 def _partner(p):
@@ -63,7 +59,7 @@ def _partner(p):
 
 
 def _zero8():
-    return [[F0] * 8 for _ in range(8)]
+    return [[0] * 8 for _ in range(8)]
 
 
 def _wedge_op(i):
@@ -73,9 +69,8 @@ def _wedge_op(i):
     for s, sub in enumerate(SUBSETS):
         if g in sub:
             continue
-        sign = (-1) ** sum(1 for x in sub if x < g)
         t = _SUBSET_INDEX[tuple(sorted(sub + (g,)))]
-        m[t][s] = Fraction(sign)
+        m[t][s] = (-1) ** sum(1 for x in sub if x < g)
     return m
 
 
@@ -86,16 +81,15 @@ def _contract_op(i):
     for s, sub in enumerate(SUBSETS):
         if g not in sub:
             continue
-        sign = (-1) ** sum(1 for x in sub if x < g)
         t = _SUBSET_INDEX[tuple(x for x in sub if x != g)]
-        m[t][s] = Fraction(sign)
+        m[t][s] = (-1) ** sum(1 for x in sub if x < g)
     return m
 
 
 def _parity_op():
     m = _zero8()
     for s, sub in enumerate(SUBSETS):
-        m[s][s] = Fraction((-1) ** len(sub))
+        m[s][s] = (-1) ** len(sub)
     return m
 
 
@@ -103,34 +97,28 @@ SO7_PAIRS = tuple((a, b) for a in range(7) for b in range(a + 1, 7))
 
 
 def so7_action_matrix(a, b):
-    """The 7x7 matrix of e_a ^ e_b acting by v -> 2B(b,v)a - 2B(a,v)b."""
-    m = [[F0] * 7 for _ in range(7)]
-    for q in range(7):
-        cb = 2 * BFORM[b][q]
-        ca = 2 * BFORM[a][q]
-        if cb:
-            m[a][q] += cb
-        if ca:
-            m[b][q] -= ca
+    """The 7x7 int matrix of e_a ^ e_b acting by v -> G(b,v)a - G(a,v)b."""
+    m = [[0] * 7 for _ in range(7)]
+    m[a] = list(GRAM[b])
+    m[b] = [-x for x in GRAM[a]]
     return m
 
 
 def matrix_to_pair_coeffs(m):
     """Inverse of so7_action_matrix on its image: coefficients c_{ab}
     with m = sum c_{ab} so7_action_matrix(a,b); raises ValueError if m
-    is outside that image."""
-    coeffs = {}
-    for a, b in SO7_PAIRS:
-        pb = _partner(b)
-        scale = 2 * BFORM[b][pb]
-        coeffs[(a, b)] = m[a][pb] / scale
-    recon = [[F0] * 7 for _ in range(7)]
-    for (a, b), c in coeffs.items():
+    is outside that image.  Each c_{ab} is read off an entry that no
+    other basis action touches: the 1 of e_a ^ e_b at row a, column
+    partner(b) for b < 6, and its -1 at row 6, column partner(a) for
+    b = 6."""
+    coeffs = {
+        (a, b): m[a][_partner(b)] if b < 6 else -m[6][_partner(a)]
+        for a, b in SO7_PAIRS
+    }
+    recon = [[0] * 7 for _ in range(7)]
+    for pair, c in coeffs.items():
         if c:
-            act = so7_action_matrix(a, b)
-            for p in range(7):
-                for q in range(7):
-                    recon[p][q] += c * act[p][q]
+            recon = mat_add(recon, mat_scale(so7_action_matrix(*pair), c))
     if recon != m:
         raise ValueError("matrix is outside the span of the basis actions")
     return coeffs
@@ -142,57 +130,53 @@ class SpinConstructionError(RuntimeError):
 
 @dataclass
 class SpinRep:
-    rho: dict  # (a,b) -> 8x8 matrix
-    scalars: tuple
+    two_rho: dict  # (a,b) -> 8x8 int matrix of 2 rho(e_a ^ e_b)
+    scalars: tuple  # the signs s1..s4 and the doubled Cartan shift 2c
 
     def weight_of_spinor(self, s) -> tuple:
-        """Cartan weight of the s-th spinor basis vector."""
-        return tuple(
-            self.rho[(i, i + 3)][s][s] for i in range(3)
-        )
+        """Doubled Cartan weight of the s-th spinor basis vector."""
+        return self.weight_of_monomial((s,))
 
     def weight_of_monomial(self, mono) -> tuple:
-        """Cartan weight of a product of spinor basis vectors."""
-        total = (F0, F0, F0)
-        for s in mono:
-            total = tuple(a + b for a, b in zip(total, self.weight_of_spinor(s)))
-        return total
+        """Doubled Cartan weight of a product of spinor basis vectors."""
+        return tuple(
+            sum(self.two_rho[(i, i + 3)][s][s] for s in mono) for i in range(3)
+        )
 
 
 def _assemble(s1, s2, s3, s4, c):
+    """2 rho for the signs s1..s4 and the doubled Cartan shift c."""
     w = [_wedge_op(i) for i in range(3)]
     d = [_contract_op(i) for i in range(3)]
     p = _parity_op()
-    eye = identity(8)
-    rho = {}
+    two_rho = {}
     for a, b in SO7_PAIRS:
         if b < 3:
-            rho[(a, b)] = mat_scale(mat_mul(w[a], w[b]), s1)
+            m = mat_scale(mat_mul(w[a], w[b]), 2 * s1)
         elif a < 3 and b < 6:
-            m = mat_scale(mat_mul(w[a], d[b - 3]), s3)
+            m = mat_scale(mat_mul(w[a], d[b - 3]), 2 * s3)
             if a == b - 3:
-                m = mat_add(m, mat_scale(eye, c))
-            rho[(a, b)] = m
+                for t in range(8):
+                    m[t][t] += c
         elif a < 3:
-            rho[(a, b)] = mat_mul(w[a], p)
+            m = mat_scale(mat_mul(w[a], p), 2)
         elif b < 6:
-            rho[(a, b)] = mat_scale(mat_mul(d[a - 3], d[b - 3]), s2)
+            m = mat_scale(mat_mul(d[a - 3], d[b - 3]), 2 * s2)
         else:
-            rho[(a, b)] = mat_scale(mat_mul(d[a - 3], p), s4)
-    return rho
+            m = mat_scale(mat_mul(d[a - 3], p), 2 * s4)
+        two_rho[(a, b)] = m
+    return two_rho
 
 
-def _formula_holds(rho):
-    """(e_i ^ e7) e_I = (-1)^{#I} e_i ^ e_I, read as matrices."""
+def _formula_holds(two_rho):
+    """(e_i ^ e7) e_I = (-1)^{#I} e_i ^ e_I, read as matrices: column I
+    of 2 rho(e_i ^ e7) is 2 (-1)^{#I} times column I of wedge by e_i."""
     for i in range(3):
-        m = rho[(i, 6)]
+        m = two_rho[(i, 6)]
+        w = _wedge_op(i)
         for s, sub in enumerate(SUBSETS):
-            expect = [F0] * 8
-            g = i + 1
-            if g not in sub:
-                sign = (-1) ** len(sub) * (-1) ** sum(1 for x in sub if x < g)
-                expect[_SUBSET_INDEX[tuple(sorted(sub + (g,)))]] = Fraction(sign)
-            if [m[t][s] for t in range(8)] != expect:
+            sign = (-1) ** len(sub)
+            if any(m[t][s] != 2 * sign * w[t][s] for t in range(8)):
                 return False
     return True
 
@@ -201,31 +185,36 @@ def _formula_holds(rho):
 BRACKET_PAIRS = tuple(combinations(SO7_PAIRS, 2))
 
 
-def bracket_holds(rho, x, y) -> bool:
+def bracket_holds(two_rho, x, y) -> bool:
     """[rho(x), rho(y)] = rho([x, y]) for two basis elements x, y of
-    wedge^2 C^7, given as index pairs."""
-    lhs = mat_sub(mat_mul(rho[x], rho[y]), mat_mul(rho[y], rho[x]))
+    wedge^2 C^7, given as index pairs.  On the doubled matrices, with
+    [x, y] = sum c pair, this reads [2rho(x), 2rho(y)] = 2 sum c 2rho(pair)."""
+    lhs = mat_sub(mat_mul(two_rho[x], two_rho[y]), mat_mul(two_rho[y], two_rho[x]))
     mx = so7_action_matrix(*x)
     my = so7_action_matrix(*y)
     comm = mat_sub(mat_mul(mx, my), mat_mul(my, mx))
     rhs = _zero8()
     for pair, c in matrix_to_pair_coeffs(comm).items():
         if c:
-            rhs = mat_add(rhs, mat_scale(rho[pair], c))
+            rhs = mat_add(rhs, mat_scale(two_rho[pair], 2 * c))
     return lhs == rhs
 
 
 def build_spin_rep() -> SpinRep:
     """Fix the scalar normalizations by the two acceptance constraints
     and return the verified representation."""
-    candidates = [(F1, F1, F1, F1, -FH)]
-    for s1, s2, s3, s4, c in product((F1, -F1), (F1, -F1), (F1, -F1), (F1, -F1), (-FH, FH, F0)):
-        if (s1, s2, s3, s4, c) != candidates[0]:
-            candidates.append((s1, s2, s3, s4, c))
+    first = (1, 1, 1, 1, -1)
+    candidates = [first] + [
+        cand
+        for cand in product((1, -1), (1, -1), (1, -1), (1, -1), (-1, 1, 0))
+        if cand != first
+    ]
     for cand in candidates:
-        rho = _assemble(*cand)
-        if _formula_holds(rho) and all(bracket_holds(rho, x, y) for x, y in BRACKET_PAIRS):
-            return SpinRep(rho=rho, scalars=cand)
+        two_rho = _assemble(*cand)
+        if _formula_holds(two_rho) and all(
+            bracket_holds(two_rho, x, y) for x, y in BRACKET_PAIRS
+        ):
+            return SpinRep(two_rho=two_rho, scalars=cand)
     raise SpinConstructionError(
         "no scalar assignment satisfies the sample formula and all brackets"
     )
@@ -235,12 +224,23 @@ def build_spin_rep() -> SpinRep:
 # the degree-4 computation
 
 MONOMIALS = tuple(combinations(range(8), 4))
-_MONO_INDEX = {m: t for t, m in enumerate(MONOMIALS)}
 
 
 def weight_zero_monomials(rep: SpinRep):
     """The degree-4 monomials of total weight zero, in monomial order."""
     return [mono for mono in MONOMIALS if not any(rep.weight_of_monomial(mono))]
+
+
+def _operator_system(rep: SpinRep, pairs, monos, derive) -> list:
+    """The int rows of the joint kernel of the operators 2 rho(pair), for
+    pair in ``pairs``, acting by ``derive`` on the span of ``monos``: one
+    row per (operator, target monomial), in sorted order."""
+    rows = {}
+    for t, mono in enumerate(monos):
+        for pair in pairs:
+            for target, coef in derive(rep.two_rho[pair], mono).items():
+                rows.setdefault((pair, target), [0] * len(monos))[t] += coef
+    return [rows[key] for key in sorted(rows)]
 
 
 def so7_invariant(rep: SpinRep) -> dict:
@@ -253,36 +253,23 @@ def so7_invariant(rep: SpinRep) -> dict:
         raise SpinConstructionError(
             f"weight-zero subspace has dimension {len(zmonos)}, expected 8"
         )
-    rows = {}
-    for t, mono in enumerate(zmonos):
-        for i in range(3):
-            img = wedge_derivation(rep.rho[(i, 6)], mono)
-            for target, coef in img.items():
-                key = (i, target)
-                if key not in rows:
-                    rows[key] = [F0] * 8
-                rows[key][t] += coef
-    system = [rows[k] for k in sorted(rows)]
-    kernel = nullspace(frac_mat(system))
+    raising = ((0, 6), (1, 6), (2, 6))
+    kernel = nullspace(_operator_system(rep, raising, zmonos, wedge_derivation))
     if len(kernel) != 1:
         raise SpinConstructionError(
             f"raising-operator kernel has dimension {len(kernel)}, expected 1"
         )
     vec = kernel[0]
-    lead = vec[zmonos.index((0, 4, 5, 6))]
+    lead = vec[zmonos.index(EVEN_MONOMIAL)]
     if not lead:
         raise SpinConstructionError("invariant line has no all-even coefficient")
     vec = [x * 2 / lead for x in vec]
-    inv = {mono: coef for mono, coef in zip(zmonos, vec) if coef}
     # full invariance: every basis operator annihilates the vector
     for pair in SO7_PAIRS:
-        acc = {}
-        for mono, coef in inv.items():
-            for target, c in wedge_derivation(rep.rho[pair], mono).items():
-                acc[target] = acc.get(target, F0) + coef * c
-        if any(acc.values()):
-            raise SpinConstructionError(f"degree-4 line is not invariant under {pair}")
-    return inv
+        for row in _operator_system(rep, (pair,), zmonos, wedge_derivation):
+            if sum(r * x for r, x in zip(row, vec)):
+                raise SpinConstructionError(f"degree-4 line is not invariant under {pair}")
+    return {mono: coef for mono, coef in zip(zmonos, vec) if coef}
 
 
 EVEN_MONOMIAL = (0, 4, 5, 6)  # wedge of the four even-degree spinors
@@ -291,7 +278,7 @@ EVEN_MONOMIAL = (0, 4, 5, 6)  # wedge of the four even-degree spinors
 def project_even(vec: dict) -> Fraction:
     """Coefficient on the single monomial lying in wedge^4 of the even
     subspace span(e_(), e_(1,2), e_(1,3), e_(2,3))."""
-    return vec.get(EVEN_MONOMIAL, F0)
+    return vec.get(EVEN_MONOMIAL, 0)
 
 
 # transcription of the reference term list for the invariant, in its
@@ -327,20 +314,20 @@ def reference_comparison(rep: SpinRep = None) -> dict:
     terms = []
     mismatches = []
     for pos, (mono, coef) in enumerate(REFERENCE_TERMS, start=1):
-        if mono in zset and inv.get(mono, F0) == coef:
+        if mono in zset and inv.get(mono, 0) == coef:
             terms.append({"position": pos, "monomial": mono, "match": True})
         else:
             candidates = [
                 m
                 for m in zset
-                if inv.get(m, F0) == coef and len(set(m) & set(mono)) == 3
+                if inv.get(m, 0) == coef and len(set(m) & set(mono)) == 3
             ]
             terms.append(
                 {
                     "position": pos,
                     "monomial": mono,
                     "match": False,
-                    "weight": rep.weight_of_monomial(mono),
+                    "weight": _halved(rep.weight_of_monomial(mono)),
                     "nearest_computed": candidates[0] if len(candidates) == 1 else None,
                 }
             )
@@ -358,14 +345,17 @@ def reference_comparison(rep: SpinRep = None) -> dict:
 
 
 def _derive_sym(mat, mono):
+    """The derivation a square matrix induces on the symmetric algebra,
+    applied to one monomial (a sorted tuple of basis indices, repeats
+    allowed).  Returns {monomial: coefficient} without zero coefficients,
+    in the type of the entries."""
     out = {}
     for pos, b in enumerate(mono):
-        for p in range(8):
-            coef = mat[p][b]
-            if not coef:
-                continue
-            rest = tuple(sorted(mono[:pos] + (p,) + mono[pos + 1 :]))
-            out[rest] = out.get(rest, F0) + coef
+        for p, row in enumerate(mat):
+            coef = row[b]
+            if coef:
+                rest = tuple(sorted(mono[:pos] + (p,) + mono[pos + 1 :]))
+                out[rest] = out.get(rest, 0) + coef
     return {k: v for k, v in out.items() if v}
 
 
@@ -374,48 +364,42 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
     power of the spinor space, by intersecting the kernels of all 21
     basis operators on the weight-0 monomial span."""
     if kind == "wedge":
-        monos = list(combinations(range(8), k))
+        monos = combinations(range(8), k)
         derive = wedge_derivation
     elif kind == "sym":
-        monos = list(combinations_with_replacement(range(8), k))
+        monos = combinations_with_replacement(range(8), k)
         derive = _derive_sym
     else:
         raise ValueError("kind must be 'wedge' or 'sym'")
     zmonos = [mono for mono in monos if not any(rep.weight_of_monomial(mono))]
-    if not zmonos:
-        return 0
-    rows = {}
-    for t, mono in enumerate(zmonos):
-        for pair in SO7_PAIRS:
-            for target, coef in derive(rep.rho[pair], mono).items():
-                key = (pair, target)
-                if key not in rows:
-                    rows[key] = [F0] * len(zmonos)
-                rows[key][t] += coef
-    if not rows:  # every operator kills every weight-0 monomial
+    system = _operator_system(rep, SO7_PAIRS, zmonos, derive)
+    if not system:  # every operator kills every weight-0 monomial, if any
         return len(zmonos)
-    system = [rows[key] for key in sorted(rows)]
-    return len(nullspace(frac_mat(system)))
+    return len(nullspace(system))
+
+
+def _halved(w):
+    """A doubled weight as lie_engine and the reference list read it."""
+    return tuple(Fraction(x, 2) for x in w)
+
+
+def _weight_counts(weights):
+    """Multiplicity of each of the doubled ``weights``, keyed halved."""
+    counts = {}
+    for w in weights:
+        counts[w] = counts.get(w, 0) + 1
+    return {_halved(w): n for w, n in counts.items()}
 
 
 def cross_check_weights(rep: SpinRep) -> dict:
     """Tie the matrix model to the abstract weight calculus."""
     alg = lie_engine.B3
-    spin = lie_engine.irrep_weights(alg, (FH, FH, FH))
-    model = {}
-    for s in range(8):
-        w = rep.weight_of_spinor(s)
-        model[w] = model.get(w, 0) + 1
-    spin_match = model == spin
-    wedge4_engine = lie_engine.wedge_power(alg, spin, 4)
-    model4 = {}
-    for mono in MONOMIALS:
-        key = rep.weight_of_monomial(mono)
-        model4[key] = model4.get(key, 0) + 1
-    wedge4_match = model4 == wedge4_engine
+    spin = lie_engine.irrep_weights(alg, _halved((1, 1, 1)))
+    model = _weight_counts(rep.weight_of_spinor(s) for s in range(8))
+    model4 = _weight_counts(rep.weight_of_monomial(mono) for mono in MONOMIALS)
     return {
-        "spin_weights_match": spin_match,
-        "wedge4_weights_match": wedge4_match,
+        "spin_weights_match": model == spin,
+        "wedge4_weights_match": model4 == lie_engine.wedge_power(alg, spin, 4),
         "wedge4_zero_dim": len(weight_zero_monomials(rep)),
         "wedge2_invariants": invariant_count(rep, 2, "wedge"),
         "sym2_invariants": invariant_count(rep, 2, "sym"),

@@ -244,11 +244,6 @@ def apply_move(h: HomTuple, mv: Move) -> HomTuple:
     return HomTuple(h.g, tuple(eval_word(h, w) for w in mv.images))
 
 
-def move_fixes_relator_class(mv: Move) -> bool:
-    r = surface_relator(mv.g)
-    return words_conjugate(mv.substitute(r), r)
-
-
 def verify_psi_in_Ag(g, k) -> bool:
     """Symbolic check that psi_k sends R exactly to alpha_{k+1} R alpha_{k+1}^{-1}."""
     if g < 2:
@@ -280,10 +275,6 @@ _AXIS_COUNT = tuple(bin(x).count("1") for x in range(8))
 
 def pack_images(images) -> int:
     return sum(_POS[x] << 3 * t for t, x in enumerate(images))
-
-
-def unpack_images(p, g) -> tuple:
-    return tuple(GROUP8[p >> 3 * t & 7] for t in range(2 * g))
 
 
 def _compile_move(mv: Move) -> tuple:

@@ -46,7 +46,6 @@ from .linalg import (
     block_diag,
     frac_mat,
     identity,
-    intersect_row_spaces,
     inverse,
     mat_mul,
     nullspace,
@@ -173,13 +172,6 @@ class SubspaceQ:
             return True
         merged = SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
         return merged.dim == self.dim
-
-    def intersect(self, other: "SubspaceQ") -> "SubspaceQ":
-        self._same_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return SubspaceQ(ambient=self.ambient, rows=())
-        got = intersect_row_spaces([list(r) for r in self.rows], [list(r) for r in other.rows])
-        return SubspaceQ.from_vectors(got, self.ambient)
 
     def union_span(self, other: "SubspaceQ") -> "SubspaceQ":
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)

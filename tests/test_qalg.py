@@ -21,7 +21,6 @@ from quatprym.qalg import (
     group_ring_wedderburn,
     hurwitz_index_identity,
     hurwitz_order,
-    hz_order,
     qinv,
     qmul,
     q8_elements,
@@ -35,6 +34,11 @@ params_st = st.sampled_from([HAMILTON, MINUS13])
 
 def quat(params, a, b, c, d):
     return QuatElem.make(params, a, b, c, d)
+
+
+def hz_order(params=HAMILTON):
+    """The Lipschitz order Z<1, i, j, k>."""
+    return qalg.OrderLattice(params, qalg.basis_elems(params))
 
 
 # ---------------------------------------------------------------- group Q8

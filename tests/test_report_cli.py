@@ -165,9 +165,20 @@ def test_cli_curve_locus_requires_p(capsys):
 
 
 def test_cli_spin_invariant(capsys):
+    # one line per weight-0 monomial of wedge^4 S: spinor indices, their
+    # subsets of {1,2,3}, and the coefficient of the invariant
     code, out = run_cli(capsys, "spin", "--invariant")
     assert code == 0
-    assert out.count("\n") >= 8
+    assert out.splitlines() == [
+        "(0, 1, 6, 7)  ((), (1,), (2, 3), (1, 2, 3))  coefficient -1",
+        "(0, 2, 5, 7)  ((), (2,), (1, 3), (1, 2, 3))  coefficient 1",
+        "(0, 3, 4, 7)  ((), (3,), (1, 2), (1, 2, 3))  coefficient -1",
+        "(0, 4, 5, 6)  ((), (1, 2), (1, 3), (2, 3))  coefficient 2",
+        "(1, 2, 3, 7)  ((1,), (2,), (3,), (1, 2, 3))  coefficient 2",
+        "(1, 2, 5, 6)  ((1,), (2,), (1, 3), (2, 3))  coefficient 1",
+        "(1, 3, 4, 6)  ((1,), (3,), (1, 2), (2, 3))  coefficient -1",
+        "(2, 3, 4, 5)  ((2,), (3,), (1, 2), (1, 3))  coefficient 1",
+    ]
 
 
 def test_cli_spin_check_bracket(capsys):

@@ -8,14 +8,13 @@ pairs are derived by hand and frozen.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from quatprym import lie_engine as le
-from quatprym.linalg import identity
 from quatprym import spin_explicit as sp
-
-H = Fraction(1, 2)
+from quatprym.linalg import identity, mat_add, mat_mul, mat_scale
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +22,16 @@ def rep():
     return sp.build_spin_rep()
 
 
+def int_identity(n):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
 # ------------------------------------------------- independent operators
 
 
 def oracle_wedge(i):
     """Matrix of v -> e_i ^ v in the subset basis, built via frozensets."""
-    m = [[Fraction(0)] * 8 for _ in range(8)]
+    m = [[0] * 8 for _ in range(8)]
     for col, subset in enumerate(sp.SUBSETS):
         s = frozenset(subset)
         if i in s:
@@ -36,13 +39,13 @@ def oracle_wedge(i):
         t = s | {i}
         sign = (-1) ** sum(1 for x in s if x < i)
         row = sp.SUBSETS.index(tuple(sorted(t)))
-        m[row][col] = Fraction(sign)
+        m[row][col] = sign
     return m
 
 
 def oracle_contract(i):
     """Matrix of contraction by e_i, same convention."""
-    m = [[Fraction(0)] * 8 for _ in range(8)]
+    m = [[0] * 8 for _ in range(8)]
     for col, subset in enumerate(sp.SUBSETS):
         s = frozenset(subset)
         if i not in s:
@@ -50,7 +53,7 @@ def oracle_contract(i):
         t = s - {i}
         sign = (-1) ** sum(1 for x in t if x < i)
         row = sp.SUBSETS.index(tuple(sorted(t)))
-        m[row][col] = Fraction(sign)
+        m[row][col] = sign
     return m
 
 
@@ -63,58 +66,106 @@ def test_wedge_and_contract_match_oracle():
 
 def test_wedge_contract_anticommutator_is_identity():
     # w_i d_i + d_i w_i = 1 on the exterior algebra
-    ident = [[Fraction(1 if r == c else 0) for c in range(8)] for r in range(8)]
     for i in (1, 2, 3):
-        w = sp.frac_mat(oracle_wedge(i))
-        d = sp.frac_mat(oracle_contract(i))
-        summed = [
-            [x + y for x, y in zip(ra, rb)]
-            for ra, rb in zip(sp.mat_mul(w, d), sp.mat_mul(d, w))
-        ]
-        assert summed == ident
+        w = oracle_wedge(i)
+        d = oracle_contract(i)
+        assert mat_add(mat_mul(w, d), mat_mul(d, w)) == int_identity(8)
 
 
-# ------------------------------------------------------- the bilinear form
+# --------------------------------------------------------- the Gram form
 
 
 def test_bilinear_form_pairs_opposite_indices():
-    # coordinates 0..5 pair across a shift by three; 6 is the fixed axis
+    # G = 2B: coordinates 0..5 pair across a shift by three with G = 1,
+    # and the fixed axis 6 has G = 2
     for i in range(6):
         partner = (i + 3) % 6
-        assert sp.BFORM[i][partner] == H
-        assert sum(1 for x in sp.BFORM[i] if x != 0) == 1
-    assert sp.BFORM[6][6] == 1
+        assert sp.GRAM[i][partner] == 1
+        assert sum(1 for x in sp.GRAM[i] if x != 0) == 1
+    assert sp.GRAM[6] == [0] * 6 + [2]
+    assert all(sp.GRAM[p][q] == sp.GRAM[q][p] for p in range(7) for q in range(7))
+
+
+def test_the_model_is_integer_throughout(rep):
+    # every entry of 2 rho, every basis action, every bracket coefficient
+    # and every doubled weight is an int, not an integral Fraction
+    assert all(type(x) is int for m in rep.two_rho.values() for row in m for x in row)
+    assert all(type(c) is int for c in rep.scalars)
+    for x, y in sp.BRACKET_PAIRS:
+        mx, my = sp.so7_action_matrix(*x), sp.so7_action_matrix(*y)
+        assert all(type(v) is int for row in mx for v in row)
+        assert all(type(c) is int for c in sp.matrix_to_pair_coeffs(commutator(mx, my)).values())
+    for mono in sp.MONOMIALS:
+        assert all(type(w) is int for w in rep.weight_of_monomial(mono))
+    for pair in sp.SO7_PAIRS:
+        for mono in ((0, 0), (1, 6), (2, 7, 7)):
+            assert all(type(c) is int for c in sp._derive_sym(rep.two_rho[pair], mono).values())
+
+
+def test_no_fraction_is_made_before_the_kernels(monkeypatch):
+    # building and checking the model, the weight-zero tests and the
+    # operator systems stay in ints; only nullspace and the halving make
+    # Fractions
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert made == [(1, 2)]
+    made.clear()
+    rep = sp.build_spin_rep()
+    zmonos = sp.weight_zero_monomials(rep)
+    sp._operator_system(rep, sp.SO7_PAIRS, zmonos, sp.wedge_derivation)
+    sym2 = [m for m in combinations_with_replacement(range(8), 2) if not any(rep.weight_of_monomial(m))]
+    sp._operator_system(rep, sp.SO7_PAIRS, sym2, sp._derive_sym)
+    assert made == []
+
+
+def test_matrix_to_pair_coeffs_rejects_a_matrix_outside_the_span():
+    with pytest.raises(ValueError, match="outside the span"):
+        sp.matrix_to_pair_coeffs(identity(7))
+    with pytest.raises(ValueError, match="outside the span"):
+        sp.matrix_to_pair_coeffs(int_identity(7))
+
+
+def test_matrix_to_pair_coeffs_inverts_every_basis_action():
+    for pair in sp.SO7_PAIRS:
+        coeffs = sp.matrix_to_pair_coeffs(sp.so7_action_matrix(*pair))
+        assert coeffs == {p: int(p == pair) for p in sp.SO7_PAIRS}
 
 
 # -------------------------------------------------------------- brackets
 
 
 def commutator(a, b):
-    ab = sp.mat_mul(a, b)
-    ba = sp.mat_mul(b, a)
+    ab = mat_mul(a, b)
+    ba = mat_mul(b, a)
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
-def rho_combination(rep, coeff_by_pair):
-    out = [[Fraction(0)] * 8 for _ in range(8)]
+def two_rho_of(rep, coeff_by_pair):
+    """2 rho of the element sum c pair of so(7)."""
+    out = [[0] * 8 for _ in range(8)]
     for pair, c in coeff_by_pair.items():
-        block = rep.rho[pair]
-        for r in range(8):
-            for s in range(8):
-                out[r][s] += c * Fraction(block[r][s])
+        out = mat_add(out, mat_scale(rep.two_rho[pair], c))
     return out
 
 
 def test_hand_computed_bracket_values(rep):
     # indices are 0-based: coordinate t pairs with t+3, axis is 6.
+    # [2rho x, 2rho y] = 4 rho([x, y]) = 2 * 2rho([x, y]).
     # [e0^e6, e1^e6] = -2 e0^e1 with this normalization of the form
-    m = commutator(rep.rho[(0, 6)], rep.rho[(1, 6)])
-    assert m == rho_combination(rep, {(0, 1): Fraction(-2)})
+    m = commutator(rep.two_rho[(0, 6)], rep.two_rho[(1, 6)])
+    assert m == mat_scale(two_rho_of(rep, {(0, 1): -2}), 2)
     # the Cartan element e0^e3 scales e0^e6 by its weight, +1
-    m2 = commutator(rep.rho[(0, 3)], rep.rho[(0, 6)])
-    assert m2 == rep.rho[(0, 6)]
+    m2 = commutator(rep.two_rho[(0, 3)], rep.two_rho[(0, 6)])
+    assert m2 == mat_scale(rep.two_rho[(0, 6)], 2)
     # orthogonal pairs commute
-    m3 = commutator(rep.rho[(0, 3)], rep.rho[(1, 4)])
+    m3 = commutator(rep.two_rho[(0, 3)], rep.two_rho[(1, 4)])
     assert all(x == 0 for row in m3 for x in row)
 
 
@@ -123,18 +174,53 @@ def test_all_brackets_close(rep):
     for idx_a in range(len(pairs)):
         for idx_b in range(idx_a + 1, len(pairs)):
             a, b = pairs[idx_a], pairs[idx_b]
-            lhs = commutator(rep.rho[a], rep.rho[b])
+            lhs = commutator(rep.two_rho[a], rep.two_rho[b])
             # structure constants read off from the vector representation
-            vec = commutator(
-                sp.frac_mat(sp.so7_action_matrix(*a)),
-                sp.frac_mat(sp.so7_action_matrix(*b)),
-            )
+            vec = commutator(sp.so7_action_matrix(*a), sp.so7_action_matrix(*b))
             target = sp.matrix_to_pair_coeffs(vec)
-            assert lhs == rho_combination(rep, target), (a, b)
+            assert lhs == mat_scale(two_rho_of(rep, target), 2), (a, b)
 
 
 def test_scalar_normalization_frozen(rep):
-    assert rep.scalars == (1, 1, 1, 1, Fraction(-1, 2))
+    # the signs s1..s4, then the Cartan shift c = -1/2 doubled
+    assert rep.scalars == (1, 1, 1, 1, -1)
+
+
+CANDIDATES = tuple(product((1, -1), (1, -1), (1, -1), (1, -1), (-1, 1, 0)))
+
+
+def test_every_candidate_satisfies_the_sample_formula():
+    # the bracket check alone picks the scalars: the sample formula holds
+    # for all 48 candidates, but not at the wrong scale or sign
+    assert len(CANDIDATES) == 48
+    assert all(sp._formula_holds(sp._assemble(*cand)) for cand in CANDIDATES)
+    two_rho = sp._assemble(1, 1, 1, 1, -1)
+    for i in range(3):
+        undoubled = {**two_rho, (i, 6): mat_scale(two_rho[(i, 6)], Fraction(1, 2))}
+        assert not sp._formula_holds(undoubled)
+        flipped = {**two_rho, (i, 6): mat_scale(two_rho[(i, 6)], -1)}
+        assert not sp._formula_holds(flipped)
+
+
+@pytest.mark.parametrize(
+    "cand,passes",
+    [
+        ((1, 1, 1, 1, -1), 210),
+        ((1, 1, 1, 1, 1), 204),
+        ((1, 1, 1, 1, 0), 204),
+        ((-1, -1, -1, 1, -1), 111),
+    ],
+    ids=["c=-1/2", "c=+1/2", "c=0", "signs-c=-1/2"],
+)
+def test_bracket_pass_counts_per_candidate(cand, passes):
+    two_rho = sp._assemble(*cand)
+    assert sum(sp.bracket_holds(two_rho, x, y) for x, y in sp.BRACKET_PAIRS) == passes
+
+
+def test_build_raises_when_no_candidate_passes(monkeypatch):
+    monkeypatch.setattr(sp, "bracket_holds", lambda two_rho, x, y: False)
+    with pytest.raises(sp.SpinConstructionError, match="no scalar assignment"):
+        sp.build_spin_rep()
 
 
 # ------------------------------------------------------------- weights
@@ -143,7 +229,8 @@ def test_scalar_normalization_frozen(rep):
 def test_spinor_weights_follow_subset_membership(rep):
     for idx, subset in enumerate(sp.SUBSETS):
         w = rep.weight_of_spinor(idx)
-        expected = tuple(H if t in subset else -H for t in (1, 2, 3))
+        # doubled: +1/2 and -1/2 read 1 and -1
+        expected = tuple(1 if t in subset else -1 for t in (1, 2, 3))
         assert w == expected
 
 
@@ -166,7 +253,7 @@ def test_weight_zero_monomials_frozen(rep):
     assert len(zeros) == 8
     assert (0, 4, 5, 6) in zeros
     for mono in zeros:
-        total = [Fraction(0)] * 3
+        total = [0] * 3
         for idx in mono:
             w = rep.weight_of_spinor(idx)
             total = [a + b for a, b in zip(total, w)]
@@ -190,14 +277,15 @@ def test_invariant_line_frozen(rep):
 def test_invariance_check_raises_on_a_broken_rho(rep):
     # the raising operators and the Cartan part are kept, so the raising
     # kernel is still one line, but e1 ^ e2 now acts as the identity
-    broken = sp.SpinRep(rho={**rep.rho, (0, 1): identity(8)}, scalars=rep.scalars)
+    broken_two_rho = {**rep.two_rho, (0, 1): mat_scale(int_identity(8), 2)}
+    broken = sp.SpinRep(two_rho=broken_two_rho, scalars=rep.scalars)
     with pytest.raises(sp.SpinConstructionError, match=r"not invariant under \(0, 1\)"):
         sp.so7_invariant(broken)
 
 
 def test_monomial_weight_is_the_sum_of_spinor_weights(rep):
     for mono in ((), (3,), (0, 4, 5, 6), (1, 3, 4, 5), (0, 0, 7)):
-        total = [Fraction(0)] * 3
+        total = [0] * 3
         for idx in mono:
             total = [a + b for a, b in zip(total, rep.weight_of_spinor(idx))]
         assert rep.weight_of_monomial(mono) == tuple(total)
@@ -238,10 +326,13 @@ def test_reference_terms_differ_in_exactly_one_monomial(rep):
     printed = dict(sp.REFERENCE_TERMS)
     assert printed[(1, 3, 4, 5)] == Fraction(-1)
     # that monomial is not weight zero, so it cannot occur in an invariant
-    total = [Fraction(0)] * 3
+    total = [0] * 3
     for idx in (1, 3, 4, 5):
         total = [a + b for a, b in zip(total, rep.weight_of_spinor(idx))]
-    assert any(x != 0 for x in total)
+    assert total == [2, -2, 0]
+    # the reported weight is halved where it leaves the module
+    weight = cmp["terms"][5]["weight"]
+    assert weight == (1, -1, 0) and all(type(x) is Fraction for x in weight)
     # the computed invariant instead carries (1,3,4,6), same coefficient
     assert cmp["computed"][(1, 3, 4, 6)] == Fraction(-1)
     assert (1, 3, 4, 6) not in printed
@@ -250,4 +341,4 @@ def test_reference_terms_differ_in_exactly_one_monomial(rep):
 def test_build_is_deterministic():
     a = sp.build_spin_rep()
     b = sp.build_spin_rep()
-    assert a.rho == b.rho and a.scalars == b.scalars
+    assert a.two_rho == b.two_rho and a.scalars == b.scalars

@@ -16,9 +16,10 @@ def test_tracer_installs_on_every_wrapped_name():
     code = (
         "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
         "import json, layers, tracer\n"
-        "from quatprym import qalg, weil_classes\n"
+        "from quatprym import qalg, report, weil_classes\n"
         "t = tracer.Tracer(); layers.install(t)\n"
         "weil_classes.weil_report(1, qalg.HAMILTON)\n"
+        "report.run_suite(module='spin')\n"
         "print(json.dumps(layers.metrics(t)))\n"
     )
     proc = subprocess.run(
@@ -29,3 +30,6 @@ def test_tracer_installs_on_every_wrapped_name():
     got = json.loads(proc.stdout)
     assert got["weil_classes.weil_kernel.calls"] == 1
     assert got["weil_classes.weil_report.s"] > 0
+    for name in ("build_spin_rep", "so7_invariant", "reference_comparison",
+                 "cross_check_weights"):
+        assert got[f"spin_explicit.{name}.s"] > 0, name
