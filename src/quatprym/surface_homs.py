@@ -14,6 +14,12 @@ surjection, exhaustive enumeration in low genus, and the genus counts
 for the associated covers.  The census and the normalization search run
 on tuples packed into one int, with each move compiled to lookup tables.
 
+The census searches orbits over Inn(Q)-classes.  Moves act by
+precomposition and so commute with inner automorphisms; on a surjective
+tuple the conjugation moves reach exactly its Inn(Q)-class, of 4 tuples,
+so an orbit is that class times the orbit of one tuple under the
+remaining handle moves.
+
 Free words are tuples of nonzero ints: letter m in 1..g is alpha_m,
 g+m is beta_m, and a negative letter is the inverse.
 """
@@ -60,24 +66,6 @@ def concat_words(*ws):
 
 def conj_word(w, by):
     return concat_words(by, w, inv_word(by))
-
-
-def cyclic_reduce(w):
-    w = reduce_word(w)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
-def words_conjugate(u, v) -> bool:
-    """Conjugacy test in a free group: equal cyclic reductions up to rotation."""
-    u = cyclic_reduce(u)
-    v = cyclic_reduce(v)
-    if len(u) != len(v):
-        return False
-    if not u:
-        return True
-    return any(v[i:] + v[:i] == u for i in range(len(v)))
 
 
 def surface_relator(g):
@@ -227,15 +215,19 @@ def conj_move(g, w) -> Move:
     return Move(f"CONJ({label})", g, tuple(imgs))
 
 
-def move_set(g):
+def handle_moves(g):
+    """The moves of move_set(g) before its conjugations, in the same order."""
     moves = [psi_move(g, k) for k in range(1, g)]
     for m in range(1, g + 1):
         moves.append(beta_twist(g, m))
         moves.append(alpha_slide(g, m))
         moves.append(beta_slide(g, m))
-    for t in range(1, 2 * g + 1):
-        moves.append(conj_move(g, (t,)))
     return moves
+
+
+def move_set(g):
+    """handle_moves(g), then conjugation by each generator."""
+    return handle_moves(g) + [conj_move(g, (t,)) for t in range(1, 2 * g + 1)]
 
 
 def apply_move(h: HomTuple, mv: Move) -> HomTuple:
@@ -275,6 +267,29 @@ _AXIS_COUNT = tuple(bin(x).count("1") for x in range(8))
 
 def pack_images(images) -> int:
     return sum(_POS[x] << 3 * t for t, x in enumerate(images))
+
+
+@cache
+def _conj_tables() -> tuple:
+    """Conjugation by i, j and k of three packed slots at once, indexed
+    by v1 | v2 << 3 | v3 << 6; built on first use."""
+    singles = [[_POS[qmul(qmul(a, x), qinv(a))] for x in GROUP8] for a in ((1, 1), (1, 2), (1, 3))]
+    return tuple(
+        tuple(c[v & 7] | c[v >> 3 & 7] << 3 | c[v >> 6] << 6 for v in range(512))
+        for c in singles
+    )
+
+
+def _inner_class(p, g) -> list:
+    """The packed genus-g tuple p composed with conjugation by 1, i, j
+    and k: its class under Inn(Q), read three slots per lookup."""
+    out = [p]
+    for table in _conj_tables():
+        q = 0
+        for s in range(0, 6 * g, 9):
+            q |= table[p >> s & 511] << s
+        out.append(q)
+    return out
 
 
 def _compile_move(mv: Move) -> tuple:
@@ -443,6 +458,27 @@ class EnumReport:
     standard_orbit_size: int
 
 
+def _orbits(tuples, handle, g):
+    """The orbits of the packed surjective genus-g tuples under the
+    compiled moves ``handle`` together with the conjugations, as sets.
+
+    The search expands one tuple per Inn(Q)-class under ``handle`` only,
+    and takes in the whole class of every new tuple it reaches.
+    """
+    remaining = set(tuples)
+    while remaining:
+        seed = remaining.pop()
+        orbit = set(_inner_class(seed, g))
+        queue = deque([seed])
+        while queue:
+            for q in _successors(queue.popleft(), handle):
+                if q not in orbit:
+                    orbit.update(_inner_class(q, g))
+                    queue.append(q)
+        remaining -= orbit
+        yield orbit
+
+
 def enumerate_surjections(g) -> EnumReport:
     """Exhaustive census of valid tuples at genus g <= 3, with the orbit
     partition of the surjective ones under the move set.
@@ -450,6 +486,13 @@ def enumerate_surjections(g) -> EnumReport:
     Tuples are built handle by handle on packed ints: the relator is the
     product of the handle commutators, read from ``_COMM``, and a tuple is
     surjective when its images meet at least two of the axes i, j, k.
+
+    The orbits are searched over Inn(Q)-classes.  A move acts by
+    precomposition, so it commutes with composing by c_a, conjugation by
+    a.  CONJ(t) sends x to c_{x_t} x; the images of a surjective x generate
+    Q, so the conjugations reach exactly Inn(Q) x, on which Inn(Q) = Q/Z
+    acts freely.  Each orbit is therefore Inn(Q) times the orbit of one
+    tuple under handle_moves(g), and its size is 4 times its class count.
     """
     if g > 3:
         raise ValueError("enumeration only supported for genus <= 3")
@@ -477,20 +520,11 @@ def enumerate_surjections(g) -> EnumReport:
                 if _AXIS_COUNT[x | y] >= 2:
                     surjective.extend([p | q for q in qs])
     _, compiled = _compiled_moves(g)
-    remaining = set(surjective)
+    handle = compiled[:len(handle_moves(g))]
     orbit_sizes = []
     standard_orbit = 0
     std = pack_images(standard_hom(g).images) if g >= 2 else None
-    while remaining:
-        seed = remaining.pop()
-        orbit = {seed}
-        queue = deque([seed])
-        while queue:
-            for q in _successors(queue.popleft(), compiled):
-                if q not in orbit:
-                    orbit.add(q)
-                    queue.append(q)
-        remaining -= orbit
+    for orbit in _orbits(surjective, handle, g):
         orbit_sizes.append(len(orbit))
         if std in orbit:
             standard_orbit = len(orbit)

@@ -162,17 +162,6 @@ class SubspaceQ:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _same_ambient(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError(f"ambient dimensions {self.ambient} and {other.ambient} differ")
-
-    def contains_space(self, other: "SubspaceQ") -> bool:
-        self._same_ambient(other)
-        if other.dim == 0:
-            return True
-        merged = SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
-        return merged.dim == self.dim
-
     def union_span(self, other: "SubspaceQ") -> "SubspaceQ":
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
 

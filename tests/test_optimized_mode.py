@@ -147,8 +147,6 @@ cases = [
     ("apply_move", lambda: sh.apply_move(sh.standard_hom(2), sh.move_set(3)[0])),
     ("normalize_hom phase 1", phase1_without_flips),
     ("mat_of", lambda: wc.HModel.make(1, qalg.HAMILTON).mat_of(other_algebra)),
-    ("contains_space", lambda: wc.SubspaceQ.from_vectors([[1, 0]], 2).contains_space(
-        wc.SubspaceQ.from_vectors([[1, 0, 0]], 3))),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
     ("H1Data tree", lambda: patched(
@@ -229,7 +227,6 @@ def test_checks_raise_under_python_O():
         "normalize_hom phase 1 RuntimeError "
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
         "mat_of ValueError mixed algebras B(-1, -1) and B(-1, -3)",
-        "contains_space ValueError ambient dimensions 2 and 3 differ",
         "substitute ValueError substitute needs 2 polynomials, got 1",
         "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
         "H1Data tree ValueError spanning tree reaches 1 of 8 vertices",

@@ -114,6 +114,29 @@ def test_cli_homs_normalize(capsys):
     assert payload["moves"]
 
 
+@pytest.mark.parametrize("g,total,valid,orbit_sizes", [
+    (0, 1, 1, []),
+    (1, 64, 40, []),
+    (2, 4096, 2176, [1440]),
+    (3, 262144, 133120, [120960]),
+])
+def test_cli_homs_enumerate(capsys, g, total, valid, orbit_sizes):
+    code, out = run_cli(capsys, "homs", "--genus", str(g), "--enumerate")
+    assert code == 0
+    sizes = "".join(f"\n    {n}\n  " for n in orbit_sizes)
+    surjective = sum(orbit_sizes)
+    assert out == (
+        "{\n"
+        f'  "genus": {g},\n'
+        f'  "total": {total},\n'
+        f'  "valid": {valid},\n'
+        f'  "surjective": {surjective},\n'
+        f'  "orbit_sizes": [{sizes}],\n'
+        f'  "standard_orbit_size": {surjective}\n'
+        "}\n"
+    )
+
+
 def test_cli_lie_scenario(capsys):
     code, out = run_cli(capsys, "lie", "--scenario", "weil_4fold")
     assert code == 0

@@ -9,12 +9,15 @@ closed form (Mednykh; Hall's Moebius inversion) gate the packed census.
 
 The packed move tables and the packed normalization search are gated
 against the tuple-level path: ``apply_move`` on HomTuples, and a
-breadth-first search over HomTuples kept here as the oracle.
+breadth-first search over HomTuples kept here as the oracle.  The census
+orbits, searched over Inn(Q)-classes, are gated against the packed
+breadth-first search over every move that the census used before.
 """
 
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
@@ -25,6 +28,25 @@ from quatprym.qalg import qinv, qmul
 
 
 # ------------------------------------------------------------ word calculus
+
+
+def cyclic_reduce(w):
+    w = sh.reduce_word(w)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+def words_conjugate(u, v) -> bool:
+    """Conjugacy test in a free group: equal cyclic reductions up to rotation."""
+    u = cyclic_reduce(u)
+    v = cyclic_reduce(v)
+    if len(u) != len(v):
+        return False
+    if not u:
+        return True
+    return any(v[i:] + v[:i] == u for i in range(len(v)))
+
 
 letters = st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0)
 words = st.lists(letters, min_size=0, max_size=8).map(tuple)
@@ -52,12 +74,12 @@ def test_inverse_reverses_products(u, v):
 
 @given(words, words)
 def test_conjugates_are_recognized(w, c):
-    assert sh.words_conjugate(sh.conj_word(w, c), w)
+    assert words_conjugate(sh.conj_word(w, c), w)
 
 
 def test_non_conjugate_pair_rejected():
-    assert not sh.words_conjugate((1,), (2,))
-    assert not sh.words_conjugate((1, 1), (1,))
+    assert not words_conjugate((1,), (2,))
+    assert not words_conjugate((1, 1), (1,))
 
 
 def test_surface_relator_shape():
@@ -89,13 +111,20 @@ def test_eval_word_respects_inverses(imgs, w):
 
 def move_fixes_relator_class(mv):
     r = sh.surface_relator(mv.g)
-    return sh.words_conjugate(mv.substitute(r), r)
+    return words_conjugate(mv.substitute(r), r)
 
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_every_move_fixes_the_relator_class(g):
     for mv in sh.move_set(g):
         assert move_fixes_relator_class(mv), mv.kind
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_move_set_is_handle_moves_then_conjugations(g):
+    conjugations = [sh.conj_move(g, (t,)) for t in range(1, 2 * g + 1)]
+    assert sh.move_set(g) == sh.handle_moves(g) + conjugations
+    assert len(sh.handle_moves(g)) == 4 * g - 1
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -256,6 +285,111 @@ def test_genus3_census_matches_oracles():
                 surj += 1
     assert valid == character_count(3)
     assert surj == character_count(3) - non_surjective_count(3) == 120960
+
+
+# ------------------------------------------- census orbits over Inn(Q)-classes
+
+
+@cache
+def surjective_packed(g):
+    """The packed surjective genus-g tuples, found handle by handle through qmul."""
+    comm = {(a, b): qmul(qmul(a, b), qmul(qinv(a), qinv(b))) for a in sh.GROUP8 for b in sh.GROUP8}
+    out = []
+    for handles in product(comm, repeat=g):
+        r = (1, 0)
+        for pair in handles:
+            r = qmul(r, comm[pair])
+        alphas, betas = zip(*handles)
+        if r == (1, 0) and len({a for _, a in alphas + betas if a}) >= 2:
+            out.append(sh.pack_images(alphas + betas))
+    return tuple(out)
+
+
+def full_orbits(tuples, compiled):
+    """The census search before the quotient: packed breadth-first search
+    over every compiled move, conjugations included."""
+    remaining = set(tuples)
+    while remaining:
+        seed = remaining.pop()
+        orbit = {seed}
+        queue = deque([seed])
+        while queue:
+            for q in sh._successors(queue.popleft(), compiled):
+                if q not in orbit:
+                    orbit.add(q)
+                    queue.append(q)
+        remaining -= orbit
+        yield orbit
+
+
+def full_orbit_sizes(tuples, compiled):
+    return tuple(sorted((len(o) for o in full_orbits(tuples, compiled)), reverse=True))
+
+
+def handle_subset(g, kinds):
+    """The compiled handle moves of the named kinds, in move_set order, and
+    the compiled conjugations."""
+    builders = {
+        "psi": [sh.psi_move(g, k) for k in range(1, g)],
+        "twists": [sh.beta_twist(g, m) for m in range(1, g + 1)],
+        "slides": [f(g, m) for m in range(1, g + 1) for f in (sh.alpha_slide, sh.beta_slide)],
+    }
+    chosen = [mv for kind in kinds for mv in builders[kind]]
+    moves, compiled = sh._compiled_moves(g)
+    n = len(sh.handle_moves(g))
+    handle = tuple(c for mv, c in zip(moves[:n], compiled) if mv in chosen)
+    assert len(handle) == len(chosen)
+    return handle, compiled[n:]
+
+
+def conjugates(p, g):
+    """{pack(c_a . x) : a in Q}, x the packed tuple p, through qmul and qinv."""
+    x = unpack_images(p, g)
+    return {sh.pack_images([qmul(qmul(a, y), qinv(a)) for y in x]) for a in sh.GROUP8}
+
+
+def test_census_is_the_full_search_at_genus2():
+    _, compiled = sh._compiled_moves(2)
+    rep = sh.enumerate_surjections(2)
+    assert rep.surjective == len(surjective_packed(2))
+    assert rep.orbit_sizes == full_orbit_sizes(surjective_packed(2), compiled) == (1440,)
+
+
+@pytest.mark.parametrize("g,kinds,count", [
+    (2, (), 360),
+    (2, ("twists",), 144),
+    (2, ("slides",), 7),
+    (2, ("psi", "twists", "slides"), 1),
+    (3, (), 30240),
+    (3, ("twists", "slides"), 75),
+])
+def test_quotient_orbits_match_the_full_search(g, kinds, count):
+    handle, conjugations = handle_subset(g, kinds)
+    tuples = surjective_packed(g)
+    quotient = {frozenset(o) for o in sh._orbits(tuples, handle, g)}
+    full = {frozenset(o) for o in full_orbits(tuples, handle + conjugations)}
+    assert quotient == full
+    assert len(quotient) == count
+    assert all(len(o) % 4 == 0 for o in quotient)
+
+
+def test_inner_class_on_every_genus2_tuple():
+    for p in range(8**4):
+        cls = sh._inner_class(p, 2)
+        assert len(cls) == 4 and cls[0] == p
+        assert set(cls) == conjugates(p, 2), unpack_images(p, 2)
+
+
+def test_inner_class_on_genus3_sample():
+    rng = random.Random(37)
+    for _ in range(3000):
+        p = rng.randrange(8**6)
+        assert set(sh._inner_class(p, 3)) == conjugates(p, 3), unpack_images(p, 3)
+
+
+def test_inner_class_is_free_on_surjections():
+    for g in (2, 3):
+        assert all(len(set(sh._inner_class(p, g))) == 4 for p in surjective_packed(g))
 
 
 # ------------------------------------------------------------- normalize

@@ -34,9 +34,22 @@ def model(n=1, params=M11):
     return wc.HModel.make(n, params)
 
 
+def same_ambient(a, b):
+    if a.ambient != b.ambient:
+        raise ValueError(f"ambient dimensions {a.ambient} and {b.ambient} differ")
+
+
+def contains_space(a, b) -> bool:
+    """Whether the subspace a contains the subspace b."""
+    same_ambient(a, b)
+    if b.dim == 0:
+        return True
+    return a.union_span(b).dim == a.dim
+
+
 def intersect(a, b) -> wc.SubspaceQ:
     """The intersection of two subspaces of one ambient space."""
-    a._same_ambient(b)
+    same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
         return wc.SubspaceQ(ambient=a.ambient, rows=())
     got = linalg.intersect_row_spaces([list(r) for r in a.rows], [list(r) for r in b.rows])
@@ -345,7 +358,7 @@ def test_weil_kernel_is_stable_under_the_field():
     )
     gen_action = wc.exterior_action(x_mat, k)
     for ker in (oracle_weil_kernel(h, x), wc.weil_kernel(h)):
-        assert ker.contains_space(ker.apply(gen_action))
+        assert contains_space(ker, ker.apply(gen_action))
 
 
 def test_conjugate_element_has_same_kernel():
@@ -393,7 +406,7 @@ def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
     assert wk.dim == dim_wk
     wf = wc.quaternion_span(h, wk)
     assert wf.dim == dim_wf
-    assert wf.contains_space(wk)
+    assert contains_space(wf, wk)
 
 
 def test_full_span_is_stable_under_generators():
@@ -402,7 +415,7 @@ def test_full_span_is_stable_under_generators():
     k = h.dim // 2
     for mat in (h.mat_i, h.mat_j, h.mat_k):
         moved = wf.apply(wc.exterior_action(linalg.frac_mat(mat), k))
-        assert wf.contains_space(moved)
+        assert contains_space(wf, moved)
 
 
 def test_span_dimensions_survive_conjugation():
@@ -433,7 +446,7 @@ def test_subspace_operations():
     b = wc.SubspaceQ.from_vectors([[0, 1, 0, 0], [0, 0, 1, 0]], amb)
     assert intersect(a, b).dim == 1
     assert a.union_span(b).dim == 3
-    assert a.contains_space(intersect(a, b))
+    assert contains_space(a, intersect(a, b))
 
 
 def test_subspace_comparisons_need_one_ambient_space():
@@ -441,11 +454,11 @@ def test_subspace_comparisons_need_one_ambient_space():
     line2 = wc.SubspaceQ.from_vectors([[1, 0]], 2)
     zero2 = wc.SubspaceQ.from_vectors([], 2)
     with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
-        line3.contains_space(line2)
+        contains_space(line3, line2)
     with pytest.raises(ValueError, match="ambient dimensions 2 and 3 differ"):
-        line2.contains_space(line3)
+        contains_space(line2, line3)
     with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
-        line3.contains_space(zero2)
+        contains_space(line3, zero2)
     with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
         intersect(line3, line2)
-    assert line2.contains_space(zero2)
+    assert contains_space(line2, zero2)
