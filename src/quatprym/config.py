@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budgets:
-    bfs_node_cap: int = 200000  # normalization breadth-first search
+    # normalization phase 2: a cached distance table when every genus-g
+    # tuple fits in the cap, else the bounded breadth-first search
+    bfs_node_cap: int = 200000
     locus_prime_cap: int = 41  # largest prime for finite-field loci
 
 

@@ -14,6 +14,12 @@ surjection, exhaustive enumeration in low genus, and the genus counts
 for the associated covers.  The census and the normalization search run
 on tuples packed into one int, with each move compiled to lookup tables.
 
+Phase 2 of the normalization is a cached distance table when every
+genus-g tuple fits in the cap, else the bounded breadth-first search.
+Both return the lexicographically smallest shortest move path: the
+table by walking from the start along the smallest move index one step
+closer to the standard tuple.
+
 The census searches orbits over Inn(Q)-classes.  Moves act by
 precomposition and so commute with inner automorphisms; on a surjective
 tuple the conjugation moves reach exactly its Inn(Q)-class, of 4 tuples,
@@ -89,6 +95,9 @@ class HomTuple:
     def __post_init__(self):
         if len(self.images) != 2 * self.g:
             raise ValueError(f"genus {self.g} needs {2 * self.g} images, got {len(self.images)}")
+        for x in self.images:
+            if x not in GROUP8:
+                raise ValueError(f"image {x!r} is not an element of Q8")
 
     def alpha(self, m):
         return self.images[m - 1]
@@ -366,15 +375,55 @@ def _flip_moves(g, m):
     return inner + [psi_move(g, m)] + inner
 
 
+@cache
+def _goal_distances(g) -> dict:
+    """Packed tuple -> number of moves from it to the standard tuple, over
+    the standard tuple's orbit.
+
+    Every move is a free-group automorphism, so it permutes the 8^(2g)
+    tuples: the tuples reachable from the goal are its orbit, and each of
+    them reaches the goal.  Enumerating them forward records every edge
+    into the orbit, and a breadth-first search from the goal along those
+    edges reversed gives the distances."""
+    _, compiled = _compiled_moves(g)
+    goal = pack_images(standard_hom(g).images)
+    preds = {goal: []}
+    stack = [goal]
+    while stack:
+        cur = stack.pop()
+        for q in _successors(cur, compiled):
+            if q not in preds:
+                preds[q] = []
+                stack.append(q)
+            preds[q].append(cur)
+    dist = {goal: 0}
+    queue = deque([goal])
+    while queue:
+        cur = queue.popleft()
+        for p in preds[cur]:
+            if p not in dist:
+                dist[p] = dist[cur] + 1
+                queue.append(p)
+    return dist
+
+
 def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
     """Drive h to the standard surjection by moves, if possible.
 
     Phase 1 handles tuples already in the shape reached by the
     constructive part of the normalization argument (beta images and the
     first g-2 alpha images central, then alpha_{g-1} = i, alpha_g = j)
-    with an explicit move program.  Phase 2 is a breadth-first search
-    over the full move set, in ``move_set`` order, on packed tuples,
-    bounded by ``node_budget`` visited tuples.
+    with an explicit move program.  Phase 2 runs over the full move set
+    on packed tuples: a cached distance table when every genus-g tuple
+    fits in the cap (``8 ** (2 * g) <= node_budget``), else the
+    breadth-first search, in ``move_set`` order, bounded by
+    ``node_budget`` visited tuples.  Under that condition the search
+    cannot hit its cap, and both give the same path: a breadth-first
+    search expanding successors in ``move_set`` order keeps each level's
+    queue sorted by the move indices of its paths, so it returns the
+    lexicographically smallest shortest path, and a walk taking at each
+    step the smallest move index one step closer to the goal spells out
+    exactly that path.
 
     Returns {"reached": bool, "moves": [Move]}; replaying the moves on h
     reproduces the standard tuple whenever reached is True.
@@ -418,9 +467,22 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
             raise RuntimeError(f"phase-1 program left {format_hom(work)}, not the standard tuple")
         return {"reached": True, "moves": moves}
 
-    # phase 2: bounded breadth-first search
     moves, compiled = _compiled_moves(g)
     start, goal = pack_images(h.images), pack_images(target.images)
+    # phase 2 by the distance table: every genus-g tuple fits in the cap,
+    # so the search below could not hit it and would find this same path
+    if 8 ** (2 * g) <= node_budget:
+        dist = _goal_distances(g)
+        if start not in dist:
+            return {"reached": False, "moves": []}
+        path, cur = [], start
+        while cur != goal:
+            i, cur = next((i, q) for i, q in enumerate(_successors(cur, compiled))
+                          if dist[q] < dist[cur])
+            path.append(moves[i])
+        return {"reached": True, "moves": path}
+
+    # phase 2 otherwise: bounded breadth-first search
     seen = {start: None}  # packed tuple -> (packed parent, move index)
     queue = deque([start])
     while queue and len(seen) <= node_budget:

@@ -143,6 +143,7 @@ cases = [
      lambda: spin_with("nullspace", lambda m: [[Fraction(0)] * 7 + [Fraction(1)]])),
     ("run_suite", suite_with_duplicate_ids),
     ("HomTuple", lambda: sh.HomTuple(2, ((1, 0),) * 3)),
+    ("HomTuple image", lambda: sh.HomTuple(2, ((1, 5), (1, 1), (1, 2), (1, 0)))),
     ("standard_hom", lambda: sh.standard_hom(1)),
     ("apply_move", lambda: sh.apply_move(sh.standard_hom(2), sh.move_set(3)[0])),
     ("normalize_hom phase 1", phase1_without_flips),
@@ -222,6 +223,7 @@ def test_checks_raise_under_python_O():
         "invariant line has no all-even coefficient",
         "run_suite RuntimeError claim ids must be unique",
         "HomTuple ValueError genus 2 needs 4 images, got 3",
+        "HomTuple image ValueError image (1, 5) is not an element of Q8",
         "standard_hom ValueError genus must be at least 2",
         "apply_move ValueError move of genus 3 applied to a genus-2 tuple",
         "normalize_hom phase 1 RuntimeError "

@@ -9,12 +9,15 @@ closed form (Mednykh; Hall's Moebius inversion) gate the packed census.
 
 The packed move tables and the packed normalization search are gated
 against the tuple-level path: ``apply_move`` on HomTuples, and a
-breadth-first search over HomTuples kept here as the oracle.  The census
+breadth-first search over HomTuples kept here as the oracle.  The
+normalization's distance table is gated by the Bellman equation over the
+genus-2 orbit and against the packed forward search.  The census
 orbits, searched over Inn(Q)-classes, are gated against the packed
 breadth-first search over every move that the census used before.
 """
 
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -463,6 +466,38 @@ def test_normalize_search_budget_matches_homtuple_oracle():
             assert out == bfs_oracle(h, budget), (budget, h.images)
             reached.add(out["reached"])
     assert reached == {True, False}
+
+
+def test_goal_distances_satisfy_bellman_over_the_genus2_orbit():
+    """The table's keys are the 1,440 surjections, each distance one more
+    than its nearest successor's, counted here with no reverse edges."""
+    _, compiled = sh._compiled_moves(2)
+    goal = sh.pack_images(sh.standard_hom(2).images)
+    dist = sh._goal_distances(2)
+    assert set(dist) == set(surjective_packed(2))
+    assert len(dist) == sh.enumerate_surjections(2).surjective == 1440
+    assert dist[goal] == 0
+    for x, d in dist.items():
+        if x != goal:
+            assert d == 1 + min(dist[y] for y in sh._successors(x, compiled)), x
+    assert max(dist.values()) == 10
+
+
+def test_normalize_table_matches_unbounded_search():
+    """The table walk against the forward search at a budget one short of
+    8^4, which the orbit of 1,440 still fits in."""
+    for p in random.Random(41).sample(surjective_packed(2), 300):
+        h = sh.HomTuple(2, unpack_images(p, 2))
+        assert sh.normalize_hom(h) == sh.normalize_hom(h, node_budget=8**4 - 1), h.images
+
+
+@pytest.mark.parametrize("images", [
+    ((1, 5), (1, 1), (1, 2), (1, 0)),
+    ((2, 1), (1, 2), (1, 0), (1, 0)),
+])
+def test_homtuple_rejects_images_outside_q8(images):
+    with pytest.raises(ValueError, match=re.escape(f"image {images[0]} is not an element of Q8")):
+        sh.normalize_hom(sh.HomTuple(2, images))
 
 
 def test_normalize_rejects_bad_input():
