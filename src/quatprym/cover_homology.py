@@ -54,10 +54,6 @@ class CoverGraph:
     edges: tuple  # 8g triples (u_index, v_index, m), edge (m-1)*8+u
 
     @property
-    def n_vertices(self):
-        return 8
-
-    @property
     def n_edges(self):
         return 8 * self.g
 

@@ -234,18 +234,6 @@ class OrderLattice:
     def contains(self, x) -> bool:
         return all(v.denominator == 1 for v in self.coords(x))
 
-    def is_order(self) -> bool:
-        """Ring check: 1 in L and L closed under multiplication."""
-        one = QuatElem.make(self.params, 1)
-        if not self.contains(one):
-            return False
-        return all(self.contains(x * y) for x in self.basis for y in self.basis)
-
-    def index_in(self, other) -> Fraction:
-        """[other : self] as a positive rational (1/n when self is bigger)."""
-        a = frac_mat([other.coords(b) for b in self.basis])
-        return abs(det(a))
-
     def _left_ideal_constants(self):
         """Structure constants of ``left_ideal_index``, computed at first use.
 

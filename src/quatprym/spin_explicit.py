@@ -336,7 +336,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
         "terms": terms,
         "mismatch_positions": mismatches,
         "matches": len(REFERENCE_TERMS) - len(mismatches),
-        "computed": {m: int(c) for m, c in sorted(inv.items())},
+        "computed": {m: int(c) if c.denominator == 1 else c for m, c in sorted(inv.items())},
     }
 
 

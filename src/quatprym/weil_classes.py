@@ -46,7 +46,6 @@ from .linalg import (
     block_diag,
     frac_mat,
     identity,
-    inverse,
     mat_mul,
     nullspace,
     perm_sign,
@@ -54,7 +53,7 @@ from .linalg import (
     transpose,
     wedge_derivation,
 )
-from .qalg import AlgebraParams, QuatElem, basis_elems, left_mult_matrix
+from .qalg import AlgebraParams, basis_elems, left_mult_matrix
 
 EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
 
@@ -104,44 +103,6 @@ class HModel:
         ji = mat_mul(mj, mi)
         if ij != [[-x for x in row] for row in ji]:
             raise ValueError("i and j anticommute")
-
-    def mat_of(self, x: QuatElem):
-        """Matrix of left multiplication by an arbitrary algebra element."""
-        if x.params != self.params:
-            raise ValueError(f"mixed algebras B({self.params.r}, {self.params.s})"
-                             f" and B({x.params.r}, {x.params.s})")
-        coeffs = (x.a, x.b, x.c, x.d)
-        mats = (self.mat_one, self.mat_i, self.mat_j, self.mat_k)
-        d = self.dim
-        out = [[F0] * d for _ in range(d)]
-        for c, m in zip(coeffs, mats):
-            if c == 0:
-                continue
-            for p in range(d):
-                row = m[p]
-                op = out[p]
-                for q in range(d):
-                    if row[q]:
-                        op[q] += c * row[q]
-        return out
-
-    def conjugated(self, g) -> "HModel":
-        """The same algebra action transported by an invertible matrix.
-
-        All dimension outputs must be blind to this change of basis."""
-        ginv = inverse([list(row) for row in g])
-        def conj(m):
-            return tuple(
-                map(tuple, mat_mul(mat_mul([list(r) for r in g], [list(r) for r in m]), ginv))
-            )
-        return HModel(
-            params=self.params,
-            n=self.n,
-            mat_one=conj(self.mat_one),
-            mat_i=conj(self.mat_i),
-            mat_j=conj(self.mat_j),
-            mat_k=conj(self.mat_k),
-        )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def h1(g=2, h=None):
 
 def test_graph_shape_g2():
     graph = ch.build_cover_graph(sh.standard_hom(2))
-    assert graph.n_edges == 16 and graph.n_vertices == 8
+    assert graph.n_edges == 16 and {v for u, w, _ in graph.edges for v in (u, w)} == set(range(8))
     assert graph.is_connected()
     elems = q8_elements()
     # edge (m-1)*8+u runs from vertex u to vertex u * image(m)

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from quatprym import linalg
 from quatprym import weil_classes as wc
 from quatprym.qalg import HAMILTON, KNum, QuatElem
-from test_weil_classes import annihilator_coefficients
+from test_weil_classes import annihilator_coefficients, mat_of
 
 
 def perm_sign(p):
@@ -486,7 +486,7 @@ def weil_matrix():
     70x70 matrix whose nullspace the group-action oracle of
     test_weil_classes takes first for the registry's Weil computation."""
     model = wc.HModel.make(2, HAMILTON)
-    xm = wc.exterior_action(model.mat_of(QuatElem.make(HAMILTON, 1, 1)), 4)
+    xm = wc.exterior_action(mat_of(model, QuatElem.make(HAMILTON, 1, 1)), 4)
     a, b = annihilator_coefficients(KNum.make(-1, 1, 1), 4)
     p = linalg.mat_mul(xm, xm)
     for i, (prow, xrow) in enumerate(zip(p, xm)):
@@ -517,5 +517,5 @@ def test_weil_kernel_matrix_elimination_unchanged():
     assert linalg.det(p) == 0
     # det of the wedge^4 action itself: det(X)^C(7,3) with det(X) = N(1+i)^4
     model = wc.HModel.make(2, HAMILTON)
-    xm = wc.exterior_action(model.mat_of(QuatElem.make(HAMILTON, 1, 1)), 4)
+    xm = wc.exterior_action(mat_of(model, QuatElem.make(HAMILTON, 1, 1)), 4)
     assert linalg.det(xm) == 2**140

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 from fractions import Fraction
 from quatprym import cover_homology as ch, curve_model as cm, lie_engine as le, linalg, qalg
-from quatprym import report, spin_explicit as sp, surface_homs as sh, weil_classes as wc
+from quatprym import report, spin_explicit as sp, surface_homs as sh
 
 print("debug", __debug__)
 third = qalg.QuatElem.make(qalg.HAMILTON, Fraction(1, 3))
@@ -39,15 +39,6 @@ def wedderburn_with(name, fake):
         return qalg.group_ring_wedderburn()
     finally:
         setattr(qalg, name, real)
-
-
-def duplicate_claims(budgets):
-    return [report._record("x.same", "statement", "1", "1")]
-
-
-def suite_with_duplicate_ids():
-    report.MODULE_BUILDERS = (("qalg", duplicate_claims), ("homs", duplicate_claims))
-    return report.run_suite()
 
 
 # call() with owner.name replaced by fake(the real one)
@@ -141,13 +132,16 @@ cases = [
      lambda: spin_with("weight_zero_monomials", lambda r: sp.MONOMIALS[:7])),
     ("so7_invariant lead 0",
      lambda: spin_with("nullspace", lambda m: [[Fraction(0)] * 7 + [Fraction(1)]])),
-    ("run_suite", suite_with_duplicate_ids),
+    ("run_suite rows", lambda: patched(
+        report, "CLAIMS", lambda real: real + real[:1], lambda: report.run_suite("qalg"))),
+    ("run_suite ids", lambda: patched(
+        report, "MODULE_BUILDERS", lambda real: (("qalg", lambda budgets: {"qalg.other": True}),),
+        lambda: report.run_suite("qalg"))),
     ("HomTuple", lambda: sh.HomTuple(2, ((1, 0),) * 3)),
     ("HomTuple image", lambda: sh.HomTuple(2, ((1, 5), (1, 1), (1, 2), (1, 0)))),
     ("standard_hom", lambda: sh.standard_hom(1)),
     ("apply_move", lambda: sh.apply_move(sh.standard_hom(2), sh.move_set(3)[0])),
     ("normalize_hom phase 1", phase1_without_flips),
-    ("mat_of", lambda: wc.HModel.make(1, qalg.HAMILTON).mat_of(other_algebra)),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
     ("H1Data tree", lambda: patched(
@@ -221,14 +215,15 @@ def test_checks_raise_under_python_O():
         "weight-zero subspace has dimension 7, expected 8",
         "so7_invariant lead 0 SpinConstructionError "
         "invariant line has no all-even coefficient",
-        "run_suite RuntimeError claim ids must be unique",
+        "run_suite rows RuntimeError claim ids must be unique",
+        "run_suite ids RuntimeError module 'qalg' and its claim rows differ on "
+        "['qalg.group_ring_shape', 'qalg.left_ideal_index', 'qalg.other', 'qalg.splitting_embed']",
         "HomTuple ValueError genus 2 needs 4 images, got 3",
         "HomTuple image ValueError image (1, 5) is not an element of Q8",
         "standard_hom ValueError genus must be at least 2",
         "apply_move ValueError move of genus 3 applied to a genus-2 tuple",
         "normalize_hom phase 1 RuntimeError "
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
-        "mat_of ValueError mixed algebras B(-1, -1) and B(-1, -3)",
         "substitute ValueError substitute needs 2 polynomials, got 1",
         "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
         "H1Data tree ValueError spanning tree reaches 1 of 8 vertices",

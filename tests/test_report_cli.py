@@ -6,10 +6,14 @@ the complete suite is exercised by the acceptance tests.
 """
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quatprym import cli, report
+from quatprym import cli, report, spin_explicit
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
 
 
 def test_module_names_frozen():
@@ -32,6 +36,30 @@ def test_qalg_records_pass_and_are_sorted():
     assert len(set(ids)) == len(ids)
     assert all(r.status == report.PASS for r in records)
     assert all(r.claim_id.startswith("qalg.") for r in records)
+
+
+def test_claim_table_rows():
+    ids = [c.claim_id for c in report.CLAIMS]
+    assert len(ids) == len(set(ids)) == 39
+    assert {i.split(".")[0] for i in ids} == set(report.module_names())
+    for c in report.CLAIMS:
+        assert c.status in (report.PASS, report.EVIDENCE, report.FLAGGED)
+        # only a FLAGGED row names the computed value that marks a typo
+        assert (c.typo is not None) == (c.status == report.FLAGGED)
+
+
+def test_spin_claims_keep_a_non_integral_coefficient(monkeypatch):
+    real = spin_explicit.so7_invariant
+
+    def five_halves(rep):
+        return {**real(rep), (1, 2, 3, 7): Fraction(5, 2)}
+
+    monkeypatch.setattr(spin_explicit, "so7_invariant", five_halves)
+    line = next(r for r in report.run_suite("spin") if r.claim_id == "spin.invariant_line")
+    assert (line.computed, line.status) == ("(2, Fraction(5, 2))", report.FAIL)
+    cmp = spin_explicit.reference_comparison(spin_explicit.build_spin_rep())
+    assert cmp["computed"][(1, 2, 3, 7)] == Fraction(5, 2)
+    assert cmp["computed"][(0, 4, 5, 6)] == 2
 
 
 def test_unknown_module_rejected():
@@ -249,4 +277,21 @@ def test_cli_rejects_removed_flags(argv):
 
 
 def test_cli_rejects_unknown_module(capsys):
-    assert cli.main(["report", "--module", "nope"]) != 0
+    assert cli.main(["report", "--module", "nope"]) == 2
+
+
+def test_cli_report_turns_a_raising_builder_into_fail_records(capsys, monkeypatch):
+    def broken(budgets):
+        raise ZeroDivisionError("no cover today")
+
+    builders = tuple((m, broken if m == "cover" else b) for m, b in report.MODULE_BUILDERS)
+    monkeypatch.setattr(report, "MODULE_BUILDERS", builders)
+    code, out = run_cli(capsys, "report")
+    assert code == 1
+    golden = json.loads(GOLDEN.read_text())["claims"]
+    claims = json.loads(out)["claims"]
+    assert [c["claim_id"] for c in claims] == [c["claim_id"] for c in golden]
+    for got, want in zip(claims, golden):
+        if got["claim_id"].startswith("cover."):
+            want = {**want, "computed": "raised ZeroDivisionError: no cover today", "status": "FAIL"}
+        assert got == want
