@@ -20,11 +20,10 @@ Both return the lexicographically smallest shortest move path: the
 table by walking from the start along the smallest move index one step
 closer to the standard tuple.
 
-The census searches orbits over Inn(Q)-classes.  Moves act by
-precomposition and so commute with inner automorphisms; on a surjective
-tuple the conjugation moves reach exactly its Inn(Q)-class, of 4 tuples,
-so an orbit is that class times the orbit of one tuple under the
-remaining handle moves.
+The census searches orbits over Aut(Q)-classes: moves commute with
+composing by an automorphism of Q, Aut(Q) acts freely on surjections,
+and by Schreier's lemma the labels of a class's tuples by automorphisms
+tell its orbits apart (proof at ``enumerate_surjections``).
 
 Free words are tuples of nonzero ints: letter m in 1..g is alpha_m,
 g+m is beta_m, and a negative letter is the inverse.
@@ -35,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 
 from .config import Budgets
 from .qalg import qmul, qinv, qparse, qstr
@@ -60,14 +59,7 @@ def inv_word(w):
 
 
 def concat_words(*ws):
-    out = []
-    for w in ws:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return reduce_word(chain.from_iterable(ws))
 
 
 def conj_word(w, by):
@@ -75,10 +67,7 @@ def conj_word(w, by):
 
 
 def surface_relator(g):
-    parts = []
-    for m in range(1, g + 1):
-        parts.append((m, g + m, -m, -(g + m)))
-    return concat_words(*parts)
+    return concat_words(*((m, g + m, -m, -(g + m)) for m in range(1, g + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +268,21 @@ def pack_images(images) -> int:
 
 
 @cache
-def _conj_tables() -> tuple:
-    """Conjugation by i, j and k of three packed slots at once, indexed
-    by v1 | v2 << 3 | v3 << 6; built on first use."""
-    singles = [[_POS[qmul(qmul(a, x), qinv(a))] for x in GROUP8] for a in ((1, 1), (1, 2), (1, 3))]
-    return tuple(
-        tuple(c[v & 7] | c[v >> 3 & 7] << 3 | c[v >> 6] << 6 for v in range(512))
-        for c in singles
-    )
-
-
-def _inner_class(p, g) -> list:
-    """The packed genus-g tuple p composed with conjugation by 1, i, j
-    and k: its class under Inn(Q), read three slots per lookup."""
-    out = [p]
-    for table in _conj_tables():
-        q = 0
-        for s in range(0, 6 * g, 9):
-            q |= table[p >> s & 511] << s
-        out.append(q)
-    return out
+def _aut_tables() -> tuple:
+    """The 24 automorphisms of Q as (perm, table), Inn(Q) first (conjugation
+    by 1, i, j, k): perm maps GROUP8 positions to positions, and table
+    applies it to three packed slots at once, indexed by v1 | v2 << 3 | v3 << 6."""
+    def powers(a):
+        return [(1, 0), a, qmul(a, a), qinv(a)]
+    # x = i^e j^f for one e < 4, f < 2; i, j -> a, b (b not in <a>) sends x to a^e b^f
+    exps = {qmul(y, z): (e, f) for e, y in enumerate(powers((1, 1)))
+            for f, z in enumerate(powers((1, 2))[:2])}
+    perms = [tuple(_POS[qmul(pa[e], pb[f])] for e, f in map(exps.get, GROUP8))
+             for pa in map(powers, GROUP8[2:]) for pb in map(powers, GROUP8[2:]) if pb[1] not in pa]
+    inner = [tuple(_POS[qmul(qmul(a, x), qinv(a))] for x in GROUP8) for a in GROUP8[::2]]
+    ints = tuple(range(512))  # the 24 tables share one int object per value
+    return tuple((p, tuple(ints[p[v & 7] | p[v >> 3 & 7] << 3 | p[v >> 6] << 6] for v in ints))
+                 for p in inner + [p for p in perms if p not in inner])
 
 
 def _compile_move(mv: Move) -> tuple:
@@ -520,25 +504,36 @@ class EnumReport:
     standard_orbit_size: int
 
 
-def _orbits(tuples, handle, g):
-    """The orbits of the packed surjective genus-g tuples under the
-    compiled moves ``handle`` together with the conjugations, as sets.
+def _generated(gens) -> frozenset:
+    """The subgroup of Aut(Q) generated by gens, as indices into _aut_tables()."""
+    perms = [p for p, _ in _aut_tables()]
+    group = [perms[0]]
+    for a in group:
+        group += {tuple(a[y] for y in perms[b]) for b in gens} - set(group)
+    return frozenset(map(perms.index, group))
 
-    The search expands one tuple per Inn(Q)-class under ``handle`` only,
-    and takes in the whole class of every new tuple it reaches.
-    """
-    remaining = set(tuples)
-    while remaining:
-        seed = remaining.pop()
-        orbit = set(_inner_class(seed, g))
-        queue = deque([seed])
-        while queue:
-            for q in _successors(queue.popleft(), handle):
-                if q not in orbit:
-                    orbit.update(_inner_class(q, g))
-                    queue.append(q)
-        remaining -= orbit
-        yield orbit
+
+def _orbits(tuples, handle, labels):
+    """Search the orbits of the packed surjective tuples (genus <= 3) under
+    the compiled moves ``handle`` and the conjugations, one Aut(Q)-class at a
+    time, writing into the zeroed bytearray ``labels``: labels[rho q] is 1 +
+    the index of rho in _aut_tables(), q the first tuple reached in a class.
+    Each pass yields those first tuples and the stabilizer of its seed's orbit."""
+    auts = _aut_tables()
+    for seed in tuples:
+        if labels[seed]:
+            continue
+        reps, gens = [], set(range(4))  # Inn(Q) lies in every stabilizer
+        # breadth first: the seed, then the images of each class's first tuple
+        for q in chain([seed], (q for r in reps for q in _successors(r, handle))):
+            if labels[q]:
+                gens.add(labels[q] - 1)
+                continue
+            lo, hi = q & 511, q >> 9
+            for n, (_, table) in enumerate(auts, 1):
+                labels[table[lo] | table[hi] << 9] = n
+            reps.append(q)
+        yield reps, _generated(gens)
 
 
 def enumerate_surjections(g) -> EnumReport:
@@ -549,12 +544,17 @@ def enumerate_surjections(g) -> EnumReport:
     product of the handle commutators, read from ``_COMM``, and a tuple is
     surjective when its images meet at least two of the axes i, j, k.
 
-    The orbits are searched over Inn(Q)-classes.  A move acts by
-    precomposition, so it commutes with composing by c_a, conjugation by
-    a.  CONJ(t) sends x to c_{x_t} x; the images of a surjective x generate
-    Q, so the conjugations reach exactly Inn(Q) x, on which Inn(Q) = Q/Z
-    acts freely.  Each orbit is therefore Inn(Q) times the orbit of one
-    tuple under handle_moves(g), and its size is 4 times its class count.
+    The orbits are searched over Aut(Q)-classes.  (1) A move acts by
+    precomposition, so it commutes with composing by any automorphism s;
+    the images of a surjective x generate Q, so the conjugations (CONJ(t)
+    sends x to c_{x_t} x) reach exactly Inn(Q) x.  (2) s x = x makes s fix
+    a generating set, so s = 1: Aut(Q) acts freely on surjections, and each
+    y in a class is l(y) r for one label l(y), r the class's first tuple.
+    (3) A move sends rho r to rho tau r', tau the label of its image of r,
+    and tau = 1 on the search tree's edges.  By Schreier's lemma the labels
+    that the seed's orbit O meets in any class form the group H generated by
+    Inn(Q) and the other edges' tau, so y lies in rho O iff l(y) lies in
+    rho H: a pass holds 24/|H| orbits of |H| times its class count tuples.
     """
     if g > 3:
         raise ValueError("enumeration only supported for genus <= 3")
@@ -583,13 +583,13 @@ def enumerate_surjections(g) -> EnumReport:
                     surjective.extend([p | q for q in qs])
     _, compiled = _compiled_moves(g)
     handle = compiled[:len(handle_moves(g))]
-    orbit_sizes = []
-    standard_orbit = 0
-    std = pack_images(standard_hom(g).images) if g >= 2 else None
-    for orbit in _orbits(surjective, handle, g):
-        orbit_sizes.append(len(orbit))
-        if std in orbit:
-            standard_orbit = len(orbit)
+    orbit_sizes, standard_orbit = [], 0
+    std = pack_images(standard_hom(g).images) if g >= 2 else 0  # 0 is not surjective
+    labels = bytearray(8 ** (2 * g))
+    for reps, stab in _orbits(surjective, handle, labels):
+        orbit_sizes += [len(reps) * len(stab)] * (24 // len(stab))
+        if labels[std] and not standard_orbit:
+            standard_orbit = len(reps) * len(stab)
     return EnumReport(
         genus=g,
         total=8 ** (2 * g),

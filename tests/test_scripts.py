@@ -5,16 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quatprym import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, check=True):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *argv],
-        capture_output=True, text=True, timeout=120, check=True, env=ENV,
+        capture_output=True, text=True, timeout=120, check=check, env=ENV,
     )
 
 
@@ -53,3 +55,14 @@ def test_orbit_survey_genus_3():
         "  its orbit size     120960",
         "  single orbit: every surjection normalizes to the standard tuple",
     ]
+
+
+@pytest.mark.parametrize("genus,message", [
+    ("4", "enumeration only supported for genus <= 3"),
+    ("-1", "genus must be non-negative"),
+], ids=["4", "-1"])
+def test_orbit_survey_rejects_unsupported_genus(genus, message):
+    out = run_script("orbit_survey.py", "--genus", genus, check=False)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.splitlines() == [f"orbit_survey.py: error: {message}"]

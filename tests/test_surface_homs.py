@@ -12,8 +12,9 @@ against the tuple-level path: ``apply_move`` on HomTuples, and a
 breadth-first search over HomTuples kept here as the oracle.  The
 normalization's distance table is gated by the Bellman equation over the
 genus-2 orbit and against the packed forward search.  The census
-orbits, searched over Inn(Q)-classes, are gated against the packed
-breadth-first search over every move that the census used before.
+orbits, searched over Aut(Q)-classes and rebuilt from their labels, are
+gated against the packed breadth-first search over every move; the
+automorphism tables against a brute-force search for Aut(Q) through qmul.
 """
 
 import random
@@ -21,7 +22,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -290,7 +291,7 @@ def test_genus3_census_matches_oracles():
     assert surj == character_count(3) - non_surjective_count(3) == 120960
 
 
-# ------------------------------------------- census orbits over Inn(Q)-classes
+# ------------------------------------------ census orbits over Aut(Q)-classes
 
 
 @cache
@@ -351,11 +352,84 @@ def conjugates(p, g):
     return {sh.pack_images([qmul(qmul(a, y), qinv(a)) for y in x]) for a in sh.GROUP8}
 
 
+@cache
+def automorphisms():
+    """Aut(Q) by brute force, as dicts: the bijections of Q that fix 1 and
+    -1, its only element of order 2, and preserve qmul."""
+    out = []
+    for imgs in permutations(sh.GROUP8[2:]):
+        sigma = dict(zip(sh.GROUP8, sh.GROUP8[:2] + imgs))
+        if all(sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]) for x in sh.GROUP8 for y in sh.GROUP8):
+            out.append(sigma)
+    return out
+
+
+def aut_perms():
+    return [perm for perm, _ in sh._aut_tables()]
+
+
+def aut_maps():
+    """The permutations of sh._aut_tables() as dicts on Q, in order."""
+    return [{x: sh.GROUP8[perm[n]] for n, x in enumerate(sh.GROUP8)} for perm in aut_perms()]
+
+
+def aut_images(p, g):
+    """The images of the packed tuple p under sh._aut_tables(), in order,
+    through its three-slot tables."""
+    shifts = range(0, 6 * g, 9)
+    return [sum(table[p >> s & 511] << s for s in shifts) for _, table in sh._aut_tables()]
+
+
+def composed_images(p, g):
+    """{pack(sigma . x) : sigma in Aut(Q)}, x the packed tuple p, through qmul."""
+    x = unpack_images(p, g)
+    return {sh.pack_images([sigma[y] for y in x]) for sigma in automorphisms()}
+
+
+def label_orbits(tuples, handle, g):
+    """The orbits found by sh._orbits, rebuilt from its labels and each
+    pass's stabilizer H: y lies in rho O iff l(y) lies in rho H, i.e. iff
+    l(y) H = rho H.  Also returns the orbit sizes the passes count and the
+    orders of their stabilizers."""
+    perms = aut_perms()
+    index = {perm: n for n, perm in enumerate(perms)}
+    labels = bytearray(8 ** (2 * g))
+    orbits, sizes, orders = set(), [], set()
+    for reps, stab in sh._orbits(tuples, handle, labels):
+        coset = [frozenset(index[tuple(rho[y] for y in perms[h])] for h in stab) for rho in perms]
+        by_coset = {}
+        for y in {q for r in reps for q in aut_images(r, g)}:
+            by_coset.setdefault(coset[labels[y] - 1], set()).add(y)
+        orbits.update(map(frozenset, by_coset.values()))
+        sizes += [len(reps) * len(stab)] * (24 // len(stab))
+        orders.add(len(stab))
+    return orbits, sorted(sizes), orders
+
+
 def test_census_is_the_full_search_at_genus2():
     _, compiled = sh._compiled_moves(2)
     rep = sh.enumerate_surjections(2)
     assert rep.surjective == len(surjective_packed(2))
     assert rep.orbit_sizes == full_orbit_sizes(surjective_packed(2), compiled) == (1440,)
+
+
+def test_census_is_the_full_search_at_genus3():
+    _, compiled = sh._compiled_moves(3)
+    rep = sh.enumerate_surjections(3)
+    assert rep.orbit_sizes == full_orbit_sizes(surjective_packed(3), compiled) == (120960,)
+
+
+# the orders of the passes' stabilizers, which include non-normal ones (8)
+STABILIZER_ORDERS = {
+    (2, ()): {4},
+    (2, ("twists",)): {4},
+    (2, ("slides",)): {4, 24},
+    (2, ("psi", "twists", "slides")): {24},
+    (3, ()): {4},
+    (3, ("twists", "slides")): {4, 8, 24},
+    (2, ("psi",)): {4, 8},
+    (2, ("psi", "twists")): {4, 8},
+}
 
 
 @pytest.mark.parametrize("g,kinds,count", [
@@ -365,34 +439,56 @@ def test_census_is_the_full_search_at_genus2():
     (2, ("psi", "twists", "slides"), 1),
     (3, (), 30240),
     (3, ("twists", "slides"), 75),
+    (2, ("psi",), 192),
+    (2, ("psi", "twists"), 78),
 ])
 def test_quotient_orbits_match_the_full_search(g, kinds, count):
     handle, conjugations = handle_subset(g, kinds)
     tuples = surjective_packed(g)
-    quotient = {frozenset(o) for o in sh._orbits(tuples, handle, g)}
+    quotient, sizes, orders = label_orbits(tuples, handle, g)
     full = {frozenset(o) for o in full_orbits(tuples, handle + conjugations)}
     assert quotient == full
     assert len(quotient) == count
     assert all(len(o) % 4 == 0 for o in quotient)
+    assert sizes == sorted(len(o) for o in full)
+    assert orders == STABILIZER_ORDERS[g, kinds]
 
 
-def test_inner_class_on_every_genus2_tuple():
+def test_aut_tables_are_the_automorphisms():
+    perms = aut_perms()
+    assert len(set(perms)) == len(perms) == 24
+    assert perms[0] == tuple(range(8))
+    maps = aut_maps()
+    for sigma in maps:
+        for x, y in product(sh.GROUP8, repeat=2):
+            assert sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]), sigma
+    assert sorted(perms) == sorted(tuple(sh._POS[s[x]] for x in sh.GROUP8) for s in automorphisms())
+    inner = [{x: qmul(qmul(a, x), qinv(a)) for x in sh.GROUP8} for a in sh.GROUP8[::2]]
+    assert maps[:4] == inner
+
+
+def check_aut_images(p, g):
+    images = aut_images(p, g)
+    x = unpack_images(p, g)
+    assert images == [sh.pack_images([sigma[y] for y in x]) for sigma in aut_maps()], x
+    assert set(images) == composed_images(p, g), x
+    assert set(images[:4]) == conjugates(p, g), x
+
+
+def test_aut_images_of_every_genus2_tuple():
     for p in range(8**4):
-        cls = sh._inner_class(p, 2)
-        assert len(cls) == 4 and cls[0] == p
-        assert set(cls) == conjugates(p, 2), unpack_images(p, 2)
+        check_aut_images(p, 2)
 
 
-def test_inner_class_on_genus3_sample():
+def test_aut_images_of_genus3_sample():
     rng = random.Random(37)
     for _ in range(3000):
-        p = rng.randrange(8**6)
-        assert set(sh._inner_class(p, 3)) == conjugates(p, 3), unpack_images(p, 3)
+        check_aut_images(rng.randrange(8**6), 3)
 
 
-def test_inner_class_is_free_on_surjections():
+def test_aut_action_is_free_on_surjections():
     for g in (2, 3):
-        assert all(len(set(sh._inner_class(p, g))) == 4 for p in surjective_packed(g))
+        assert all(len(set(aut_images(p, g))) == 24 for p in surjective_packed(g))
 
 
 # ------------------------------------------------------------- normalize
