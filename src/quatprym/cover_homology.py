@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from . import linalg
 from .config import Budgets
-from .linalg import frac_mat, inverse, mat_mul, transpose, solve
+from .linalg import frac_mat, identity, inverse, mat_mul, transpose
 from .qalg import (
     HAMILTON,
     qmul,
@@ -186,9 +187,12 @@ class H1Data:
         return mat
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntLattice:
-    """A sublattice of Z^ambient, rows of ``basis`` are the basis vectors."""
+    """A sublattice of Z^ambient, rows of ``basis`` are the basis vectors.
+
+    ``coords`` reads off one cached elimination per lattice: the rref
+    [R | E] of [B | I], with B the basis vectors as columns, so E B = R."""
 
     ambient: int
     basis: list
@@ -200,13 +204,28 @@ class IntLattice:
     def inclusion_divisors(self):
         return linalg.elementary_divisors(self.basis)
 
-    def coords(self, vec):
-        """Integer coordinates of vec in the basis, or None."""
-        cols = [list(row) for row in zip(*self.basis)] if self.basis else []
-        sol = solve(frac_mat(cols), [Fraction(x) for x in vec])
-        if sol is None or any(x.denominator != 1 for x in sol):
+    @cached_property
+    def _elimination(self):
+        """(pivot columns of R, E), or None for an empty basis."""
+        cols = transpose(self.basis)
+        if not cols:
             return None
-        return [x.numerator for x in sol]
+        r, pivots = linalg.rref([row + eye for row, eye in zip(cols, identity(len(cols)))])
+        return [c for c in pivots if c < self.rank], [row[self.rank :] for row in r]
+
+    def coords(self, vec):
+        """Integer coordinates of vec in the basis, or None: B x = vec iff
+        E vec is 0 past the pivot rows, and x is E vec at the pivots."""
+        if self._elimination is None:
+            return None
+        pivots, e = self._elimination
+        ev = linalg.mat_vec(e, vec)
+        if any(ev[len(pivots) :]) or any(v.denominator != 1 for v in ev[: len(pivots)]):
+            return None
+        x = [0] * self.rank
+        for c, v in zip(pivots, ev):
+            x[c] = v.numerator
+        return x
 
 
 def minus_part(h1: H1Data) -> IntLattice:

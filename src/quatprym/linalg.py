@@ -455,6 +455,9 @@ def integer_kernel(a):
 
 
 def int_det(a):
+    """Integer determinant; an all-int matrix skips ``det``'s Fraction."""
+    if all(isinstance(x, int) for row in a for x in row):
+        return _bareiss_det(a)
     d = det(a)
     if d.denominator != 1:
         raise ValueError("determinant is not an integer")

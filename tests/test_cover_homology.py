@@ -4,6 +4,7 @@ The deck-action matrices are rechecked against the group law pair by
 pair, and the distinguished-cycle data against hand-frozen values.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,70 @@ def test_minus_part_negated_by_central_element():
     for row in lat.basis:
         image = linalg.mat_vec(neg, [Fraction(x) for x in row])
         assert image == [Fraction(-x) for x in row]
+
+
+def solve_coords(lat, vec):
+    """Coordinates by one rational solve per vector: the oracle for the
+    cached elimination behind IntLattice.coords."""
+    cols = [list(row) for row in zip(*lat.basis)] if lat.basis else []
+    sol = linalg.solve(linalg.frac_mat(cols), [Fraction(x) for x in vec])
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return [x.numerator for x in sol]
+
+
+def combination(basis, coeffs):
+    return [sum(c * b[t] for c, b in zip(coeffs, basis)) for t in range(len(basis[0]))]
+
+
+def coords_cases(lat, rng):
+    """(vector, whether the oracle must find integer coordinates) pairs:
+    integer and half-integer combinations of the basis, and random
+    integer vectors, which lie outside the span of a proper sublattice."""
+    r = lat.rank
+    for _ in range(40):
+        yield combination(lat.basis, [rng.randint(-5, 5) for _ in range(r)]), True
+    for _ in range(20):
+        coeffs = [Fraction(rng.randint(-5, 5), 2) for _ in range(r)]
+        coeffs[rng.randrange(r)] = Fraction(2 * rng.randint(-3, 3) + 1, 2)
+        yield combination(lat.basis, coeffs), False
+    for _ in range(20):
+        yield [rng.randint(-5, 5) for _ in range(lat.ambient)], False
+    yield [0] * lat.ambient, True
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_lattice_coords_match_the_solve_oracle(g):
+    rng = random.Random(20 + g)
+    vm = ch.minus_part(h1(g))
+    assert vm.rank < vm.ambient
+    b0, *rest = vm.basis
+    lattices = [
+        vm,
+        ch.IntLattice(vm.ambient, [[2 * x for x in b0]] + rest),  # index 2: half-integral coords
+        ch.IntLattice(vm.ambient, vm.basis + [combination(vm.basis, [1] * vm.rank)]),  # dependent
+    ]
+    for lat in lattices:
+        for vec, integral in coords_cases(lat, rng):
+            want = solve_coords(lat, vec)
+            assert lat.coords(vec) == want
+            if integral:
+                assert want is not None
+            elif lat is vm:
+                assert want is None
+    # integer vectors with an odd multiple of b0 have a coordinate in
+    # 1/2 + Z over the index-2 lattice
+    for _ in range(20):
+        coeffs = [2 * rng.randint(-3, 3) + 1] + [rng.randint(-5, 5) for _ in rest]
+        vec = combination(vm.basis, coeffs)
+        assert lattices[1].coords(vec) is None is solve_coords(lattices[1], vec)
+        assert vm.coords(vec) == coeffs
+
+
+def test_lattice_coords_of_an_empty_basis_are_none():
+    lat = ch.IntLattice(5, [])
+    for vec in ([0] * 5, [1, 0, 0, 0, 0]):
+        assert lat.coords(vec) is None is solve_coords(lat, vec)
 
 
 # ------------------------------------------- distinguished cycle and basis

@@ -7,6 +7,7 @@ ring operations.  Locus membership is additionally recomputed inside
 the test with plain integer arithmetic mod p.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -243,6 +244,41 @@ def test_locus_reports(p, points, locus):
     # the count of projective points of the ambient space, from scratch
     assert points == (p**5 - 1) // (p - 1)
     assert rep["i_mod_p"] ** 2 % p == p - 1
+
+
+def per_point_locus_scan(p):
+    """Every point of P^4(F_p), each with all eight conjuncts evaluated:
+    the oracle for the prefix-hoisted scan."""
+    quad_zero, quart_zero = set(), set()
+    npoints = 0
+    for lead in range(5):
+        for rest in itertools.product(range(p), repeat=4 - lead):
+            pt = (0,) * lead + (1,) + rest
+            npoints += 1
+            x0, x1, x2, x3, x4 = pt
+            q0 = (x4 * x4 + x0 * x1 - x2 * x3) % p
+            q1 = (x0 * x2 - x1 * x1) % p
+            q2 = (x0 * x3 - x1 * x2) % p
+            q3 = (x1 * x3 - x2 * x2) % p
+            if q0 == 0 and q1 == 0 and q2 == 0 and q3 == 0:
+                quad_zero.add(pt)
+            f0 = (q0 * q0) % p
+            f1 = (q2 * q2) % p
+            f2 = (q1 * q3) % p
+            f3 = (q1 * q1 + q3 * q3) % p
+            if f0 == 0 and f1 == 0 and f2 == 0 and f3 == 0:
+                quart_zero.add(pt)
+    return quad_zero, quart_zero, npoints
+
+
+@pytest.mark.parametrize("p", [13, 17, 29])
+def test_locus_scan_matches_the_per_point_oracle(p):
+    quad_zero, quart_zero, npoints = cm._locus_scan(p)
+    want_quad, want_quart, want_points = per_point_locus_scan(p)
+    assert npoints == want_points == (p**5 - 1) // (p - 1)
+    assert quad_zero == want_quad
+    assert quart_zero == want_quart
+    assert quad_zero  # the comparison is not between empty sets
 
 
 def test_locus_membership_mod_13():

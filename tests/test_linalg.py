@@ -202,6 +202,21 @@ def test_int_det_matches_rational_det():
     assert linalg.int_det(m) == det_oracle(m)
 
 
+def test_int_det_eliminates_an_int_matrix_without_det(monkeypatch):
+    def no_det(a):
+        raise AssertionError("det called on an all-int matrix")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    for m in ([[3, 1, 0], [2, -1, 5], [0, 4, 2]], [[0, 1], [1, 0]], [[2, 4], [1, 2]], []):
+        got = linalg.int_det(m)
+        assert type(got) is int and got == det_oracle(m)
+
+
+def test_int_det_of_fraction_entries_goes_through_det():
+    got = linalg.int_det([[Fraction(3, 2), Fraction(1, 2)], [1, 1]])
+    assert type(got) is int and got == 1
+
+
 def test_intersect_row_spaces():
     a = linalg.frac_mat([[1, 0, 0], [0, 1, 0]])
     b = linalg.frac_mat([[0, 1, 0], [0, 0, 1]])

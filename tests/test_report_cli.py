@@ -295,3 +295,152 @@ def test_cli_report_turns_a_raising_builder_into_fail_records(capsys, monkeypatc
         if got["claim_id"].startswith("cover."):
             want = {**want, "computed": "raised ZeroDivisionError: no cover today", "status": "FAIL"}
         assert got == want
+
+
+# stdout and exit code of the commands that run the F_p locus scan and the
+# lattice coordinates, byte for byte
+PINNED_CLI = (
+    (
+        ("curve", "--check", "locus", "--p", "13"),
+        0,
+        """\
+{
+  "p": 13,
+  "degenerate": false,
+  "i_mod_p": 5,
+  "projective_points": 30941,
+  "quadric_locus_size": 14,
+  "quartic_locus_size": 14,
+  "parametrized_points": 14,
+  "loci_equal": true,
+  "parametrized_contained": true,
+  "locus_equals_parametrized": true,
+  "ok": true
+}
+""",
+    ),
+    (
+        ("curve", "--check", "locus", "--p", "17"),
+        0,
+        """\
+{
+  "p": 17,
+  "degenerate": false,
+  "i_mod_p": 4,
+  "projective_points": 88741,
+  "quadric_locus_size": 30,
+  "quartic_locus_size": 30,
+  "parametrized_points": 30,
+  "loci_equal": true,
+  "parametrized_contained": true,
+  "locus_equals_parametrized": true,
+  "ok": true
+}
+""",
+    ),
+    (
+        ("curve", "--check", "locus", "--p", "5"),
+        0,
+        """\
+{
+  "p": 5,
+  "degenerate": true,
+  "note": "x^5 - x vanishes identically on F_5; the reduction is skipped"
+}
+""",
+    ),
+    (
+        ("prym", "--genus", "2"),
+        0,
+        """\
+{
+  "genus": 2,
+  "rank": 8,
+  "module_type": "(M)^2",
+  "inclusion_divisors": [
+    1,
+    1,
+    1,
+    1
+  ],
+  "basis_det": 1,
+  "symplectic_ok": true,
+  "normalization_moves": 0
+}
+""",
+    ),
+    (
+        ("prym", "--genus", "3"),
+        0,
+        """\
+{
+  "genus": 3,
+  "rank": 16,
+  "module_type": "(M \\u2295 H_Z)^2",
+  "inclusion_divisors": [
+    1,
+    1,
+    1,
+    1,
+    1,
+    1,
+    1,
+    1
+  ],
+  "basis_det": -1,
+  "symplectic_ok": true,
+  "normalization_moves": 0
+}
+""",
+    ),
+    (
+        ("prym", "--genus", "2", "--hom", "j,i,1,-1"),
+        0,
+        """\
+{
+  "genus": 2,
+  "rank": 8,
+  "module_type": "(M)^2",
+  "inclusion_divisors": [
+    1,
+    1,
+    1,
+    1
+  ],
+  "basis_det": 1,
+  "symplectic_ok": true,
+  "normalization_moves": 10
+}
+""",
+    ),
+)
+
+
+@pytest.mark.parametrize("argv,code,stdout", PINNED_CLI, ids=[" ".join(a) for a, _, _ in PINNED_CLI])
+def test_cli_output_is_pinned(capsys, argv, code, stdout):
+    assert run_cli(capsys, *argv) == (code, stdout)
+
+
+@pytest.mark.parametrize(
+    "outcome,computed",
+    [
+        ({"reached": False, "moves": []}, "BFS cap 200000 hit"),
+        ({"reached": True, "moves": []}, "False"),  # replay misses the standard tuple
+    ],
+    ids=["budget-spent", "replay-missed"],
+)
+def test_cli_report_tells_a_spent_budget_from_a_wrong_answer(capsys, monkeypatch, outcome, computed):
+    def normalize_hom(h, node_budget):
+        assert node_budget == 200000
+        return outcome
+
+    monkeypatch.setattr(report.surface_homs, "normalize_hom", normalize_hom)
+    code, out = run_cli(capsys, "report")
+    assert code == 1
+    golden = json.loads(GOLDEN.read_text())["claims"]
+    claims = json.loads(out)["claims"]
+    assert [c["claim_id"] for c in claims] == [c["claim_id"] for c in golden]
+    for got, want in zip(claims, golden):
+        if got["claim_id"] == "homs.normalization_reaches_standard":
+            want = {**want, "computed": computed, "status": "FAIL"}
+        assert got == want
