@@ -1,11 +1,12 @@
-"""Search and enumeration budgets.
+"""Search budgets.
 
-The two caps are fixed constants, set here and nowhere else: every
-input the registry checks is pinned by the paper, and the caps cover all
-of them.  There is no config file and no environment override; to run
-past a cap off the registry, edit the constant.  The kernels that take a
-cap as a parameter default to the value here, and ``report.run_suite``
-takes a ``Budgets`` that every caller leaves at these defaults.
+The normalization cap is a fixed constant, set here and nowhere else:
+every input the registry checks is pinned by the paper, and the cap
+covers all of them.  There is no config file and no environment
+override; to run past the cap off the registry, edit the constant.  The
+kernels that take the cap as a parameter default to the value here, and
+``report.run_suite`` takes a ``Budgets`` that every caller leaves at
+these defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ class Budgets:
     # normalization phase 2: a cached distance table when every genus-g
     # tuple fits in the cap, else the bounded breadth-first search
     bfs_node_cap: int = 200000
-    locus_prime_cap: int = 41  # largest prime for finite-field loci
 
 
 def load_budgets() -> Budgets:

@@ -6,10 +6,13 @@ and one edge q -> q * f(alpha_m) per vertex and per handle index m.
 The deck group acts by left multiplication.  This module computes
 H_1 of that graph with the deck action, cuts out the sublattice on
 which -1 acts as -1, and assembles the rank-8(g-1) symplectic lattice
-model diag(A(q), transpose(A(q))^{-1}) together with an explicit basis
+model diag(A(q), transpose(A(q^{-1}))) together with an explicit basis
 exhibiting its module structure over the integer quaternions: one
 Hurwitz-order block from an 8-term cycle and its translates, and one
-free block per extra handle.
+free block per extra handle.  With the standard form J, the model's
+``symplectic_ok`` holds exactly when A(q^{-1}) A(q) = I for every q,
+that is, when the blocks form a representation; it does not compute an
+intersection form.
 """
 
 from __future__ import annotations
@@ -17,19 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as iproduct
 
 from . import linalg
 from .config import Budgets
-from .linalg import frac_mat, identity, inverse, mat_mul, transpose
-from .qalg import (
-    HAMILTON,
-    qmul,
-    qstr,
-    basis_elems,
-    left_mult_matrix,
-    q8_elements,
-)
+from .linalg import identity, mat_mul, transpose
+from .qalg import HAMILTON, basis_elems, left_mult_matrix, q8_elements, qinv, qmul, qstr
 from .surface_homs import HomTuple, classify_hom, standard_hom, normalize_hom
 
 VERTEX_ORDER = q8_elements()  # +1, -1, +i, -i, +j, -j, +k, -k
@@ -61,20 +56,6 @@ class CoverGraph:
     def edge_index(self, u_idx, m):
         return (m - 1) * 8 + u_idx
 
-    def is_connected(self) -> bool:
-        adj = {t: set() for t in range(8)}
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == 8
-
 
 def build_cover_graph(h: HomTuple) -> CoverGraph:
     if not classify_hom(h)["valid"]:
@@ -98,8 +79,6 @@ class H1Data:
     """
 
     def __init__(self, graph: CoverGraph):
-        if not graph.is_connected():
-            raise ValueError("cover graph is disconnected")
         self.graph = graph
         ne = graph.n_edges
         # undirected incidence, in edge-index order
@@ -126,7 +105,7 @@ class H1Data:
                 tree.add(idx)
                 order.append(w)
         if len(chain) != 8:
-            raise ValueError(f"spanning tree reaches {len(chain)} of 8 vertices")
+            raise ValueError("cover graph is disconnected")
         self.nontree = [idx for idx in range(ne) if idx not in tree]
         self.rank = len(self.nontree)
         cycles = []
@@ -259,49 +238,60 @@ def chain_c_edge_vector(graph: CoverGraph):
     return vec
 
 
-def _hurwitz_left_mult(q):
-    """Left multiplication by the group element q on the Hurwitz order,
-    in the basis (1, i, j, zeta)."""
-    one, i, j, k = basis_elems(HAMILTON)
-    zeta = (one + i + j + k).scale(Fraction(1, 2))
-    basis = (one, i, j, zeta)
+_ONE, _I, _J, _K = basis_elems(HAMILTON)
+# Z-bases of the Hurwitz order M and of the Lipschitz order H_Z
+_ORDER_BASES = {
+    "Hurwitz": (_ONE, _I, _J, (_ONE + _I + _J + _K).scale(Fraction(1, 2))),
+    "Lipschitz": (_ONE, _I, _J, _K),
+}
+
+
+def _left_mult(q, order):
+    """Integer matrix of left multiplication by the group element q on
+    the order named ``order``, in its basis in _ORDER_BASES."""
     s, a = q
-    x = (one, i, j, k)[a].scale(s)
-    m = left_mult_matrix(x, basis)
+    m = left_mult_matrix((_ONE, _I, _J, _K)[a].scale(s), _ORDER_BASES[order])
     if any(v.denominator != 1 for row in m for v in row):
-        raise ValueError(f"left multiplication by {qstr(q)} is not integral on the Hurwitz order")
+        raise ValueError(f"left multiplication by {qstr(q)} is not integral on the {order} order")
     return [[v.numerator for v in row] for row in m]
 
 
-def _hz_left_mult(q):
-    """Left multiplication by q on the integer quaternions, basis (1, i, j, k)."""
-    cols = []
-    for a in range(4):
-        s2, a2 = qmul(q, (1, a))
-        col = [0, 0, 0, 0]
-        col[a2] = s2
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
-
-
-def _c_translates(h1: H1Data, c):
-    """The vectors c, ic, jc and zeta c = (c + ic + jc + kc) / 2 for a
-    cycle c in the fundamental-cycle basis, and whether that half-sum is
-    integral."""
+def _translate_basis(h1: H1Data, vm: IntLattice, extra=()):
+    """The 8-term cycle c, its translates ic, jc and zeta c = (c + ic +
+    jc + kc) / 2, then the vectors ``extra``, all in the fundamental-cycle
+    basis; whether that half-sum is integral; the coordinates of the
+    vectors in the minus part vm (None for one outside it); and their
+    determinant (0 if a vector is outside)."""
+    c = h1.coords_of_cycle(chain_c_edge_vector(h1.graph))
     ic, jc, kc = (linalg.mat_vec(h1.rho(q), c) for q in ((1, 1), (1, 2), (1, 3)))
     total = [sum(xs) for xs in zip(c, ic, jc, kc)]
-    return [c, ic, jc, [x // 2 for x in total]], all(x % 2 == 0 for x in total)
+    vecs = [c, ic, jc, [x // 2 for x in total]] + list(extra)
+    coords = [vm.coords(b) for b in vecs]
+    det = 0 if None in coords else linalg.int_det(coords)
+    return vecs, all(x % 2 == 0 for x in total), coords, det
 
 
-def _actions_in_basis(h1: H1Data, vm: IntLattice, vecs, coords, qs):
-    """q -> matrix of the deck action of q in the basis ``vecs`` of the
-    minus part, whose coordinates in vm are ``coords``."""
-    cb_inv = inverse(transpose(frac_mat(coords)))
+def _actions_in_basis(h1: H1Data, vecs, qs):
+    """q -> integer matrix of the deck action of q in the basis ``vecs``
+    of the minus part, read column by column through IntLattice.coords."""
+    lat = IntLattice(h1.rank, vecs)
     out = {}
     for q in qs:
-        act = [vm.coords(linalg.mat_vec(h1.rho(q), b)) for b in vecs]
-        out[q] = mat_mul(cb_inv, transpose(frac_mat(act)))
+        cols = [lat.coords(linalg.mat_vec(h1.rho(q), b)) for b in vecs]
+        if None in cols:
+            raise ValueError(f"action of {qstr(q)} on the explicit basis is not integral")
+        out[q] = transpose(cols)
     return out
+
+
+def _module_structure_matches(actions, n_free):
+    """Whether i and j act as on the Hurwitz order followed by n_free
+    copies of the Lipschitz order."""
+    return all(
+        actions[q]
+        == linalg.block_diag([_left_mult(q, "Hurwitz")] + [_left_mult(q, "Lipschitz")] * n_free)
+        for q in ((1, 1), (1, 2))
+    )
 
 
 def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
@@ -313,24 +303,14 @@ def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
         h = standard_hom(2)
     if h.g != 2:
         raise ValueError("cycle check is a genus-2 computation")
-    graph = build_cover_graph(h)
-    h1 = H1Data(graph)
+    h1 = H1Data(build_cover_graph(h))
     vm = minus_part(h1)
-    vec = chain_c_edge_vector(graph)
-    boundary_zero = all(x == 0 for x in h1.boundary(vec))
-    basis_vecs, zeta_integral = _c_translates(h1, h1.coords_of_cycle(vec))
-    coords = [vm.coords(b) for b in basis_vecs]
-    in_minus = all(co is not None for co in coords)
-    d = linalg.int_det(coords) if in_minus else 0
-    structure_match = True
-    if in_minus and abs(d) == 1:
-        # matrices of rho(q) in the (c, ic, jc, zeta c) basis
-        actions = _actions_in_basis(h1, vm, basis_vecs, coords, ((1, 1), (1, 2)))
-        structure_match = all(
-            linalg.mat_eq(x, frac_mat(_hurwitz_left_mult(q))) for q, x in actions.items()
-        )
+    vecs, zeta_integral, _, d = _translate_basis(h1, vm)
+    structure_match = abs(d) != 1 or _module_structure_matches(
+        _actions_in_basis(h1, vecs, ((1, 1), (1, 2))), 0
+    )
     return {
-        "boundary_zero": boundary_zero,
+        "boundary_zero": not any(h1.boundary(chain_c_edge_vector(h1.graph))),
         "zeta_integral": zeta_integral,
         "v_minus_rank": vm.rank,
         "inclusion_divisors": vm.inclusion_divisors(),
@@ -345,57 +325,19 @@ class PrymLatticeModel:
     rank: int
     module_type: str
     a_blocks: dict  # q -> integer matrix, in the explicit module basis
-    rho: dict  # q -> full 2r x 2r integer matrix diag(A, tA^{-1})
+    rho: dict  # q -> full 2r x 2r integer matrix diag(A(q), transpose(A(q^-1)))
     j_form: list
     inclusion_divisors: list
     basis_det: int
-    dual_intertwiner: list  # T with T * tA(q)^{-1} = A(q) * T on the Hurwitz block
     normalization_moves: int
 
     def symplectic_ok(self) -> bool:
-        jf = frac_mat(self.j_form)
-        for q, m in self.rho.items():
-            fm = frac_mat(m)
-            if not linalg.mat_eq(mat_mul(transpose(fm), mat_mul(jf, fm)), jf):
-                return False
-        return True
-
-
-def _find_dual_intertwiner(a_i, a_j):
-    """Integer T of determinant +-1 with T * transpose(A)^{-1} = A * T
-    for A in {a_i, a_j}; exists because the dual of the Hurwitz order is
-    a principal (two-sided) ideal, hence isomorphic as a left module."""
-    n = len(a_i)
-    rows = []
-    for a in (a_i, a_j):
-        fa = frac_mat(a)
-        b = transpose(inverse(fa))
-        # equation T b - a T = 0, unknowns T[p][q] flattened row-major;
-        # both blocks are unimodular, so the system is integral
-        for p in range(n):
-            for q in range(n):
-                row = [0] * (n * n)
-                for t in range(n):
-                    if b[t][q].denominator != 1 or fa[p][t].denominator != 1:
-                        raise ValueError("block or its inverse transpose is not integral")
-                    row[p * n + t] += int(b[t][q])
-                    row[t * n + q] -= int(fa[p][t])
-                rows.append(row)
-    # the saturated integer solution lattice; a rational basis with
-    # cleared denominators can sit at finite index and miss every
-    # unimodular point, so saturation matters here
-    ints = linalg.integer_kernel(rows)
-    if not ints:
-        raise ValueError("no intertwiner between the block and its dual")
-    for bound in (1, 2, 3):
-        for coeffs in iproduct(range(-bound, bound + 1), repeat=len(ints)):
-            if max((abs(c) for c in coeffs), default=0) != bound:
-                continue
-            flat = [sum(c * v[t] for c, v in zip(coeffs, ints)) for t in range(n * n)]
-            t_mat = [flat[p * n : (p + 1) * n] for p in range(n)]
-            if abs(linalg.int_det(t_mat)) == 1:
-                return t_mat
-    raise ValueError("no unimodular intertwiner found in the search range")
+        """rho(q)^T J rho(q) = J for every q; for rho(q) = diag(A(q),
+        transpose(A(q^-1))) and the standard J, exactly A(q^-1) A(q) = I."""
+        return all(
+            mat_mul(transpose(m), mat_mul(self.j_form, m)) == self.j_form
+            for m in self.rho.values()
+        )
 
 
 def prym_lattice_model(
@@ -428,65 +370,35 @@ def prym_lattice_model(
     vm = minus_part(h1)
     if vm.rank != 4 * (g - 1):
         raise ValueError(f"minus part has rank {vm.rank}, expected {4 * (g - 1)}")
-    divisors = vm.inclusion_divisors()
-
-    explicit, zeta_integral = _c_translates(h1, h1.coords_of_cycle(chain_c_edge_vector(graph)))
-    if not zeta_integral:
-        raise ValueError("the half-sum of the cycle translates is not integral")
 
     # one free quaternion block per handle mapped to +1: self-loop cycles
+    free = []
     for m_idx in range(1, g - 1):
         if std.alpha(m_idx) != (1, 0):
             raise ValueError(f"handle {m_idx} of the standard tuple does not map to 1")
         for a in range(4):
-            plus = h1.coords_of_cycle(
-                _self_loop_vec(graph, _VINDEX[(1, a)], m_idx)
-            )
-            minus = h1.coords_of_cycle(
-                _self_loop_vec(graph, _VINDEX[(-1, a)], m_idx)
-            )
-            explicit.append([p - q for p, q in zip(plus, minus)])
-
-    coords = [vm.coords(b) for b in explicit]
-    if any(co is None for co in coords):
+            plus = _self_loop_vec(graph, _VINDEX[(1, a)], m_idx)
+            minus = _self_loop_vec(graph, _VINDEX[(-1, a)], m_idx)
+            free.append(h1.coords_of_cycle([p - q for p, q in zip(plus, minus)]))
+    explicit, zeta_integral, coords, basis_det = _translate_basis(h1, vm, free)
+    if not zeta_integral:
+        raise ValueError("the half-sum of the cycle translates is not integral")
+    if None in coords:
         raise ValueError("explicit basis left the minus part")
-    basis_det = linalg.int_det(coords)
     if abs(basis_det) != 1:
         raise ValueError("explicit vectors do not form a basis of the minus part")
 
-    # action matrices in the explicit basis
-    a_blocks = {}
-    for q, x in _actions_in_basis(h1, vm, explicit, coords, VERTEX_ORDER).items():
-        if any(v.denominator != 1 for row in x for v in row):
-            raise ValueError(f"action of {qstr(q)} on the explicit basis is not integral")
-        a_blocks[q] = [[v.numerator for v in row] for row in x]
-
-    # the explicit basis must realize the block module structure
-    for q in ((1, 1), (1, 2)):
-        expected = linalg.block_diag(
-            [_hurwitz_left_mult(q)] + [_hz_left_mult(q)] * (g - 2)
-        )
-        if a_blocks[q] != expected:
-            raise ValueError("module structure constants do not match")
-
+    a_blocks = _actions_in_basis(h1, explicit, VERTEX_ORDER)
+    if not _module_structure_matches(a_blocks, g - 2):
+        raise ValueError("module structure constants do not match")
+    # A(q)^{-1} = A(q^{-1}) on a representation, so no inverse is taken
+    rho = {q: linalg.block_diag([a, transpose(a_blocks[qinv(q)])]) for q, a in a_blocks.items()}
     rk = 4 * (g - 1)
-    rho = {}
-    for q, a in a_blocks.items():
-        fa = frac_mat(a)
-        bt = transpose(inverse(fa))
-        if any(v.denominator != 1 for row in bt for v in row):
-            raise ValueError(f"inverse transpose of the block of {qstr(q)} is not integral")
-        b = [[v.numerator for v in row] for row in bt]
-        rho[q] = linalg.block_diag([a, b])
     j_form = [[0] * (2 * rk) for _ in range(2 * rk)]
     for t in range(rk):
         j_form[t][rk + t] = 1
         j_form[rk + t][t] = -1
 
-    t_m = _find_dual_intertwiner(
-        [row[:4] for row in a_blocks[(1, 1)][:4]],
-        [row[:4] for row in a_blocks[(1, 2)][:4]],
-    )
     module_type = "(M)^2" if g == 2 else "(M ⊕ H_Z)^2"
     return PrymLatticeModel(
         g=g,
@@ -495,9 +407,8 @@ def prym_lattice_model(
         a_blocks=a_blocks,
         rho=rho,
         j_form=j_form,
-        inclusion_divisors=divisors,
+        inclusion_divisors=vm.inclusion_divisors(),
         basis_det=basis_det,
-        dual_intertwiner=t_m,
         normalization_moves=moves,
     )
 

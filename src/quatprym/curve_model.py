@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .config import Budgets
 from .linalg import inverse, mat_mul, rank, solve
 from .qalg import KNum
 
@@ -543,9 +542,6 @@ def verify_p4_action() -> dict:
     return report
 
 
-QUARTIC_NAMES = ("q0^2", "q2^2", "q1*q3", "q1^2+q3^2")
-
-
 def invariant_quartics():
     q0, q1, q2, q3 = QUADRICS
     return (q0 * q0, q2 * q2, q1 * q3, q1 * q1 + q3 * q3)
@@ -610,7 +606,11 @@ def _locus_scan(p: int):
     return quad_zero, quart_zero, npoints
 
 
-def finite_field_locus(p: int, prime_cap: int = Budgets.locus_prime_cap) -> dict:
+# largest prime for finite-field loci: the registry's primes need no more
+LOCUS_PRIME_CAP = 41
+
+
+def finite_field_locus(p: int) -> dict:
     """Compare, point by point over F_p, the zero locus of the four
     quartics with the zero locus of the four quadrics and with the
     parametrized curve points.  Exhaustive over P^4(F_p): a prefix's x4
@@ -621,8 +621,8 @@ def finite_field_locus(p: int, prime_cap: int = Budgets.locus_prime_cap) -> dict
         raise ValueError("p must be prime")
     if p % 4 != 1:
         raise ValueError("p must be 1 mod 4 so that -1 is a square")
-    if p > prime_cap:
-        raise ValueError(f"prime exceeds the enumeration budget {prime_cap}")
+    if p > LOCUS_PRIME_CAP:
+        raise ValueError(f"prime exceeds the enumeration budget {LOCUS_PRIME_CAP}")
     if p == 5:
         return {
             "p": 5,

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .linalg import frac_mat, int_det, inverse, mat_vec, solve
 
-Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 

@@ -488,7 +488,7 @@ def _curve_claims(budgets: Budgets):
         "curve.invariant_quartics": curve_model.verify_invariant_quartics(),
     }
     for p in _LOCUS_PRIMES:
-        loc = curve_model.finite_field_locus(p, prime_cap=budgets.locus_prime_cap)
+        loc = curve_model.finite_field_locus(p)
         values[f"curve.point_locus_p{p}"] = (
             loc["loci_equal"],
             loc["parametrized_contained"],

@@ -327,7 +327,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
                     "position": pos,
                     "monomial": mono,
                     "match": False,
-                    "weight": _halved(rep.weight_of_monomial(mono)),
+                    "weight": lie_engine._halved(rep.weight_of_monomial(mono)),
                     "nearest_computed": candidates[0] if len(candidates) == 1 else None,
                 }
             )
@@ -378,23 +378,18 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
     return len(nullspace(system))
 
 
-def _halved(w):
-    """A doubled weight as lie_engine and the reference list read it."""
-    return tuple(Fraction(x, 2) for x in w)
-
-
 def _weight_counts(weights):
     """Multiplicity of each of the doubled ``weights``, keyed halved."""
     counts = {}
     for w in weights:
         counts[w] = counts.get(w, 0) + 1
-    return {_halved(w): n for w, n in counts.items()}
+    return {lie_engine._halved(w): n for w, n in counts.items()}
 
 
 def cross_check_weights(rep: SpinRep) -> dict:
     """Tie the matrix model to the abstract weight calculus."""
     alg = lie_engine.B3
-    spin = lie_engine.irrep_weights(alg, _halved((1, 1, 1)))
+    spin = lie_engine.irrep_weights(alg, lie_engine._halved((1, 1, 1)))
     model = _weight_counts(rep.weight_of_spinor(s) for s in range(8))
     model4 = _weight_counts(rep.weight_of_monomial(mono) for mono in MONOMIALS)
     return {

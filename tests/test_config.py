@@ -1,4 +1,4 @@
-"""Budgets: two fixed caps, no file and no environment override."""
+"""Budgets: one fixed cap, no file and no environment override."""
 
 import dataclasses
 
@@ -12,8 +12,7 @@ OLD_SCALE_VAR = "HODGE_BUDGET" + "_SCALE"
 def test_defaults():
     b = config.load_budgets()
     assert b.bfs_node_cap == 200000
-    assert b.locus_prime_cap == 41
-    assert [f.name for f in dataclasses.fields(b)] == ["bfs_node_cap", "locus_prime_cap"]
+    assert [f.name for f in dataclasses.fields(b)] == ["bfs_node_cap"]
 
 
 def test_environment_does_not_scale_budgets(monkeypatch):

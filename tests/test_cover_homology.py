@@ -6,11 +6,12 @@ pair, and the distinguished-cycle data against hand-frozen values.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from quatprym import cover_homology as ch
-from quatprym import linalg
+from quatprym import linalg, report
 from quatprym import surface_homs as sh
 from quatprym.qalg import q8_elements, qmul
 
@@ -26,7 +27,7 @@ def h1(g=2, h=None):
 def test_graph_shape_g2():
     graph = ch.build_cover_graph(sh.standard_hom(2))
     assert graph.n_edges == 16 and {v for u, w, _ in graph.edges for v in (u, w)} == set(range(8))
-    assert graph.is_connected()
+    ch.H1Data(graph)  # connected: the spanning tree reaches all 8 vertices
     elems = q8_elements()
     # edge (m-1)*8+u runs from vertex u to vertex u * image(m)
     for idx, (src, dst, m) in enumerate(graph.edges):
@@ -38,8 +39,7 @@ def test_graph_shape_g2():
 def test_disconnected_cover_is_rejected():
     bad = sh.HomTuple(2, ((1, 1), (1, 1), (1, 0), (1, 0)))
     graph = ch.build_cover_graph(bad)
-    assert not graph.is_connected()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover graph is disconnected"):
         ch.H1Data(graph)
 
 
@@ -253,15 +253,67 @@ def test_deck_blocks_form_a_representation():
             )
 
 
+def find_dual_intertwiner(a_i, a_j):
+    """Integer T of determinant +-1 with T * transpose(A)^{-1} = A * T
+    for A in {a_i, a_j}; exists because the dual of the Hurwitz order is
+    a principal (two-sided) ideal, hence isomorphic as a left module."""
+    n = len(a_i)
+    rows = []
+    for a in (a_i, a_j):
+        fa = linalg.frac_mat(a)
+        b = linalg.transpose(linalg.inverse(fa))
+        # equation T b - a T = 0, unknowns T[p][q] flattened row-major;
+        # both blocks are unimodular, so the system is integral
+        for p in range(n):
+            for q in range(n):
+                row = [0] * (n * n)
+                for t in range(n):
+                    if b[t][q].denominator != 1 or fa[p][t].denominator != 1:
+                        raise ValueError("block or its inverse transpose is not integral")
+                    row[p * n + t] += int(b[t][q])
+                    row[t * n + q] -= int(fa[p][t])
+                rows.append(row)
+    # the saturated integer solution lattice; a rational basis with
+    # cleared denominators can sit at finite index and miss every
+    # unimodular point, so saturation matters here
+    ints = linalg.integer_kernel(rows)
+    if not ints:
+        raise ValueError("no intertwiner between the block and its dual")
+    for bound in (1, 2, 3):
+        for coeffs in product(range(-bound, bound + 1), repeat=len(ints)):
+            if max((abs(c) for c in coeffs), default=0) != bound:
+                continue
+            flat = [sum(c * v[t] for c, v in zip(coeffs, ints)) for t in range(n * n)]
+            t_mat = [flat[p * n : (p + 1) * n] for p in range(n)]
+            if abs(linalg.int_det(t_mat)) == 1:
+                return t_mat
+    raise ValueError("no unimodular intertwiner found in the search range")
+
+
 def test_dual_intertwiner_identity_g2():
     model = ch.prym_lattice_model(2)
-    t = linalg.frac_mat(model.dual_intertwiner)
+    blocks = {q: [row[:4] for row in model.a_blocks[q][:4]] for q in ((1, 1), (1, 2))}
+    t = linalg.frac_mat(find_dual_intertwiner(blocks[(1, 1)], blocks[(1, 2)]))
     assert abs(linalg.det(t)) == 1
     for q in ((1, 1), (1, 2)):
         a = linalg.frac_mat(model.a_blocks[q])
         lhs = linalg.mat_mul(t, linalg.transpose(linalg.inverse(a)))
         rhs = linalg.mat_mul(a, t)
         assert linalg.mat_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "a_i,a_j,message",
+    [
+        ([[2]], [[1]], "block or its inverse transpose is not integral"),
+        # A has characteristic polynomial x^2 - x - 1 and transpose(A)^{-1}
+        # has x^2 + x - 1: no common eigenvalue, so only T = 0 intertwines
+        ([[1, 1], [1, 0]], [[1, 1], [1, 0]], "no intertwiner between the block and its dual"),
+    ],
+)
+def test_dual_intertwiner_search_rejects(a_i, a_j, message):
+    with pytest.raises(ValueError, match=message):
+        find_dual_intertwiner(a_i, a_j)
 
 
 def test_lattice_model_normalizes_nonstandard_input():
@@ -277,7 +329,7 @@ def test_lattice_model_normalizes_nonstandard_input():
     [
         ("IntLattice.coords", lambda self, vec: None, "explicit basis left the minus part"),
         ("linalg.int_det", lambda m: 2, "do not form a basis of the minus part"),
-        ("_hurwitz_left_mult", lambda q: [[int(i == j) for j in range(4)] for i in range(4)],
+        ("_left_mult", lambda q, order: [[int(i == j) for j in range(4)] for i in range(4)],
          "module structure constants do not match"),
     ],
 )
@@ -291,6 +343,25 @@ def test_lattice_model_consistency_checks_raise(monkeypatch, target, replacement
     monkeypatch.setattr(owner, name, replacement)
     with pytest.raises(ValueError, match=message):
         ch.prym_lattice_model(2)
+
+
+def test_a_doubled_block_fails_the_symplectic_check(monkeypatch):
+    """rho(q) is built from A(q) and A(q^-1) without an inverse, so a
+    block that is not invertible over Z surfaces in symplectic_ok, and
+    the registry records the model as a FAIL."""
+    real = ch._actions_in_basis
+
+    def doubled(h1, vecs, qs):
+        out = real(h1, vecs, qs)
+        if (-1, 0) in out:
+            out[(-1, 0)] = [[2 * x for x in row] for row in out[(-1, 0)]]
+        return out
+
+    monkeypatch.setattr(ch, "_actions_in_basis", doubled)
+    assert not ch.prym_lattice_model(2).symplectic_ok()
+    status = {r.claim_id: r.status for r in report.run_suite("cover")}
+    assert status["cover.lattice_model_g2"] == "FAIL"
+    assert status["cover.distinguished_cycle"] == "PASS"
 
 
 def test_lattice_model_rejects_unsupported_genus():

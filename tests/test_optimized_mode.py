@@ -57,6 +57,8 @@ def racah(lam):  # lam in the engine's doubled coordinates
 
 
 g2 = ch.build_cover_graph(sh.standard_hom(2))
+all_loops = ch.build_cover_graph(sh.HomTuple(2, ((1, 0),) * 4))
+eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
 
 
 def h1_without_cycles():
@@ -78,12 +80,10 @@ def minus_one_first_handle(real):
     return fake
 
 
-def doubled_block(real):
-    def fake(h1, vm, vecs, coords, qs):
-        out = real(h1, vm, vecs, coords, qs)
-        out[(-1, 0)] = [[2 * int(i == j) for j in range(len(vecs))] for i in range(len(vecs))]
-        return out
-    return fake
+def half_index_actions():
+    h1 = ch.H1Data(g2)
+    b0, *rest = ch.minus_part(h1).basis
+    return ch._actions_in_basis(h1, [[2 * x for x in b0]] + rest, [(1, 1)])
 
 
 def phase1_without_flips():
@@ -144,20 +144,22 @@ cases = [
     ("normalize_hom phase 1", phase1_without_flips),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
-    ("H1Data tree", lambda: patched(
-        ch.CoverGraph, "is_connected", lambda real: lambda self: True,
-        lambda: ch.H1Data(ch.build_cover_graph(sh.HomTuple(2, ((1, 0),) * 4))))),
+    ("build_cover_graph", lambda: ch.build_cover_graph(sh.parse_hom(2, "i,1,j,1"))),
+    ("H1Data tree", lambda: ch.H1Data(all_loops)),
+    ("coords_of_cycle boundary", lambda: ch.H1Data(g2).coords_of_cycle([1] + [0] * 15)),
     ("coords_of_cycle", h1_without_cycles),
     ("minus_part", lambda: patched(
         linalg, "integer_kernel", lambda real: lambda a: [[1] + [0] * (len(a) - 1)],
         lambda: ch.minus_part(ch.H1Data(g2)))),
-    ("_hurwitz_left_mult", lambda: patched(
+    ("chain_c_edge_vector", lambda: ch.chain_c_edge_vector(all_loops)),
+    ("_left_mult", lambda: patched(
         ch, "left_mult_matrix", lambda real: lambda x, basis: [[Fraction(1, 2)]],
-        lambda: ch._hurwitz_left_mult((1, 1)))),
-    ("intertwiner block", lambda: ch._find_dual_intertwiner([[2]], [[1]])),
-    ("intertwiner kernel", lambda: patched(
-        linalg, "integer_kernel", lambda real: lambda a: [],
-        lambda: ch._find_dual_intertwiner([[1]], [[1]]))),
+        lambda: ch._left_mult((1, 1), "Hurwitz"))),
+    ("_actions_in_basis", half_index_actions),
+    ("check_cycle_c_and_basis", lambda: ch.check_cycle_c_and_basis(sh.standard_hom(3))),
+    ("model genus", lambda: ch.prym_lattice_model(4)),
+    ("model genus mismatch", lambda: ch.prym_lattice_model(2, sh.standard_hom(3))),
+    ("model budget", lambda: ch.prym_lattice_model(2, sh.parse_hom(2, "j,i,1,-1"), node_budget=1)),
     ("model H1 rank", lambda: patched(
         ch, "H1Data", lambda real: RankShortH1, lambda: ch.prym_lattice_model(2))),
     ("model minus rank", lambda: patched(
@@ -165,11 +167,16 @@ cases = [
         lambda: ch.prym_lattice_model(2))),
     ("model handle", lambda: patched(
         ch, "standard_hom", minus_one_first_handle, lambda: ch.prym_lattice_model(3))),
-    ("model action", lambda: patched(
-        ch, "_actions_in_basis", lambda real: lambda *args: {(1, 0): [[Fraction(1, 2)]]},
+    ("model half-sum", lambda: patched(
+        ch, "chain_c_edge_vector", lambda real: lambda graph: list(ch.H1Data(graph).cycles[1]),
         lambda: ch.prym_lattice_model(2))),
-    ("model inverse", lambda: patched(
-        ch, "_actions_in_basis", doubled_block, lambda: ch.prym_lattice_model(2))),
+    ("model coords", lambda: patched(
+        ch.IntLattice, "coords", lambda real: lambda self, vec: None,
+        lambda: ch.prym_lattice_model(2))),
+    ("model basis", lambda: patched(
+        linalg, "int_det", lambda real: lambda m: 2, lambda: ch.prym_lattice_model(2))),
+    ("model structure", lambda: patched(
+        ch, "_left_mult", lambda real: lambda q, order: eye4, lambda: ch.prym_lattice_model(2))),
     ("_self_loop_vec", lambda: ch._self_loop_vec(g2, 0, 1)),
 ]
 for name, call in cases:
@@ -226,18 +233,25 @@ def test_checks_raise_under_python_O():
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
         "substitute ValueError substitute needs 2 polynomials, got 1",
         "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
-        "H1Data tree ValueError spanning tree reaches 1 of 8 vertices",
+        "build_cover_graph ValueError tuple does not satisfy the surface relation",
+        "H1Data tree ValueError cover graph is disconnected",
+        "coords_of_cycle boundary ValueError chain is not a cycle",
         "coords_of_cycle ValueError cycle outside the fundamental span",
         "minus_part ValueError minus-part basis vector is not negated by -1",
-        "_hurwitz_left_mult ValueError left multiplication by i is not integral "
-        "on the Hurwitz order",
-        "intertwiner block ValueError block or its inverse transpose is not integral",
-        "intertwiner kernel ValueError no intertwiner between the block and its dual",
+        "chain_c_edge_vector ValueError segment 1 -> i is not an edge",
+        "_left_mult ValueError left multiplication by i is not integral on the Hurwitz order",
+        "_actions_in_basis ValueError action of i on the explicit basis is not integral",
+        "check_cycle_c_and_basis ValueError cycle check is a genus-2 computation",
+        "model genus ValueError lattice model implemented for genus 2 and 3 only",
+        "model genus mismatch ValueError genus mismatch",
+        "model budget ValueError could not normalize the tuple within budget",
         "model H1 rank ValueError H_1 has rank 8, expected 9",
         "model minus rank ValueError minus part has rank 3, expected 4",
         "model handle ValueError handle 1 of the standard tuple does not map to 1",
-        "model action ValueError action of 1 on the explicit basis is not integral",
-        "model inverse ValueError inverse transpose of the block of -1 is not integral",
+        "model half-sum ValueError the half-sum of the cycle translates is not integral",
+        "model coords ValueError explicit basis left the minus part",
+        "model basis ValueError explicit vectors do not form a basis of the minus part",
+        "model structure ValueError module structure constants do not match",
         "_self_loop_vec ValueError edge 0 is not a self-loop at vertex 0 of handle 1",
     ]
 

@@ -215,6 +215,13 @@ def test_cli_curve_locus_requires_p(capsys):
     assert cli.main(["curve", "--check", "locus"]) != 0
 
 
+def test_cli_curve_locus_past_the_prime_cap(capsys):
+    assert cli.main(["curve", "--check", "locus", "--p", "53"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime exceeds the enumeration budget 41\n"
+
+
 def test_cli_spin_invariant(capsys):
     # one line per weight-0 monomial of wedge^4 S: spinor indices, their
     # subsets of {1,2,3}, and the coefficient of the invariant

@@ -20,6 +20,8 @@ def test_tracer_installs_on_every_wrapped_name():
         "t = tracer.Tracer(); layers.install(t)\n"
         "weil_classes.weil_report(1, qalg.HAMILTON)\n"
         "report.run_suite(module='spin')\n"
+        "report.run_suite(module='cover')\n"
+        "report.run_suite(module='curve')\n"
         "print(json.dumps(layers.metrics(t)))\n"
     )
     proc = subprocess.run(
@@ -33,3 +35,7 @@ def test_tracer_installs_on_every_wrapped_name():
     for name in ("build_spin_rep", "so7_invariant", "reference_comparison",
                  "cross_check_weights"):
         assert got[f"spin_explicit.{name}.s"] > 0, name
+    # spans that a call bypassing the module attribute would leave at zero
+    for name in ("cover_homology.check_cycle_c_and_basis", "cover_homology.prym_lattice_model",
+                 "curve_model.finite_field_locus"):
+        assert got[f"{name}.s"] > 0, name
