@@ -298,7 +298,8 @@ def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
     """Verify the 8-term cycle data in the genus-2 cover graph: boundary
     zero, integrality of the half-sum translate, and that the four
     translates form a basis of the minus part carrying the Hurwitz-order
-    multiplication table."""
+    multiplication table.  A chain with a boundary raises "chain is not a
+    cycle" before ``boundary_zero`` is read: that raise is the check."""
     if h is None:
         h = standard_hom(2)
     if h.g != 2:
@@ -306,7 +307,7 @@ def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
     h1 = H1Data(build_cover_graph(h))
     vm = minus_part(h1)
     vecs, zeta_integral, _, d = _translate_basis(h1, vm)
-    structure_match = abs(d) != 1 or _module_structure_matches(
+    structure_match = abs(d) == 1 and _module_structure_matches(
         _actions_in_basis(h1, vecs, ((1, 1), (1, 2))), 0
     )
     return {

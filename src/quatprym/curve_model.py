@@ -6,7 +6,10 @@ The curve carries the order-4 automorphisms
     phi_i: (x, y) -> (-x, iy)        phi_j: (x, y) -> (1/x, iy/x^3)
 
 which generate a quaternion group of order 8 whose central involution
-is the hyperelliptic one.  Under the tricanonical embedding by
+is the hyperelliptic one.  Both maps, their composites and the section
+transport are Laurent polynomials in x and y over Q(i): every
+denominator is a monomial, so no rational-function type is needed.
+Under the tricanonical embedding by
 (1 : x : x^2 : x^3 : y) the image is cut out by four quadrics, the
 group acts on P^4 by explicit matrices, and four quartics in the
 quadrics are invariant.  Everything here is exact arithmetic over the
@@ -32,7 +35,8 @@ UNITS = (G1, -G1, GI, -GI)
 
 
 class PolyGauss:
-    """Multivariate polynomial with Gaussian rational (KNum) coefficients.
+    """Multivariate Laurent polynomial with Gaussian rational (KNum)
+    coefficients: exponents may be negative.
 
     Terms live in a dict keyed by exponent tuples; zero coefficients
     are never stored, so equality is dict equality."""
@@ -106,8 +110,12 @@ class PolyGauss:
             k >>= 1
         return out
 
-    def max_deg(self, idx) -> int:
-        return max((e[idx] for e in self.terms), default=0)
+    def inv(self) -> "PolyGauss":
+        """Inverse of a monomial, the only units of the Laurent ring."""
+        if len(self.terms) != 1:
+            raise ValueError(f"{self} is not a monomial")
+        ((exp, c),) = self.terms.items()
+        return PolyGauss(self.nvars, {tuple(-e for e in exp): c.inv()})
 
     def derivative(self, idx) -> "PolyGauss":
         out = {}
@@ -118,19 +126,9 @@ class PolyGauss:
             out[nexp] = out.get(nexp, G0) + c.scale(exp[idx])
         return PolyGauss(self.nvars, out)
 
-    def monomial_gcd(self):
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(min(e[t] for e in self.terms) for t in range(self.nvars))
-
-    def shift_down(self, mono) -> "PolyGauss":
-        return PolyGauss(
-            self.nvars,
-            {tuple(a - b for a, b in zip(e, mono)): c for e, c in self.terms.items()},
-        )
-
     def substitute(self, polys) -> "PolyGauss":
-        """Plug polynomials (in some common ring) in for the variables."""
+        """Plug Laurent polynomials (in some common ring) in for the
+        variables; a variable with a negative exponent needs a monomial."""
         if len(polys) != self.nvars:
             raise ValueError(f"substitute needs {self.nvars} polynomials, got {len(polys)}")
         nv = polys[0].nvars
@@ -138,8 +136,10 @@ class PolyGauss:
         for exp, c in self.terms.items():
             term = PolyGauss.const(nv, c)
             for idx, e in enumerate(exp):
-                if e:
+                if e > 0:
                     term = term * polys[idx].pow(e)
+                elif e < 0:
+                    term = term * polys[idx].inv().pow(-e)
             out = out + term
         return out
 
@@ -161,128 +161,39 @@ CURVE_POLY = Y * Y - X.pow(5) + X  # y^2 - x^5 + x
 
 
 @dataclass(frozen=True)
-class RatFunc:
-    """Quotient of polynomials; common monomial factors are cancelled
-    on construction and constant denominators folded away."""
-
-    num: PolyGauss
-    den: PolyGauss
-
-    @staticmethod
-    def make(num: PolyGauss, den: PolyGauss = None) -> "RatFunc":
-        if den is None:
-            den = PolyGauss.const(num.nvars, G1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        gn = num.monomial_gcd()
-        gd = den.monomial_gcd()
-        common = tuple(min(a, b) for a, b in zip(gn, gd))
-        if any(common):
-            num = num.shift_down(common)
-            den = den.shift_down(common)
-        if len(den.terms) == 1:
-            (exp, c), = den.terms.items()
-            if not any(exp):
-                num = num.scale(c.inv())
-                den = PolyGauss.const(num.nvars, G1)
-        return RatFunc(num, den)
-
-    def __add__(self, other):
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
-
-    def __neg__(self):
-        return RatFunc.make(-self.num, self.den)
-
-    def pow(self, k: int) -> "RatFunc":
-        return RatFunc.make(self.num.pow(k), self.den.pow(k))
-
-    def eq(self, other) -> bool:
-        return (self.num * other.den) == (other.num * self.den)
-
-    def is_polynomial(self) -> bool:
-        t = self.den.terms
-        return len(t) == 1 and not any(next(iter(t)))
-
-    def as_polynomial(self) -> PolyGauss:
-        if not self.is_polynomial():
-            raise ValueError("denominator did not cancel")
-        (exp, c), = self.den.terms.items()
-        return self.num.scale(c.inv())
-
-
-def poly_at_rats(poly: PolyGauss, rats) -> RatFunc:
-    """Substitute rational functions for the variables, clearing to a
-    single quotient with denominator prod den_i^(max deg_i)."""
-    degs = [poly.max_deg(t) for t in range(poly.nvars)]
-    nv = rats[0].num.nvars
-    den = PolyGauss.const(nv, G1)
-    for d, rf in zip(degs, rats):
-        den = den * rf.den.pow(d)
-    num = PolyGauss(nv, {})
-    for exp, c in poly.terms.items():
-        term = PolyGauss.const(nv, c)
-        for idx, e in enumerate(exp):
-            term = term * rats[idx].num.pow(e) * rats[idx].den.pow(degs[idx] - e)
-        num = num + term
-    return RatFunc.make(num, den)
-
-
-def rat_at_rats(rf: RatFunc, rats) -> RatFunc:
-    return poly_at_rats(rf.num, rats) / poly_at_rats(rf.den, rats)
-
-
-@dataclass(frozen=True)
 class CurveAuto:
-    """Automorphism of the affine curve, as substitutions for x and y."""
+    """Automorphism of the affine curve, as Laurent polynomials
+    substituted for x and y."""
 
     name: str
-    fx: RatFunc
-    fy: RatFunc
+    fx: PolyGauss
+    fy: PolyGauss
 
     def compose(self, other: "CurveAuto") -> "CurveAuto":
         """self after other."""
-        rats = (other.fx, other.fy)
-        return CurveAuto(
-            name=f"{self.name}*{other.name}",
-            fx=rat_at_rats(self.fx, rats),
-            fy=rat_at_rats(self.fy, rats),
-        )
+        subs = (other.fx, other.fy)
+        fx, fy = (f.substitute(subs) for f in (self.fx, self.fy))
+        return CurveAuto(f"{self.name}*{other.name}", fx, fy)
 
     def same_map(self, other: "CurveAuto") -> bool:
-        return self.fx.eq(other.fx) and self.fy.eq(other.fy)
+        return self.fx == other.fx and self.fy == other.fy
 
 
-def _rf(num, den=None):
-    return RatFunc.make(num, den)
-
-
-AUTO_ID = CurveAuto("id", _rf(X), _rf(Y))
-AUTO_I = CurveAuto("i", _rf(-X), _rf(Y.scale(GI)))
-AUTO_J = CurveAuto("j", _rf(PolyGauss.const(XY, G1), X), _rf(Y.scale(GI), X.pow(3)))
-AUTO_HYP = CurveAuto("hyp", _rf(X), _rf(-Y))
+AUTO_ID = CurveAuto("id", X, Y)
+AUTO_I = CurveAuto("i", -X, Y.scale(GI))
+AUTO_J = CurveAuto("j", X.inv(), Y.scale(GI) * X.pow(3).inv())
+AUTO_HYP = CurveAuto("hyp", X, -Y)
 
 
 def _ideal_factor(auto: CurveAuto):
-    """Find a unit u and power k with num * x^k = u * F * den for the
-    transported curve polynomial; None if the map does not preserve
-    the curve's ideal."""
-    g = poly_at_rats(CURVE_POLY, (auto.fx, auto.fy))
+    """Find the unit u and power k with (F o phi) * x^k = u * F for the
+    curve polynomial F; None if the map does not preserve the curve's
+    ideal."""
+    moved = CURVE_POLY.substitute((auto.fx, auto.fy))
     for k in range(13):
-        xk = X.pow(k)
-        lhs = g.num * xk
+        lhs = moved * X.pow(k)
         for u in UNITS:
-            if lhs == CURVE_POLY.scale(u) * g.den:
+            if lhs == CURVE_POLY.scale(u):
                 return u, k
     return None
 
@@ -297,15 +208,15 @@ def verify_curve_autos() -> dict:
     ij = AUTO_I.compose(AUTO_J)
     ji = AUTO_J.compose(AUTO_I)
     hyp_ji = AUTO_HYP.compose(ji)
-    # closure under composition, with equality of rational maps
-    elems = [AUTO_ID]
+    # closure under composition, with equality of Laurent maps
+    seen = {(AUTO_ID.fx, AUTO_ID.fy)}
     frontier = [AUTO_ID]
     while frontier:
         cur = frontier.pop()
         for gen in (AUTO_I, AUTO_J):
             nxt = gen.compose(cur)
-            if not any(nxt.same_map(e) for e in elems):
-                elems.append(nxt)
+            if (nxt.fx, nxt.fy) not in seen:
+                seen.add((nxt.fx, nxt.fy))
                 frontier.append(nxt)
     report = {
         "ideal_factor_i": None if fact_i is None else (str(fact_i[0]), fact_i[1]),
@@ -314,7 +225,7 @@ def verify_curve_autos() -> dict:
         "j_squared_is_hyp": jj.same_map(AUTO_HYP),
         "hyp_squared_is_id": AUTO_HYP.compose(AUTO_HYP).same_map(AUTO_ID),
         "ij_vs_hyp_ji": ij.same_map(hyp_ji),
-        "group_order": len(elems),
+        "group_order": len(seen),
     }
     report["ok"] = (
         fact_i is not None
@@ -344,6 +255,8 @@ PARAM = (
     X.pow(3),
     Y,
 )
+# the exponent of each coordinate section -> its index in PARAM
+_SECTION = {next(iter(p.terms)): t for t, p in enumerate(PARAM)}
 
 
 def reduce_mod_curve(poly: PolyGauss) -> PolyGauss:
@@ -447,31 +360,14 @@ def _transport_matrix(auto: CurveAuto):
     each transported basis section is again in the basis span, and the
     matrix of the transport is proportional to the stated projective
     matrix by one global unit."""
-    dx = RatFunc.make(
-        auto.fx.num.derivative(0) * auto.fx.den - auto.fx.num * auto.fx.den.derivative(0),
-        auto.fx.den * auto.fx.den,
-    )
-    yratio = RatFunc.make(Y) / auto.fy
-    factor = dx.pow(3) * yratio.pow(3)
-    basis = [RatFunc.make(p) for p in PARAM]
+    factor = (auto.fx.derivative(0) * Y * auto.fy.inv()).pow(3)
     rows = []
-    for f in basis:
-        moved = rat_at_rats(f, (auto.fx, auto.fy)) * factor
-        pol = moved.as_polynomial()
+    for f in PARAM:
         row = [G0] * 5
-        for exp, c in pol.terms.items():
-            if exp == (0, 0):
-                row[0] = c
-            elif exp == (1, 0):
-                row[1] = c
-            elif exp == (2, 0):
-                row[2] = c
-            elif exp == (3, 0):
-                row[3] = c
-            elif exp == (0, 1):
-                row[4] = c
-            else:
+        for exp, c in (f.substitute((auto.fx, auto.fy)) * factor).terms.items():
+            if exp not in _SECTION:
                 raise ValueError(f"transported section leaves the basis span: {exp}")
+            row[_SECTION[exp]] = c
         rows.append(row)
     return tuple(tuple(r) for r in rows)
 

@@ -200,6 +200,39 @@ def test_distinguished_cycle_report_frozen():
     }
 
 
+def test_translates_that_are_no_basis_fail_structure_match(monkeypatch):
+    """At determinant 2 the four translates are not a basis, so they cannot
+    carry the Hurwitz table: structure_match reads False and the registry
+    records the claim as a FAIL."""
+    models = {g: ch.prym_lattice_model(g) for g in (2, 3)}
+    real = ch._translate_basis
+
+    def det_two(h1, vm, extra=()):
+        vecs, zeta_integral, coords, _ = real(h1, vm, extra)
+        return vecs, zeta_integral, coords, 2
+
+    monkeypatch.setattr(ch, "_translate_basis", det_two)
+    # the lattice models raise on their own determinant; keep them out of this
+    monkeypatch.setattr(ch, "prym_lattice_model", lambda g, node_budget: models[g])
+    rep = ch.check_cycle_c_and_basis()
+    assert (rep["translate_basis_det"], rep["structure_match"]) == (2, False)
+    records = {r.claim_id: r for r in report.run_suite("cover")}
+    cycle = records.pop("cover.distinguished_cycle")
+    assert cycle.status == report.FAIL
+    assert "'structure_match': False" in cycle.computed
+    assert all(r.status == report.PASS for r in records.values())
+
+
+def test_a_chain_with_a_boundary_raises_before_boundary_zero(monkeypatch):
+    """boundary_zero cannot read False: the coordinates of a chain with a
+    boundary raise first, and the registry records that raise."""
+    monkeypatch.setattr(ch, "chain_c_edge_vector", lambda graph: [1] + [0] * (graph.n_edges - 1))
+    with pytest.raises(ValueError, match="chain is not a cycle"):
+        ch.check_cycle_c_and_basis()
+    cycle = next(r for r in report.run_suite("cover") if r.claim_id == "cover.distinguished_cycle")
+    assert (cycle.computed, cycle.status) == ("raised ValueError: chain is not a cycle", report.FAIL)
+
+
 def test_chain_c_vector_matches_vertex_pairs():
     graph = ch.build_cover_graph(sh.standard_hom(2))
     vec = ch.chain_c_edge_vector(graph)

@@ -69,13 +69,16 @@ def test_substitution_is_a_ring_map():
         assert lhs == rhs
 
 
-def test_rational_function_normalization():
+def test_laurent_units_are_the_monomials():
     x, y = cm.X, cm.Y
-    f = cm.RatFunc.make(x * y, x)
-    g = cm.RatFunc.make(y, cm.PolyGauss.const(2, gauss(1, 0)))
-    assert f.eq(g)
-    with pytest.raises(ZeroDivisionError):
-        cm.RatFunc.make(x, cm.PolyGauss.const(2, gauss(0, 0)))
+    one = cm.PolyGauss.const(2, gauss(1))
+    assert (x * y) * x.inv() == y
+    assert x.inv().inv() == x
+    mono = cm.PolyGauss(2, {(2, -3): gauss(2, 1)})
+    assert mono * mono.inv() == one
+    for not_a_unit in (x + y, cm.PolyGauss(2, {})):
+        with pytest.raises(ValueError, match="is not a monomial"):
+            not_a_unit.inv()
 
 
 # ---------------------------------------------------------- automorphisms
@@ -94,6 +97,36 @@ def test_automorphism_report_frozen():
     }
 
 
+def evaluate(poly, point):
+    """Value of a Laurent polynomial at a point of (Q(i)^*)^2, term by term."""
+    total = gauss(0)
+    for exp, c in poly.terms.items():
+        for v, e in zip(point, exp):
+            for _ in range(abs(e)):
+                c = c * v if e > 0 else c / v
+        total = total + c
+    return total
+
+
+def apply(auto, point):
+    return evaluate(auto.fx, point), evaluate(auto.fy, point)
+
+
+def test_composition_agrees_with_evaluation_at_points():
+    base = (cm.AUTO_ID, cm.AUTO_I, cm.AUTO_J, cm.AUTO_I.compose(cm.AUTO_J))
+    q8 = [h.compose(g) for h in (cm.AUTO_ID, cm.AUTO_HYP) for g in base]
+    points = [
+        (gauss(2, 1), gauss(-1, 3)),
+        (gauss(1), gauss(0, 2)),
+        (gauss(Fraction(1, 2), -1), gauss(3)),
+    ]
+    for pt in points:
+        # the eight maps are distinct already at one point
+        assert len({tuple(map(str, apply(a, pt))) for a in q8}) == 8
+        for a, b in itertools.product(q8, repeat=2):
+            assert apply(a.compose(b), pt) == apply(a, apply(b, pt)), (a.name, b.name)
+
+
 def test_automorphism_composition_table():
     i, j, hyp = cm.AUTO_I, cm.AUTO_J, cm.AUTO_HYP
     assert i.compose(i).same_map(hyp)
@@ -104,17 +137,10 @@ def test_automorphism_composition_table():
 
 def test_automorphisms_preserve_the_curve_equation():
     # y^2 - (x^5 - x) composed with each map must vanish modulo itself:
-    # substitute, clear denominators, and reduce y^2 -> x^5 - x
-    x5x = cm.X.pow(5) - cm.X
+    # substitute, and reduce y^2 -> x^5 - x in the Laurent ring
     for auto in (cm.AUTO_I, cm.AUTO_J, cm.AUTO_HYP):
-        fy2 = auto.fy * auto.fy
-        fx = auto.fx
-        rhs = (
-            fx.pow(5) - fx
-        )
-        diff = fy2 - rhs
-        num = cm.reduce_mod_curve(diff.num)
-        assert num.is_zero(), auto.name
+        diff = auto.fy * auto.fy - (auto.fx.pow(5) - auto.fx)
+        assert cm.reduce_mod_curve(diff).is_zero(), auto.name
 
 
 # --------------------------------------------------------------- quadrics

@@ -144,6 +144,15 @@ cases = [
     ("normalize_hom phase 1", phase1_without_flips),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
+    ("inv", lambda: (cm.X + cm.Y).inv()),
+    ("_transport_matrix", lambda: patched(
+        cm, "_SECTION", lambda real: {e: t for e, t in real.items() if t != 4},
+        lambda: cm._transport_matrix(cm.AUTO_I))),
+    ("proj_canon", lambda: cm.proj_canon(((cm.G0,) * 5,) * 5)),
+    ("scroll_numerology", lambda: cm.scroll_numerology(1)),
+    ("locus composite", lambda: cm.finite_field_locus(15)),
+    ("locus 3 mod 4", lambda: cm.finite_field_locus(7)),
+    ("locus cap", lambda: cm.finite_field_locus(53)),
     ("build_cover_graph", lambda: ch.build_cover_graph(sh.parse_hom(2, "i,1,j,1"))),
     ("H1Data tree", lambda: ch.H1Data(all_loops)),
     ("coords_of_cycle boundary", lambda: ch.H1Data(g2).coords_of_cycle([1] + [0] * 15)),
@@ -233,6 +242,13 @@ def test_checks_raise_under_python_O():
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
         "substitute ValueError substitute needs 2 polynomials, got 1",
         "reduce_mod_curve ValueError polynomial in 3 variables, the curve needs 2",
+        "inv ValueError (1)*(0, 1) + (1)*(1, 0) is not a monomial",
+        "_transport_matrix ValueError transported section leaves the basis span: (0, 1)",
+        "proj_canon ValueError zero matrix",
+        "scroll_numerology ValueError n must be at least 2",
+        "locus composite ValueError p must be prime",
+        "locus 3 mod 4 ValueError p must be 1 mod 4 so that -1 is a square",
+        "locus cap ValueError prime exceeds the enumeration budget 41",
         "build_cover_graph ValueError tuple does not satisfy the surface relation",
         "H1Data tree ValueError cover graph is disconnected",
         "coords_of_cycle boundary ValueError chain is not a cycle",

@@ -304,9 +304,147 @@ def test_cli_report_turns_a_raising_builder_into_fail_records(capsys, monkeypatc
         assert got == want
 
 
-# stdout and exit code of the commands that run the F_p locus scan and the
-# lattice coordinates, byte for byte
+# stdout and exit code of the commands that run the curve checks (the
+# "action" check prints the quadric pullback coefficients, which no registry
+# claim shows), the F_p locus scan and the lattice coordinates, byte for byte
 PINNED_CLI = (
+    (
+        ("curve", "--check", "autos"),
+        0,
+        """\
+{
+  "ideal_factor_i": [
+    "-1",
+    0
+  ],
+  "ideal_factor_j": [
+    "-1",
+    6
+  ],
+  "i_squared_is_hyp": true,
+  "j_squared_is_hyp": true,
+  "hyp_squared_is_id": true,
+  "ij_vs_hyp_ji": true,
+  "group_order": 8,
+  "ok": true
+}
+""",
+    ),
+    (
+        ("curve", "--check", "quadrics"),
+        0,
+        """\
+{
+  "q0_vanishes": true,
+  "q1_vanishes": true,
+  "q2_vanishes": true,
+  "q3_vanishes": true,
+  "ok": true
+}
+""",
+    ),
+    (
+        ("curve", "--check", "action"),
+        0,
+        """\
+{
+  "i_fourth_power_projectively_trivial": true,
+  "i2_projectively_equals_j2": true,
+  "commutator_projectively_equals_i2": true,
+  "projective_group_order": 8,
+  "quadric_span_stable": true,
+  "pullback_coefficients": {
+    "i": [
+      [
+        "-1",
+        "0",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "1",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "-1",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "1"
+      ]
+    ],
+    "j": [
+      [
+        "-1",
+        "0",
+        "0",
+        "0"
+      ],
+      [
+        "0",
+        "0",
+        "0",
+        "1"
+      ],
+      [
+        "0",
+        "0",
+        "1",
+        "0"
+      ],
+      [
+        "0",
+        "1",
+        "0",
+        "0"
+      ]
+    ]
+  },
+  "section_transport": {
+    "i": {
+      "scalar": "-1*i",
+      "matches": true
+    },
+    "j": {
+      "scalar": "-1*i",
+      "matches": true
+    }
+  },
+  "ok": true
+}
+""",
+    ),
+    (
+        ("curve", "--check", "quartics"),
+        0,
+        """\
+{
+  "eigen_scalars": {
+    "i": [
+      "1",
+      "1",
+      "1",
+      "1"
+    ],
+    "j": [
+      "1",
+      "1",
+      "1",
+      "1"
+    ]
+  },
+  "span_rank": 4,
+  "ok": true
+}
+""",
+    ),
     (
         ("curve", "--check", "locus", "--p", "13"),
         0,
