@@ -101,7 +101,7 @@ def _cmd_prym(args) -> int:
 
 def _cmd_lie(args) -> int:
     if args.scenario:
-        rep = lie_engine.scenario_report(args.scenario)
+        rep = report_mod.scenario_report(args.scenario)
         _print_json(rep)
         return 0 if rep["ok"] else 1
     if args.decompose:

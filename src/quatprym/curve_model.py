@@ -198,6 +198,30 @@ def _ideal_factor(auto: CurveAuto):
     return None
 
 
+# largest group the closures below enumerate: the quaternion group has 8
+CLOSURE_CAP = 64
+
+
+def _group_order(identity, gens, mul, key):
+    """The number of elements that gens generate from identity by
+    mul(gen, element), told apart by key; past CLOSURE_CAP elements the
+    closure stops and returns "closure cap N hit", so a wrong generator
+    gives a wrong answer, not an endless loop."""
+    seen = {key(identity)}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for gen in gens:
+            nxt = mul(gen, cur)
+            k = key(nxt)
+            if k not in seen:
+                if len(seen) == CLOSURE_CAP:
+                    return f"closure cap {CLOSURE_CAP} hit"
+                seen.add(k)
+                frontier.append(nxt)
+    return len(seen)
+
+
 def verify_curve_autos() -> dict:
     """The two substitutions preserve the curve and generate an
     order-8 quaternion group with the hyperelliptic central element."""
@@ -209,15 +233,7 @@ def verify_curve_autos() -> dict:
     ji = AUTO_J.compose(AUTO_I)
     hyp_ji = AUTO_HYP.compose(ji)
     # closure under composition, with equality of Laurent maps
-    seen = {(AUTO_ID.fx, AUTO_ID.fy)}
-    frontier = [AUTO_ID]
-    while frontier:
-        cur = frontier.pop()
-        for gen in (AUTO_I, AUTO_J):
-            nxt = gen.compose(cur)
-            if (nxt.fx, nxt.fy) not in seen:
-                seen.add((nxt.fx, nxt.fy))
-                frontier.append(nxt)
+    order = _group_order(AUTO_ID, (AUTO_I, AUTO_J), CurveAuto.compose, lambda a: (a.fx, a.fy))
     report = {
         "ideal_factor_i": None if fact_i is None else (str(fact_i[0]), fact_i[1]),
         "ideal_factor_j": None if fact_j is None else (str(fact_j[0]), fact_j[1]),
@@ -225,7 +241,7 @@ def verify_curve_autos() -> dict:
         "j_squared_is_hyp": jj.same_map(AUTO_HYP),
         "hyp_squared_is_id": AUTO_HYP.compose(AUTO_HYP).same_map(AUTO_ID),
         "ij_vs_hyp_ji": ij.same_map(hyp_ji),
-        "group_order": len(seen),
+        "group_order": order,
     }
     report["ok"] = (
         fact_i is not None
@@ -382,15 +398,7 @@ def verify_p4_action() -> dict:
     mj2 = mat_mul(MAT_J, MAT_J)
     comm = mat_mul(mat_mul(MAT_I, MAT_J), mat_mul(mi_inv, mj_inv))
     # group generated modulo scalars
-    seen = {proj_canon(eye)}
-    frontier = [eye]
-    while frontier:
-        cur = frontier.pop()
-        for gen in (MAT_I, MAT_J):
-            nxt = proj_canon(mat_mul(gen, cur))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+    order = _group_order(eye, (MAT_I, MAT_J), mat_mul, proj_canon)
     pullbacks = {}
     span_ok = True
     for name, m in (("i", MAT_I), ("j", MAT_J)):
@@ -422,7 +430,7 @@ def verify_p4_action() -> dict:
         "i_fourth_power_projectively_trivial": proj_eq(mat_mul(mi2, mi2), eye),
         "i2_projectively_equals_j2": proj_eq(mi2, mj2),
         "commutator_projectively_equals_i2": proj_eq(comm, mi2),
-        "projective_group_order": len(seen),
+        "projective_group_order": order,
         "quadric_span_stable": span_ok,
         "pullback_coefficients": pullbacks,
         "section_transport": transports,

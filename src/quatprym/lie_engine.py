@@ -366,22 +366,13 @@ def _factor_irrep(f: SimpleFactor, lam):
     return full
 
 
-_IRREP_CACHE = {}
-
-
 def irrep_weights(alg: AlgebraType, lam) -> dict:
     """Full weight multiset of the irrep with highest weight lam."""
-    lam = canonicalize(alg, lam)
-    key = (alg, lam)
-    if key in _IRREP_CACHE:
-        return dict(_IRREP_CACHE[key])
     ms = {(): 1}
     for f, part in _highest_weight_parts(alg, lam):
         full = _factor_irrep(f, part)
         ms = {w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()}
-    ms = {_halved(w): m for w, m in ms.items()}
-    _IRREP_CACHE[key] = dict(ms)
-    return ms
+    return {_halved(w): m for w, m in ms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +484,6 @@ def box_tensor(alg_a: AlgebraType, a, alg_b: AlgebraType, b):
         for w1, m1 in b.items():
             out[w0 + w1] = out.get(w0 + w1, 0) + m0 * m1
     return alg, out
-
-
-def dual(alg: AlgebraType, ms) -> dict:
-    out = {}
-    for w, m in ms.items():
-        neg = canonicalize(alg, tuple(-x for x in w))
-        out[neg] = out.get(neg, 0) + m
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,95 +648,54 @@ def parse_expr(text):
 
 
 # ---------------------------------------------------------------------------
-# canned verification scenarios
+# canned verification scenarios: rows of (claim, expression) under one
+# readout each, their expected values in report.CLAIMS.  A readout calls
+# decompose and invariant_dim as module globals at run time, so a tracer
+# that rebinds them sees every call; a function held in the table would not.
 
 
-SCENARIOS = (
-    "so7_hodge",
-    "so8_hodge",
-    "weil_4fold",
-    "selfproduct_weil",
-    "gl2_summand",
-    "lemma68",
-)
+def _invariants(alg, ms):
+    return invariant_dim(alg, ms)
 
 
-def scenario_report(name) -> dict:
-    """Run one canned invariant-count scenario; returns a dict with a
-    row per claim: {claim, expected, computed, ok}."""
-    rows = []
+def _top_multiplicity(alg, ms):
+    """Multiplicity of the constituent at the lexicographically top weight
+    of ms: (2n, 0) for the middle power of 2n doubled lines of sl(2)."""
+    return dict(decompose(alg, ms)).get(max(ms), 0)
 
-    def row(claim, expected, computed):
-        rows.append(
-            {
-                "claim": claim,
-                "expected": expected,
-                "computed": computed,
-                "ok": expected == computed,
-            }
-        )
 
-    if name == "so7_hodge":
-        alg, gamma = atom("Gamma")
-        two = dsum(gamma, gamma)
-        expected = {1: 1, 2: 6, 3: 6, 4: 16}
-        for p in range(1, 5):
-            inv = invariant_dim(alg, wedge_power(alg, two, 2 * p))
-            row(f"invariants in degree {2 * p} of the doubled spin rep", expected[p], inv)
-    elif name == "so8_hodge":
-        alg, gp = atom("Gamma+")
-        two = dsum(gp, gp)
-        expected = {1: 1, 2: 1, 3: 1, 4: 10}
-        for p in range(1, 5):
-            inv = invariant_dim(alg, wedge_power(alg, two, 2 * p))
-            row(
-                f"invariants in degree {2 * p} of the doubled half-spin rep",
-                expected[p],
-                inv,
-            )
-    elif name == "weil_4fold":
-        alg, w = atom("W")
-        _, ws = atom("W*")
-        both = dsum(w, ws)
-        inv = invariant_dim(alg, wedge_power(alg, both, 4))
-        row("invariants in degree 4 of standard plus dual", 3, inv)
-    elif name == "selfproduct_weil":
-        alg, w = atom("W")
-        _, ws = atom("W*")
-        both = dsum(w, ws)
-        four = dsum(both, both)
-        inv = invariant_dim(alg, wedge_power(alg, four, 2))
-        row("invariants in degree 2 of the doubled standard-plus-dual", 4, inv)
-    elif name == "gl2_summand":
-        alg, v2 = atom("V2")
-        for n in range(1, 5):
-            ms = {}
-            for _ in range(2 * n):
-                ms = dsum(ms, v2)
-            dec = dict(decompose(alg, wedge_power(alg, ms, 2 * n)))
-            lam = (Fraction(2 * n), F0)
-            row(
-                f"multiplicity of the {2 * n + 1}-dim constituent in the "
-                f"middle power of {2 * n} doubled lines",
-                1,
-                dec.get(lam, 0),
-            )
-    elif name == "lemma68":
-        alg_g, gamma = atom("Gamma")
-        alg_2, v2 = atom("V2")
-        alg, big = box_tensor(alg_g, gamma, alg_2, v2)
-        dec = decompose(alg, wedge_power(alg, big, 4))
-        trivial_part = {
-            lam[3:]: m for lam, m in dec if lam[:3] == (F0, F0, F0)
-        }
-        got = ", ".join(
-            f"{_fmt_weight(lam)}:{m}" for lam, m in sorted(trivial_part.items())
-        )
-        row(
-            "first-factor-trivial constituents of the degree-4 power",
-            "(0,0):1, (4,0):1",
-            got,
-        )
-    else:
-        raise ValueError(f"unknown scenario {name!r}; have {SCENARIOS}")
-    return {"scenario": name, "rows": rows, "ok": all(r["ok"] for r in rows)}
+def _first_factor_trivial(alg, ms):
+    """The constituents trivial on the first factor, 'weight:mult' over the
+    other coordinates, in increasing order."""
+    hi = alg.factors[0].ncoords
+    parts = sorted((lam[hi:], m) for lam, m in decompose(alg, ms) if not any(lam[:hi]))
+    return ", ".join(f"{_fmt_weight(lam)}:{m}" for lam, m in parts)
+
+
+def _doubled_ladder(rep, label):
+    return [(f"invariants in degree {k} of the doubled {label}", f"wedge({k}, {rep} (+) {rep})")
+            for k in (2, 4, 6, 8)]
+
+
+SCENARIOS = {
+    "so7_hodge": (_invariants, _doubled_ladder("Gamma", "spin rep")),
+    "so8_hodge": (_invariants, _doubled_ladder("Gamma+", "half-spin rep")),
+    "weil_4fold": (_invariants, [
+        ("invariants in degree 4 of standard plus dual", "wedge(4, W (+) W*)")]),
+    "selfproduct_weil": (_invariants, [("invariants in degree 2 of the doubled standard-plus-dual",
+                                        "wedge(2, W (+) W* (+) W (+) W*)")]),
+    "gl2_summand": (_top_multiplicity, [
+        (f"multiplicity of the {k + 1}-dim constituent in the middle power of {k} doubled lines",
+         f"wedge({k}, {' (+) '.join(['V2'] * k)})") for k in (2, 4, 6, 8)]),
+    "lemma68": (_first_factor_trivial, [
+        ("first-factor-trivial constituents of the degree-4 power", "wedge(4, Gamma (x) V2)")]),
+}
+
+
+def scenario_values(name) -> list:
+    """[(claim, computed value)] over one canned scenario's rows: each
+    row's expression evaluated by parse_expr, then read out."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; have {tuple(SCENARIOS)}")
+    readout, rows = SCENARIOS[name]
+    return [(claim, readout(*parse_expr(expr))) for claim, expr in rows]

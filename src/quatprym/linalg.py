@@ -16,9 +16,9 @@ fraction-free in ints (Bareiss) and returns that integer as a
 entry x, and one that needs its 1 takes x / x for a nonzero entry;
 ``nullspace`` of a matrix with no nonzero entry has no such entry:
 it returns the standard basis over Q for rational zeros and raises
-ValueError for zeros of another field.  ``frac_mat``, ``identity`` and
-``zeros`` build matrices over Q.  The integer routines (Smith form and
-what is built on it) take and return ints.
+ValueError for zeros of another field.  ``frac_mat`` and ``identity``
+build matrices over Q.  The integer routines (Smith form and what is
+built on it) take and return ints.
 
 Zeros are skipped, never multiplied: the matrices met here are sparse
 (the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
@@ -62,10 +62,6 @@ def frac_mat(rows):
 
 def identity(n):
     return _eye(n, F1)
-
-
-def zeros(m, n):
-    return [[F0] * n for _ in range(m)]
 
 
 def transpose(a):

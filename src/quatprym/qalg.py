@@ -230,9 +230,6 @@ class OrderLattice:
         """Rational coordinates of x in the basis."""
         return mat_vec(self._to_coords, list(x.coords()))
 
-    def contains(self, x) -> bool:
-        return all(v.denominator == 1 for v in self.coords(x))
-
     def _left_ideal_constants(self):
         """Structure constants of ``left_ideal_index``, computed at first use.
 

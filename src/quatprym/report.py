@@ -424,10 +424,20 @@ def _lie_claims(budgets: Budgets):
         ),
     }
     for name in _SCENARIOS:
-        rep = lie_engine.scenario_report(name)
-        computed = tuple(row["computed"] for row in rep["rows"])
+        computed = tuple(got for _, got in lie_engine.scenario_values(name))
         values[f"lie.scenario_{name}"] = computed[0] if len(computed) == 1 else computed
     return values
+
+
+def scenario_report(name) -> dict:
+    """One canned scenario, row by row, {claim, expected, computed, ok},
+    against the expected value of its claim row in CLAIMS: a scalar for
+    a one-row scenario, else one entry per row."""
+    values = lie_engine.scenario_values(name)
+    want = next(c.expected for c in CLAIMS if c.claim_id == f"lie.scenario_{name}")
+    rows = [{"claim": claim, "expected": e, "computed": got, "ok": e == got}
+            for (claim, got), e in zip(values, want if len(values) > 1 else [want], strict=True)]
+    return {"scenario": name, "rows": rows, "ok": all(r["ok"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------

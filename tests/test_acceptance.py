@@ -118,7 +118,7 @@ def test_high_degree_invariant_counts():
 
 def test_canned_scenarios():
     t0 = time.monotonic()
-    reports = {name: le.scenario_report(name) for name in le.SCENARIOS}
+    reports = {name: report.scenario_report(name) for name in le.SCENARIOS}
     for name, rep in reports.items():
         assert rep["ok"], f"scenario {name} failed: {rep['rows']}"
 

@@ -8,8 +8,12 @@ the test with plain integer arithmetic mod p.
 """
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +99,42 @@ def test_automorphism_report_frozen():
         "group_order": 8,
         "ok": True,
     }
+
+
+BROKEN_INVERSE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quatprym import curve_model as cm, report
+
+
+def substitute(self, polys):
+    # x^-e becomes p^e, not (1/p)^e: j then has infinite order
+    nv = polys[0].nvars
+    out = cm.PolyGauss(nv, {})
+    for exp, c in self.terms.items():
+        term = cm.PolyGauss.const(nv, c)
+        for idx, e in enumerate(exp):
+            term = term * polys[idx].pow(abs(e))
+        out = out + term
+    return out
+
+
+cm.PolyGauss.substitute = substitute
+rec = next(r for r in report.run_suite("curve") if r.claim_id == "curve.automorphism_group")
+print(json.dumps([rec.status, cm.verify_curve_autos()["group_order"]]))
+"""
+
+
+def test_an_infinite_closure_stops_at_the_cap():
+    # in a fresh interpreter, so that an unbounded closure is a timeout,
+    # not a hung test run
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_INVERSE, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["FAIL", f"closure cap {cm.CLOSURE_CAP} hit"]
 
 
 def evaluate(poly, point):

@@ -18,6 +18,7 @@ weights inside the power loops are checked for round trips and
 additivity against tuple sums, and tensor against a tuple loop.
 """
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -260,10 +261,18 @@ def test_candidates_match_family_enumerators_on_box():
     assert count == 354
 
 
-def test_candidates_match_family_enumerators_on_registry_tables():
+def test_candidates_match_family_enumerators_on_registry_tables(monkeypatch):
+    # (factor, doubled highest weight) of every factor table the registry asks for
+    keys = set()
+    build = le._factor_irrep
+
+    def spy(f, lam):
+        keys.add((f, lam))
+        return build(f, lam)
+
+    build.cache_clear()
+    monkeypatch.setattr(le, "_factor_irrep", spy)
     report._lie_claims(report.Budgets())
-    # (factor, doubled highest weight) of every factor table built so far
-    keys = {fp for alg, lam in le._IRREP_CACHE for fp in le._highest_weight_parts(alg, lam)}
     assert {str(f) for f, _ in keys} >= {"A1", "A3", "B3", "D4"}
     for f, lam in keys:
         assert_same_candidates(f, lam)
@@ -427,7 +436,6 @@ def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
     # drop the zero weight, the lowest dominant weight of the adjoint
     search = le._candidates
     monkeypatch.setattr(le, "_candidates", lambda f, lam: [mu for mu in search(f, lam) if any(mu)])
-    monkeypatch.setattr(le, "_IRREP_CACHE", {})
     le._factor_irrep.cache_clear()
     with pytest.raises(RuntimeError, match=r"Racah/Weyl mismatch for B3 at \(1,1,0\)"):
         le.irrep_weights(le.B3, (1, 1, 0))
@@ -795,9 +803,18 @@ def test_tensor_size_and_schur_invariant():
     assert le.invariant_dim(le.B3, t) == 1  # self-dual irreducible
 
 
+def dual(alg, ms):
+    """The weight multiset of the dual representation: every weight negated."""
+    out = {}
+    for w, m in ms.items():
+        neg = le.canonicalize(alg, tuple(-x for x in w))
+        out[neg] = out.get(neg, 0) + m
+    return out
+
+
 def test_dual_pairing_has_one_invariant():
     _, w = le.atom("W")
-    ws = le.dual(le.A3, w)
+    ws = dual(le.A3, w)
     assert le.invariant_dim(le.A3, le.tensor(le.A3, w, ws)) == 1
     assert le.invariant_dim(le.A3, le.tensor(le.A3, w, w)) == 0
 
@@ -885,14 +902,33 @@ def test_atom_names_frozen():
 
 @pytest.mark.parametrize("name", le.SCENARIOS)
 def test_all_scenarios_pass(name):
-    rep = le.scenario_report(name)
+    rep = report.scenario_report(name)
     assert rep["ok"], rep
     assert all(row["ok"] for row in rep["rows"])
+    assert [(r["claim"], r["computed"]) for r in rep["rows"]] == le.scenario_values(name)
 
 
 def test_scenario_report_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        le.scenario_report("nope")
+    for call in (le.scenario_values, report.scenario_report):
+        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+            call("nope")
+
+
+def test_scenario_expected_values_have_one_home(monkeypatch):
+    # report._SCENARIOS becomes the claim rows at import; changing the
+    # so8 row changes both the registry record and the scenario report
+    want = (1, 1, 1, 9)
+    monkeypatch.setattr(report, "CLAIMS", tuple(
+        dataclasses.replace(c, expected=want) if c.claim_id == "lie.scenario_so8_hodge" else c
+        for c in report.CLAIMS
+    ))
+    rec = next(r for r in report.run_suite("lie") if r.claim_id == "lie.scenario_so8_hodge")
+    assert (rec.expected, rec.computed, rec.status) == (str(want), "(1, 1, 1, 10)", report.FAIL)
+    rep = report.scenario_report("so8_hodge")
+    assert [(r["expected"], r["ok"]) for r in rep["rows"]] == [
+        (1, True), (1, True), (1, True), (9, False)
+    ]
+    assert rep["ok"] is False
 
 
 def test_parse_expr_shapes():

@@ -112,11 +112,15 @@ def test_inverse_of_unit():
 # ----------------------------------------------------------------- orders
 
 
+def contains(lat, x) -> bool:
+    return all(v.denominator == 1 for v in lat.coords(x))
+
+
 def is_order(lat) -> bool:
     """Ring check: 1 in the lattice and the lattice closed under multiplication."""
-    if not lat.contains(QuatElem.make(lat.params, 1)):
+    if not contains(lat, QuatElem.make(lat.params, 1)):
         return False
-    return all(lat.contains(x * y) for x in lat.basis for y in lat.basis)
+    return all(contains(lat, x * y) for x in lat.basis for y in lat.basis)
 
 
 def index_in(lat, other) -> Fraction:

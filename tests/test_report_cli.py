@@ -558,6 +558,168 @@ PINNED_CLI = (
 }
 """,
     ),
+    (
+        ("lie", "--scenario", "so7_hodge"),
+        0,
+        """\
+{
+  "scenario": "so7_hodge",
+  "rows": [
+    {
+      "claim": "invariants in degree 2 of the doubled spin rep",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 4 of the doubled spin rep",
+      "expected": 6,
+      "computed": 6,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 6 of the doubled spin rep",
+      "expected": 6,
+      "computed": 6,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 8 of the doubled spin rep",
+      "expected": 16,
+      "computed": 16,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
+    (
+        ("lie", "--scenario", "so8_hodge"),
+        0,
+        """\
+{
+  "scenario": "so8_hodge",
+  "rows": [
+    {
+      "claim": "invariants in degree 2 of the doubled half-spin rep",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 4 of the doubled half-spin rep",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 6 of the doubled half-spin rep",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "invariants in degree 8 of the doubled half-spin rep",
+      "expected": 10,
+      "computed": 10,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
+    (
+        ("lie", "--scenario", "weil_4fold"),
+        0,
+        """\
+{
+  "scenario": "weil_4fold",
+  "rows": [
+    {
+      "claim": "invariants in degree 4 of standard plus dual",
+      "expected": 3,
+      "computed": 3,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
+    (
+        ("lie", "--scenario", "selfproduct_weil"),
+        0,
+        """\
+{
+  "scenario": "selfproduct_weil",
+  "rows": [
+    {
+      "claim": "invariants in degree 2 of the doubled standard-plus-dual",
+      "expected": 4,
+      "computed": 4,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
+    (
+        ("lie", "--scenario", "gl2_summand"),
+        0,
+        """\
+{
+  "scenario": "gl2_summand",
+  "rows": [
+    {
+      "claim": "multiplicity of the 3-dim constituent in the middle power of 2 doubled lines",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "multiplicity of the 5-dim constituent in the middle power of 4 doubled lines",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "multiplicity of the 7-dim constituent in the middle power of 6 doubled lines",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    },
+    {
+      "claim": "multiplicity of the 9-dim constituent in the middle power of 8 doubled lines",
+      "expected": 1,
+      "computed": 1,
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
+    (
+        ("lie", "--scenario", "lemma68"),
+        0,
+        """\
+{
+  "scenario": "lemma68",
+  "rows": [
+    {
+      "claim": "first-factor-trivial constituents of the degree-4 power",
+      "expected": "(0,0):1, (4,0):1",
+      "computed": "(0,0):1, (4,0):1",
+      "ok": true
+    }
+  ],
+  "ok": true
+}
+""",
+    ),
 )
 
 

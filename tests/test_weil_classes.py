@@ -246,13 +246,17 @@ def lagrange_slope_weights(k):
     return weights
 
 
+def zeros(m, n):
+    return [[Fraction(0)] * n for _ in range(m)]
+
+
 def test_derivation_is_the_differential_of_the_group_action():
     # t -> wedge^k(1 + tA) is a polynomial of degree k in t, and its
     # derivative at 0 is the derivation of A
     rng = random.Random(6)
     for d, k in ((4, 2), (5, 2), (5, 3)):
         a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
-        slope = linalg.zeros(math.comb(d, k), math.comb(d, k))
+        slope = zeros(math.comb(d, k), math.comb(d, k))
         for t, w in enumerate(lagrange_slope_weights(k)):
             one_plus_ta = [[int(p == q) + t * a[p][q] for q in range(d)] for p in range(d)]
             term = linalg.mat_scale(wc.exterior_action(one_plus_ta, k), w)
