@@ -648,25 +648,25 @@ def parse_expr(text):
 
 
 # ---------------------------------------------------------------------------
-# canned verification scenarios: rows of (claim, expression) under one
-# readout each, their expected values in report.CLAIMS.  A readout calls
-# decompose and invariant_dim as module globals at run time, so a tracer
-# that rebinds them sees every call; a function held in the table would not.
+# canned verification scenarios: rows of (claim, expression, further
+# readout arguments) under one readout each, their expected values in
+# report.CLAIMS.  A readout calls decompose and invariant_dim as module
+# globals at run time, so a tracer that rebinds them sees every call; a
+# function held in the table would not.
 
 
 def _invariants(alg, ms):
     return invariant_dim(alg, ms)
 
 
-def _top_multiplicity(alg, ms):
-    """Multiplicity of the constituent at the lexicographically top weight
-    of ms: (2n, 0) for the middle power of 2n doubled lines of sl(2)."""
-    return dict(decompose(alg, ms)).get(max(ms), 0)
+def _multiplicity(alg, ms, lam):
+    """Multiplicity of the constituent with the highest weight lam that the
+    row names; 0 when a wrong expression lacks it."""
+    return dict(decompose(alg, ms)).get(tuple(map(Fraction, lam)), 0)
 
 
 def _first_factor_trivial(alg, ms):
-    """The constituents trivial on the first factor, 'weight:mult' over the
-    other coordinates, in increasing order."""
+    """Constituents trivial on the first factor, sorted, as 'weight:mult'."""
     hi = alg.factors[0].ncoords
     parts = sorted((lam[hi:], m) for lam, m in decompose(alg, ms) if not any(lam[:hi]))
     return ", ".join(f"{_fmt_weight(lam)}:{m}" for lam, m in parts)
@@ -684,18 +684,18 @@ SCENARIOS = {
         ("invariants in degree 4 of standard plus dual", "wedge(4, W (+) W*)")]),
     "selfproduct_weil": (_invariants, [("invariants in degree 2 of the doubled standard-plus-dual",
                                         "wedge(2, W (+) W* (+) W (+) W*)")]),
-    "gl2_summand": (_top_multiplicity, [
+    "gl2_summand": (_multiplicity, [
         (f"multiplicity of the {k + 1}-dim constituent in the middle power of {k} doubled lines",
-         f"wedge({k}, {' (+) '.join(['V2'] * k)})") for k in (2, 4, 6, 8)]),
+         f"wedge({k}, {' (+) '.join(['V2'] * k)})", (k, 0)) for k in (2, 4, 6, 8)]),
     "lemma68": (_first_factor_trivial, [
         ("first-factor-trivial constituents of the degree-4 power", "wedge(4, Gamma (x) V2)")]),
 }
 
 
 def scenario_values(name) -> list:
-    """[(claim, computed value)] over one canned scenario's rows: each
-    row's expression evaluated by parse_expr, then read out."""
+    """[(claim, computed value)] over one canned scenario's rows: each row's
+    expression evaluated by parse_expr, then read out with its further args."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; have {tuple(SCENARIOS)}")
     readout, rows = SCENARIOS[name]
-    return [(claim, readout(*parse_expr(expr))) for claim, expr in rows]
+    return [(claim, readout(*parse_expr(expr), *args)) for claim, expr, *args in rows]

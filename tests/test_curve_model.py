@@ -137,6 +137,32 @@ def test_an_infinite_closure_stops_at_the_cap():
     assert json.loads(proc.stdout) == ["FAIL", f"closure cap {cm.CLOSURE_CAP} hit"]
 
 
+INFINITE_PROJECTIVE_J = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quatprym import curve_model as cm, report
+
+# diag(1, 1, 1, 1, 1+i): 1+i is no root of unity, so j has infinite
+# projective order
+g = cm.G1 + cm.GI
+cm.MAT_J = cm._gmat([[g if p == q == 4 else (cm.G1 if p == q else cm.G0)
+                      for q in range(5)] for p in range(5)])
+act = cm.verify_p4_action()
+rec = next(r for r in report.run_suite("curve") if r.claim_id == "curve.projective_action")
+print(json.dumps([act["projective_group_order"], act["ok"], rec.status]))
+"""
+
+
+def test_an_infinite_projective_closure_stops_at_the_cap():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", INFINITE_PROJECTIVE_J, str(src)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [f"closure cap {cm.CLOSURE_CAP} hit", False, "FAIL"]
+
+
 def evaluate(poly, point):
     """Value of a Laurent polynomial at a point of (Q(i)^*)^2, term by term."""
     total = gauss(0)

@@ -914,6 +914,21 @@ def test_scenario_report_rejects_unknown_name():
             call("nope")
 
 
+def test_gl2_row_reads_the_weight_it_names(monkeypatch):
+    # two copies of V2 in the degree-4 row: the middle power is the
+    # trivial line, so the named 5-dim constituent is absent and the row fails
+    readout, rows = le.SCENARIOS["gl2_summand"]
+    claim, _, lam = rows[1]
+    assert lam == (4, 0)
+    broken = [*rows[:1], (claim, "wedge(4, V2 (+) V2)", lam), *rows[2:]]
+    monkeypatch.setitem(le.SCENARIOS, "gl2_summand", (readout, broken))
+    rep = report.scenario_report("gl2_summand")
+    assert [(r["computed"], r["ok"]) for r in rep["rows"]] == [
+        (1, True), (0, False), (1, True), (1, True)
+    ]
+    assert rep["ok"] is False
+
+
 def test_scenario_expected_values_have_one_home(monkeypatch):
     # report._SCENARIOS becomes the claim rows at import; changing the
     # so8 row changes both the registry record and the scenario report
