@@ -120,7 +120,7 @@ def _cmd_lie(args) -> int:
                 "algebra": str(alg),
                 "size": lie_engine.multiset_size(ms),
                 "decomposition": [
-                    {"weight": [str(x) for x in lam], "mult": mult} for lam, mult in dec
+                    {"weight": list(lie_engine.weight_text(lam)), "mult": m} for lam, m in dec
                 ],
                 # the multiplicity of the trivial constituent
                 "invariant_dim": dict(dec).get((0,) * alg.ncoords, 0),
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prym)
 
     p = sub.add_parser("lie", help="weight-multiset representation engine")
-    p.add_argument("--scenario", choices=lie_engine.SCENARIOS, default=None)
+    p.add_argument("--scenario", choices=report_mod.SCENARIOS, default=None)
     p.add_argument("--decompose", nargs=2, metavar=("ALG", "EXPR"), default=None)
     p.set_defaults(func=_cmd_lie)
 

@@ -27,13 +27,16 @@ canonical, and as the roots of A sum to zero, pairings with them,
 dominance and the Weyl product read canonical coordinates as they would
 sum-zero ones.
 
-The API takes and returns tuples of Fraction.  Every integral weight
-lies in (1/2)Z^n, so inside, a weight is a tuple of ints, its
-coordinates doubled (ValueError for any other coordinate); the roots,
-2 rho, the shifts, Racah and the Weyl product run on these ints.  In
-the power, tensor and decompose loops a doubled weight is one int, its
-coordinates read as signed digits in an odd base wide enough for every
-sum the loop forms (``_packer``), so adding weights is adding ints.
+Every integral weight lies in (1/2)Z^n, so a weight is a tuple of ints,
+its coordinates doubled, in and out of every function here: the spin
+representation of B3 has highest weight (1, 1, 1).  A weight of the
+wrong length, or with a coordinate that is not an int, raises
+ValueError.  ``weight_text`` renders the true coordinates as strings;
+it is the only place a weight is halved.  The roots, 2 rho, the shifts,
+Racah and the Weyl product run on these ints.  In the power, tensor and
+decompose loops a doubled weight is one int, its coordinates read as
+signed digits in an odd base wide enough for every sum the loop forms
+(``_packer``), so adding weights is adding ints.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import prod
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-FH = Fraction(1, 2)
 
 
 class NotARepresentation(ValueError):
@@ -111,7 +110,30 @@ B3A1 = AlgebraType.parse("B3+A1")
 
 
 # ---------------------------------------------------------------------------
-# weight helpers (dominance and reflections take any coordinate type)
+# weight helpers: the format, then dominance and reflections (which take
+# any coordinate type)
+
+
+def weight_text(w) -> tuple:
+    """The true coordinates of the doubled weight w, as strings:
+    weight_text((3, 1, 1)) == ('3/2', '1/2', '1/2')."""
+    return tuple(str(Fraction(x, 2)) for x in w)
+
+
+def _fmt_weight(w):
+    return "(" + ",".join(weight_text(w)) + ")"
+
+
+def _checked(w, alg: AlgebraType) -> tuple:
+    """w as a tuple, after a ValueError unless it has alg's number of
+    coordinates and each is an int, as the doubled coordinates of an
+    integral weight are."""
+    w = tuple(w)
+    if len(w) != alg.ncoords:
+        raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {alg.ncoords}")
+    if not all(isinstance(x, int) for x in w):
+        raise ValueError(f"weight is not integral for {alg}")
+    return w
 
 
 def _a_canon(w):
@@ -120,35 +142,13 @@ def _a_canon(w):
 
 
 def canonicalize(alg: AlgebraType, w) -> tuple:
-    w = tuple(Fraction(x) for x in w)
-    if len(w) != alg.ncoords:
-        raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {alg.ncoords}")
+    """w, checked by ``_checked``, with each A-block shifted to end in 0."""
+    w = _checked(w, alg)
     out = []
     for f, lo, hi in alg.slices():
         part = w[lo:hi]
         out.extend(_a_canon(part) if f.family == "A" else part)
     return tuple(out)
-
-
-def _doubled(w, owner):
-    """The coordinates of w, a weight of the factor or algebra owner,
-    doubled, as ints.  Every integral weight lies in (1/2)Z^n, so a
-    coordinate outside it raises ValueError, as does a wrong length."""
-    if len(w) != owner.ncoords:
-        raise ValueError(f"weight has {len(w)} coordinates, {owner} needs {owner.ncoords}")
-    if any(2 % x.denominator for x in w):
-        raise ValueError(f"weight is not integral for {owner}")
-    return tuple(x.numerator * (2 // x.denominator) for x in w)
-
-
-@cache
-def _half(n):
-    return Fraction(n, 2)
-
-
-def _halved(w):
-    """The weight with doubled coordinates w, as a tuple of Fractions."""
-    return tuple(map(_half, w))
 
 
 def _factor_dominant(f: SimpleFactor, w) -> bool:
@@ -257,10 +257,6 @@ def _vadd(u, v, k=1):
     return tuple(x + k * y for x, y in zip(u, v))
 
 
-def _fmt_weight(w):
-    return "(" + ",".join(str(x) for x in w) + ")"
-
-
 def _integral(f: SimpleFactor, lam):
     """lam, after a ValueError unless 2<lam, a>/<a, a> is an integer for
     every positive root a; in doubled coordinates, <a, a> divides <lam, a>."""
@@ -280,7 +276,7 @@ def _factor_weyl_dim(f: SimpleFactor, lam) -> int:
     d, r = divmod(num, den)
     if r or d <= 0:
         raise RuntimeError(
-            f"Weyl dimension {Fraction(num, den)} of {_fmt_weight(_halved(lam))} for {f}"
+            f"Weyl dimension {Fraction(num, den)} of {_fmt_weight(lam)} for {f}"
         )
     return d
 
@@ -302,13 +298,13 @@ def _factor_shifts(f: SimpleFactor):
 
 
 def _highest_weight_parts(alg: AlgebraType, lam):
-    """(factor, block of lam in doubled coordinates) for each factor.
+    """(factor, block of lam) for each factor.
 
     Raises ValueError unless lam is dominant and integral."""
     lam = canonicalize(alg, lam)
     if not is_dominant(alg, lam):
         raise ValueError("weight is not dominant")
-    return [(f, _integral(f, _doubled(lam[lo:hi], f))) for f, lo, hi in alg.slices()]
+    return [(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices()]
 
 
 def weyl_dim(alg: AlgebraType, lam) -> int:
@@ -358,11 +354,11 @@ def _factor_irrep(f: SimpleFactor, lam):
         # the identity's term is m(mu) itself, not yet set, so it adds 0
         m = -sum(e * full.get(_vadd(mu, s), 0) for s, e in shifts)
         if m < 0:
-            raise RuntimeError(f"Racah multiplicity {m} at {_fmt_weight(_halved(mu))} for {f}")
+            raise RuntimeError(f"Racah multiplicity {m} at {_fmt_weight(mu)} for {f}")
         if m:
             full.update(dict.fromkeys(_factor_orbit(f, mu), m))
     if sum(full.values()) != _factor_weyl_dim(f, lam):
-        raise RuntimeError(f"Racah/Weyl mismatch for {f} at {_fmt_weight(_halved(lam))}")
+        raise RuntimeError(f"Racah/Weyl mismatch for {f} at {_fmt_weight(lam)}")
     return full
 
 
@@ -372,7 +368,7 @@ def irrep_weights(alg: AlgebraType, lam) -> dict:
     for f, part in _highest_weight_parts(alg, lam):
         full = _factor_irrep(f, part)
         ms = {w0 + w1: m0 * m1 for w0, m0 in ms.items() for w1, m1 in full.items()}
-    return {_halved(w): m for w, m in ms.items()}
+    return ms
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +407,6 @@ def _packer(weights, reach):
     return pack, unpack
 
 
-def _unpack_multiset(packed, unpack) -> dict:
-    return {_halved(unpack(w)): m for w, m in packed.items()}
-
-
 def _powers(alg: AlgebraType, ms, k, sym):
     """(levels, unpack): levels[j] is S^j (sym) or wedge^j of ms for
     j = 0..k, keyed by packed doubled weight, the t^j coefficient of
@@ -427,11 +419,11 @@ def _powers(alg: AlgebraType, ms, k, sym):
     if not sym and k > n:
         raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
     zero = (0,) * alg.ncoords
-    doubled = [(_doubled(mu, alg), m) for mu, m in ms.items()]
-    pack, unpack = _packer([zero, *(mu for mu, _ in doubled)], k)
+    weights = [(_checked(mu, alg), m) for mu, m in ms.items()]
+    pack, unpack = _packer([zero, *(mu for mu, _ in weights)], k)
     levels = [{pack(zero): 1}] + [{} for _ in range(k)]
     degrees = range(1, k + 1) if sym else range(k, 0, -1)
-    for mu, m in doubled:
+    for mu, m in weights:
         pm = pack(mu)
         for _ in range(m):
             for j in degrees:
@@ -445,17 +437,17 @@ def _powers(alg: AlgebraType, ms, k, sym):
 
 def wedge_power(alg: AlgebraType, ms, k) -> dict:
     levels, unpack = _powers(alg, ms, k, sym=False)
-    return _unpack_multiset(levels[k], unpack)
+    return {unpack(w): m for w, m in levels[k].items()}
 
 
 def sym_power(alg: AlgebraType, ms, k) -> dict:
     levels, unpack = _powers(alg, ms, k, sym=True)
-    return _unpack_multiset(levels[k], unpack)
+    return {unpack(w): m for w, m in levels[k].items()}
 
 
 def tensor(alg: AlgebraType, a, b) -> dict:
-    a = [(_doubled(w, alg), m) for w, m in a.items()]
-    b = [(_doubled(w, alg), m) for w, m in b.items()]
+    a = [(_checked(w, alg), m) for w, m in a.items()]
+    b = [(_checked(w, alg), m) for w, m in b.items()]
     pack, unpack = _packer([w for w, _ in a + b], 2)
     packed_b = [(pack(w), m) for w, m in b]
     out = {}
@@ -465,7 +457,7 @@ def tensor(alg: AlgebraType, a, b) -> dict:
         for p1, m1 in packed_b:
             v = p0 + p1
             out[v] = get(v, 0) + m0 * m1
-    return _unpack_multiset(out, unpack)
+    return {unpack(w): m for w, m in out.items()}
 
 
 def dsum(a, b) -> dict:
@@ -502,27 +494,27 @@ def decompose(alg: AlgebraType, ms) -> list:
     shifts = [((), 1)]
     for f, _, _ in alg.slices():
         shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
-    doubled = {_doubled(w, alg): m for w, m in ms.items() if m}
+    weights = {_checked(w, alg): m for w, m in ms.items() if m}
     # a reflected weight, and a weight plus a shift, are sums of at most
     # two of the packed vectors (an A-block reflection subtracts a
     # coordinate), so reach 2 keeps every lookup below exact
-    pack, _ = _packer([*doubled, *(s for s, _ in shifts)], 2)
-    packed = {pack(w): m for w, m in doubled.items()}
+    pack, _ = _packer([*weights, *(s for s, _ in shifts)], 2)
+    packed = {pack(w): m for w, m in weights.items()}
     get = packed.get
     for r in reflections(alg):
-        for w, m in doubled.items():
+        for w, m in weights.items():
             if get(pack(r(w))) != m:
                 raise NotARepresentation(
-                    f"weight {_fmt_weight(_halved(w))} and its reflection "
-                    f"{_fmt_weight(_halved(r(w)))} have different multiplicities"
+                    f"weight {_fmt_weight(w)} and its reflection "
+                    f"{_fmt_weight(r(w))} have different multiplicities"
                 )
     packed_shifts = [(pack(s), e) for s, e in shifts]
     out = []
-    for lam in sorted((w for w in doubled if is_dominant(alg, w)), reverse=True):
+    for lam in sorted((w for w in weights if is_dominant(alg, w)), reverse=True):
         p = pack(lam)
         mult = sum(e * get(p + s, 0) for s, e in packed_shifts)
         if mult < 0:
-            raise NotARepresentation(f"negative multiplicity at {_fmt_weight(_halved(lam))}")
+            raise NotARepresentation(f"negative multiplicity at {_fmt_weight(lam)}")
         if mult:
             out.append((lam, mult))
     counted = sum(
@@ -533,11 +525,11 @@ def decompose(alg: AlgebraType, ms) -> list:
         raise NotARepresentation(
             f"decomposition covers {counted} of {multiset_size(ms)} weights"
         )
-    return [(_halved(lam), m) for lam, m in out]
+    return out
 
 
 def invariant_dim(alg: AlgebraType, ms) -> int:
-    return dict(decompose(alg, ms)).get(tuple([F0] * alg.ncoords), 0)
+    return dict(decompose(alg, ms)).get((0,) * alg.ncoords, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +537,12 @@ def invariant_dim(alg: AlgebraType, ms) -> int:
 
 
 _ATOM_DEFS = {
-    "Gamma": (B3, (FH, FH, FH)),       # 8-dim spin rep of so(7)
-    "V": (B3, (F1, F0, F0)),           # 7-dim standard rep of so(7)
-    "Gamma+": (D4, (FH, FH, FH, FH)),  # 8-dim half-spin rep of so(8)
-    "W": (A3, (F1, F0, F0, F0)),       # 4-dim standard rep of sl(4)
-    "W*": (A3, (F1, F1, F1, F0)),      # its dual
-    "V2": (A1, (F1, F0)),              # 2-dim standard rep of sl(2)
+    "Gamma": (B3, (1, 1, 1)),        # 8-dim spin rep of so(7)
+    "V": (B3, (2, 0, 0)),            # 7-dim standard rep of so(7)
+    "Gamma+": (D4, (1, 1, 1, 1)),    # 8-dim half-spin rep of so(8)
+    "W": (A3, (2, 0, 0, 0)),         # 4-dim standard rep of sl(4)
+    "W*": (A3, (2, 2, 2, 0)),        # its dual
+    "V2": (A1, (2, 0)),              # 2-dim standard rep of sl(2)
 }
 
 
@@ -648,54 +640,18 @@ def parse_expr(text):
 
 
 # ---------------------------------------------------------------------------
-# canned verification scenarios: rows of (claim, expression, further
-# readout arguments) under one readout each, their expected values in
-# report.CLAIMS.  A readout calls decompose and invariant_dim as module
-# globals at run time, so a tracer that rebinds them sees every call; a
-# function held in the table would not.
+# readouts of the canned scenarios (report.SCENARIOS), beside invariant_dim
 
 
-def _invariants(alg, ms):
-    return invariant_dim(alg, ms)
+def multiplicity(alg: AlgebraType, ms, lam) -> int:
+    """Multiplicity in ms of the irrep with highest weight lam; 0 when ms
+    lacks it."""
+    return dict(decompose(alg, ms)).get(tuple(lam), 0)
 
 
-def _multiplicity(alg, ms, lam):
-    """Multiplicity of the constituent with the highest weight lam that the
-    row names; 0 when a wrong expression lacks it."""
-    return dict(decompose(alg, ms)).get(tuple(map(Fraction, lam)), 0)
-
-
-def _first_factor_trivial(alg, ms):
-    """Constituents trivial on the first factor, sorted, as 'weight:mult'."""
+def first_factor_trivial(alg: AlgebraType, ms) -> str:
+    """Constituents trivial on the first factor, sorted, as 'weight:mult',
+    the weight on the other factors in true coordinates."""
     hi = alg.factors[0].ncoords
     parts = sorted((lam[hi:], m) for lam, m in decompose(alg, ms) if not any(lam[:hi]))
     return ", ".join(f"{_fmt_weight(lam)}:{m}" for lam, m in parts)
-
-
-def _doubled_ladder(rep, label):
-    return [(f"invariants in degree {k} of the doubled {label}", f"wedge({k}, {rep} (+) {rep})")
-            for k in (2, 4, 6, 8)]
-
-
-SCENARIOS = {
-    "so7_hodge": (_invariants, _doubled_ladder("Gamma", "spin rep")),
-    "so8_hodge": (_invariants, _doubled_ladder("Gamma+", "half-spin rep")),
-    "weil_4fold": (_invariants, [
-        ("invariants in degree 4 of standard plus dual", "wedge(4, W (+) W*)")]),
-    "selfproduct_weil": (_invariants, [("invariants in degree 2 of the doubled standard-plus-dual",
-                                        "wedge(2, W (+) W* (+) W (+) W*)")]),
-    "gl2_summand": (_multiplicity, [
-        (f"multiplicity of the {k + 1}-dim constituent in the middle power of {k} doubled lines",
-         f"wedge({k}, {' (+) '.join(['V2'] * k)})", (k, 0)) for k in (2, 4, 6, 8)]),
-    "lemma68": (_first_factor_trivial, [
-        ("first-factor-trivial constituents of the degree-4 power", "wedge(4, Gamma (x) V2)")]),
-}
-
-
-def scenario_values(name) -> list:
-    """[(claim, computed value)] over one canned scenario's rows: each row's
-    expression evaluated by parse_expr, then read out with its further args."""
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; have {tuple(SCENARIOS)}")
-    readout, rows = SCENARIOS[name]
-    return [(claim, readout(*parse_expr(expr), *args)) for claim, expr, *args in rows]

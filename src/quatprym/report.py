@@ -69,14 +69,39 @@ class Claim:
 
 
 _MODULE_TYPES = {2: "(M)^2", 3: "(M ⊕ H_Z)^2"}
-_SCENARIOS = {
-    "so7_hodge": (1, 6, 6, 16),
-    "so8_hodge": (1, 1, 1, 10),
-    "weil_4fold": 3,
-    "selfproduct_weil": 4,
-    "gl2_summand": (1, 1, 1, 1),
-    "lemma68": "(0,0):1, (4,0):1",
+
+
+def _doubled_ladder(rep, label, want):
+    return [(f"invariants in degree {k} of the doubled {label}", f"wedge({k}, {rep} (+) {rep})", n)
+            for k, n in zip((2, 4, 6, 8), want)]
+
+
+# The canned Lie scenarios: name -> (readout, rows of (claim, lie_engine
+# expression, expected value, further readout arguments)).  The readout is
+# named, and looked up in lie_engine when a row runs, so a tracer that
+# rebinds lie_engine.invariant_dim sees every call.
+SCENARIOS = {
+    "so7_hodge": ("invariant_dim", _doubled_ladder("Gamma", "spin rep", (1, 6, 6, 16))),
+    "so8_hodge": ("invariant_dim", _doubled_ladder("Gamma+", "half-spin rep", (1, 1, 1, 10))),
+    "weil_4fold": ("invariant_dim", [
+        ("invariants in degree 4 of standard plus dual", "wedge(4, W (+) W*)", 3)]),
+    "selfproduct_weil": ("invariant_dim", [
+        ("invariants in degree 2 of the doubled standard-plus-dual",
+         "wedge(2, W (+) W* (+) W (+) W*)", 4)]),
+    "gl2_summand": ("multiplicity", [
+        (f"multiplicity of the {k + 1}-dim constituent in the middle power of {k} doubled lines",
+         f"wedge({k}, {' (+) '.join(['V2'] * k)})", 1, (2 * k, 0)) for k in (2, 4, 6, 8)]),
+    "lemma68": ("first_factor_trivial", [
+        ("first-factor-trivial constituents of the degree-4 power", "wedge(4, Gamma (x) V2)",
+         "(0,0):1, (4,0):1")]),
 }
+
+
+def _claim_value(values):
+    """A scenario's registry value: its one row's value, else the tuple of them."""
+    return values[0] if len(values) == 1 else tuple(values)
+
+
 _WEIL_CASES = tuple((n, r, s) for n in (1, 2) for r, s in ((-1, -1), (-1, -3)))
 _LOCUS_PRIMES = (13, 17)
 
@@ -177,8 +202,9 @@ CLAIMS = (
     ),
     Claim("lie.spin8_paired_counts", "invariants of wedge2 x wedge2 and of wedge3 x spin", (2, 1)),
     *(
-        Claim(f"lie.scenario_{name}", f"canned invariant-count scenario '{name}'", want)
-        for name, want in _SCENARIOS.items()
+        Claim(f"lie.scenario_{name}", f"canned invariant-count scenario '{name}'",
+              _claim_value([row[2] for row in rows]))
+        for name, (_, rows) in SCENARIOS.items()
     ),
     Claim(
         "spin.weight_zero_dim",
@@ -402,7 +428,7 @@ def _cover_claims(budgets: Budgets):
 
 def _decomp_str(alg, ms):
     dec = lie_engine.decompose(alg, ms)
-    return ", ".join(f"{tuple(map(str, lam))}:{mult}" for lam, mult in dec)
+    return ", ".join(f"{lie_engine.weight_text(lam)}:{mult}" for lam, mult in dec)
 
 
 def _lie_claims(budgets: Budgets):
@@ -423,21 +449,24 @@ def _lie_claims(budgets: Budgets):
             ),
         ),
     }
-    for name in _SCENARIOS:
-        computed = tuple(got for _, got in lie_engine.scenario_values(name))
-        values[f"lie.scenario_{name}"] = computed[0] if len(computed) == 1 else computed
+    for name in SCENARIOS:
+        rows = scenario_report(name)["rows"]
+        values[f"lie.scenario_{name}"] = _claim_value([r["computed"] for r in rows])
     return values
 
 
 def scenario_report(name) -> dict:
-    """One canned scenario, row by row, {claim, expected, computed, ok},
-    against the expected value of its claim row in CLAIMS: a scalar for
-    a one-row scenario, else one entry per row."""
-    values = lie_engine.scenario_values(name)
-    want = next(c.expected for c in CLAIMS if c.claim_id == f"lie.scenario_{name}")
-    rows = [{"claim": claim, "expected": e, "computed": got, "ok": e == got}
-            for (claim, got), e in zip(values, want if len(values) > 1 else [want], strict=True)]
-    return {"scenario": name, "rows": rows, "ok": all(r["ok"] for r in rows)}
+    """One canned scenario, row by row, {claim, expected, computed, ok}:
+    each row's expression evaluated by lie_engine.parse_expr, then read
+    out with its further arguments."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; have {tuple(SCENARIOS)}")
+    readout, rows = SCENARIOS[name]
+    out = []
+    for claim, expr, want, *args in rows:
+        got = getattr(lie_engine, readout)(*lie_engine.parse_expr(expr), *args)
+        out.append({"claim": claim, "expected": want, "computed": got, "ok": want == got})
+    return {"scenario": name, "rows": out, "ok": all(r["ok"] for r in out)}
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +479,8 @@ def _spin_claims(budgets: Budgets):
     cmp = spin_explicit.reference_comparison(rep)
     return {
         "spin.weight_zero_dim": len(spin_explicit.weight_zero_monomials(rep)),
-        "spin.invariant_line": (
-            qalg._int_if_integral(inv[(0, 4, 5, 6)]),
-            qalg._int_if_integral(inv[(1, 2, 3, 7)]),
-        ),
-        "spin.even_part_projection": qalg._int_if_integral(spin_explicit.project_even(inv)),
+        "spin.invariant_line": (inv[(0, 4, 5, 6)], inv[(1, 2, 3, 7)]),
+        "spin.even_part_projection": spin_explicit.project_even(inv),
         "spin.reference_formula": (
             f"{cmp['matches']} of 8 terms match; position 6 nearest computed "
             f"monomial {cmp['terms'][5].get('nearest_computed')}"

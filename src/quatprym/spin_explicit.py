@@ -11,9 +11,9 @@ S = wedge^*(R), dimension 8.
 The entries of the spin representation rho lie in (1/2)Z, so the
 module carries 2 rho: ``SpinRep.two_rho`` holds int matrices, and the
 weight of a spinor or monomial is an int tuple, the Cartan weight
-doubled, as inside ``lie_engine``.  A weight is halved only where it
-leaves the module: the "weight" entry of ``reference_comparison`` and
-the comparison with ``lie_engine`` in ``cross_check_weights``.
+doubled, the one weight format of ``lie_engine``: ``cross_check_weights``
+compares the model's weights with the engine's as they are, and the
+"weight" entry of ``reference_comparison`` is doubled too.
 
 The generator actions on S are assembled from three ingredients: wedge
 by e_i, contraction against e_{3+i}, and the parity involution.  The
@@ -32,6 +32,7 @@ wedge^4(even part) is nonzero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -245,9 +246,9 @@ def _operator_system(rep: SpinRep, pairs, monos, derive) -> list:
 
 def so7_invariant(rep: SpinRep) -> dict:
     """The invariant line in degree 4, normalized so the coefficient of
-    the all-even monomial is 2.  Computed as the joint kernel of the
-    three raising operators on the weight-0 subspace, then checked
-    against the whole algebra."""
+    the all-even monomial is 2, with int coefficients.  Computed as the
+    joint kernel of the three raising operators on the weight-0 subspace,
+    then checked against the whole algebra."""
     zmonos = weight_zero_monomials(rep)
     if len(zmonos) != 8:
         raise SpinConstructionError(
@@ -263,7 +264,10 @@ def so7_invariant(rep: SpinRep) -> dict:
     lead = vec[zmonos.index(EVEN_MONOMIAL)]
     if not lead:
         raise SpinConstructionError("invariant line has no all-even coefficient")
-    vec = [x * 2 / lead for x in vec]
+    vec = [Fraction(2 * x, lead) for x in vec]
+    if any(x.denominator != 1 for x in vec):
+        raise SpinConstructionError("normalized invariant line is not integral")
+    vec = [x.numerator for x in vec]
     # full invariance: every basis operator annihilates the vector
     for pair in SO7_PAIRS:
         for row in _operator_system(rep, (pair,), zmonos, wedge_derivation):
@@ -275,7 +279,7 @@ def so7_invariant(rep: SpinRep) -> dict:
 EVEN_MONOMIAL = (0, 4, 5, 6)  # wedge of the four even-degree spinors
 
 
-def project_even(vec: dict) -> Fraction:
+def project_even(vec: dict) -> int:
     """Coefficient on the single monomial lying in wedge^4 of the even
     subspace span(e_(), e_(1,2), e_(1,3), e_(2,3))."""
     return vec.get(EVEN_MONOMIAL, 0)
@@ -327,7 +331,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
                     "position": pos,
                     "monomial": mono,
                     "match": False,
-                    "weight": lie_engine._halved(rep.weight_of_monomial(mono)),
+                    "weight": rep.weight_of_monomial(mono),
                     "nearest_computed": candidates[0] if len(candidates) == 1 else None,
                 }
             )
@@ -336,7 +340,7 @@ def reference_comparison(rep: SpinRep = None) -> dict:
         "terms": terms,
         "mismatch_positions": mismatches,
         "matches": len(REFERENCE_TERMS) - len(mismatches),
-        "computed": {m: int(c) if c.denominator == 1 else c for m, c in sorted(inv.items())},
+        "computed": dict(sorted(inv.items())),
     }
 
 
@@ -378,20 +382,12 @@ def invariant_count(rep: SpinRep, k, kind) -> int:
     return len(nullspace(system))
 
 
-def _weight_counts(weights):
-    """Multiplicity of each of the doubled ``weights``, keyed halved."""
-    counts = {}
-    for w in weights:
-        counts[w] = counts.get(w, 0) + 1
-    return {lie_engine._halved(w): n for w, n in counts.items()}
-
-
 def cross_check_weights(rep: SpinRep) -> dict:
     """Tie the matrix model to the abstract weight calculus."""
     alg = lie_engine.B3
-    spin = lie_engine.irrep_weights(alg, lie_engine._halved((1, 1, 1)))
-    model = _weight_counts(rep.weight_of_spinor(s) for s in range(8))
-    model4 = _weight_counts(rep.weight_of_monomial(mono) for mono in MONOMIALS)
+    spin = lie_engine.irrep_weights(alg, (1, 1, 1))
+    model = Counter(rep.weight_of_spinor(s) for s in range(8))
+    model4 = Counter(rep.weight_of_monomial(mono) for mono in MONOMIALS)
     return {
         "spin_weights_match": model == spin,
         "wedge4_weights_match": model4 == lie_engine.wedge_power(alg, spin, 4),

@@ -7,7 +7,6 @@ library is exact, so every comparison below is exact equality.
 """
 
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from quatprym import cover_homology as ch
@@ -32,7 +31,8 @@ def _done(name, t0, cap, detail):
 
 
 def _w(*xs):
-    return tuple(Fraction(x) for x in xs)
+    """A weight of true coordinates xs, in the engine's doubled ints."""
+    return tuple(2 * x for x in xs)
 
 
 def test_spin_rep_wedge_decompositions():
@@ -118,7 +118,7 @@ def test_high_degree_invariant_counts():
 
 def test_canned_scenarios():
     t0 = time.monotonic()
-    reports = {name: report.scenario_report(name) for name in le.SCENARIOS}
+    reports = {name: report.scenario_report(name) for name in report.SCENARIOS}
     for name, rep in reports.items():
         assert rep["ok"], f"scenario {name} failed: {rep['rows']}"
 

@@ -12,8 +12,10 @@ it replaced, kept here as the oracle, and half the sum of the positive
 roots against the closed forms of rho.  The generating-function powers
 and the Brauer-Klimyk decomposition are gated against the subset walks
 and the greedy stripping of dominant tables they replaced, also kept
-here as oracles.  The engine works on doubled-int weights; the oracles
-keep Fraction coordinates (sum-zero for A) and convert.  The packed-int
+here as oracles.  The engine takes and returns doubled-int weights; the
+tests write weights in true coordinates and convert them with ``twice``,
+and the oracles keep Fraction coordinates (sum-zero for A) and convert
+with ``internal`` and ``doubled``.  The packed-int
 weights inside the power loops are checked for round trips and
 additivity against tuple sums, and tensor against a tuple loop.
 """
@@ -38,8 +40,14 @@ def ms_eq(a, b):
     return dict(a) == dict(b)
 
 
-def frozen(d):
-    return {tuple(Fraction(x) for x in w): m for w, m in d.items()}
+def twice(w):
+    """True coordinates -> the engine's doubled ints."""
+    assert all((2 * Fraction(x)).denominator == 1 for x in w), w
+    return tuple(int(2 * x) for x in w)
+
+
+def twice_ms(d):
+    return {twice(w): m for w, m in d.items()}
 
 
 ATOM_NAMES = sorted(le._ATOM_DEFS)
@@ -62,10 +70,7 @@ def internal(f, w):
 
 def doubled(f, w):
     """Fraction coordinates, sum-zero for A -> doubled engine coordinates."""
-    if f.family == "A":
-        w = le._a_canon(w)
-    assert all((2 * x).denominator == 1 for x in w), w
-    return tuple(int(2 * x) for x in w)
+    return twice(le._a_canon(w) if f.family == "A" else w)
 
 
 # ---------------------------------------------------- closed-form oracles
@@ -80,18 +85,18 @@ def signs(n):
 
 @pytest.mark.parametrize("n,alg", [(2, le.AlgebraType.parse("B2")), (3, le.B3)])
 def test_b_spin_weights_are_sign_vectors(n, alg):
-    got = le.irrep_weights(alg, (H,) * n)
-    assert ms_eq(got, {w: 1 for w in signs(n)})
+    got = le.irrep_weights(alg, twice((H,) * n))
+    assert ms_eq(got, {twice(w): 1 for w in signs(n)})
 
 
 def test_d4_half_spin_weights_have_even_sign_count():
-    got = le.irrep_weights(le.D4, (H, H, H, H))
-    expected = {w: 1 for w in signs(4) if sum(1 for c in w if c < 0) % 2 == 0}
+    got = le.irrep_weights(le.D4, twice((H, H, H, H)))
+    expected = {twice(w): 1 for w in signs(4) if sum(1 for c in w if c < 0) % 2 == 0}
     assert ms_eq(got, expected)
 
 
 def test_b3_vector_weights():
-    got = le.irrep_weights(le.B3, (1, 0, 0))
+    got = le.irrep_weights(le.B3, twice((1, 0, 0)))
     expected = {}
     for i in range(3):
         for s in (1, -1):
@@ -99,11 +104,11 @@ def test_b3_vector_weights():
             w[i] = Fraction(s)
             expected[tuple(w)] = 1
     expected[(Fraction(0),) * 3] = 1
-    assert ms_eq(got, expected)
+    assert ms_eq(got, twice_ms(expected))
 
 
 def test_b3_adjoint_weights_match_root_system():
-    got = le.irrep_weights(le.B3, (1, 1, 0))
+    got = le.irrep_weights(le.B3, twice((1, 1, 0)))
     expected = {}
     for i in range(3):
         for j in range(3):
@@ -123,19 +128,19 @@ def test_b3_adjoint_weights_match_root_system():
             w[i] = Fraction(s)
             expected[tuple(w)] = 1
     expected[(Fraction(0),) * 3] = 3  # zero-weight multiplicity = rank
-    assert ms_eq(got, expected)
+    assert ms_eq(got, twice_ms(expected))
 
 
 def test_a1_string_weights():
     for m in range(7):
-        got = le.irrep_weights(le.A1, (m, 0))
+        got = le.irrep_weights(le.A1, twice((m, 0)))
         expected = {(Fraction(m - 2 * t), Fraction(0)): 1 for t in range(m + 1)}
-        assert ms_eq(got, expected)
+        assert ms_eq(got, twice_ms(expected))
 
 
 def test_a3_third_wedge_matches_highest_weight():
-    std = le.irrep_weights(le.A3, (1, 0, 0, 0))
-    assert ms_eq(le.irrep_weights(le.A3, (1, 1, 1, 0)), le.wedge_power(le.A3, std, 3))
+    std = le.irrep_weights(le.A3, twice((1, 0, 0, 0)))
+    assert ms_eq(le.irrep_weights(le.A3, twice((1, 1, 1, 0))), le.wedge_power(le.A3, std, 3))
 
 
 # ------------------------------------- dominant weights below lambda
@@ -236,7 +241,7 @@ def box_weights(f):
         if f.family == "A" and w[-1] != 0:
             continue
         try:
-            (part,) = le._highest_weight_parts(alg, w)
+            (part,) = le._highest_weight_parts(alg, twice(w))
         except ValueError:
             continue
         out.append(part[1])
@@ -358,7 +363,7 @@ def test_atoms_match_freudenthal_in_order(name):
     alg, lam = le._ATOM_DEFS[name]
     (f, part), = le._highest_weight_parts(alg, lam)
     # same weights, multiplicities and insertion order
-    expected = [(halves(w), m) for w, m in freudenthal_weights(f, part).items()]
+    expected = list(freudenthal_weights(f, part).items())
     assert list(le.atom(name)[1].items()) == expected
 
 
@@ -390,19 +395,22 @@ def test_rho_is_the_closed_form(name):
 def test_non_integral_highest_weights_are_rejected(alg, lam):
     for fn in (le.weyl_dim, le.irrep_weights):
         with pytest.raises(ValueError, match="not integral"):
-            fn(alg, lam)
+            fn(alg, twice(lam))
 
 
 @pytest.mark.parametrize("x", [H, Fraction(1, 3)])
 def test_decompose_rejects_a_non_integral_highest_weight(x):
-    # reflection-symmetric and of the right size; 1/2 lies in (1/2)Z, so
-    # only the root test rejects it, and 1/3 cannot even be doubled
+    # reflection-symmetric and of the right size; 1/2 doubles to the int
+    # 1, so only the root test rejects it, and 1/3 doubles to 2/3, not an int
+    d = 2 * x
+    d = d.numerator if d.denominator == 1 else d
     with pytest.raises(ValueError, match="not integral"):
-        le.decompose(le.A1, {(x, 0): 1, (-x, 0): 1})
+        le.decompose(le.A1, {(d, 0): 1, (-d, 0): 1})
 
 
 def test_powers_and_tensor_reject_a_coordinate_outside_half_integers():
-    third = {(Fraction(1, 3), 0, 0): 1, (Fraction(-1, 3), 0, 0): 1}
+    # a true coordinate of 1/3 doubles to 2/3, not an int
+    third = {(Fraction(2, 3), 0, 0): 1, (Fraction(-2, 3), 0, 0): 1}
     _, gamma = le.atom("Gamma")
     for op in (le.wedge_power, le.sym_power):
         with pytest.raises(ValueError, match="not integral for B3"):
@@ -426,10 +434,26 @@ def test_multiset_operations_reject_a_weight_of_the_wrong_length():
             call()
 
 
+@pytest.mark.parametrize("x", [Fraction(1, 2), 0.5])
+def test_multiset_operations_reject_a_coordinate_that_is_not_an_int(x):
+    bad = {(x, 0, 0): 1, (-x, 0, 0): 1}
+    _, gamma = le.atom("Gamma")
+    calls = [
+        lambda: le.wedge_power(le.B3, bad, 1),
+        lambda: le.sym_power(le.B3, bad, 1),
+        lambda: le.tensor(le.B3, gamma, bad),
+        lambda: le.tensor(le.B3, bad, gamma),
+        lambda: le.decompose(le.B3, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weight is not integral for B3"):
+            call()
+
+
 def test_non_dominant_highest_weights_are_rejected():
     for fn in (le.weyl_dim, le.irrep_weights):
         with pytest.raises(ValueError, match="not dominant"):
-            fn(le.B3, (0, 1, 0))
+            fn(le.B3, twice((0, 1, 0)))
 
 
 def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
@@ -438,7 +462,7 @@ def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
     monkeypatch.setattr(le, "_candidates", lambda f, lam: [mu for mu in search(f, lam) if any(mu)])
     le._factor_irrep.cache_clear()
     with pytest.raises(RuntimeError, match=r"Racah/Weyl mismatch for B3 at \(1,1,0\)"):
-        le.irrep_weights(le.B3, (1, 1, 0))
+        le.irrep_weights(le.B3, twice((1, 1, 0)))
 
 
 # ----------------------------------------------------------- dimensions
@@ -462,8 +486,8 @@ def test_missing_dominant_weight_fails_the_weyl_check(monkeypatch):
     ],
 )
 def test_weyl_dimension_formula(alg, lam, dim):
-    assert le.weyl_dim(alg, lam) == dim
-    assert le.multiset_size(le.irrep_weights(alg, lam)) == dim
+    assert le.weyl_dim(alg, twice(lam)) == dim
+    assert le.multiset_size(le.irrep_weights(alg, twice(lam))) == dim
 
 
 # ----------------------------------------------------- Weyl invariance
@@ -473,7 +497,7 @@ def test_weight_multisets_are_reflection_invariant():
     rng = random.Random(5)
     cases = [(le.B3, (1, 1, 0)), (le.B3, (H, H, H)), (le.D4, (1, 1, 0, 0)), (le.A3, (2, 1, 0, 0))]
     for alg, lam in cases:
-        ms = le.irrep_weights(alg, lam)
+        ms = le.irrep_weights(alg, twice(lam))
         for _ in range(4):
             refl = rng.choice(le.reflections(alg))
             reflected = {}
@@ -492,8 +516,8 @@ def random_decomposition_case(rng, alg, lams):
         mult = rng.randint(0, 2)
         if mult == 0:
             continue
-        chosen.append((tuple(Fraction(x) for x in lam), mult))
-        for w, m in le.irrep_weights(alg, lam).items():
+        chosen.append((twice(lam), mult))
+        for w, m in le.irrep_weights(alg, twice(lam)).items():
             ms[w] = ms.get(w, 0) + mult * m
     return chosen, ms
 
@@ -529,7 +553,7 @@ def reconstruct(alg, decomposition):
 
 
 def test_decompose_rejects_non_representation():
-    ms = dict(le.irrep_weights(le.B3, (1, 1, 0)))
+    ms = dict(le.irrep_weights(le.B3, twice((1, 1, 0))))
     key = next(iter(ms))
     del ms[key]
     with pytest.raises(le.NotARepresentation):
@@ -537,8 +561,8 @@ def test_decompose_rejects_non_representation():
 
 
 def test_decompose_rejects_negative_virtual_content():
-    ms = dict(le.irrep_weights(le.B3, (1, 0, 0)))
-    ms[(Fraction(2), Fraction(0), Fraction(0))] = 1  # stray high weight
+    ms = dict(le.irrep_weights(le.B3, twice((1, 0, 0))))
+    ms[twice((2, 0, 0))] = 1  # stray high weight
     with pytest.raises(le.NotARepresentation):
         le.decompose(le.B3, ms)
 
@@ -546,26 +570,28 @@ def test_decompose_rejects_negative_virtual_content():
 def test_decompose_rejects_a_multiset_a_reflection_does_not_preserve():
     # the B3 vector weights with -e1 moved to -e2: the right size, and
     # Brauer-Klimyk alone (like the greedy oracle) reads it as (1,0,0)
-    ms = dict(le.irrep_weights(le.B3, (1, 0, 0)))
-    del ms[(-1, 0, 0)]
-    ms[(0, -1, 0)] += 1
+    ms = dict(le.irrep_weights(le.B3, twice((1, 0, 0))))
+    del ms[twice((-1, 0, 0))]
+    ms[twice((0, -1, 0))] += 1
     with pytest.raises(le.NotARepresentation, match="reflection"):
         le.decompose(le.B3, ms)
     # an A-block: sym^2 of V2 with (-2,0) moved to (-1,0)
-    ms = frozen({(2, 0): 1, (0, 0): 1, (-1, 0): 1})
+    ms = twice_ms({(2, 0): 1, (0, 0): 1, (-1, 0): 1})
     with pytest.raises(le.NotARepresentation, match="reflection"):
         le.decompose(le.A1, ms)
     # a zero multiplicity is no weight, so it needs no reflected partner
-    ms = dict(le.irrep_weights(le.B3, (1, 0, 0)))
-    ms[(Fraction(5), Fraction(0), Fraction(0))] = 0
-    assert le.decompose(le.B3, ms) == [((1, 0, 0), 1)]
+    ms = dict(le.irrep_weights(le.B3, twice((1, 0, 0))))
+    ms[twice((5, 0, 0))] = 0
+    assert le.decompose(le.B3, ms) == [(twice((1, 0, 0)), 1)]
 
 
 def test_decompose_rejects_a_symmetric_virtual_character():
     # adjoint + (2,0,0) - vector: Weyl-symmetric with non-negative
     # multiplicities, but the vector irrep occurs -1 times
-    ms = le.dsum(le.irrep_weights(le.B3, (1, 1, 0)), le.irrep_weights(le.B3, (2, 0, 0)))
-    for w, m in le.irrep_weights(le.B3, (1, 0, 0)).items():
+    ms = le.dsum(
+        le.irrep_weights(le.B3, twice((1, 1, 0))), le.irrep_weights(le.B3, twice((2, 0, 0)))
+    )
+    for w, m in le.irrep_weights(le.B3, twice((1, 0, 0))).items():
         ms[w] -= m
     assert min(ms.values()) >= 0
     with pytest.raises(le.NotARepresentation, match=r"negative multiplicity at \(1,0,0\)"):
@@ -576,7 +602,7 @@ def test_decompose_rejects_a_symmetric_virtual_character():
 
 
 def oracle_sum(alg, ws):
-    total = [Fraction(0)] * alg.ncoords
+    total = [0] * alg.ncoords
     for w in ws:
         for t, x in enumerate(w):
             total[t] += x
@@ -596,12 +622,10 @@ def oracle_power(alg, ms, k, walk):
 
 def oracle_dominant_table(alg, lam):
     """dominant weight -> multiplicity of the irrep of highest weight lam,
-    in stored coordinates, from the weight systems of the factors."""
+    from the weight systems of the factors."""
     table = {(): 1}
     for f, part in le._highest_weight_parts(alg, lam):
-        mult = {
-            halves(w): m for w, m in le._factor_irrep(f, part).items() if le._factor_dominant(f, w)
-        }
+        mult = {w: m for w, m in le._factor_irrep(f, part).items() if le._factor_dominant(f, w)}
         table = {w + mu: m0 * m for w, m0 in table.items() for mu, m in mult.items()}
     return table
 
@@ -695,7 +719,7 @@ def spin_row(m):
     for _ in range(m):
         ms = le.dsum(ms, gamma)
     levels, unpack = le._powers(alg, ms, 8 * m, sym=False)
-    levels = [{halves(unpack(w)): c for w, c in p.items()} for p in levels]
+    levels = [{unpack(w): c for w, c in p.items()} for p in levels]
     return [le.invariant_dim(alg, p) for p in levels], [le.multiset_size(p) for p in levels]
 
 
@@ -714,11 +738,58 @@ def test_tripled_spin_row_is_pinned_in_every_degree():
     assert sum(sizes) == 2**24
 
 
+# ------------------------------------------------------- the weight format
+
+
+def all_ints(weights):
+    return all(type(x) is int for w in weights for x in w)
+
+
+@pytest.mark.parametrize("name", ATOM_NAMES)
+def test_every_returned_coordinate_is_an_int(name):
+    alg, lam = le._ATOM_DEFS[name]
+    ms = le.irrep_weights(alg, lam)
+    assert all_ints(ms)
+    for k in range(3):
+        assert all_ints(le.wedge_power(alg, ms, k))
+        assert all_ints(le.sym_power(alg, ms, k))
+    t = le.tensor(alg, ms, ms)
+    assert all_ints(t)
+    assert all_ints(lam for lam, _ in le.decompose(alg, t))
+    assert all_ints(lam for lam, _ in le.decompose(alg, le.wedge_power(alg, le.dsum(ms, ms), 2)))
+
+
+def test_no_fraction_is_made_by_a_decomposition(monkeypatch):
+    # from the atoms through the power to the constituents, ints only;
+    # the Racah tables are built again, not read from the cache
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert made == [(1, 2)]
+    made.clear()
+    le._factor_irrep.cache_clear()
+    got = le.decompose(*le.parse_expr("wedge(4, Gamma (+) Gamma)"))
+    assert made == []
+    assert dict(got)[(0, 0, 0)] == 6
+
+
+def test_weight_text_renders_true_coordinates():
+    assert le.weight_text((3, 1, 1)) == ("3/2", "1/2", "1/2")
+    assert le.weight_text((-5, 0, 4, -2)) == ("-5/2", "0", "2", "-1")
+    assert le.weight_text(()) == ()
+
+
 # ---------------------------------------------------------- packed weights
 
 
 PACK_CASES = {
-    "negative": (le.B3, [(-3, 1, -2), (2, -2, 0), (0, 0, -1)]),
+    "negative": (le.B3, [twice(w) for w in [(-3, 1, -2), (2, -2, 0), (0, 0, -1)]]),
     "half-integer": (le.B3, list(le.atom("Gamma")[1])),
     "A-block": (le.A3, list(le.atom("W")[1]) + list(le.atom("W*")[1])),
     "B3+A1": (le.B3A1, list(le.box_tensor(le.B3, le.atom("Gamma")[1], le.A1, le.atom("V2")[1])[1])),
@@ -730,12 +801,12 @@ PACK_CASES = {
 def test_packer_round_trips_and_adds_up_to_its_reach(name, reach):
     alg, ws = PACK_CASES[name]
     ws = [le.canonicalize(alg, w) for w in ws]
-    pack, unpack = le._packer([le._doubled(w, alg) for w in ws], reach)
+    pack, unpack = le._packer(ws, reach)
     seen = {}
     for j in range(reach + 1):
         for combo in combinations_with_replacement(ws, j):
-            total = le._doubled(oracle_sum(alg, combo), alg)
-            p = sum(pack(le._doubled(w, alg)) for w in combo)
+            total = oracle_sum(alg, combo)
+            p = sum(pack(w) for w in combo)
             assert p == pack(total)
             got = unpack(p)
             assert got == total and all(type(x) is int for x in got)
@@ -745,12 +816,12 @@ def test_packer_round_trips_and_adds_up_to_its_reach(name, reach):
 def test_sym_power_of_v2_at_a_large_degree_is_the_closed_form():
     alg, v2 = le.atom("V2")
     got = le.sym_power(alg, v2, 10)
-    assert list(got.items()) == [((Fraction(10 - 2 * i), Fraction(0)), 1) for i in range(11)]
+    assert list(got.items()) == [(twice((10 - 2 * i, 0)), 1) for i in range(11)]
 
 
 @pytest.mark.parametrize("alg", [le.B3, le.A3, le.B3A1])
 def test_trivial_multiset_passes_through_every_operation(alg):
-    zero = tuple([Fraction(0)] * alg.ncoords)
+    zero = (0,) * alg.ncoords
     triv = {zero: 3}
     assert le.wedge_power(alg, triv, 0) == {zero: 1}
     assert le.wedge_power(alg, triv, 2) == {zero: 3}
@@ -851,7 +922,7 @@ def test_restriction_d4_to_b3_of_half_spin_is_spin():
     res = {}
     for w, m in gp.items():
         res[w[:3]] = res.get(w[:3], 0) + m
-    assert le.decompose(le.B3, res) == [((H, H, H), 1)]
+    assert le.decompose(le.B3, res) == [(twice((H, H, H)), 1)]
 
 
 def test_restriction_b3_to_d3_of_spin():
@@ -871,7 +942,7 @@ def test_restriction_b3_to_d3_of_spin():
 def decomp_str(alg, ms):
     parts = le.decompose(alg, ms)
     return " + ".join(
-        "(" + ",".join(str(x) for x in lam) + ")" + (f"*{m}" if m > 1 else "")
+        "(" + ",".join(le.weight_text(lam)) + ")" + (f"*{m}" if m > 1 else "")
         for lam, m in parts
     )
 
@@ -900,28 +971,31 @@ def test_atom_names_frozen():
         le.atom("nope")
 
 
-@pytest.mark.parametrize("name", le.SCENARIOS)
+@pytest.mark.parametrize("name", report.SCENARIOS)
 def test_all_scenarios_pass(name):
     rep = report.scenario_report(name)
     assert rep["ok"], rep
     assert all(row["ok"] for row in rep["rows"])
-    assert [(r["claim"], r["computed"]) for r in rep["rows"]] == le.scenario_values(name)
+    readout, rows = report.SCENARIOS[name]
+    assert [(r["claim"], r["computed"]) for r in rep["rows"]] == [
+        (claim, getattr(le, readout)(*le.parse_expr(expr), *args))
+        for claim, expr, _, *args in rows
+    ]
 
 
 def test_scenario_report_rejects_unknown_name():
-    for call in (le.scenario_values, report.scenario_report):
-        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
-            call("nope")
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        report.scenario_report("nope")
 
 
 def test_gl2_row_reads_the_weight_it_names(monkeypatch):
     # two copies of V2 in the degree-4 row: the middle power is the
     # trivial line, so the named 5-dim constituent is absent and the row fails
-    readout, rows = le.SCENARIOS["gl2_summand"]
-    claim, _, lam = rows[1]
-    assert lam == (4, 0)
-    broken = [*rows[:1], (claim, "wedge(4, V2 (+) V2)", lam), *rows[2:]]
-    monkeypatch.setitem(le.SCENARIOS, "gl2_summand", (readout, broken))
+    readout, rows = report.SCENARIOS["gl2_summand"]
+    claim, _, want, lam = rows[1]
+    assert lam == twice((4, 0))
+    broken = [*rows[:1], (claim, "wedge(4, V2 (+) V2)", want, lam), *rows[2:]]
+    monkeypatch.setitem(report.SCENARIOS, "gl2_summand", (readout, broken))
     rep = report.scenario_report("gl2_summand")
     assert [(r["computed"], r["ok"]) for r in rep["rows"]] == [
         (1, True), (0, False), (1, True), (1, True)
@@ -930,8 +1004,12 @@ def test_gl2_row_reads_the_weight_it_names(monkeypatch):
 
 
 def test_scenario_expected_values_have_one_home(monkeypatch):
-    # report._SCENARIOS becomes the claim rows at import; changing the
-    # so8 row changes both the registry record and the scenario report
+    # report.SCENARIOS becomes the claim rows at import, and the scenario
+    # report reads it when it runs
+    for name, (_, rows) in report.SCENARIOS.items():
+        claim = next(c for c in report.CLAIMS if c.claim_id == f"lie.scenario_{name}")
+        values = tuple(row[2] for row in rows)
+        assert claim.expected == (values if len(values) > 1 else values[0])
     want = (1, 1, 1, 9)
     monkeypatch.setattr(report, "CLAIMS", tuple(
         dataclasses.replace(c, expected=want) if c.claim_id == "lie.scenario_so8_hodge" else c
@@ -939,6 +1017,10 @@ def test_scenario_expected_values_have_one_home(monkeypatch):
     ))
     rec = next(r for r in report.run_suite("lie") if r.claim_id == "lie.scenario_so8_hodge")
     assert (rec.expected, rec.computed, rec.status) == (str(want), "(1, 1, 1, 10)", report.FAIL)
+    readout, rows = report.SCENARIOS["so8_hodge"]
+    monkeypatch.setitem(report.SCENARIOS, "so8_hodge", (readout, [
+        (claim, expr, w, *args) for (claim, expr, _, *args), w in zip(rows, want)
+    ]))
     rep = report.scenario_report("so8_hodge")
     assert [(r["expected"], r["ok"]) for r in rep["rows"]] == [
         (1, True), (1, True), (1, True), (9, False)

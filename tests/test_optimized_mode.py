@@ -107,7 +107,7 @@ cases = [
     ("wedderburn character", lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 2 * d))),
     ("wedderburn indicator",
      lambda: wedderburn_with("qmul", lambda g, h: (1, 0) if g == (1, 0) else (1, 1))),
-    ("weyl_dim", lambda: le.weyl_dim(le.B3, (Fraction(1, 2), 0, 0))),
+    ("weyl_dim", lambda: le.weyl_dim(le.B3, (1, 0, 0))),
     ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
     ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
     ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (-5, 0, 0))),
@@ -132,6 +132,8 @@ cases = [
      lambda: spin_with("weight_zero_monomials", lambda r: sp.MONOMIALS[:7])),
     ("so7_invariant lead 0",
      lambda: spin_with("nullspace", lambda m: [[Fraction(0)] * 7 + [Fraction(1)]])),
+    ("so7_invariant non-integral",
+     lambda: spin_with("nullspace", lambda m: [[Fraction(t + 1) for t in range(8)]])),
     ("run_suite rows", lambda: patched(
         report, "CLAIMS", lambda real: real + real[:1], lambda: report.run_suite("qalg"))),
     ("run_suite ids", lambda: patched(
@@ -231,6 +233,8 @@ def test_checks_raise_under_python_O():
         "weight-zero subspace has dimension 7, expected 8",
         "so7_invariant lead 0 SpinConstructionError "
         "invariant line has no all-even coefficient",
+        "so7_invariant non-integral SpinConstructionError "
+        "normalized invariant line is not integral",
         "run_suite rows RuntimeError claim ids must be unique",
         "run_suite ids RuntimeError module 'qalg' and its claim rows differ on "
         "['qalg.group_ring_shape', 'qalg.left_ideal_index', 'qalg.other', 'qalg.splitting_embed']",

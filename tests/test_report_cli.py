@@ -306,7 +306,9 @@ def test_cli_report_turns_a_raising_builder_into_fail_records(capsys, monkeypatc
 
 # stdout and exit code of the commands that run the curve checks (the
 # "action" check prints the quadric pullback coefficients, which no registry
-# claim shows), the F_p locus scan and the lattice coordinates, byte for byte
+# claim shows), the F_p locus scan, the lattice coordinates, the canned Lie
+# scenarios and Lie decompositions (weights printed in true coordinates,
+# half-integers on a B-block, several factors, an A-block), byte for byte
 PINNED_CLI = (
     (
         ("curve", "--check", "autos"),
@@ -717,6 +719,98 @@ PINNED_CLI = (
     }
   ],
   "ok": true
+}
+""",
+    ),
+    (
+        ('lie', '--decompose', 'B3', 'wedge(3, Gamma)'),
+        0,
+        """\
+{
+  "algebra": "B3",
+  "size": 56,
+  "decomposition": [
+    {
+      "weight": [
+        "3/2",
+        "1/2",
+        "1/2"
+      ],
+      "mult": 1
+    },
+    {
+      "weight": [
+        "1/2",
+        "1/2",
+        "1/2"
+      ],
+      "mult": 1
+    }
+  ],
+  "invariant_dim": 0
+}
+""",
+    ),
+    (
+        ('lie', '--decompose', 'B3+A1', 'Gamma (x) V2'),
+        0,
+        """\
+{
+  "algebra": "B3+A1",
+  "size": 16,
+  "decomposition": [
+    {
+      "weight": [
+        "1/2",
+        "1/2",
+        "1/2",
+        "1",
+        "0"
+      ],
+      "mult": 1
+    }
+  ],
+  "invariant_dim": 0
+}
+""",
+    ),
+    (
+        ('lie', '--decompose', 'A3', 'wedge(2, W (+) W*)'),
+        0,
+        """\
+{
+  "algebra": "A3",
+  "size": 28,
+  "decomposition": [
+    {
+      "weight": [
+        "2",
+        "1",
+        "1",
+        "0"
+      ],
+      "mult": 1
+    },
+    {
+      "weight": [
+        "1",
+        "1",
+        "0",
+        "0"
+      ],
+      "mult": 2
+    },
+    {
+      "weight": [
+        "0",
+        "0",
+        "0",
+        "0"
+      ],
+      "mult": 1
+    }
+  ],
+  "invariant_dim": 1
 }
 """,
     ),

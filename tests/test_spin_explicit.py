@@ -104,8 +104,8 @@ def test_the_model_is_integer_throughout(rep):
 
 def test_no_fraction_is_made_before_the_kernels(monkeypatch):
     # building and checking the model, the weight-zero tests and the
-    # operator systems stay in ints; only nullspace and the halving make
-    # Fractions
+    # operator systems stay in ints; only nullspace and the normalization
+    # of the invariant line make Fractions
     made = []
     real_new = Fraction.__new__
 
@@ -272,6 +272,17 @@ def test_invariant_line_frozen(rep):
         (1, 3, 4, 6): Fraction(-1),
         (2, 3, 4, 5): Fraction(1),
     }
+    assert all(type(c) is int for c in inv.values())
+
+
+def test_a_non_integral_normalized_line_raises(rep, monkeypatch):
+    # a kernel vector whose all-even coefficient does not divide twice
+    # every other coefficient: 2 * 1 / 4 is not an int
+    lead = sp.weight_zero_monomials(rep).index(sp.EVEN_MONOMIAL)
+    assert lead == 3
+    monkeypatch.setattr(sp, "nullspace", lambda m: [[Fraction(t + 1) for t in range(8)]])
+    with pytest.raises(sp.SpinConstructionError, match="normalized invariant line is not integral"):
+        sp.so7_invariant(rep)
 
 
 def test_invariance_check_raises_on_a_broken_rho(rep):
@@ -330,9 +341,9 @@ def test_reference_terms_differ_in_exactly_one_monomial(rep):
     for idx in (1, 3, 4, 5):
         total = [a + b for a, b in zip(total, rep.weight_of_spinor(idx))]
     assert total == [2, -2, 0]
-    # the reported weight is halved where it leaves the module
+    # the reported weight is that sum, doubled like every weight here
     weight = cmp["terms"][5]["weight"]
-    assert weight == (1, -1, 0) and all(type(x) is Fraction for x in weight)
+    assert weight == (2, -2, 0) and all(type(x) is int for x in weight)
     # the computed invariant instead carries (1,3,4,6), same coefficient
     assert cmp["computed"][(1, 3, 4, 6)] == Fraction(-1)
     assert (1, 3, 4, 6) not in printed
