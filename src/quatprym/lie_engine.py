@@ -141,14 +141,17 @@ def _a_canon(w):
     return tuple(x - last for x in w)
 
 
+def _canon(w: tuple, a_blocks) -> tuple:
+    """w with each A-block (lo, hi) of ``a_blocks`` shifted to end in 0."""
+    for lo, hi in a_blocks:
+        if w[hi - 1]:
+            w = w[:lo] + _a_canon(w[lo:hi]) + w[hi:]
+    return w
+
+
 def canonicalize(alg: AlgebraType, w) -> tuple:
     """w, checked by ``_checked``, with each A-block shifted to end in 0."""
-    w = _checked(w, alg)
-    out = []
-    for f, lo, hi in alg.slices():
-        part = w[lo:hi]
-        out.extend(_a_canon(part) if f.family == "A" else part)
-    return tuple(out)
+    return _canon(_checked(w, alg), [(lo, hi) for f, lo, hi in alg.slices() if f.family == "A"])
 
 
 def _factor_dominant(f: SimpleFactor, w) -> bool:
@@ -494,7 +497,13 @@ def decompose(alg: AlgebraType, ms) -> list:
     shifts = [((), 1)]
     for f, _, _ in alg.slices():
         shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
-    weights = {_checked(w, alg): m for w, m in ms.items() if m}
+    # weights that canonicalize alike are one weight
+    a_blocks = [(lo, hi) for f, lo, hi in alg.slices() if f.family == "A"]
+    weights = {}
+    for w, m in ms.items():
+        if m:
+            w = _canon(_checked(w, alg), a_blocks)
+            weights[w] = weights.get(w, 0) + m
     # a reflected weight, and a weight plus a shift, are sums of at most
     # two of the packed vectors (an A-block reflection subtracts a
     # coordinate), so reach 2 keeps every lookup below exact

@@ -8,24 +8,27 @@ results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  The ring
 routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub``,
 ``mat_scale`` and ``wedge_derivation`` keep the entry type, so int
 matrices give int results.
-The eliminations (``rref`` and ``det``, and everything built on them)
-read integer entries as elements of Q, so their results come back as
-``Fraction``, never ``float``; ``det`` of an all-int matrix eliminates
-fraction-free in ints (Bareiss) and returns that integer as a
-``Fraction``.  A routine that needs the field's 0 takes x - x for an
-entry x, and one that needs its 1 takes x / x for a nonzero entry;
-``nullspace`` of a matrix with no nonzero entry has no such entry:
-it returns the standard basis over Q for rational zeros and raises
-ValueError for zeros of another field.  ``frac_mat`` and ``identity``
-build matrices over Q.  The integer routines (Smith form and what is
-built on it) take and return ints.
+The eliminations (``rref``, ``nullspace``, ``solve``, ``inverse``,
+``det`` and what is built on them) read integer entries as elements of
+Q, so their results come back as ``Fraction``, never ``float``.  Over
+Q they run fraction-free in ints: ``int_echelon`` and ``det`` (Bareiss)
+work on the rows cleared of denominators, and a ``Fraction`` is made
+only for an entry a routine returns.  ``_pivot`` serves other fields.
+A routine that needs the field's 0 takes x - x for an entry x, and one
+that needs its 1 takes x / x for a nonzero entry; ``nullspace`` of a
+matrix with no nonzero entry has no such entry: it returns the standard
+basis over Q for rational zeros and raises ValueError for zeros of
+another field.  ``frac_mat`` and ``identity`` build matrices over Q.
+The integer routines (Smith form and what is built on it) take and
+return ints.
 
 Zeros are skipped, never multiplied: the matrices met here are sparse
 (the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
 an exact product by zero costs as much as any other.  ``mat_mul`` and
 ``mat_vec`` touch only the nonzero entries of the right operand, and
-every elimination step over a field updates a row only at the nonzero
-columns of the pivot row.  The values are those of the dense textbook
+every elimination step updates a row only at the nonzero columns of the
+pivot row (an int row is scaled first when the pivot does not divide
+its entry).  The values are those of the dense textbook
 algorithms, which the tests keep as oracles.  No floating point is used
 anywhere.
 """
@@ -33,21 +36,18 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
+from operator import attrgetter
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def _exact(x):
-    """x, with an int read as an element of Q."""
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def _one(a):
     """The field's 1, read off the first nonzero entry of a (Q's 1 if a
     has none)."""
-    x = next((_exact(x) for row in a for x in row if x), F1)
-    return x / x
+    x = next((x for row in a for x in row if x), F1)
+    return F1 if isinstance(x, int) else x / x
 
 
 def _eye(n, one):
@@ -183,9 +183,78 @@ def wedge_derivation(mat, mono):
     return {k: v for k, v in out.items() if v}
 
 
-def _exact_copy(a):
-    """A copy of a with its rows as new lists and ints read as elements of Q."""
-    return [[_exact(x) for x in row] for row in a]
+_denominator = attrgetter("denominator")
+
+
+def _rational(a):
+    return all(isinstance(x, (int, Fraction)) for row in a for x in row)
+
+
+def _cleared(row):
+    """(d, the int row d * row) for d the lcm of the row's denominators."""
+    d = lcm(*map(_denominator, row))
+    return d, list(map(int, row)) if d == 1 else [x.numerator * (d // x.denominator) for x in row]
+
+
+def _gauss_jordan(m, step):
+    """Gauss-Jordan on m in place: ``step(m, r, c)`` clears column c with
+    the pivot row r, swapped up from the first usable row.  Returns the
+    pivot columns."""
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        step(m, r, c)
+        pivots.append(c)
+        if r + 1 == len(m):
+            break
+    return pivots
+
+
+def _int_step(m, r, c):
+    """Make the entry p of row r in column c positive, then replace each
+    other row with entry f there by (pp*row - ff*(row r)) / gcd, with pp, ff
+    = p, f over their gcd; a row is only scaled when pp is not 1."""
+    if m[r][c] < 0:
+        m[r] = [-x for x in m[r]]
+    p = m[r][c]
+    pivot_nz = _nonzeros(m[r])
+    for i, row in enumerate(m):
+        f = row[c]
+        if not f or i == r:
+            continue
+        g = gcd(p, f)
+        pp, ff = p // g, f // g
+        if pp != 1:
+            row = [pp * x for x in row]
+        for j, y in pivot_nz:
+            row[j] -= ff * y
+        g = gcd(*row)
+        m[i] = [x // g for x in row] if g > 1 else row
+
+
+def int_echelon(a):
+    """Fraction-free Gauss-Jordan elimination of a matrix of ints and
+    Fractions.  Returns (rows, pivots): for each pivot column, the row of
+    the reduced echelon form scaled to the unique primitive int row (gcd
+    1) with a positive pivot entry, so the rows are as canonical as the
+    reduced form, whose rows are row / row[pivot]."""
+    m = []
+    for row in a:
+        row = _cleared(row)[1]
+        g = gcd(*row)
+        if g:
+            m.append([x // g for x in row] if g > 1 else row)
+    pivots = _gauss_jordan(m, _int_step)
+    return m[: len(pivots)], pivots
+
+
+def _frac(x, p):
+    """The entry x of an ``int_echelon`` row over the row's pivot entry p."""
+    return Fraction(x, p) if x else F0
 
 
 def _pivot(m, r, c, rows):
@@ -206,27 +275,27 @@ def _pivot(m, r, c, rows):
 
 def rref(a):
     """Reduced row echelon form.  Returns (matrix, pivot column list)."""
-    m = _exact_copy(a)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        _pivot(m, r, c, (i for i in range(rows) if i != r))
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    if _rational(a):
+        rows, pivots = int_echelon(a)
+        r = [[_frac(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        return r + [[F0] * len(a[0]) for _ in range(len(a) - len(r))], pivots
+    m = [list(row) for row in a]
+    pivots = _gauss_jordan(m, lambda m, r, c: _pivot(m, r, c, (i for i in range(len(m)) if i != r)))
     return m, pivots
 
 
+def _echelon(a):
+    """(rows, pivots, quot): the pivot rows of the reduced form of a, each up
+    to a factor, and quot(x, p) = x / p for an entry x and pivot entry p:
+    ``int_echelon``'s rows over Q, ``rref``'s (pivots 1) over other fields."""
+    if _rational(a):
+        return (*int_echelon(a), _frac)
+    m, pivots = rref(a)
+    return m[: len(pivots)], pivots, lambda x, p: x
+
+
 def rank(a):
-    return len(rref(a)[1])
+    return len(_echelon(a)[1])
 
 
 def nullspace(a):
@@ -237,9 +306,9 @@ def nullspace(a):
     """
     if not a:
         return []
-    if not any(map(any, a)) and not all(isinstance(x, (int, Fraction)) for row in a for x in row):
+    if not any(map(any, a)) and not _rational(a):
         raise ValueError("no nonzero entry to read the field's 1 off")
-    r, pivots = rref(a)
+    rows, pivots, quot = _echelon(a)
     cols = len(a[0])
     one = _one(a)
     zero = one - one
@@ -248,8 +317,8 @@ def nullspace(a):
     for fc in free:
         v = [zero] * cols
         v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = quot(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -260,13 +329,13 @@ def solve(a, b):
         return None
     cols = len(a[0])
     aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
+    rows, pivots, quot = _echelon(aug)
     if cols in pivots:
         return None
-    z = r[0][cols]
-    x = [z - z] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
+    z = aug[0][0]
+    x = [quot(z - z, 1)] * cols  # the field's 0
+    for row, pc in zip(rows, pivots):
+        x[pc] = quot(row[cols], row[pc])
     return x
 
 
@@ -296,10 +365,12 @@ def _bareiss_det(a):
 
 
 def det(a):
-    if all(isinstance(x, int) for row in a for x in row):
-        return Fraction(_bareiss_det(a))
+    if _rational(a):
+        # Bareiss on the rows cleared of denominators, over their product
+        cleared = [_cleared(row) for row in a]
+        return Fraction(_bareiss_det([row for _, row in cleared]), prod(d for d, _ in cleared))
     n = len(a)
-    m = _exact_copy(a)
+    m = [list(row) for row in a]
     sign = 1
     d = F1
     for c in range(n):
@@ -320,16 +391,16 @@ def inverse(a):
         # no nonzero entry to read the field's 1 off for the identity
         raise ValueError("matrix is singular")
     aug = [list(row) + ident_row for row, ident_row in zip(a, _eye(n, _one(a)))]
-    r, pivots = rref(aug)
+    rows, pivots, quot = _echelon(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return [[quot(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def row_space_basis(a):
     """Canonical (reduced echelon) basis of the row space."""
     r, pivots = rref(a)
-    return [r[i] for i in range(len(pivots))]
+    return r[: len(pivots)]
 
 
 def intersect_row_spaces(a, b):

@@ -378,15 +378,17 @@ class KNum:
 
     The one Q(sqrt(r)) type of the package; at r = -1 it is the field of
     Gaussian rationals Q(i), written ``a+b*i``.  ``bool`` is the zero
-    test, so matrices of KNum go through the ``linalg`` kernel."""
+    test, so matrices of KNum go through the ``linalg`` kernel.  ``make``,
+    ``scale`` and ``inv`` store an integral part as an int (equal to its
+    Fraction, with the same hash and str), so Gaussian integers stay ints."""
 
-    r: Fraction
-    u: Fraction
-    v: Fraction
+    r: int | Fraction
+    u: int | Fraction
+    v: int | Fraction
 
     @staticmethod
     def make(r, u, v=0):
-        return KNum(Fraction(r), Fraction(u), Fraction(v))
+        return KNum(*(_int_if_integral(Fraction(x)) for x in (r, u, v)))
 
     def _same_field(self, other):
         if self.r != other.r:
@@ -420,13 +422,13 @@ class KNum:
 
     def scale(self, t):
         t = Fraction(t)
-        return KNum(self.r, t * self.u, t * self.v)
+        return KNum(self.r, _int_if_integral(t * self.u), _int_if_integral(t * self.v))
 
     def inv(self):
-        n = self.u * self.u - self.r * self.v * self.v
+        n = Fraction(self.u * self.u - self.r * self.v * self.v)
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return KNum(self.r, self.u / n, -self.v / n)
+        return KNum(self.r, _int_if_integral(self.u / n), _int_if_integral(-self.v / n))
 
     def __str__(self):
         unit = "i" if self.r == -1 else f"sqrt({self.r})"

@@ -37,19 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 
 from .linalg import (
     F0,
     F1,
     block_diag,
-    frac_mat,
-    identity,
+    int_echelon,
     mat_mul,
     nullspace,
     perm_sign,
-    row_space_basis,
     transpose,
     wedge_derivation,
 )
@@ -93,8 +90,8 @@ class HModel:
         r, s = self.params.r, self.params.s
         mi = [list(row) for row in self.mat_i]
         mj = [list(row) for row in self.mat_j]
-        rid = [[Fraction(r) * x for x in row] for row in identity(self.dim)]
-        sid = [[Fraction(s) * x for x in row] for row in identity(self.dim)]
+        rid = [[r if p == q else 0 for q in range(self.dim)] for p in range(self.dim)]
+        sid = [[s if p == q else 0 for q in range(self.dim)] for p in range(self.dim)]
         if mat_mul(mi, mi) != rid:
             raise ValueError("i-action squares to r")
         if mat_mul(mj, mj) != sid:
@@ -107,17 +104,17 @@ class HModel:
 
 @dataclass(frozen=True)
 class SubspaceQ:
-    """Rational subspace, stored as canonical reduced-echelon rows."""
+    """Rational subspace, stored as the canonical rows of
+    ``linalg.int_echelon``: the reduced-echelon rows, each scaled to a
+    primitive int row with a positive pivot entry."""
 
     ambient: int
     rows: tuple
 
     @staticmethod
     def from_vectors(vecs, ambient) -> "SubspaceQ":
-        if not vecs:
-            return SubspaceQ(ambient=ambient, rows=())
-        basis = row_space_basis(frac_mat(vecs))
-        return SubspaceQ(ambient=ambient, rows=tuple(map(tuple, basis)))
+        rows, _ = int_echelon(vecs)
+        return SubspaceQ(ambient=ambient, rows=tuple(map(tuple, rows)))
 
     @property
     def dim(self) -> int:

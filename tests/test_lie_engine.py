@@ -585,6 +585,14 @@ def test_decompose_rejects_a_multiset_a_reflection_does_not_preserve():
     assert le.decompose(le.B3, ms) == [(twice((1, 0, 0)), 1)]
 
 
+def test_decompose_canonicalizes_a_block_weights():
+    # V2 written in sum-zero coordinates: the weights canonicalize to
+    # (2,0) and (-2,0), so it is the standard rep, not a failed reflection
+    assert le.decompose(le.A1, {(1, -1): 1, (-1, 1): 1}) == [((2, 0), 1)]
+    # two spellings of one weight merge their multiplicities
+    assert le.decompose(le.A1, {(2, 0): 1, (1, -1): 1, (-1, 1): 2}) == [((2, 0), 2)]
+
+
 def test_decompose_rejects_a_symmetric_virtual_character():
     # adjoint + (2,0,0) - vector: Weyl-symmetric with non-negative
     # multiplicities, but the vector irrep occurs -1 times

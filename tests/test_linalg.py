@@ -5,8 +5,12 @@ oracles built only from the Leibniz expansion.  The zero-skipping
 products and eliminations are checked against the dense textbook
 algorithms, kept here as oracles, on random sparse matrices and on a
 70x70 Weil-kernel matrix of the group-action oracle.  The fraction-free determinant of
-int matrices is checked against the Fraction elimination and Leibniz."""
+int matrices is checked against the Fraction elimination and Leibniz, and
+the fraction-free rational elimination (``int_echelon`` and what runs on
+it) against the dense elimination, Leibniz and Cramer on mixed
+int/Fraction matrices."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -493,6 +497,109 @@ def test_sparse_elimination_matches_dense_oracle(kind):
         assert_same_entries(r, expected_r)
         square = sparse_matrix(rng, 4, 4, rng.choice((0.2, 0.5, 1.0)), entry)
         assert linalg.det(square) == leibniz(square)
+
+
+# ------------------------------------ the fraction-free rational elimination
+
+
+def mixed_entry(rng):
+    """An int or a Fraction with denominator up to 6; a third are zeros."""
+    if rng.random() < 0.3:
+        return rng.choice((0, Fraction(0)))
+    n = rng.randint(-5, 5)
+    return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 6))
+
+
+def mixed_matrix(rng, rows, cols):
+    """A random int/Fraction matrix; about half get a last row dependent on
+    the first two, and some a zero row or a zero column."""
+    a = [[mixed_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.5:
+        c, d = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+        a[-1] = [c * x + d * y for x, y in zip(a[0], a[1])]
+    if rng.random() < 0.3:
+        a[rng.randrange(rows)] = [0] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = Fraction(0)
+    return a
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rational_elimination_matches_dense_oracles():
+    rng = random.Random("int_echelon")
+    for trial in range(300):
+        # square, tall and wide shapes in turn
+        n = rng.randint(1, 5)
+        rows, cols = ((n, n), (n + rng.randint(1, 3), n), (n, n + rng.randint(1, 3)))[trial % 3]
+        a = mixed_matrix(rng, rows, cols)
+        expected_r, expected_pivots = dense_rref(a)
+        r, pivots = linalg.rref(a)
+        assert pivots == expected_pivots
+        assert_same_entries(r, expected_r)
+        assert linalg.rank(a) == len(pivots)
+
+        echelon, echelon_pivots = linalg.int_echelon(a)
+        assert echelon_pivots == pivots
+        for row, c, expected in zip(echelon, pivots, expected_r):
+            assert all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1 and row[c] > 0
+            # the row is its reduced echelon row scaled, so the rows span
+            # the row space of a
+            assert [Fraction(x, row[c]) for x in row] == expected
+        assert linalg.rank(echelon + a) == len(echelon)
+
+        ns = linalg.nullspace(a)
+        free = [c for c in range(cols) if c not in pivots]
+        assert len(ns) == len(free) and all_fractions(ns)
+        for v, fc in zip(ns, free):
+            assert v[fc] == 1 and all(v[c] == 0 for c in free if c != fc)
+            assert all(v[c] == -row[fc] for c, row in zip(pivots, expected_r))
+            assert all(x == 0 for x in linalg.mat_vec(a, v))
+
+        b = [mixed_entry(rng) for _ in range(rows)]
+        aug_r, aug_pivots = dense_rref([row + [bv] for row, bv in zip(a, b)])
+        x = linalg.solve(a, b)
+        if cols in aug_pivots:
+            assert x is None
+        else:
+            assert len(x) == cols and all_fractions([x])
+            assert linalg.mat_vec(a, x) == b
+            assert all(x[c] == row[cols] for c, row in zip(aug_pivots, aug_r))
+
+        if rows == cols:
+            d = det_oracle(a)
+            got = linalg.det(a)
+            assert got == d and type(got) is Fraction
+            if not d:
+                with pytest.raises(ValueError):
+                    linalg.inverse(a)
+                continue
+            others = [[t for t in range(n) if t != s] for s in range(n)]
+            adjugate = [
+                [det_oracle(minor(a, others[j], others[i])) for j in range(n)] for i in range(n)
+            ]
+            inv = linalg.inverse(a)
+            assert all_fractions(inv)
+            assert inv == [
+                [c / d if (i + j) % 2 == 0 else -c / d for j, c in enumerate(row)]
+                for i, row in enumerate(adjugate)
+            ]
+            cramer = [
+                det_oracle([row[:j] + [bv] + row[j + 1 :] for row, bv in zip(a, b)]) / d
+                for j in range(n)
+            ]
+            assert x == cramer
+
+
+def test_int_echelon_of_no_rows_and_zero_rows():
+    assert linalg.int_echelon([]) == ([], [])
+    assert linalg.int_echelon([[0, Fraction(0)], [0, 0]]) == ([], [])
+    assert linalg.int_echelon([[Fraction(-2, 3), Fraction(4, 9)], [0, 0]]) == ([[3, -2]], [0])
 
 
 def weil_matrix():

@@ -317,6 +317,27 @@ def test_embedding_determinant_is_norm(params, a, b, c, d):
     assert det.u == x.norm()
 
 
+def test_knum_parts_are_ints_or_fractions_never_floats():
+    x = KNum.make(-1, 1, 1)
+    inv = x.inv()
+    assert (inv.u, inv.v) == (Fraction(1, 2), Fraction(-1, 2))
+    assert type(inv.u) is Fraction and type(inv.v) is Fraction
+    ints = (x, KNum.make(-1, 2), KNum.make(-1, 0, 3), KNum.make(-1, 5, -2))
+    for a in ints:
+        assert all(type(p) is int for p in (a.r, a.u, a.v))
+        for b in ints:
+            for got in (a / b, a * b, a + b, a - b):
+                assert all(type(p) in (int, Fraction) for p in (got.r, got.u, got.v))
+        for got in (a.inv(), a.scale(Fraction(1, 3)), a.scale(3)):
+            assert all(type(p) in (int, Fraction) for p in (got.r, got.u, got.v))
+    # the same element from Fraction parts: equal, same hash, same text
+    y = KNum(Fraction(-1), Fraction(2), Fraction(0))
+    assert KNum.make(-1, 2) == y
+    assert hash(KNum.make(-1, 2)) == hash(y)
+    assert str(KNum.make(-1, 2)) == str(y) == "2"
+    assert str(KNum.make(-1, 0, 3)) == str(KNum(Fraction(-1), Fraction(0), Fraction(3))) == "3*i"
+
+
 def test_knum_field_ops():
     x = KNum.make(-3, 1, 2)
     y = KNum.make(-3, 2, -1)
