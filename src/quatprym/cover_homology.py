@@ -170,8 +170,9 @@ class H1Data:
 class IntLattice:
     """A sublattice of Z^ambient, rows of ``basis`` are the basis vectors.
 
-    ``coords`` reads off one cached elimination per lattice: the rref
-    [R | E] of [B | I], with B the basis vectors as columns, so E B = R."""
+    ``coords`` reads off one cached elimination per lattice: the rows of
+    ``linalg.int_echelon`` of [B | I], with B the basis vectors as
+    columns, each row [R | E] with a positive int pivot d, so E B = R."""
 
     ambient: int
     basis: list
@@ -185,25 +186,27 @@ class IntLattice:
 
     @cached_property
     def _elimination(self):
-        """(pivot columns of R, E), or None for an empty basis."""
+        """(pivot columns, pivots d, E parts) of the rows, or None if empty."""
         cols = transpose(self.basis)
         if not cols:
             return None
-        r, pivots = linalg.rref([row + eye for row, eye in zip(cols, identity(len(cols)))])
-        return [c for c in pivots if c < self.rank], [row[self.rank :] for row in r]
+        rows, pivots = linalg.int_echelon([row + eye for row, eye in zip(cols, identity(len(cols)))])
+        return pivots, [row[c] for row, c in zip(rows, pivots)], [row[self.rank :] for row in rows]
 
     def coords(self, vec):
         """Integer coordinates of vec in the basis, or None: B x = vec iff
-        E vec is 0 past the pivot rows, and x is E vec at the pivots."""
+        E vec / d is an integer x_c at each pivot column c of B and 0 at
+        the pivots past B."""
         if self._elimination is None:
             return None
-        pivots, e = self._elimination
-        ev = linalg.mat_vec(e, vec)
-        if any(ev[len(pivots) :]) or any(v.denominator != 1 for v in ev[: len(pivots)]):
-            return None
+        pivots, dens, e = self._elimination
         x = [0] * self.rank
-        for c, v in zip(pivots, ev):
-            x[c] = v.numerator
+        for c, d, v in zip(pivots, dens, linalg.mat_vec(e, vec)):
+            q, rem = divmod(v, d)
+            if rem or (q and c >= self.rank):
+                return None
+            if c < self.rank:
+                x[c] = q
         return x
 
 

@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import frac_mat, int_det, inverse, mat_vec, solve
+from .linalg import frac_mat, inverse, mat_vec, solve
 
 Q1 = Fraction(1)
 
@@ -233,9 +233,10 @@ class OrderLattice:
     def _left_ideal_constants(self):
         """Structure constants of ``left_ideal_index``, computed at first use.
 
-        Returns (units, gram).  units[u][s][t] is coordinate s of u * b_t,
-        for u = 1, i, j, k and b_t the basis, so for m = sum_t c_t b_t the
-        coordinates of u * m are linear in c.  gram[s][t] is
+        Returns 20 linear forms in the coordinates c of m = sum_t c_t b_t,
+        each a 4-tuple of coefficients.  Form 4u + s is coordinate s of
+        u * m, for u = 1, i, j, k: entry t is coordinate s of u * b_t.
+        Form 16 + s is row s of the Gram matrix, whose entry (s, t) is
         N(b_s + b_t) - N(b_s) - N(b_t), so 2 N(m) = c^T gram c; it is an
         int matrix for every order.  Raises ValueError if some u * b_t is
         not in the lattice."""
@@ -243,13 +244,12 @@ class OrderLattice:
             prods = [[self.coords(u * b) for b in self.basis] for u in basis_elems(self.params)]
             if any(v.denominator != 1 for row in prods for col in row for v in col):
                 raise ValueError("lattice is not stable under left multiplication by i, j, k")
-            units = tuple(tuple(tuple(int(col[s]) for col in row) for s in range(4))
-                          for row in prods)
+            units = tuple(tuple(int(col[s]) for col in row) for row in prods for s in range(4))
             gram = tuple(
                 tuple(_int_if_integral((x + y).norm() - x.norm() - y.norm()) for y in self.basis)
                 for x in self.basis
             )
-            self._index_constants = (units, gram)
+            self._index_constants = units + gram
         return self._index_constants
 
 
@@ -268,25 +268,55 @@ def hurwitz_order(params=HAMILTON):
     return OrderLattice(params, (zeta, i, j, k))
 
 
+def _det4(m):
+    """Determinant of a 4x4 matrix by Laplace expansion in the 2x2 minors
+    of its first two and last two rows: 12 products for the minors, 6 to
+    pair them, no division."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+
+
+def _index_kernel(forms, coords):
+    """(|det M(c)|, 2 N(c)) for m with basis coordinates c, in ints, from
+    the order's 20 linear forms: row u of M(c) holds the coordinates of
+    u * m, and 2 N(c) = c . (gram c).  Raises ValueError if a coordinate
+    is not an integer."""
+    if any(x.denominator != 1 for x in coords):
+        raise ValueError("element is not in the order")
+    c0, c1, c2, c3 = map(int, coords)
+    v = [c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3 for a0, a1, a2, a3 in forms]
+    det = _det4((v[0:4], v[4:8], v[8:12], v[12:16]))
+    return abs(det), c0 * v[16] + c1 * v[17] + c2 * v[18] + c3 * v[19]
+
+
 def left_ideal_index(order, coords):
     """For m in ``order`` with basis coordinates ``coords``, compare the
     index of the left ideal spanned by m, i m, j m, k m in the order with
     twice the squared norm of m.
 
     Returns (index, 2 * norm(m)^2), both Fraction; the two agree for
-    every m in the Hurwitz order.  The index is |det| of the integer
-    matrix whose row u holds the coordinates of u * m, read off the
-    order's structure constants.  Raises ValueError if a coordinate is
-    not an integer (m is not in the order) or if the order is not stable
-    under left multiplication by i, j, k.
+    every m in the Hurwitz order.  They are computed in ints by
+    ``_index_kernel`` (the index is a closed-form ``_det4``) and made
+    Fractions only here.  Raises ValueError if a coordinate is not an
+    integer (m is not in the order) or if the order is not stable under
+    left multiplication by i, j, k.
     """
-    units, gram = order._left_ideal_constants()
-    if any(c.denominator != 1 for c in coords):
-        raise ValueError("element is not in the order")
-    c = c0, c1, c2, c3 = tuple(map(int, coords))
-    mat = [[c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3 for a0, a1, a2, a3 in row] for row in units]
-    twice_norm = sum(x * sum(g * y for g, y in zip(row, c)) for x, row in zip(c, gram))
-    return Fraction(abs(int_det(mat))), Fraction(twice_norm * twice_norm, 2)
+    index, twice_norm = _index_kernel(order._left_ideal_constants(), coords)
+    return Fraction(index), Fraction(twice_norm * twice_norm, 2)
+
+
+def index_mismatches(order, points):
+    """How many coordinate tuples in ``points`` break the identity of
+    ``left_ideal_index``: 2 * index != (2 N(m))^2, compared in ints with
+    no Fraction made.  Raises ValueError as ``left_ideal_index`` does."""
+    forms = order._left_ideal_constants()
+    pairs = (_index_kernel(forms, coords) for coords in points)
+    return sum(2 * index != twice_norm * twice_norm for index, twice_norm in pairs)
 
 
 def hurwitz_index_identity(m, order=None):

@@ -318,13 +318,7 @@ CLAIMS = (
 
 def _qalg_claims(budgets: Budgets):
     order = qalg.hurwitz_order()
-    bad = 0
-    for coords in iproduct(range(-3, 4), repeat=4):
-        if coords == (0, 0, 0, 0):
-            continue
-        idx, twice_norm_sq = qalg.left_ideal_index(order, coords)
-        if idx != twice_norm_sq:
-            bad += 1
+    bad = qalg.index_mismatches(order, (c for c in iproduct(range(-3, 4), repeat=4) if any(c)))
     embed_ok = True
     for params in (qalg.HAMILTON, qalg.AlgebraParams.make(-1, -3)):
         sample = [

@@ -47,7 +47,6 @@ from .linalg import (
     mat_mul,
     nullspace,
     perm_sign,
-    transpose,
     wedge_derivation,
 )
 from .qalg import AlgebraParams, basis_elems, left_mult_matrix
@@ -125,10 +124,24 @@ class SubspaceQ:
 
     def apply(self, mat) -> "SubspaceQ":
         """Image of the subspace under a linear map (vectors as columns)."""
-        if self.dim == 0:
-            return self
-        img = mat_mul([list(r) for r in self.rows], transpose(mat))
+        return self.image(_columns(mat))
+
+    def image(self, cols) -> "SubspaceQ":
+        """Image under the map with sparse columns ``cols`` (``_columns``)."""
+        img = []
+        for row in self.rows:
+            acc = [0] * self.ambient
+            for x, col in zip(row, cols):
+                if x:
+                    for p, y in col:
+                        acc[p] += x * y
+            img.append(acc)
         return SubspaceQ.from_vectors(img, self.ambient)
+
+
+def _columns(mat):
+    """The (row, entry) pairs of the nonzero entries of each column of mat."""
+    return [[(p, x) for p, x in enumerate(col) if x] for col in zip(*mat)]
 
 
 def _wedge_basis(d: int, k: int):
@@ -199,12 +212,12 @@ def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     current span under all three; the first round that adds no dimension
     ends the loop."""
     k = 2 * model.n
-    ders = [derivation_action(m, k) for m in (model.mat_i, model.mat_j, model.mat_k)]
+    ders = [_columns(derivation_action(m, k)) for m in (model.mat_i, model.mat_j, model.mat_k)]
     span = wk
     while True:
         grown = span
         for d in ders:
-            grown = grown.union_span(span.apply(d))
+            grown = grown.union_span(span.image(d))
         if grown.dim == span.dim:
             return span
         span = grown

@@ -5,8 +5,13 @@ expected index comes straight from the reduced-norm formula evaluated
 in the test, not from the implementation under test.
 """
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -286,6 +291,93 @@ def test_index_identity_rejects_a_lattice_not_stable_under_i_j_k():
         qalg.left_ideal_index(lattice, (1, 0, 0, 0))
     with pytest.raises(ValueError, match="not stable under left multiplication"):
         hurwitz_index_identity(one, lattice)
+
+
+def leibniz_det(m):
+    """Signed sum over the 24 permutations, the sign read off the inversions."""
+    total = 0
+    for p in permutations(range(4)):
+        inversions = sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4))
+        term = (-1) ** inversions
+        for row, col in enumerate(p):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def box_matrices():
+    """The 2,400 integer matrices of the registry sweep, built per element:
+    row u holds the Hurwitz-order coordinates of u * m."""
+    order = hurwitz_order()
+    units = qalg.basis_elems(HAMILTON)
+    return [[list(map(int, order.coords(u * m))) for u in units] for m in index_box_elements()]
+
+
+def random_int_matrices(count=300, seed=24):
+    """Seeded 4x4 int matrices with negative entries; every third has a zero
+    leading entry and every fourth is singular (row 3 = row 1 - 2 row 2)."""
+    rng = random.Random(seed)
+    mats = []
+    for n in range(count):
+        m = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        if n % 3 == 0:
+            m[0][0] = 0
+        if n % 4 == 0:
+            m[3] = [x - 2 * y for x, y in zip(m[1], m[2])]
+        mats.append(m)
+    return mats
+
+
+def test_closed_form_det_matches_bareiss_and_leibniz():
+    box = box_matrices()
+    assert len(box) == 2400
+    rand = random_int_matrices()
+    assert sum(m[0][0] == 0 for m in rand) >= 100
+    assert sum(leibniz_det(m) == 0 for m in rand) >= 75
+    assert all(any(x < 0 for row in m for x in row) for m in rand)
+    for m in box + rand:
+        got = qalg._det4(m)
+        assert type(got) is int
+        assert got == linalg.int_det(m) == leibniz_det(m)
+
+
+def test_index_mismatches_sweeps_the_box_in_ints(monkeypatch):
+    order = hurwitz_order()
+    box = [c for c in product(range(-3, 4), repeat=4) if any(c)]
+    assert qalg.index_mismatches(order, box) == 0  # the constants, built once
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert made == [(1, 2)]
+    made.clear()
+    assert qalg.index_mismatches(order, box) == 0
+    assert made == []
+
+
+PLANTED_GRAM = """
+from quatprym import qalg, report
+order = qalg.hurwitz_order()
+forms = order._left_ideal_constants()  # forms[16] is row 0 of the Gram matrix
+order._index_constants = forms[:16] + ((forms[16][0] + 2,) + forms[16][1:],) + forms[17:]
+[rec] = [r for r in report.run_suite("qalg") if r.claim_id == "qalg.left_ideal_index"]
+print(rec.status, rec.computed)
+"""
+
+
+def test_a_planted_gram_entry_fails_the_registry_claim():
+    """g_00 + 2 makes the norm form 2 N(c) + 2 c_0^2: the identity breaks at
+    exactly the 6 * 7^3 box points with c_0 != 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", PLANTED_GRAM], capture_output=True, text=True, check=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(Path(qalg.__file__).parents[1])},
+    )
+    assert proc.stdout.split("\n")[0] == "FAIL 2058 mismatches"
 
 
 # -------------------------------------------------------- group ring shape
