@@ -35,6 +35,7 @@ anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import attrgetter
@@ -167,19 +168,23 @@ def wedge_derivation(mat, mono):
     """The derivation a square matrix induces on the exterior algebra,
     applied to one wedge monomial (a sorted tuple of distinct basis
     indices): each factor e_b in turn is replaced by column b of the
-    matrix.  Returns {monomial: coefficient} without zero coefficients;
-    the coefficients have the type of the entries, so an int matrix
-    gives int coefficients."""
+    matrix.  Sorting moves e_p, put at position pos of e_b, to its place q
+    among the other factors, past the |q - pos| factors strictly between
+    b and p: that is the sign.  Returns {monomial: coefficient} without
+    zero coefficients; the coefficients have the type of the entries, so
+    an int matrix gives int coefficients."""
     present = set(mono)
     out = {}
     for pos, b in enumerate(mono):
+        rest = mono[:pos] + mono[pos + 1 :]
         for p, row in enumerate(mat):
             coef = row[b]
             if not coef or (p != b and p in present):
                 continue
-            rest = mono[:pos] + (p,) + mono[pos + 1 :]
-            key = tuple(sorted(rest))
-            out[key] = out.get(key, 0) + perm_sign(rest) * coef
+            q = bisect_left(rest, p)
+            key = rest[:q] + (p,) + rest[q:]
+            term = -coef if (q - pos) % 2 else coef
+            out[key] = out[key] + term if key in out else term
     return {k: v for k, v in out.items() if v}
 
 

@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import frac_mat, inverse, mat_vec, solve
+from .linalg import frac_mat, inverse, mat_mul, mat_vec
 
 Q1 = Fraction(1)
 
@@ -123,15 +123,23 @@ def basis_elems(params):
 
 
 def left_mult_matrix(x, basis):
-    """Matrix of y -> x * y on the span of ``basis``, columns in that basis.
-
-    Raises ValueError if the span is not stable under left multiplication
-    by x.
-    """
-    cols = [coords_in_basis(x * b, basis) for b in basis]
-    if any(c is None for c in cols):
-        raise ValueError("span not stable under left multiplication")
-    return [list(row) for row in zip(*cols)]
+    """Matrix of y -> x * y on B, columns in the 4-element ``basis``: on
+    1, i, j, k, L(x) read off r, s and the coordinates of x (an int matrix
+    when all six are integral), else B^-1 L(x) B for B the matrix of the
+    basis coordinates.  Raises ValueError unless the basis is four
+    linearly independent elements of the algebra of x."""
+    r, s = _int_if_integral(x.params.r), _int_if_integral(x.params.s)
+    a, b, c, d = map(_int_if_integral, x.coords())
+    lx = [[a, r * b, s * c, -r * s * d],
+          [b, a, s * d, -s * c],
+          [c, -r * d, a, r * b],
+          [d, -c, b, a]]
+    basis = tuple(basis)
+    for e in basis:
+        x._same_algebra(e)
+    if basis == basis_elems(x.params):
+        return lx
+    return mat_mul(mat_mul(_basis_inverse(basis), lx), _basis_matrix(basis))
 
 
 def _basis_matrix(basis):
@@ -139,9 +147,23 @@ def _basis_matrix(basis):
     return frac_mat([[b.coords()[t] for b in basis] for t in range(4)])
 
 
+@functools.lru_cache(maxsize=64)
+def _basis_inverse(basis):
+    """The inverse of ``_basis_matrix(basis)`` as a tuple of rows, from 1,
+    i, j, k coordinates to coordinates in ``basis``.  Raises ValueError
+    unless ``basis`` is a tuple of four linearly independent elements."""
+    if len(basis) != 4:
+        raise ValueError("a basis of B needs 4 elements")
+    try:
+        return tuple(map(tuple, inverse(_basis_matrix(basis))))
+    except ValueError:
+        raise ValueError("basis is linearly dependent") from None
+
+
 def coords_in_basis(x, basis):
-    """Coordinates of x in a 4-element basis of B, or None."""
-    return solve(_basis_matrix(basis), list(x.coords()))
+    """Coordinates of x in a 4-element basis of B.  Raises ValueError if
+    the basis is linearly dependent."""
+    return mat_vec(_basis_inverse(tuple(basis)), list(x.coords()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +231,16 @@ def q8_elements():
 class OrderLattice:
     """A rank-4 lattice in B(params), given by a basis.
 
-    The basis matrix is inverted once, here, so each coordinate query is
-    one matrix-vector product.  Raises ValueError unless the basis has
-    four linearly independent elements."""
+    The basis matrix is inverted once per basis (``_basis_inverse``), so
+    each coordinate query is one matrix-vector product.  Raises ValueError
+    unless the basis has four linearly independent elements."""
 
     __slots__ = ("params", "basis", "_to_coords", "_index_constants")
 
     def __init__(self, params, basis):
-        if len(basis) != 4:
-            raise ValueError("an order lattice needs a basis of 4 elements")
         self.params = params
         self.basis = tuple(basis)
-        try:
-            self._to_coords = inverse(_basis_matrix(self.basis))
-        except ValueError:
-            raise ValueError("order lattice basis is linearly dependent") from None
+        self._to_coords = _basis_inverse(self.basis)
         self._index_constants = None
 
     def coords(self, x):

@@ -325,14 +325,12 @@ def _qalg_claims(budgets: Budgets):
             qalg.QuatElem.make(params, *c)
             for c in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, -1, 1), (2, -1, 3, 0))
         ]
-        for x in sample:
-            for y in sample:
-                lhs = qalg.embed_in_m2(x * y)
-                rhs = linalg.mat_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y))
-                if not linalg.mat_eq(lhs, rhs):
+        images = [qalg.embed_in_m2(x) for x in sample]
+        for x, image in zip(sample, images):
+            for y, y_image in zip(sample, images):
+                if not linalg.mat_eq(qalg.embed_in_m2(x * y), linalg.mat_mul(image, y_image)):
                     embed_ok = False
-            det = linalg.det(qalg.embed_in_m2(x))
-            if det != qalg.KNum.make(params.r, x.norm()):
+            if linalg.det(image) != qalg.KNum.make(params.r, x.norm()):
                 embed_ok = False
     return {
         "qalg.left_ideal_index": f"{bad} mismatches",

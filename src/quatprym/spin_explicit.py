@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import lie_engine
-from .linalg import mat_add, mat_mul, mat_scale, mat_sub, nullspace, wedge_derivation
+from .linalg import mat_mul, mat_scale, nullspace, wedge_derivation
 
 # spinor basis: subsets of {1,2,3}, fixed order
 SUBSETS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
@@ -119,10 +119,37 @@ def matrix_to_pair_coeffs(m):
     recon = [[0] * 7 for _ in range(7)]
     for pair, c in coeffs.items():
         if c:
-            recon = mat_add(recon, mat_scale(so7_action_matrix(*pair), c))
+            _add_scaled(recon, _SO7_ENTRIES[pair], c)
     if recon != m:
         raise ValueError("matrix is outside the span of the basis actions")
     return coeffs
+
+
+def _entries(m):
+    """Per row of a matrix, the (column, entry) pairs of its nonzero entries."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
+
+
+_SO7_ENTRIES = {pair: _entries(so7_action_matrix(*pair)) for pair in SO7_PAIRS}
+
+
+def _add_scaled(acc, entries, c):
+    """acc += c * the matrix with nonzero ``entries``, in place."""
+    for acc_row, row in zip(acc, entries):
+        for j, x in row:
+            acc_row[j] += c * x
+
+
+def _commutator(a, b):
+    """AB - BA for square matrices given by their nonzero ``_entries``;
+    only products of two nonzero entries are formed."""
+    out = [[0] * len(a) for _ in a]
+    for p, q, sign in ((a, b, 1), (b, a, -1)):
+        for out_row, row in zip(out, p):
+            for k, x in row:
+                for j, y in q[k]:
+                    out_row[j] += sign * x * y
+    return out
 
 
 class SpinConstructionError(RuntimeError):
@@ -186,19 +213,21 @@ def _formula_holds(two_rho):
 BRACKET_PAIRS = tuple(combinations(SO7_PAIRS, 2))
 
 
-def bracket_holds(two_rho, x, y) -> bool:
-    """[rho(x), rho(y)] = rho([x, y]) for two basis elements x, y of
-    wedge^2 C^7, given as index pairs.  On the doubled matrices, with
-    [x, y] = sum c pair, this reads [2rho(x), 2rho(y)] = 2 sum c 2rho(pair)."""
-    lhs = mat_sub(mat_mul(two_rho[x], two_rho[y]), mat_mul(two_rho[y], two_rho[x]))
-    mx = so7_action_matrix(*x)
-    my = so7_action_matrix(*y)
-    comm = mat_sub(mat_mul(mx, my), mat_mul(my, mx))
-    rhs = _zero8()
-    for pair, c in matrix_to_pair_coeffs(comm).items():
-        if c:
-            rhs = mat_add(rhs, mat_scale(two_rho[pair], 2 * c))
-    return lhs == rhs
+def bracket_failures(two_rho) -> list:
+    """The pairs (x, y) of ``BRACKET_PAIRS``, in order, where [rho(x),
+    rho(y)] = rho([x, y]) fails.  On the doubled matrices, with [x, y] =
+    sum c pair, it reads [2rho(x), 2rho(y)] = 2 sum c 2rho(pair); both
+    sides are products of nonzero entries only."""
+    rho = {pair: _entries(m) for pair, m in two_rho.items()}
+    failures = []
+    for x, y in BRACKET_PAIRS:
+        rhs = _zero8()
+        for pair, c in matrix_to_pair_coeffs(_commutator(_SO7_ENTRIES[x], _SO7_ENTRIES[y])).items():
+            if c:
+                _add_scaled(rhs, rho[pair], 2 * c)
+        if _commutator(rho[x], rho[y]) != rhs:
+            failures.append((x, y))
+    return failures
 
 
 def build_spin_rep() -> SpinRep:
@@ -212,9 +241,7 @@ def build_spin_rep() -> SpinRep:
     ]
     for cand in candidates:
         two_rho = _assemble(*cand)
-        if _formula_holds(two_rho) and all(
-            bracket_holds(two_rho, x, y) for x, y in BRACKET_PAIRS
-        ):
+        if _formula_holds(two_rho) and not bracket_failures(two_rho):
             return SpinRep(two_rho=two_rho, scalars=cand)
     raise SpinConstructionError(
         "no scalar assignment satisfies the sample formula and all brackets"

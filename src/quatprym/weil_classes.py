@@ -70,13 +70,8 @@ class HModel:
         if n < 1:
             raise ValueError("n must be a positive integer")
         basis = basis_elems(params)
-        one, qi, qj, qk = basis
-        mats = []
-        for x in (one, qi, qj, qk):
-            block = [[int(c) if c.denominator == 1 else c for c in row]
-                     for row in left_mult_matrix(x, basis)]
-            mats.append(tuple(map(tuple, block_diag([block] * n))))
-        m1, mi, mj, mk = mats
+        m1, mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x, basis)] * n)))
+                          for x in basis)
         model = HModel(params=params, n=n, mat_one=m1, mat_i=mi, mat_j=mj, mat_k=mk)
         model._check()
         return model

@@ -104,6 +104,7 @@ cases = [
     ("hurwitz_index_identity", lambda: qalg.hurwitz_index_identity(third)),
     ("index_mismatches", lambda: qalg.index_mismatches(
         qalg.hurwitz_order(), [(1, 0, 0, 0), (Fraction(1, 2), 0, 0, 0)])),
+    ("left_mult_matrix", lambda: qalg.left_mult_matrix(third, (third,) * 4)),
     ("wedderburn character value",
      lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 3 * d))),
     ("wedderburn character", lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 2 * d))),
@@ -210,6 +211,7 @@ def test_checks_raise_under_python_O():
         "debug False",
         "hurwitz_index_identity ValueError element is not in the order",
         "index_mismatches ValueError element is not in the order",
+        "left_mult_matrix ValueError basis is linearly dependent",
         "wedderburn character value RuntimeError 2-dim character value 2/3 on class 0 "
         "is not an integer",
         "wedderburn character RuntimeError 2-dim character [1, -1, 0, 0, 0], "

@@ -200,6 +200,83 @@ def test_order_rejects_a_dependent_basis():
         qalg.OrderLattice(HAMILTON, (one, i, j, quat(HAMILTON, 0, 0, 0, 0)))
     with pytest.raises(ValueError):
         qalg.OrderLattice(HAMILTON, (one, i, j))
+    for dependent in ((one, i, j, one + i), (one, i, j, quat(HAMILTON, 0, 0, 0, 0))):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            qalg.left_mult_matrix(i, dependent)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            qalg.coords_in_basis(i, dependent)
+    with pytest.raises(ValueError, match="needs 4 elements"):
+        qalg.left_mult_matrix(i, (one, i, j))
+    with pytest.raises(ValueError, match="mixed algebras"):
+        qalg.left_mult_matrix(quat(MINUS13, 0, 1, 0, 0), qalg.basis_elems(HAMILTON))
+
+
+def solve_per_column(x, basis):
+    """The computation ``left_mult_matrix`` replaced: one rational solve
+    for the coordinates of each product x * b."""
+    basis_matrix = linalg.frac_mat([[b.coords()[t] for b in basis] for t in range(4)])
+    cols = [linalg.solve(basis_matrix, list((x * b).coords())) for b in basis]
+    return [list(row) for row in zip(*cols)]
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_elements(params, rng, count):
+    return [quat(params, *(random_rational(rng) for _ in range(4))) for _ in range(count)]
+
+
+def structured_bases():
+    """(basis, elements): the standard bases of B(-1, -1) and B(-1, -3),
+    two Hurwitz bases and the Lipschitz basis, each with the group
+    elements +-1, +-i, +-j, +-k and seeded rational elements."""
+    rng = random.Random(25)
+    out = []
+    for params in (HAMILTON, MINUS13):
+        units = qalg.basis_elems(params)
+        elements = [u.scale(t) for u in units for t in (1, -1)] + random_elements(params, rng, 20)
+        out.append((units, elements))
+    one, i, j, k = units = qalg.basis_elems(HAMILTON)
+    zeta = (one + i + j + k).scale(Fraction(1, 2))
+    elements = [u.scale(t) for u in units for t in (1, -1)] + random_elements(HAMILTON, rng, 20)
+    out += [((one, i, j, zeta), elements), (hurwitz_order().basis, elements), (hz_order().basis, elements)]
+    return out
+
+
+def random_bases(count=200, seed=25):
+    """(basis, element) pairs: seeded nonsingular rational bases of
+    B(-1, -1) and B(-1, -3), each with a random element."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        params = rng.choice((HAMILTON, MINUS13))
+        basis = tuple(random_elements(params, rng, 4))
+        if linalg.det(linalg.frac_mat([b.coords() for b in basis])):
+            out.append((basis, random_elements(params, rng, 1)))
+    return out
+
+
+@pytest.mark.parametrize("bases", [structured_bases, random_bases], ids=["structured", "random"])
+def test_left_mult_matrix_matches_a_solve_per_column(bases):
+    checked = 0
+    for basis, elements in bases():
+        for x in elements:
+            got = qalg.left_mult_matrix(x, basis)
+            assert got == solve_per_column(x, basis)
+            for b, col in zip(basis, zip(*got)):
+                assert list(col) == qalg.coords_in_basis(x * b, basis)
+            checked += 1
+    assert checked == (5 * 28 if bases is structured_bases else 200)
+
+
+def test_left_mult_matrix_on_one_i_j_k_is_int_for_integral_input():
+    for params in (HAMILTON, MINUS13):
+        units = qalg.basis_elems(params)
+        for x in units + (quat(params, 2, -1, 3, 5),):
+            assert all(type(v) is int for row in qalg.left_mult_matrix(x, units) for v in row)
+        half = qalg.left_mult_matrix(quat(params, Fraction(1, 2), 1, 0, 0), units)
+        assert half[0][0] == Fraction(1, 2) and type(half[0][1]) is int
 
 
 def index_oracle(m, order):

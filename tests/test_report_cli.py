@@ -254,6 +254,25 @@ def test_cli_spin_check_bracket(capsys):
     assert out.splitlines() == expected + ["all brackets pass"]
 
 
+def test_cli_spin_check_bracket_reports_a_planted_fault(capsys, monkeypatch):
+    # one entry of 2 rho(e0 ^ e6) moved: the pairs the kernel rejects
+    # print FAIL, in pair order, and the command exits 1
+    rep = spin_explicit.build_spin_rep()
+    two_rho = {**rep.two_rho, (0, 6): [list(row) for row in rep.two_rho[(0, 6)]]}
+    two_rho[(0, 6)][1][0] += 1
+    monkeypatch.setattr(
+        spin_explicit, "build_spin_rep", lambda: spin_explicit.SpinRep(two_rho, rep.scalars)
+    )
+    failures = spin_explicit.bracket_failures(two_rho)
+    assert 0 < len(failures) < 210
+    code, out = run_cli(capsys, "spin", "--check-bracket")
+    assert code == 1
+    assert out.splitlines() == [
+        f"[{x}, {y}]: {'FAIL' if (x, y) in failures else 'pass'}"
+        for x, y in spin_explicit.BRACKET_PAIRS
+    ] + [f"{len(failures)} bracket failures"]
+
+
 def test_cli_report_module_json(capsys):
     code, out = run_cli(capsys, "report", "--module", "qalg", "--format", "json")
     assert code == 0

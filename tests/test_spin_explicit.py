@@ -7,6 +7,7 @@ shows up as a mismatch.  Bracket values for a handful of operator
 pairs are derived by hand and frozen.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -202,6 +203,28 @@ def test_every_candidate_satisfies_the_sample_formula():
         assert not sp._formula_holds(flipped)
 
 
+def dense_bracket_holds(two_rho, x, y) -> bool:
+    """The dense bracket check the sparse kernel replaced: full 8x8 and
+    7x7 products, [2rho(x), 2rho(y)] against 2 sum c 2rho(pair)."""
+    lhs = commutator(two_rho[x], two_rho[y])
+    coeffs = sp.matrix_to_pair_coeffs(commutator(sp.so7_action_matrix(*x), sp.so7_action_matrix(*y)))
+    rhs = [[0] * 8 for _ in range(8)]
+    for pair, c in coeffs.items():
+        if c:
+            rhs = mat_add(rhs, mat_scale(two_rho[pair], 2 * c))
+    return lhs == rhs
+
+
+def dense_failures(two_rho):
+    return [(x, y) for x, y in sp.BRACKET_PAIRS if not dense_bracket_holds(two_rho, x, y)]
+
+
+def test_bracket_kernel_matches_the_dense_check_on_every_candidate():
+    for cand in CANDIDATES:
+        two_rho = sp._assemble(*cand)
+        assert sp.bracket_failures(two_rho) == dense_failures(two_rho), cand
+
+
 @pytest.mark.parametrize(
     "cand,passes",
     [
@@ -214,11 +237,24 @@ def test_every_candidate_satisfies_the_sample_formula():
 )
 def test_bracket_pass_counts_per_candidate(cand, passes):
     two_rho = sp._assemble(*cand)
-    assert sum(sp.bracket_holds(two_rho, x, y) for x, y in sp.BRACKET_PAIRS) == passes
+    assert len(sp.BRACKET_PAIRS) - len(sp.bracket_failures(two_rho)) == passes
+
+
+def test_a_planted_one_entry_fault_is_caught(rep):
+    # one entry of one 2 rho matrix moved by one, for each of the 21
+    # matrices at a seeded position, zero or not
+    rng = random.Random(25)
+    for pair in sp.SO7_PAIRS:
+        t, u = rng.randrange(8), rng.randrange(8)
+        planted = {**rep.two_rho, pair: [list(row) for row in rep.two_rho[pair]]}
+        planted[pair][t][u] += 1
+        failures = sp.bracket_failures(planted)
+        assert failures, (pair, t, u)
+        assert failures == dense_failures(planted)
 
 
 def test_build_raises_when_no_candidate_passes(monkeypatch):
-    monkeypatch.setattr(sp, "bracket_holds", lambda two_rho, x, y: False)
+    monkeypatch.setattr(sp, "bracket_failures", lambda two_rho: [sp.BRACKET_PAIRS[0]])
     with pytest.raises(sp.SpinConstructionError, match="no scalar assignment"):
         sp.build_spin_rep()
 

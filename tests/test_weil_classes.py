@@ -288,6 +288,46 @@ def test_wedge_derivation_keeps_the_entry_type():
     assert fracs == ints and all(type(c) is Fraction for c in fracs.values())
 
 
+def sorted_derivation(mat, mono):
+    """The derivation as ``wedge_derivation`` computed it before the sign
+    was read in closed form: each rebuilt monomial sorted, its sign from
+    ``perm_sign``.  Also returns how many terms each monomial received."""
+    present = set(mono)
+    out, terms = {}, {}
+    for pos, b in enumerate(mono):
+        for p, row in enumerate(mat):
+            coef = row[b]
+            if not coef or (p != b and p in present):
+                continue
+            rest = mono[:pos] + (p,) + mono[pos + 1 :]
+            key = tuple(sorted(rest))
+            term = coef if linalg.perm_sign(rest) > 0 else -coef
+            out[key] = out[key] + term if key in out else term
+            terms[key] = terms.get(key, 0) + 1
+    return {k: v for k, v in out.items() if v}, terms
+
+
+def test_wedge_derivation_matches_the_sorting_oracle():
+    rng = random.Random(25)
+    entries = {
+        "int": lambda: rng.choice((0, 0, 1, -1, 2, -3)),
+        "Fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        "KNum": lambda: KNum.make(-3, rng.randint(-2, 2), rng.choice((0, 0, 1, Fraction(-1, 2)))),
+    }
+    for kind, entry in entries.items():
+        repeated = diagonal = 0
+        for d in (1, 3, 5, 6):
+            mat = [[entry() for _ in range(d)] for _ in range(d)]
+            for k in range(d + 1):
+                for mono in combinations(range(d), k):
+                    want, terms = sorted_derivation(mat, mono)
+                    assert linalg.wedge_derivation(mat, mono) == want, (kind, mono)
+                    repeated += any(n > 1 for n in terms.values())
+                    diagonal += any(mat[b][b] for b in mono)
+        # monomials hit by several terms, and factors replaced by themselves
+        assert repeated > 20 and diagonal > 20, kind
+
+
 # ------------------------------------------------------------ the model
 
 
