@@ -22,13 +22,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .config import Budgets
 from .linalg import identity, mat_mul, transpose
-from .qalg import HAMILTON, basis_elems, left_mult_matrix, q8_elements, qinv, qmul, qstr
+from .qalg import HAMILTON, QUAT_GROUP, basis_elems, left_mult_matrix, qinv, qmul, qstr
 from .surface_homs import HomTuple, classify_hom, standard_hom, normalize_hom
 
-VERTEX_ORDER = q8_elements()  # +1, -1, +i, -i, +j, -j, +k, -k
-_VINDEX = {q: t for t, q in enumerate(VERTEX_ORDER)}
+_VINDEX = {q: t for t, q in enumerate(QUAT_GROUP)}  # vertex t is QUAT_GROUP[t]
 
 # the 8-term cycle in the g=2 graph, as ordered vertex pairs
 C_CHAIN_VERTEX_PAIRS = (
@@ -64,7 +62,7 @@ def build_cover_graph(h: HomTuple) -> CoverGraph:
     edges = []
     for m in range(1, h.g + 1):
         am = alpha[m - 1]
-        for u_idx, q in enumerate(VERTEX_ORDER):
+        for u_idx, q in enumerate(QUAT_GROUP):
             edges.append((u_idx, _VINDEX[qmul(q, am)], m))
     return CoverGraph(h.g, alpha, tuple(edges))
 
@@ -144,7 +142,7 @@ class H1Data:
         """Action of left multiplication by q on edge indices."""
         perm = [0] * self.graph.n_edges
         for idx, (u, _, m) in enumerate(self.graph.edges):
-            qu = _VINDEX[qmul(q, VERTEX_ORDER[u])]
+            qu = _VINDEX[qmul(q, QUAT_GROUP[u])]
             perm[idx] = self.graph.edge_index(qu, m)
         return perm
 
@@ -344,9 +342,7 @@ class PrymLatticeModel:
         )
 
 
-def prym_lattice_model(
-    g, h: HomTuple = None, node_budget=Budgets.bfs_node_cap
-) -> PrymLatticeModel:
+def prym_lattice_model(g, h: HomTuple = None) -> PrymLatticeModel:
     """The rank-8(g-1) lattice with symplectic deck action attached to a
     quaternionic cover in genus 2 or 3.
 
@@ -362,7 +358,7 @@ def prym_lattice_model(
     if h is not None:
         if h.g != g:
             raise ValueError("genus mismatch")
-        res = normalize_hom(h, node_budget=node_budget)
+        res = normalize_hom(h)
         if not res["reached"]:
             raise ValueError("could not normalize the tuple within budget")
         moves = len(res["moves"])
@@ -392,7 +388,7 @@ def prym_lattice_model(
     if abs(basis_det) != 1:
         raise ValueError("explicit vectors do not form a basis of the minus part")
 
-    a_blocks = _actions_in_basis(h1, explicit, VERTEX_ORDER)
+    a_blocks = _actions_in_basis(h1, explicit, QUAT_GROUP)
     if not _module_structure_matches(a_blocks, g - 2):
         raise ValueError("module structure constants do not match")
     # A(q)^{-1} = A(q^{-1}) on a representation, so no inverse is taken

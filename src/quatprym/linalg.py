@@ -5,9 +5,9 @@ through ``intersect_row_spaces``) work over any exact field whose
 elements support ``+ - * /``, with ``bool(x)`` false exactly for zero.
 The field is read off the entries: ``fractions.Fraction`` entries give
 results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  The ring
-routines ``mat_mul``, ``mat_vec``, ``mat_add``, ``mat_sub``,
-``mat_scale`` and ``wedge_derivation`` keep the entry type, so int
-matrices give int results.
+routines ``mat_mul``, ``mat_vec``, ``block_diag`` and
+``wedge_derivation`` keep the entry type, so int matrices give int
+results.
 The eliminations (``rref``, ``nullspace``, ``solve``, ``inverse``,
 ``det`` and what is built on them) read integer entries as elements of
 Q, so their results come back as ``Fraction``, never ``float``.  Over
@@ -116,22 +116,6 @@ def mat_vec(a, v):
                 acc += x * y
         out.append(acc)
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
 def block_diag(blocks):
@@ -402,14 +386,8 @@ def inverse(a):
     return [[quot(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
-def row_space_basis(a):
-    """Canonical (reduced echelon) basis of the row space."""
-    r, pivots = rref(a)
-    return r[: len(pivots)]
-
-
 def intersect_row_spaces(a, b):
-    """Canonical basis of rowspace(a) & rowspace(b)."""
+    """Canonical (reduced echelon) basis of rowspace(a) & rowspace(b)."""
     if not a or not b:
         return []
     na = nullspace(a)
@@ -418,7 +396,8 @@ def intersect_row_spaces(a, b):
     if not stacked:
         # both row spaces are the full ambient space
         return _eye(len(a[0]), _one(a))
-    return row_space_basis(nullspace(stacked))
+    r, pivots = rref(nullspace(stacked))
+    return r[: len(pivots)]
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,6 @@ class QuatElem:
         a, b, c, d = self.coords()
         return a * a - r * b * b - s * c * c + r * s * d * d
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
@@ -215,13 +212,9 @@ def qparse(text):
     return (s, Q8_AXES.index(t))
 
 
+# the 8 group elements, in the one order used everywhere (cover-graph
+# vertices, packed tuples): 1, -1, i, -i, j, -j, k, -k
 QUAT_GROUP = tuple((s, a) for a in range(4) for s in (1, -1))
-
-
-def q8_elements():
-    """All 8 group elements, in the fixed vertex order used everywhere:
-    1, -1, i, -i, j, -j, k, -k."""
-    return QUAT_GROUP
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def _qalg_claims(budgets: Budgets):
         images = [qalg.embed_in_m2(x) for x in sample]
         for x, image in zip(sample, images):
             for y, y_image in zip(sample, images):
-                if not linalg.mat_eq(qalg.embed_in_m2(x * y), linalg.mat_mul(image, y_image)):
+                if qalg.embed_in_m2(x * y) != linalg.mat_mul(image, y_image):
                     embed_ok = False
             if linalg.det(image) != qalg.KNum.make(params.r, x.norm()):
                 embed_ok = False
@@ -404,7 +404,7 @@ def _cover_claims(budgets: Budgets):
         },
     }
     for g in _MODULE_TYPES:
-        model = cover_homology.prym_lattice_model(g, node_budget=budgets.bfs_node_cap)
+        model = cover_homology.prym_lattice_model(g)
         values[f"cover.lattice_model_g{g}"] = (
             model.module_type,
             tuple(model.inclusion_divisors),

@@ -16,7 +16,10 @@ compares the model's weights with the engine's as they are, and the
 "weight" entry of ``reference_comparison`` is doubled too.
 
 The generator actions on S are assembled from three ingredients: wedge
-by e_i, contraction against e_{3+i}, and the parity involution.  The
+by e_i, contraction against e_{3+i}, and the parity involution.  Each
+sends a basis spinor e_I to a signed basis spinor or to 0 (``_act``),
+and 2 rho(e_a ^ e_b) is a scalar times the product of two of them, so
+each column is read off two such steps, with no matrix product.  The
 scalar normalizations are not guessed: candidate assignments are
 searched and accepted only if (1) the sample action (e_i ^ e7) e_I =
 (-1)^{#I} e_i ^ e_I holds verbatim and (2) the full bracket
@@ -38,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import lie_engine
-from .linalg import mat_mul, mat_scale, nullspace, wedge_derivation
+from .linalg import nullspace, wedge_derivation
 
 # spinor basis: subsets of {1,2,3}, fixed order
 SUBSETS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
@@ -59,39 +62,24 @@ def _partner(p):
     return 6
 
 
-def _zero8():
-    return [[0] * 8 for _ in range(8)]
+def _act(op, g, sub):
+    """One operator on the spinor e_sub (``sub`` in ``SUBSETS``): wedge
+    by e_g, contraction of e_g (the pairing of e_{3+g} against it), or
+    the parity involution (g unused).  Returns (sign, subset) for the
+    image sign * e_subset, or None for 0."""
+    if op == "parity":
+        return (-1) ** len(sub), sub
+    if (g in sub) == (op == "wedge"):
+        return None
+    sign = (-1) ** sum(1 for x in sub if x < g)
+    if op == "wedge":
+        return sign, tuple(sorted(sub + (g,)))
+    return sign, tuple(x for x in sub if x != g)
 
 
-def _wedge_op(i):
-    """Wedge by e_{i+1} (i in 0..2) on the spinor basis."""
-    m = _zero8()
-    g = i + 1
-    for s, sub in enumerate(SUBSETS):
-        if g in sub:
-            continue
-        t = _SUBSET_INDEX[tuple(sorted(sub + (g,)))]
-        m[t][s] = (-1) ** sum(1 for x in sub if x < g)
-    return m
-
-
-def _contract_op(i):
-    """Contraction pairing e_{4+i} against e_{i+1} (i in 0..2)."""
-    m = _zero8()
-    g = i + 1
-    for s, sub in enumerate(SUBSETS):
-        if g not in sub:
-            continue
-        t = _SUBSET_INDEX[tuple(x for x in sub if x != g)]
-        m[t][s] = (-1) ** sum(1 for x in sub if x < g)
-    return m
-
-
-def _parity_op():
-    m = _zero8()
-    for s, sub in enumerate(SUBSETS):
-        m[s][s] = (-1) ** len(sub)
-    return m
+# the operator (op, g) that each so(7) index contributes to 2 rho
+_FACTORS = (("wedge", 1), ("wedge", 2), ("wedge", 3),
+            ("contract", 1), ("contract", 2), ("contract", 3), ("parity", 0))
 
 
 SO7_PAIRS = tuple((a, b) for a in range(7) for b in range(a + 1, 7))
@@ -173,39 +161,39 @@ class SpinRep:
 
 
 def _assemble(s1, s2, s3, s4, c):
-    """2 rho for the signs s1..s4 and the doubled Cartan shift c."""
-    w = [_wedge_op(i) for i in range(3)]
-    d = [_contract_op(i) for i in range(3)]
-    p = _parity_op()
+    """2 rho for the signs s1..s4 and the doubled Cartan shift c.
+    2 rho(e_a ^ e_b) is a scalar times the product of the factors of a
+    and b, so column s is the signed spinor that the two ``_act`` steps
+    send e_s to; e_i ^ e_{3+i} adds c on the diagonal."""
+    scale = {("wedge", "wedge"): 2 * s1, ("contract", "contract"): 2 * s2,
+             ("wedge", "contract"): 2 * s3, ("wedge", "parity"): 2,
+             ("contract", "parity"): 2 * s4}
     two_rho = {}
     for a, b in SO7_PAIRS:
-        if b < 3:
-            m = mat_scale(mat_mul(w[a], w[b]), 2 * s1)
-        elif a < 3 and b < 6:
-            m = mat_scale(mat_mul(w[a], d[b - 3]), 2 * s3)
-            if a == b - 3:
-                for t in range(8):
-                    m[t][t] += c
-        elif a < 3:
-            m = mat_scale(mat_mul(w[a], p), 2)
-        elif b < 6:
-            m = mat_scale(mat_mul(d[a - 3], d[b - 3]), 2 * s2)
-        else:
-            m = mat_scale(mat_mul(d[a - 3], p), 2 * s4)
+        (op_a, g_a), (op_b, g_b) = _FACTORS[a], _FACTORS[b]
+        m = [[0] * 8 for _ in range(8)]
+        for s, sub in enumerate(SUBSETS):
+            inner = _act(op_b, g_b, sub)
+            outer = inner and _act(op_a, g_a, inner[1])
+            if outer:
+                m[_SUBSET_INDEX[outer[1]]][s] = scale[op_a, op_b] * inner[0] * outer[0]
+        if a < 3 and b == a + 3:
+            for t in range(8):
+                m[t][t] += c
         two_rho[(a, b)] = m
     return two_rho
 
 
 def _formula_holds(two_rho):
     """(e_i ^ e7) e_I = (-1)^{#I} e_i ^ e_I, read as matrices: column I
-    of 2 rho(e_i ^ e7) is 2 (-1)^{#I} times column I of wedge by e_i."""
-    for i in range(3):
-        m = two_rho[(i, 6)]
-        w = _wedge_op(i)
-        for s, sub in enumerate(SUBSETS):
-            sign = (-1) ** len(sub)
-            if any(m[t][s] != 2 * sign * w[t][s] for t in range(8)):
-                return False
+    of 2 rho(e_i ^ e7) is 2 (-1)^{#I} times the wedge of e_I by e_i."""
+    for i, (s, sub) in product(range(3), enumerate(SUBSETS)):
+        col = [0] * 8
+        image = _act("wedge", i + 1, sub)
+        if image:
+            col[_SUBSET_INDEX[image[1]]] = 2 * (-1) ** len(sub) * image[0]
+        if [row[s] for row in two_rho[(i, 6)]] != col:
+            return False
     return True
 
 
@@ -221,7 +209,7 @@ def bracket_failures(two_rho) -> list:
     rho = {pair: _entries(m) for pair, m in two_rho.items()}
     failures = []
     for x, y in BRACKET_PAIRS:
-        rhs = _zero8()
+        rhs = [[0] * 8 for _ in range(8)]
         for pair, c in matrix_to_pair_coeffs(_commutator(_SO7_ENTRIES[x], _SO7_ENTRIES[y])).items():
             if c:
                 _add_scaled(rhs, rho[pair], 2 * c)

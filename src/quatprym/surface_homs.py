@@ -37,7 +37,7 @@ from functools import cache
 from itertools import chain, product
 
 from .config import Budgets
-from .qalg import qmul, qinv, qparse, qstr
+from .qalg import QUAT_GROUP, qmul, qinv, qparse, qstr
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ class HomTuple:
         if len(self.images) != 2 * self.g:
             raise ValueError(f"genus {self.g} needs {2 * self.g} images, got {len(self.images)}")
         for x in self.images:
-            if x not in GROUP8:
+            if x not in QUAT_GROUP:
                 raise ValueError(f"image {x!r} is not an element of Q8")
 
     def alpha(self, m):
@@ -247,19 +247,18 @@ def verify_psi_in_Ag(g, k) -> bool:
 # packed tuples and compiled moves
 #
 # The census and the normalization search work on tuples packed into one
-# int: bits 3t..3t+2 hold the GROUP8 position of images[t].  Each move of
+# int: bits 3t..3t+2 hold the QUAT_GROUP position of images[t].  Each move of
 # move_set(g) is compiled once per genus into lookup tables: output slot s
 # reads only the (at most three) input slots its image word names.
 
 
-GROUP8 = tuple((s, a) for a in range(4) for s in (1, -1))
-_POS = {x: n for n, x in enumerate(GROUP8)}
-_MUL = tuple(_POS[qmul(x, y)] for x in GROUP8 for y in GROUP8)  # [8x + y] = xy
-_INV = tuple(_POS[qinv(x)] for x in GROUP8)
+_POS = {x: n for n, x in enumerate(QUAT_GROUP)}
+_MUL = tuple(_POS[qmul(x, y)] for x in QUAT_GROUP for y in QUAT_GROUP)  # [8x + y] = xy
+_INV = tuple(_POS[qinv(x)] for x in QUAT_GROUP)
 # [8a + b] = a b a^-1 b^-1, the relator of one handle
 _COMM = tuple(_MUL[8 * _MUL[8 * a + b] + _MUL[8 * _INV[a] + _INV[b]]]
               for a in range(8) for b in range(8))
-_AXIS_BIT = tuple(0 if a == 0 else 1 << (a - 1) for _, a in GROUP8)
+_AXIS_BIT = tuple(0 if a == 0 else 1 << (a - 1) for _, a in QUAT_GROUP)
 _AXIS_COUNT = tuple(bin(x).count("1") for x in range(8))
 
 
@@ -270,16 +269,16 @@ def pack_images(images) -> int:
 @cache
 def _aut_tables() -> tuple:
     """The 24 automorphisms of Q as (perm, table), Inn(Q) first (conjugation
-    by 1, i, j, k): perm maps GROUP8 positions to positions, and table
+    by 1, i, j, k): perm maps QUAT_GROUP positions to positions, and table
     applies it to three packed slots at once, indexed by v1 | v2 << 3 | v3 << 6."""
     def powers(a):
         return [(1, 0), a, qmul(a, a), qinv(a)]
     # x = i^e j^f for one e < 4, f < 2; i, j -> a, b (b not in <a>) sends x to a^e b^f
     exps = {qmul(y, z): (e, f) for e, y in enumerate(powers((1, 1)))
             for f, z in enumerate(powers((1, 2))[:2])}
-    perms = [tuple(_POS[qmul(pa[e], pb[f])] for e, f in map(exps.get, GROUP8))
-             for pa in map(powers, GROUP8[2:]) for pb in map(powers, GROUP8[2:]) if pb[1] not in pa]
-    inner = [tuple(_POS[qmul(qmul(a, x), qinv(a))] for x in GROUP8) for a in GROUP8[::2]]
+    perms = [tuple(_POS[qmul(pa[e], pb[f])] for e, f in map(exps.get, QUAT_GROUP))
+             for pa in map(powers, QUAT_GROUP[2:]) for pb in map(powers, QUAT_GROUP[2:]) if pb[1] not in pa]
+    inner = [tuple(_POS[qmul(qmul(a, x), qinv(a))] for x in QUAT_GROUP) for a in QUAT_GROUP[::2]]
     ints = tuple(range(512))  # the 24 tables share one int object per value
     return tuple((p, tuple(ints[p[v & 7] | p[v >> 3 & 7] << 3 | p[v >> 6] << 6] for v in ints))
                  for p in inner + [p for p in perms if p not in inner])
@@ -306,7 +305,7 @@ def _compile_move(mv: Move) -> tuple:
             images = [(1, 0)] * (2 * g)
             index = 0
             for k, (t, v) in enumerate(zip(srcs, vals)):
-                images[t] = GROUP8[v]
+                images[t] = QUAT_GROUP[v]
                 index |= v << 3 * k
             table[index] = _POS[eval_word(HomTuple(g, tuple(images)), word)] << 3 * s
         shifts = [3 * t for t in srcs] + [6 * g] * (3 - len(srcs))

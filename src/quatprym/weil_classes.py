@@ -56,11 +56,10 @@ EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
 
 @dataclass(frozen=True)
 class HModel:
-    """F^n with the left-multiplication action, as rational matrices."""
+    """F^n with left multiplication by i, j and k, as rational matrices."""
 
     params: AlgebraParams
     n: int
-    mat_one: tuple
     mat_i: tuple
     mat_j: tuple
     mat_k: tuple
@@ -70,9 +69,9 @@ class HModel:
         if n < 1:
             raise ValueError("n must be a positive integer")
         basis = basis_elems(params)
-        m1, mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x, basis)] * n)))
-                          for x in basis)
-        model = HModel(params=params, n=n, mat_one=m1, mat_i=mi, mat_j=mj, mat_k=mk)
+        mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x, basis)] * n)))
+                      for x in basis[1:])
+        model = HModel(params=params, n=n, mat_i=mi, mat_j=mj, mat_k=mk)
         model._check()
         return model
 
@@ -82,8 +81,7 @@ class HModel:
 
     def _check(self):
         r, s = self.params.r, self.params.s
-        mi = [list(row) for row in self.mat_i]
-        mj = [list(row) for row in self.mat_j]
+        mi, mj = self.mat_i, self.mat_j
         rid = [[r if p == q else 0 for q in range(self.dim)] for p in range(self.dim)]
         sid = [[s if p == q else 0 for q in range(self.dim)] for p in range(self.dim)]
         if mat_mul(mi, mi) != rid:
@@ -116,10 +114,6 @@ class SubspaceQ:
 
     def union_span(self, other: "SubspaceQ") -> "SubspaceQ":
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
-
-    def apply(self, mat) -> "SubspaceQ":
-        """Image of the subspace under a linear map (vectors as columns)."""
-        return self.image(_columns(mat))
 
     def image(self, cols) -> "SubspaceQ":
         """Image under the map with sparse columns ``cols`` (``_columns``)."""

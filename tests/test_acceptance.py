@@ -317,10 +317,7 @@ def test_order_index_identity():
     ]
     for x in sample:
         for y in sample:
-            assert linalg.mat_eq(
-                qalg.embed_in_m2(x * y),
-                linalg.mat_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y)),
-            )
+            assert qalg.embed_in_m2(x * y) == linalg.mat_mul(qalg.embed_in_m2(x), qalg.embed_in_m2(y))
         det = linalg.det(qalg.embed_in_m2(x))
         assert det.v == 0 and det.u == x.norm()
 

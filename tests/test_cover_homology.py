@@ -13,7 +13,7 @@ import pytest
 from quatprym import cover_homology as ch
 from quatprym import linalg, report
 from quatprym import surface_homs as sh
-from quatprym.qalg import q8_elements, qmul
+from quatprym.qalg import QUAT_GROUP, qmul
 
 
 def h1(g=2, h=None):
@@ -28,7 +28,7 @@ def test_graph_shape_g2():
     graph = ch.build_cover_graph(sh.standard_hom(2))
     assert graph.n_edges == 16 and {v for u, w, _ in graph.edges for v in (u, w)} == set(range(8))
     ch.H1Data(graph)  # connected: the spanning tree reaches all 8 vertices
-    elems = q8_elements()
+    elems = QUAT_GROUP
     # edge (m-1)*8+u runs from vertex u to vertex u * image(m)
     for idx, (src, dst, m) in enumerate(graph.edges):
         assert m == idx // 8 + 1
@@ -84,21 +84,19 @@ def test_coords_of_cycle_inverts_the_basis():
 
 def test_deck_action_is_a_left_group_action():
     data = h1(2)
-    elems = q8_elements()
+    elems = QUAT_GROUP
     rho = {q: linalg.frac_mat(data.rho(q)) for q in elems}
-    assert linalg.mat_eq(rho[(1, 0)], linalg.identity(data.rank))
+    assert rho[(1, 0)] == linalg.identity(data.rank)
     for a in elems:
         for b in elems:
-            assert linalg.mat_eq(
-                linalg.mat_mul(rho[a], rho[b]), rho[qmul(a, b)]
-            )
+            assert linalg.mat_mul(rho[a], rho[b]) == rho[qmul(a, b)]
 
 
 def test_deck_action_permutes_vertices_without_fixed_points():
-    for q in q8_elements():
+    for q in QUAT_GROUP:
         if q == (1, 0):
             continue
-        for v in q8_elements():
+        for v in QUAT_GROUP:
             assert qmul(q, v) != v
 
 
@@ -216,7 +214,7 @@ def test_translates_that_are_no_basis_fail_structure_match(monkeypatch):
 
     monkeypatch.setattr(ch, "_translate_basis", det_two)
     # the lattice models raise on their own determinant; keep them out of this
-    monkeypatch.setattr(ch, "prym_lattice_model", lambda g, node_budget: models[g])
+    monkeypatch.setattr(ch, "prym_lattice_model", lambda g: models[g])
     rep = ch.check_cycle_c_and_basis()
     assert (rep["translate_basis_det"], rep["structure_match"]) == (2, False)
     records = {r.claim_id: r for r in report.run_suite("cover")}
@@ -239,7 +237,7 @@ def test_a_chain_with_a_boundary_raises_before_boundary_zero(monkeypatch):
 def test_chain_c_vector_matches_vertex_pairs():
     graph = ch.build_cover_graph(sh.standard_hom(2))
     vec = ch.chain_c_edge_vector(graph)
-    elems = q8_elements()
+    elems = QUAT_GROUP
     support = set()
     for idx, x in enumerate(vec):
         if x == 0:
@@ -282,11 +280,9 @@ def test_prym_lattice_model_structure(g, module_type, rank):
 def test_deck_blocks_form_a_representation():
     model = ch.prym_lattice_model(2)
     blocks = {q: linalg.frac_mat(m) for q, m in model.a_blocks.items()}
-    for a in q8_elements():
-        for b in q8_elements():
-            assert linalg.mat_eq(
-                linalg.mat_mul(blocks[a], blocks[b]), blocks[qmul(a, b)]
-            )
+    for a in QUAT_GROUP:
+        for b in QUAT_GROUP:
+            assert linalg.mat_mul(blocks[a], blocks[b]) == blocks[qmul(a, b)]
 
 
 def find_dual_intertwiner(a_i, a_j):
@@ -335,7 +331,7 @@ def test_dual_intertwiner_identity_g2():
         a = linalg.frac_mat(model.a_blocks[q])
         lhs = linalg.mat_mul(t, linalg.transpose(linalg.inverse(a)))
         rhs = linalg.mat_mul(a, t)
-        assert linalg.mat_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize(
@@ -358,6 +354,14 @@ def test_lattice_model_normalizes_nonstandard_input():
     assert model.module_type == "(M)^2"
     assert model.normalization_moves > 0
     assert model.symplectic_ok()
+
+
+def test_a_tuple_the_search_leaves_unnormalized_raises(monkeypatch):
+    """A search that stops short of the standard tuple raises; the model
+    of the standard cover is not returned for it."""
+    monkeypatch.setattr(ch, "normalize_hom", lambda h: {"reached": False, "moves": []})
+    with pytest.raises(ValueError, match="could not normalize the tuple within budget"):
+        ch.prym_lattice_model(2, sh.parse_hom(2, "j,i,1,-1"))
 
 
 @pytest.mark.parametrize(

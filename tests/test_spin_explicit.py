@@ -15,7 +15,7 @@ import pytest
 
 from quatprym import lie_engine as le
 from quatprym import spin_explicit as sp
-from quatprym.linalg import identity, mat_add, mat_mul, mat_scale
+from quatprym.linalg import identity, mat_mul
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,14 @@ def rep():
 
 def int_identity(n):
     return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
 
 
 # ------------------------------------------------- independent operators
@@ -58,11 +66,29 @@ def oracle_contract(i):
     return m
 
 
+def oracle_parity():
+    """Matrix of the parity involution: (-1)^#S on e_S."""
+    return [[(-1) ** len(subset) if row == col else 0 for col, subset in enumerate(sp.SUBSETS)]
+            for row in range(8)]
+
+
+def act_matrix(op, g):
+    """The matrix whose column s is the image of e_s under ``sp._act``."""
+    m = [[0] * 8 for _ in range(8)]
+    for col, subset in enumerate(sp.SUBSETS):
+        image = sp._act(op, g, subset)
+        if image:
+            sign, target = image
+            m[sp.SUBSETS.index(target)][col] = sign
+    return m
+
+
 def test_wedge_and_contract_match_oracle():
-    # the module indexes exterior generators 0..2; subsets store 1..3
-    for i in (0, 1, 2):
-        assert sp._wedge_op(i) == oracle_wedge(i + 1)
-        assert sp._contract_op(i) == oracle_contract(i + 1)
+    # the exterior generators are e_1..e_3, as the subsets store them
+    for i in (1, 2, 3):
+        assert act_matrix("wedge", i) == oracle_wedge(i)
+        assert act_matrix("contract", i) == oracle_contract(i)
+    assert act_matrix("parity", 0) == oracle_parity()
 
 
 def test_wedge_contract_anticommutator_is_identity():
@@ -201,6 +227,37 @@ def test_every_candidate_satisfies_the_sample_formula():
         assert not sp._formula_holds(undoubled)
         flipped = {**two_rho, (i, 6): mat_scale(two_rho[(i, 6)], -1)}
         assert not sp._formula_holds(flipped)
+
+
+def oracle_factor(p):
+    """The oracle operator of the so(7) index p: wedge by e_{p+1} for
+    p < 3, contraction of e_{p-2} for p < 6, parity on the axis p = 6."""
+    return oracle_wedge(p + 1) if p < 3 else oracle_contract(p - 2) if p < 6 else oracle_parity()
+
+
+def oracle_scalar(cand, a, b):
+    """The scalar of 2 rho(e_a ^ e_b) = scalar * factor(a) factor(b):
+    2 s1 on wedge-wedge, 2 s2 on contraction-contraction, 2 s3 on
+    wedge-contraction, 2 on wedge-parity and 2 s4 on contraction-parity."""
+    s1, s2, s3, s4, _ = cand
+    if b < 3:
+        return 2 * s1
+    if b < 6:
+        return 2 * s3 if a < 3 else 2 * s2
+    return 2 if a < 3 else 2 * s4
+
+
+def test_assemble_equals_the_oracle_products_on_every_candidate():
+    # the dense products of the frozenset operators, scaled, with the
+    # doubled Cartan shift c on the diagonal of each e_i ^ e_{3+i}
+    for cand in CANDIDATES:
+        two_rho = sp._assemble(*cand)
+        assert list(two_rho) == list(sp.SO7_PAIRS)
+        for a, b in sp.SO7_PAIRS:
+            want = mat_scale(mat_mul(oracle_factor(a), oracle_factor(b)), oracle_scalar(cand, a, b))
+            if a < 3 and b == a + 3:
+                want = mat_add(want, mat_scale(int_identity(8), cand[4]))
+            assert two_rho[(a, b)] == want, (cand, a, b)
 
 
 def dense_bracket_holds(two_rho, x, y) -> bool:

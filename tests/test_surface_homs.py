@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quatprym import surface_homs as sh
-from quatprym.qalg import qinv, qmul
+from quatprym.qalg import QUAT_GROUP, qinv, qmul
 
 
 # ------------------------------------------------------------ word calculus
@@ -94,7 +94,7 @@ def test_surface_relator_shape():
 
 # ----------------------------------------------------- evaluation of words
 
-group_elem = st.sampled_from(sh.GROUP8)
+group_elem = st.sampled_from(QUAT_GROUP)
 
 
 @given(st.lists(group_elem, min_size=4, max_size=4), words, words)
@@ -153,7 +153,7 @@ def test_moves_preserve_validity_and_surjectivity(imgs, data):
 
 def unpack_images(p, g):
     """The inverse of sh.pack_images for a genus-g tuple."""
-    return tuple(sh.GROUP8[p >> 3 * t & 7] for t in range(2 * g))
+    return tuple(QUAT_GROUP[p >> 3 * t & 7] for t in range(2 * g))
 
 
 def compiled_images(h):
@@ -174,7 +174,7 @@ def test_compiled_moves_follow_move_set_order(g):
 
 
 def test_pack_round_trip():
-    for imgs in product(sh.GROUP8, repeat=2):
+    for imgs in product(QUAT_GROUP, repeat=2):
         p = sh.pack_images(imgs)
         assert 0 <= p < 8**2
         assert unpack_images(p, 1) == imgs
@@ -182,7 +182,7 @@ def test_pack_round_trip():
 
 
 def test_compiled_moves_match_apply_move_on_every_genus2_tuple():
-    for imgs in product(sh.GROUP8, repeat=4):
+    for imgs in product(QUAT_GROUP, repeat=4):
         h = sh.HomTuple(2, imgs)
         assert compiled_images(h) == moved_images(h), imgs
 
@@ -190,7 +190,7 @@ def test_compiled_moves_match_apply_move_on_every_genus2_tuple():
 def test_compiled_moves_match_apply_move_on_genus3_sample():
     rng = random.Random(31)
     for _ in range(3000):
-        h = sh.HomTuple(3, tuple(rng.choice(sh.GROUP8) for _ in range(6)))
+        h = sh.HomTuple(3, tuple(rng.choice(QUAT_GROUP) for _ in range(6)))
         assert compiled_images(h) == moved_images(h), h.images
 
 
@@ -263,7 +263,7 @@ def test_census_rejects_unsupported_genus(g):
 
 def test_genus1_has_no_surjections():
     surj = 0
-    for imgs in product(sh.GROUP8, repeat=2):
+    for imgs in product(QUAT_GROUP, repeat=2):
         c = sh.classify_hom(sh.HomTuple(1, imgs))
         if c["valid"] and c["surjective"]:
             surj += 1
@@ -281,7 +281,7 @@ def test_genus2_enumeration_matches_oracles():
 
 def test_genus3_census_matches_oracles():
     valid = surj = 0
-    for imgs in product(sh.GROUP8, repeat=6):
+    for imgs in product(QUAT_GROUP, repeat=6):
         c = sh.classify_hom(sh.HomTuple(3, imgs))
         if c["valid"]:
             valid += 1
@@ -297,7 +297,7 @@ def test_genus3_census_matches_oracles():
 @cache
 def surjective_packed(g):
     """The packed surjective genus-g tuples, found handle by handle through qmul."""
-    comm = {(a, b): qmul(qmul(a, b), qmul(qinv(a), qinv(b))) for a in sh.GROUP8 for b in sh.GROUP8}
+    comm = {(a, b): qmul(qmul(a, b), qmul(qinv(a), qinv(b))) for a in QUAT_GROUP for b in QUAT_GROUP}
     out = []
     for handles in product(comm, repeat=g):
         r = (1, 0)
@@ -349,7 +349,7 @@ def handle_subset(g, kinds):
 def conjugates(p, g):
     """{pack(c_a . x) : a in Q}, x the packed tuple p, through qmul and qinv."""
     x = unpack_images(p, g)
-    return {sh.pack_images([qmul(qmul(a, y), qinv(a)) for y in x]) for a in sh.GROUP8}
+    return {sh.pack_images([qmul(qmul(a, y), qinv(a)) for y in x]) for a in QUAT_GROUP}
 
 
 @cache
@@ -357,9 +357,9 @@ def automorphisms():
     """Aut(Q) by brute force, as dicts: the bijections of Q that fix 1 and
     -1, its only element of order 2, and preserve qmul."""
     out = []
-    for imgs in permutations(sh.GROUP8[2:]):
-        sigma = dict(zip(sh.GROUP8, sh.GROUP8[:2] + imgs))
-        if all(sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]) for x in sh.GROUP8 for y in sh.GROUP8):
+    for imgs in permutations(QUAT_GROUP[2:]):
+        sigma = dict(zip(QUAT_GROUP, QUAT_GROUP[:2] + imgs))
+        if all(sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]) for x in QUAT_GROUP for y in QUAT_GROUP):
             out.append(sigma)
     return out
 
@@ -370,7 +370,7 @@ def aut_perms():
 
 def aut_maps():
     """The permutations of sh._aut_tables() as dicts on Q, in order."""
-    return [{x: sh.GROUP8[perm[n]] for n, x in enumerate(sh.GROUP8)} for perm in aut_perms()]
+    return [{x: QUAT_GROUP[perm[n]] for n, x in enumerate(QUAT_GROUP)} for perm in aut_perms()]
 
 
 def aut_images(p, g):
@@ -460,10 +460,10 @@ def test_aut_tables_are_the_automorphisms():
     assert perms[0] == tuple(range(8))
     maps = aut_maps()
     for sigma in maps:
-        for x, y in product(sh.GROUP8, repeat=2):
+        for x, y in product(QUAT_GROUP, repeat=2):
             assert sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]), sigma
-    assert sorted(perms) == sorted(tuple(sh._POS[s[x]] for x in sh.GROUP8) for s in automorphisms())
-    inner = [{x: qmul(qmul(a, x), qinv(a)) for x in sh.GROUP8} for a in sh.GROUP8[::2]]
+    assert sorted(perms) == sorted(tuple(sh._POS[s[x]] for x in QUAT_GROUP) for s in automorphisms())
+    inner = [{x: qmul(qmul(a, x), qinv(a)) for x in QUAT_GROUP} for a in QUAT_GROUP[::2]]
     assert maps[:4] == inner
 
 
@@ -498,7 +498,7 @@ def surjective_samples(g, count, seed):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        imgs = tuple(rng.choice(sh.GROUP8) for _ in range(2 * g))
+        imgs = tuple(rng.choice(QUAT_GROUP) for _ in range(2 * g))
         h = sh.HomTuple(g, imgs)
         c = sh.classify_hom(h)
         if c["valid"] and c["surjective"]:
