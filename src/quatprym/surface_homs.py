@@ -11,8 +11,9 @@ finite set of free-group automorphisms (each sending R to a conjugate of
 itself) acts on such tuples by precomposition.  This module provides the
 word calculus, the move set, a two-phase normalization to the standard
 surjection, exhaustive enumeration in low genus, and the genus counts
-for the associated covers.  The census and the normalization search run
-on tuples packed into one int, with each move compiled to lookup tables.
+for the associated covers.  Words multiply QUAT_GROUP positions through
+the tables ``_MUL`` and ``_INV``; the census and the normalization search
+run on tuples packed into one int, with each move compiled to lookup tables.
 
 Phase 2 of the normalization is a cached distance table when every
 genus-g tuple fits in the cap, else the bounded breadth-first search.
@@ -31,10 +32,10 @@ g+m is beta_m, and a negative letter is the inverse.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 
 from .config import Budgets
 from .qalg import QUAT_GROUP, qmul, qinv, qparse, qstr
@@ -74,6 +75,12 @@ def surface_relator(g):
 # homomorphism tuples
 
 
+# Q8 by QUAT_GROUP position: _POS[x] is the position of x
+_POS = {x: n for n, x in enumerate(QUAT_GROUP)}
+_MUL = tuple(_POS[qmul(x, y)] for x in QUAT_GROUP for y in QUAT_GROUP)  # [8x + y] = xy
+_INV = tuple(_POS[qinv(x)] for x in QUAT_GROUP)
+
+
 @dataclass(frozen=True)
 class HomTuple:
     """Images of alpha_1..alpha_g, beta_1..beta_g in Q, as (sign, axis)."""
@@ -96,13 +103,13 @@ class HomTuple:
 
 
 def eval_word(h: HomTuple, w) -> tuple:
-    acc = (1, 0)
+    acc = 0  # the position of the product so far
     for x in w:
         if not 1 <= abs(x) <= 2 * h.g:
             raise ValueError(f"generator index {x} out of range for genus {h.g}")
-        img = h.images[abs(x) - 1]
-        acc = qmul(acc, img if x > 0 else qinv(img))
-    return acc
+        v = _POS[h.images[abs(x) - 1]]
+        acc = _MUL[8 * acc + (v if x > 0 else _INV[v])]
+    return QUAT_GROUP[acc]
 
 
 def classify_hom(h: HomTuple) -> dict:
@@ -252,9 +259,6 @@ def verify_psi_in_Ag(g, k) -> bool:
 # reads only the (at most three) input slots its image word names.
 
 
-_POS = {x: n for n, x in enumerate(QUAT_GROUP)}
-_MUL = tuple(_POS[qmul(x, y)] for x in QUAT_GROUP for y in QUAT_GROUP)  # [8x + y] = xy
-_INV = tuple(_POS[qinv(x)] for x in QUAT_GROUP)
 # [8a + b] = a b a^-1 b^-1, the relator of one handle
 _COMM = tuple(_MUL[8 * _MUL[8 * a + b] + _MUL[8 * _INV[a] + _INV[b]]]
               for a in range(8) for b in range(8))
@@ -289,7 +293,8 @@ def _compile_move(mv: Move) -> tuple:
     other output slot (shift1, shift2, shift3, table).  The table maps
     v1 | v2 << 3 | v3 << 6, vk the positions at the input shifts, to the
     output position already shifted into place; missing inputs read the
-    zero bits above the tuple, i.e. +1."""
+    zero bits above the tuple, i.e. +1.  A table is the word's product over
+    all its indices, multiplied through _MUL one letter at a time."""
     g = mv.g
     keep = 0
     slots = []
@@ -301,15 +306,14 @@ def _compile_move(mv: Move) -> tuple:
         if len(srcs) > 3:
             raise ValueError(f"{mv.kind}: image word {word} names more than three generators")
         table = [0] * 8 ** len(srcs)
-        for vals in product(range(8), repeat=len(srcs)):
-            images = [(1, 0)] * (2 * g)
-            index = 0
-            for k, (t, v) in enumerate(zip(srcs, vals)):
-                images[t] = QUAT_GROUP[v]
-                index |= v << 3 * k
-            table[index] = _POS[eval_word(HomTuple(g, tuple(images)), word)] << 3 * s
+        for x in word:
+            if not 1 <= abs(x) <= 2 * g:
+                raise ValueError(f"generator index {x} out of range for genus {g}")
+            k = 3 * srcs.index(abs(x) - 1)
+            signed = range(8) if x > 0 else _INV
+            table = [_MUL[8 * acc + signed[i >> k & 7]] for i, acc in enumerate(table)]
         shifts = [3 * t for t in srcs] + [6 * g] * (3 - len(srcs))
-        slots.append((*shifts, tuple(table)))
+        slots.append((*shifts, tuple(v << 3 * s for v in table)))
     return keep, tuple(slots)
 
 
@@ -541,7 +545,10 @@ def enumerate_surjections(g) -> EnumReport:
 
     Tuples are built handle by handle on packed ints: the relator is the
     product of the handle commutators, read from ``_COMM``, and a tuple is
-    surjective when its images meet at least two of the axes i, j, k.
+    surjective when its images meet at least two of the axes i, j, k.  The
+    counts multiply the sizes of the inner prefixes and outer pairs grouped
+    by (relator, axes met); the surjections stream to the orbit search,
+    which stops once its passes have labelled them all (24 |reps| each).
 
     The orbits are searched over Aut(Q)-classes.  (1) A move acts by
     precomposition, so it commutes with composing by any automorphism s;
@@ -572,28 +579,31 @@ def enumerate_surjections(g) -> EnumReport:
     last = {}  # the outer handle's pairs grouped by (commutator, axes met)
     for q, c, y in outer:
         last.setdefault((c, y), []).append(q)
-    valid = 0
-    surjective = []
-    for p, r, x in prefixes:
+    valid = surjective = 0
+    for (r, x), n in Counter((r, x) for _, r, x in prefixes).items():
         for (c, y), qs in last.items():
             if _MUL[8 * r + c] == 0:
-                valid += len(qs)
-                if _AXIS_COUNT[x | y] >= 2:
-                    surjective.extend([p | q for q in qs])
+                valid += n * len(qs)
+                surjective += n * len(qs) * (_AXIS_COUNT[x | y] >= 2)
+    seeds = (p | q for p, r, x in prefixes for (c, y), qs in last.items()
+             if _MUL[8 * r + c] == 0 and _AXIS_COUNT[x | y] >= 2 for q in qs)
     _, compiled = _compiled_moves(g)
     handle = compiled[:len(handle_moves(g))]
-    orbit_sizes, standard_orbit = [], 0
+    orbit_sizes, standard_orbit, labelled = [], 0, 0
     std = pack_images(standard_hom(g).images) if g >= 2 else 0  # 0 is not surjective
     labels = bytearray(8 ** (2 * g))
-    for reps, stab in _orbits(surjective, handle, labels):
+    for reps, stab in _orbits(seeds, handle, labels):
         orbit_sizes += [len(reps) * len(stab)] * (24 // len(stab))
         if labels[std] and not standard_orbit:
             standard_orbit = len(reps) * len(stab)
+        labelled += 24 * len(reps)
+        if labelled == surjective:
+            break
     return EnumReport(
         genus=g,
         total=8 ** (2 * g),
         valid=valid,
-        surjective=len(surjective),
+        surjective=surjective,
         orbit_sizes=tuple(sorted(orbit_sizes, reverse=True)),
         standard_orbit_size=standard_orbit,
     )

@@ -146,6 +146,8 @@ cases = [
     ("HomTuple image", lambda: sh.HomTuple(2, ((1, 5), (1, 1), (1, 2), (1, 0)))),
     ("standard_hom", lambda: sh.standard_hom(1)),
     ("apply_move", lambda: sh.apply_move(sh.standard_hom(2), sh.move_set(3)[0])),
+    ("eval_word", lambda: sh.eval_word(sh.standard_hom(2), (1, 5))),
+    ("_compile_move", lambda: sh._compile_move(sh.Move("WIDE", 2, ((1, 2, 3, 4), (2,), (3,), (4,))))),
     ("normalize_hom phase 1", phase1_without_flips),
     ("substitute", lambda: cm.PolyGauss.const(2, cm.G1).substitute([cm.X])),
     ("reduce_mod_curve", lambda: cm.reduce_mod_curve(cm.PolyGauss.const(3, cm.G1))),
@@ -249,6 +251,8 @@ def test_checks_raise_under_python_O():
         "HomTuple image ValueError image (1, 5) is not an element of Q8",
         "standard_hom ValueError genus must be at least 2",
         "apply_move ValueError move of genus 3 applied to a genus-2 tuple",
+        "eval_word ValueError generator index 5 out of range for genus 2",
+        "_compile_move ValueError WIDE: image word (1, 2, 3, 4) names more than three generators",
         "normalize_hom phase 1 RuntimeError "
         "phase-1 program left -1,i,j,1,1,1, not the standard tuple",
         "substitute ValueError substitute needs 2 polynomials, got 1",

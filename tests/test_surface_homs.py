@@ -7,6 +7,12 @@ and one degree-2), and the non-surjective count from inclusion and
 exclusion over the three maximal cyclic subgroups.  The same counts in
 closed form (Mednykh; Hall's Moebius inversion) gate the packed census.
 
+``eval_word`` multiplies through the position tables; it is gated
+against the fold of qmul and qinv kept here as the oracle.  The census's
+closed-form counts are gated against the character formula and the
+surjections listed here through qmul, and the seeds it streams against
+that list.
+
 The packed move tables and the packed normalization search are gated
 against the tuple-level path: ``apply_move`` on HomTuples, and a
 breadth-first search over HomTuples kept here as the oracle.  The
@@ -19,6 +25,7 @@ automorphism tables against a brute-force search for Aut(Q) through qmul.
 
 import random
 import re
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from functools import cache
@@ -110,6 +117,32 @@ def test_eval_word_respects_inverses(imgs, w):
     assert sh.eval_word(h, sh.inv_word(w)) == qinv(sh.eval_word(h, w))
 
 
+def eval_word_oracle(h, w):
+    """eval_word as a fold of qmul and qinv over the images."""
+    acc = (1, 0)
+    for x in w:
+        img = h.images[abs(x) - 1]
+        acc = qmul(acc, img if x > 0 else qinv(img))
+    return acc
+
+
+def test_eval_word_matches_the_qmul_fold_on_every_genus2_tuple():
+    rng = random.Random(43)
+    letters = [-4, -3, -2, -1, 1, 2, 3, 4]
+    ws = [(), (-1,), (2, -2), sh.surface_relator(2)]
+    ws += [tuple(rng.choice(letters) for _ in range(rng.randrange(1, 9))) for _ in range(20)]
+    assert sum(x < 0 for w in ws for x in w) > 20
+    for imgs in product(QUAT_GROUP, repeat=4):
+        h = sh.HomTuple(2, imgs)
+        assert [sh.eval_word(h, w) for w in ws] == [eval_word_oracle(h, w) for w in ws], imgs
+
+
+@pytest.mark.parametrize("x", [0, 5, -5])
+def test_eval_word_rejects_letters_out_of_range(x):
+    with pytest.raises(ValueError, match=f"generator index {x} out of range for genus 2"):
+        sh.eval_word(sh.standard_hom(2), (1, x))
+
+
 # ----------------------------------------------------------------- moves
 
 
@@ -196,7 +229,14 @@ def test_compiled_moves_match_apply_move_on_genus3_sample():
 
 def test_compile_rejects_words_on_four_generators():
     mv = sh.Move("WIDE", 2, ((1, 2, 3, 4), (2,), (3,), (4,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="names more than three generators"):
+        sh._compile_move(mv)
+
+
+@pytest.mark.parametrize("x", [0, 5, -5])
+def test_compile_rejects_letters_out_of_range(x):
+    mv = sh.Move("OUT", 2, ((1, x), (2,), (3,), (4,)))
+    with pytest.raises(ValueError, match=f"generator index {x} out of range for genus 2"):
         sh._compile_move(mv)
 
 
@@ -303,7 +343,7 @@ def surjective_packed(g):
         r = (1, 0)
         for pair in handles:
             r = qmul(r, comm[pair])
-        alphas, betas = zip(*handles)
+        alphas, betas = zip(*handles) if handles else ((), ())
         if r == (1, 0) and len({a for _, a in alphas + betas if a}) >= 2:
             out.append(sh.pack_images(alphas + betas))
     return tuple(out)
@@ -416,7 +456,47 @@ def test_census_is_the_full_search_at_genus2():
 def test_census_is_the_full_search_at_genus3():
     _, compiled = sh._compiled_moves(3)
     rep = sh.enumerate_surjections(3)
+    assert rep.surjective == len(surjective_packed(3))
     assert rep.orbit_sizes == full_orbit_sizes(surjective_packed(3), compiled) == (120960,)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_census_counts_are_the_closed_forms(g):
+    rep = sh.enumerate_surjections(g)
+    assert rep.valid == 8 * sum(Fraction(8, d) ** (2 * g - 2) for d in (1, 1, 1, 1, 2))
+    assert rep.surjective == len(surjective_packed(g))
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_census_streams_each_surjection_once_and_stops_when_all_are_labelled(g, monkeypatch):
+    real, streams, drawn = sh._orbits, [], []
+
+    def spy(tuples, handle, labels):
+        streams.append(tuples)
+        return real((drawn.append(q) or q for q in tuples), handle, labels)
+
+    monkeypatch.setattr(sh, "_orbits", spy)
+    sh.enumerate_surjections(g)
+    [stream] = streams
+    seeds = drawn + list(stream)  # what the search drew, then the rest
+    assert len(seeds) == len(set(seeds))
+    assert set(seeds) == set(surjective_packed(g))
+    # genus 2 and 3 have one orbit, so its pass labels every surjection
+    assert len(drawn) == (1 if g >= 2 else 0)
+
+
+def test_census_peak_memory_stays_under_2_mb():
+    """The census lists no tuples: its peak is the labels bytearray (8^6
+    bytes), the handle prefixes and the class representatives."""
+    sh._aut_tables()
+    sh._compiled_moves(3)
+    tracemalloc.start()
+    try:
+        sh.enumerate_surjections(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # the orders of the passes' stabilizers, which include non-normal ones (8)
