@@ -9,10 +9,13 @@ which -1 acts as -1, and assembles the rank-8(g-1) symplectic lattice
 model diag(A(q), transpose(A(q^{-1}))) together with an explicit basis
 exhibiting its module structure over the integer quaternions: one
 Hurwitz-order block from an 8-term cycle and its translates, and one
-free block per extra handle.  With the standard form J, the model's
-``symplectic_ok`` holds exactly when A(q^{-1}) A(q) = I for every q,
-that is, when the blocks form a representation; it does not compute an
-intersection form.
+free block per extra handle.  The blocks must equal the left
+multiplications that ``OrderLattice.left_mult`` reads off the structure
+constants of the Hurwitz order, in the basis (1, i, j, zeta) that the
+translates follow, and of the Lipschitz order, in (1, i, j, k).  With
+the standard form J, the model's ``symplectic_ok`` holds exactly when
+A(q^{-1}) A(q) = I for every q, that is, when the blocks form a
+representation; it does not compute an intersection form.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import identity, mat_mul, transpose
-from .qalg import HAMILTON, QUAT_GROUP, basis_elems, left_mult_matrix, qinv, qmul, qstr
+from .qalg import HAMILTON, QUAT_GROUP, OrderLattice, basis_elems, qinv, qmul, qstr
 from .surface_homs import HomTuple, classify_hom, standard_hom, normalize_hom
 
 _VINDEX = {q: t for t, q in enumerate(QUAT_GROUP)}  # vertex t is QUAT_GROUP[t]
@@ -240,21 +243,9 @@ def chain_c_edge_vector(graph: CoverGraph):
 
 
 _ONE, _I, _J, _K = basis_elems(HAMILTON)
-# Z-bases of the Hurwitz order M and of the Lipschitz order H_Z
-_ORDER_BASES = {
-    "Hurwitz": (_ONE, _I, _J, (_ONE + _I + _J + _K).scale(Fraction(1, 2))),
-    "Lipschitz": (_ONE, _I, _J, _K),
-}
-
-
-def _left_mult(q, order):
-    """Integer matrix of left multiplication by the group element q on
-    the order named ``order``, in its basis in _ORDER_BASES."""
-    s, a = q
-    m = left_mult_matrix((_ONE, _I, _J, _K)[a].scale(s), _ORDER_BASES[order])
-    if any(v.denominator != 1 for row in m for v in row):
-        raise ValueError(f"left multiplication by {qstr(q)} is not integral on the {order} order")
-    return [[v.numerator for v in row] for row in m]
+# the Hurwitz order M and the Lipschitz order H_Z, in the bases of the blocks
+_HURWITZ = OrderLattice(HAMILTON, (_ONE, _I, _J, (_ONE + _I + _J + _K).scale(Fraction(1, 2))))
+_LIPSCHITZ = OrderLattice(HAMILTON, (_ONE, _I, _J, _K))
 
 
 def _translate_basis(h1: H1Data, vm: IntLattice, extra=()):
@@ -290,7 +281,7 @@ def _module_structure_matches(actions, n_free):
     copies of the Lipschitz order."""
     return all(
         actions[q]
-        == linalg.block_diag([_left_mult(q, "Hurwitz")] + [_left_mult(q, "Lipschitz")] * n_free)
+        == linalg.block_diag([_HURWITZ.left_mult(q)] + [_LIPSCHITZ.left_mult(q)] * n_free)
         for q in ((1, 1), (1, 2))
     )
 

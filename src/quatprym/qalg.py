@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import frac_mat, inverse, mat_mul, mat_vec
+from .linalg import frac_mat, inverse, mat_vec
 
 Q1 = Fraction(1)
 
@@ -119,24 +119,15 @@ def basis_elems(params):
     return one, i, j, k
 
 
-def left_mult_matrix(x, basis):
-    """Matrix of y -> x * y on B, columns in the 4-element ``basis``: on
-    1, i, j, k, L(x) read off r, s and the coordinates of x (an int matrix
-    when all six are integral), else B^-1 L(x) B for B the matrix of the
-    basis coordinates.  Raises ValueError unless the basis is four
-    linearly independent elements of the algebra of x."""
+def left_mult_matrix(x):
+    """Matrix of y -> x * y on B in the basis 1, i, j, k, read off r, s
+    and the coordinates of x: an int matrix when all six are integral."""
     r, s = _int_if_integral(x.params.r), _int_if_integral(x.params.s)
     a, b, c, d = map(_int_if_integral, x.coords())
-    lx = [[a, r * b, s * c, -r * s * d],
-          [b, a, s * d, -s * c],
-          [c, -r * d, a, r * b],
-          [d, -c, b, a]]
-    basis = tuple(basis)
-    for e in basis:
-        x._same_algebra(e)
-    if basis == basis_elems(x.params):
-        return lx
-    return mat_mul(mat_mul(_basis_inverse(basis), lx), _basis_matrix(basis))
+    return [[a, r * b, s * c, -r * s * d],
+            [b, a, s * d, -s * c],
+            [c, -r * d, a, r * b],
+            [d, -c, b, a]]
 
 
 def _basis_matrix(basis):
@@ -261,6 +252,14 @@ class OrderLattice:
             )
             self._index_constants = units + gram
         return self._index_constants
+
+    def left_mult(self, q):
+        """Int matrix of left multiplication by q = (sign, axis) of Q8 in
+        the basis: sign times forms 4 axis .. 4 axis + 3 of
+        ``_left_ideal_constants``, whose column t is the coordinates of
+        axis * b_t.  Raises ValueError as they do."""
+        s, a = q
+        return [[s * v for v in row] for row in self._left_ideal_constants()[4 * a : 4 * a + 4]]
 
 
 def _int_if_integral(x):

@@ -5,7 +5,11 @@ x3 x6, so e1..e3 and e4..e6 span dual isotropic subspaces R and R'.
 With Q(v) = v.B.v, the module works with the Gram form G = 2B, whose
 entries are 1 (pairing e_i with e_{3+i}) and 2 (on e7).  so(7) is
 identified with wedge^2 C^7 acting by (a^b) v = G(b,v) a - G(a,v) b,
-so every basis action is an int matrix.  The spinor space is
+so its brackets are read off G (``so7_bracket``):
+
+    [a^b, c^d] = G(b,c) a^d - G(a,c) b^d - G(b,d) a^c + G(a,d) b^c,
+
+with p^q = -q^p and p^p = 0, all in ints.  The spinor space is
 S = wedge^*(R), dimension 8.
 
 The entries of the spin representation rho lie in (1/2)Z, so the
@@ -54,14 +58,6 @@ for _i in range(3):
 GRAM[6][6] = 2
 
 
-def _partner(p):
-    if p < 3:
-        return p + 3
-    if p < 6:
-        return p - 3
-    return 6
-
-
 def _act(op, g, sub):
     """One operator on the spinor e_sub (``sub`` in ``SUBSETS``): wedge
     by e_g, contraction of e_g (the pairing of e_{3+g} against it), or
@@ -85,40 +81,24 @@ _FACTORS = (("wedge", 1), ("wedge", 2), ("wedge", 3),
 SO7_PAIRS = tuple((a, b) for a in range(7) for b in range(a + 1, 7))
 
 
-def so7_action_matrix(a, b):
-    """The 7x7 int matrix of e_a ^ e_b acting by v -> G(b,v)a - G(a,v)b."""
-    m = [[0] * 7 for _ in range(7)]
-    m[a] = list(GRAM[b])
-    m[b] = [-x for x in GRAM[a]]
-    return m
-
-
-def matrix_to_pair_coeffs(m):
-    """Inverse of so7_action_matrix on its image: coefficients c_{ab}
-    with m = sum c_{ab} so7_action_matrix(a,b); raises ValueError if m
-    is outside that image.  Each c_{ab} is read off an entry that no
-    other basis action touches: the 1 of e_a ^ e_b at row a, column
-    partner(b) for b < 6, and its -1 at row 6, column partner(a) for
-    b = 6."""
-    coeffs = {
-        (a, b): m[a][_partner(b)] if b < 6 else -m[6][_partner(a)]
-        for a, b in SO7_PAIRS
-    }
-    recon = [[0] * 7 for _ in range(7)]
-    for pair, c in coeffs.items():
-        if c:
-            _add_scaled(recon, _SO7_ENTRIES[pair], c)
-    if recon != m:
-        raise ValueError("matrix is outside the span of the basis actions")
-    return coeffs
+def so7_bracket(x, y) -> dict:
+    """[x, y] for basis elements x = e_a ^ e_b and y = e_c ^ e_d, as
+    {pair of ``SO7_PAIRS``: int coefficient} without zeros, by the
+    formula of the module docstring."""
+    (a, b), (c, d) = x, y
+    out = {}
+    for g, p, q in ((GRAM[b][c], a, d), (-GRAM[a][c], b, d),
+                    (-GRAM[b][d], a, c), (GRAM[a][d], b, c)):
+        if g and p != q:
+            if p > q:
+                p, q, g = q, p, -g
+            out[p, q] = out.get((p, q), 0) + g
+    return {pair: coef for pair, coef in out.items() if coef}
 
 
 def _entries(m):
     """Per row of a matrix, the (column, entry) pairs of its nonzero entries."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
-
-
-_SO7_ENTRIES = {pair: _entries(so7_action_matrix(*pair)) for pair in SO7_PAIRS}
 
 
 def _add_scaled(acc, entries, c):
@@ -204,15 +184,14 @@ BRACKET_PAIRS = tuple(combinations(SO7_PAIRS, 2))
 def bracket_failures(two_rho) -> list:
     """The pairs (x, y) of ``BRACKET_PAIRS``, in order, where [rho(x),
     rho(y)] = rho([x, y]) fails.  On the doubled matrices, with [x, y] =
-    sum c pair, it reads [2rho(x), 2rho(y)] = 2 sum c 2rho(pair); both
-    sides are products of nonzero entries only."""
+    sum c pair from ``so7_bracket``, it reads [2rho(x), 2rho(y)] = 2 sum
+    c 2rho(pair); both sides are products of nonzero entries only."""
     rho = {pair: _entries(m) for pair, m in two_rho.items()}
     failures = []
     for x, y in BRACKET_PAIRS:
         rhs = [[0] * 8 for _ in range(8)]
-        for pair, c in matrix_to_pair_coeffs(_commutator(_SO7_ENTRIES[x], _SO7_ENTRIES[y])).items():
-            if c:
-                _add_scaled(rhs, rho[pair], 2 * c)
+        for pair, c in so7_bracket(x, y).items():
+            _add_scaled(rhs, rho[pair], 2 * c)
         if _commutator(rho[x], rho[y]) != rhs:
             failures.append((x, y))
     return failures

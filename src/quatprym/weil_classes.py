@@ -5,7 +5,8 @@ space, with the definite quaternion algebra F = (r, s | Q) acting by
 left multiplication in each coordinate; integer r and s give int
 matrices.  An element b of F induces a derivation D_b of the exterior
 algebra (``linalg.wedge_derivation``): the differential of the group
-action of F* on wedge^{2n} V (``exterior_action``).
+action of F* on wedge^{2n} V (``exterior_action``), held as the sparse
+columns of ``derivation_columns`` with no dense matrix formed.
 
 Over C, V splits into the eigenspaces V_sigma and V_sigmabar of i for
 the eigenvalues sqrt(r) and -sqrt(r), each of dimension 2n, and
@@ -69,7 +70,7 @@ class HModel:
         if n < 1:
             raise ValueError("n must be a positive integer")
         basis = basis_elems(params)
-        mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x, basis)] * n)))
+        mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x)] * n)))
                       for x in basis[1:])
         model = HModel(params=params, n=n, mat_i=mi, mat_j=mj, mat_k=mk)
         model._check()
@@ -116,7 +117,7 @@ class SubspaceQ:
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
 
     def image(self, cols) -> "SubspaceQ":
-        """Image under the map with sparse columns ``cols`` (``_columns``)."""
+        """Image under the map with sparse columns ``cols`` (``derivation_columns``)."""
         img = []
         for row in self.rows:
             acc = [0] * self.ambient
@@ -126,11 +127,6 @@ class SubspaceQ:
                         acc[p] += x * y
             img.append(acc)
         return SubspaceQ.from_vectors(img, self.ambient)
-
-
-def _columns(mat):
-    """The (row, entry) pairs of the nonzero entries of each column of mat."""
-    return [[(p, x) for p, x in enumerate(col) if x] for col in zip(*mat)]
 
 
 def _wedge_basis(d: int, k: int):
@@ -173,25 +169,26 @@ def exterior_action(mat, k: int):
     return out
 
 
-def derivation_action(mat, k: int):
-    """Matrix of the induced derivation on wedge^k, lexicographic subset
-    basis; an int matrix gives an int matrix."""
+def derivation_columns(mat, k: int):
+    """The induced derivation on wedge^k as sparse columns, one per
+    k-subset of ``_wedge_basis``: the (row, entry) pairs of its image,
+    read off ``wedge_derivation``; an int matrix gives int entries."""
     subsets = _wedge_basis(len(mat), k)
     index = {s: t for t, s in enumerate(subsets)}
-    out = [[0] * len(subsets) for _ in subsets]
-    for srcpos, src in enumerate(subsets):
-        for tgt, c in wedge_derivation(mat, src).items():
-            out[index[tgt]][srcpos] = c
-    return out
+    return [[(index[tgt], c) for tgt, c in wedge_derivation(mat, src).items()] for src in subsets]
 
 
 def weil_kernel(model: HModel) -> SubspaceQ:
-    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}."""
-    di = derivation_action(model.mat_i, 2 * model.n)
-    m = mat_mul(di, di)
+    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}: column t of D_i^2 is D_i
+    applied to the sparse column t of D_i."""
+    cols = derivation_columns(model.mat_i, 2 * model.n)
     shift = 4 * model.n**2 * model.params.r
-    for t, row in enumerate(m):
-        row[t] -= shift
+    m = [[0] * len(cols) for _ in cols]
+    for t, col in enumerate(cols):
+        m[t][t] -= shift
+        for p, x in col:
+            for q, y in cols[p]:
+                m[q][t] += x * y
     return SubspaceQ.from_vectors(nullspace(m), len(m))
 
 
@@ -201,7 +198,7 @@ def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     current span under all three; the first round that adds no dimension
     ends the loop."""
     k = 2 * model.n
-    ders = [_columns(derivation_action(m, k)) for m in (model.mat_i, model.mat_j, model.mat_k)]
+    ders = [derivation_columns(m, k) for m in (model.mat_i, model.mat_j, model.mat_k)]
     span = wk
     while True:
         grown = span

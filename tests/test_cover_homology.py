@@ -369,7 +369,7 @@ def test_a_tuple_the_search_leaves_unnormalized_raises(monkeypatch):
     [
         ("IntLattice.coords", lambda self, vec: None, "explicit basis left the minus part"),
         ("linalg.int_det", lambda m: 2, "do not form a basis of the minus part"),
-        ("_left_mult", lambda q, order: [[int(i == j) for j in range(4)] for i in range(4)],
+        ("OrderLattice.left_mult", lambda self, q: [[int(i == j) for j in range(4)] for i in range(4)],
          "module structure constants do not match"),
     ],
 )

@@ -98,13 +98,17 @@ def phase1_without_flips():
 i_field = qalg.KNum.make(-1, 1, 1)
 w_field = qalg.KNum.make(-3, 1, 1)
 other_algebra = qalg.QuatElem.make(qalg.AlgebraParams.make(-1, -3), 1)
+one, i, j, k = qalg.basis_elems(qalg.HAMILTON)
+two_i_lattice = qalg.OrderLattice(qalg.HAMILTON, (one, i.scale(2), j, k))  # i * 1 is not in it
 
 
 cases = [
     ("hurwitz_index_identity", lambda: qalg.hurwitz_index_identity(third)),
     ("index_mismatches", lambda: qalg.index_mismatches(
         qalg.hurwitz_order(), [(1, 0, 0, 0), (Fraction(1, 2), 0, 0, 0)])),
-    ("left_mult_matrix", lambda: qalg.left_mult_matrix(third, (third,) * 4)),
+    ("coords_in_basis", lambda: qalg.coords_in_basis(third, (third,) * 4)),
+    ("OrderLattice", lambda: qalg.OrderLattice(qalg.HAMILTON, (third,) * 4)),
+    ("OrderLattice.left_mult", lambda: two_i_lattice.left_mult((1, 1))),
     ("wedderburn character value",
      lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 3 * d))),
     ("wedderburn character", lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 2 * d))),
@@ -130,7 +134,6 @@ cases = [
     ("parse A0", lambda: le.AlgebraType.parse("A0")),
     ("parse D1", lambda: le.AlgebraType.parse("D1")),
     ("factor C2", lambda: le.SimpleFactor("C", 2)),
-    ("matrix_to_pair_coeffs", lambda: sp.matrix_to_pair_coeffs(linalg.identity(7))),
     ("so7_invariant 7 monomials",
      lambda: spin_with("weight_zero_monomials", lambda r: sp.MONOMIALS[:7])),
     ("so7_invariant lead 0",
@@ -168,9 +171,6 @@ cases = [
         linalg, "integer_kernel", lambda real: lambda a: [[1] + [0] * (len(a) - 1)],
         lambda: ch.minus_part(ch.H1Data(g2)))),
     ("chain_c_edge_vector", lambda: ch.chain_c_edge_vector(all_loops)),
-    ("_left_mult", lambda: patched(
-        ch, "left_mult_matrix", lambda real: lambda x, basis: [[Fraction(1, 2)]],
-        lambda: ch._left_mult((1, 1), "Hurwitz"))),
     ("_actions_in_basis", half_index_actions),
     ("check_cycle_c_and_basis", lambda: ch.check_cycle_c_and_basis(sh.standard_hom(3))),
     ("model genus", lambda: ch.prym_lattice_model(4)),
@@ -194,7 +194,8 @@ cases = [
     ("model basis", lambda: patched(
         linalg, "int_det", lambda real: lambda m: 2, lambda: ch.prym_lattice_model(2))),
     ("model structure", lambda: patched(
-        ch, "_left_mult", lambda real: lambda q, order: eye4, lambda: ch.prym_lattice_model(2))),
+        ch.OrderLattice, "left_mult", lambda real: lambda self, q: eye4,
+        lambda: ch.prym_lattice_model(2))),
     ("_self_loop_vec", lambda: ch._self_loop_vec(g2, 0, 1)),
 ]
 for name, call in cases:
@@ -215,7 +216,9 @@ def test_checks_raise_under_python_O():
         "debug False",
         "hurwitz_index_identity ValueError element is not in the order",
         "index_mismatches ValueError element is not in the order",
-        "left_mult_matrix ValueError basis is linearly dependent",
+        "coords_in_basis ValueError basis is linearly dependent",
+        "OrderLattice ValueError basis is linearly dependent",
+        "OrderLattice.left_mult ValueError lattice is not stable under left multiplication by i, j, k",
         "wedderburn character value RuntimeError 2-dim character value 2/3 on class 0 "
         "is not an integer",
         "wedderburn character RuntimeError 2-dim character [1, -1, 0, 0, 0], "
@@ -237,7 +240,6 @@ def test_checks_raise_under_python_O():
         "parse A0 ValueError rank 0 is too small for family A",
         "parse D1 ValueError rank 1 is too small for family D",
         "factor C2 ValueError unknown family 'C'; know A, B, D",
-        "matrix_to_pair_coeffs ValueError matrix is outside the span of the basis actions",
         "so7_invariant 7 monomials SpinConstructionError "
         "weight-zero subspace has dimension 7, expected 8",
         "so7_invariant lead 0 SpinConstructionError "
@@ -270,7 +272,6 @@ def test_checks_raise_under_python_O():
         "coords_of_cycle ValueError cycle outside the fundamental span",
         "minus_part ValueError minus-part basis vector is not negated by -1",
         "chain_c_edge_vector ValueError segment 1 -> i is not an edge",
-        "_left_mult ValueError left multiplication by i is not integral on the Hurwitz order",
         "_actions_in_basis ValueError action of i on the explicit basis is not integral",
         "check_cycle_c_and_basis ValueError cycle check is a genus-2 computation",
         "model genus ValueError lattice model implemented for genus 2 and 3 only",

@@ -202,18 +202,14 @@ def test_order_rejects_a_dependent_basis():
         qalg.OrderLattice(HAMILTON, (one, i, j))
     for dependent in ((one, i, j, one + i), (one, i, j, quat(HAMILTON, 0, 0, 0, 0))):
         with pytest.raises(ValueError, match="linearly dependent"):
-            qalg.left_mult_matrix(i, dependent)
-        with pytest.raises(ValueError, match="linearly dependent"):
             qalg.coords_in_basis(i, dependent)
     with pytest.raises(ValueError, match="needs 4 elements"):
-        qalg.left_mult_matrix(i, (one, i, j))
-    with pytest.raises(ValueError, match="mixed algebras"):
-        qalg.left_mult_matrix(quat(MINUS13, 0, 1, 0, 0), qalg.basis_elems(HAMILTON))
+        qalg.coords_in_basis(i, (one, i, j))
 
 
 def solve_per_column(x, basis):
-    """The computation ``left_mult_matrix`` replaced: one rational solve
-    for the coordinates of each product x * b."""
+    """Left multiplication by x in ``basis`` the slow way: one rational
+    solve for the coordinates of each product x * b."""
     basis_matrix = linalg.frac_mat([[b.coords()[t] for b in basis] for t in range(4)])
     cols = [linalg.solve(basis_matrix, list((x * b).coords())) for b in basis]
     return [list(row) for row in zip(*cols)]
@@ -227,56 +223,49 @@ def random_elements(params, rng, count):
     return [quat(params, *(random_rational(rng) for _ in range(4))) for _ in range(count)]
 
 
-def structured_bases():
-    """(basis, elements): the standard bases of B(-1, -1) and B(-1, -3),
-    two Hurwitz bases and the Lipschitz basis, each with the group
-    elements +-1, +-i, +-j, +-k and seeded rational elements."""
+def test_left_mult_matrix_matches_a_solve_per_column():
+    # on 1, i, j, k of both algebras: +-1, +-i, +-j, +-k and seeded
+    # rational elements
     rng = random.Random(25)
-    out = []
+    checked = 0
     for params in (HAMILTON, MINUS13):
         units = qalg.basis_elems(params)
-        elements = [u.scale(t) for u in units for t in (1, -1)] + random_elements(params, rng, 20)
-        out.append((units, elements))
-    one, i, j, k = units = qalg.basis_elems(HAMILTON)
-    zeta = (one + i + j + k).scale(Fraction(1, 2))
-    elements = [u.scale(t) for u in units for t in (1, -1)] + random_elements(HAMILTON, rng, 20)
-    out += [((one, i, j, zeta), elements), (hurwitz_order().basis, elements), (hz_order().basis, elements)]
-    return out
-
-
-def random_bases(count=200, seed=25):
-    """(basis, element) pairs: seeded nonsingular rational bases of
-    B(-1, -1) and B(-1, -3), each with a random element."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        params = rng.choice((HAMILTON, MINUS13))
-        basis = tuple(random_elements(params, rng, 4))
-        if linalg.det(linalg.frac_mat([b.coords() for b in basis])):
-            out.append((basis, random_elements(params, rng, 1)))
-    return out
-
-
-@pytest.mark.parametrize("bases", [structured_bases, random_bases], ids=["structured", "random"])
-def test_left_mult_matrix_matches_a_solve_per_column(bases):
-    checked = 0
-    for basis, elements in bases():
-        for x in elements:
-            got = qalg.left_mult_matrix(x, basis)
-            assert got == solve_per_column(x, basis)
-            for b, col in zip(basis, zip(*got)):
-                assert list(col) == qalg.coords_in_basis(x * b, basis)
+        for x in [u.scale(t) for u in units for t in (1, -1)] + random_elements(params, rng, 20):
+            got = qalg.left_mult_matrix(x)
+            assert got == solve_per_column(x, units)
+            for b, col in zip(units, zip(*got)):
+                assert list(col) == qalg.coords_in_basis(x * b, units)
             checked += 1
-    assert checked == (5 * 28 if bases is structured_bases else 200)
+    assert checked == 2 * 28
 
 
 def test_left_mult_matrix_on_one_i_j_k_is_int_for_integral_input():
     for params in (HAMILTON, MINUS13):
         units = qalg.basis_elems(params)
         for x in units + (quat(params, 2, -1, 3, 5),):
-            assert all(type(v) is int for row in qalg.left_mult_matrix(x, units) for v in row)
-        half = qalg.left_mult_matrix(quat(params, Fraction(1, 2), 1, 0, 0), units)
+            assert all(type(v) is int for row in qalg.left_mult_matrix(x) for v in row)
+        half = qalg.left_mult_matrix(quat(params, Fraction(1, 2), 1, 0, 0))
         assert half[0][0] == Fraction(1, 2) and type(half[0][1]) is int
+
+
+def order_bases():
+    """The Hurwitz basis in the orders (1, i, j, zeta) of the cover blocks
+    and (zeta, i, j, k) of ``hurwitz_order``, and the Lipschitz basis."""
+    one, i, j, k = qalg.basis_elems(HAMILTON)
+    zeta = (one + i + j + k).scale(Fraction(1, 2))
+    return [(one, i, j, zeta), hurwitz_order().basis, (one, i, j, k)]
+
+
+@pytest.mark.parametrize("basis", order_bases(), ids=["hurwitz-1ijz", "hurwitz-zijk", "lipschitz"])
+def test_order_left_mult_matches_the_coordinates_per_column(basis):
+    order = qalg.OrderLattice(HAMILTON, basis)
+    units = qalg.basis_elems(HAMILTON)
+    for s, a in QUAT_GROUP:
+        x = units[a].scale(s)
+        got = order.left_mult((s, a))
+        assert got == [list(col) for col in zip(*(qalg.coords_in_basis(x * b, basis) for b in basis))]
+        assert got == solve_per_column(x, basis)
+        assert all(type(v) is int for row in got for v in row)
 
 
 def index_oracle(m, order):
@@ -368,6 +357,8 @@ def test_index_identity_rejects_a_lattice_not_stable_under_i_j_k():
         qalg.left_ideal_index(lattice, (1, 0, 0, 0))
     with pytest.raises(ValueError, match="not stable under left multiplication"):
         hurwitz_index_identity(one, lattice)
+    with pytest.raises(ValueError, match="not stable under left multiplication"):
+        lattice.left_mult((1, 0))
 
 
 def leibniz_det(m):

@@ -1,6 +1,7 @@
 """End-to-end runs of the experiment scripts in scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +47,8 @@ def test_orbit_survey_genus_2():
 def test_orbit_survey_genus_3():
     lines = run_script("orbit_survey.py", "--genus", "3").stdout.splitlines()
     assert lines[0].startswith("genus 3 (")
+    # two decimals: the run takes under a tenth of a second
+    assert re.fullmatch(r"genus 3 \(\d+\.\d\ds\)", lines[0])
     assert lines[1:] == [
         "  candidate tuples   262144",
         "  satisfy relation   133120",

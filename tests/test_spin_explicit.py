@@ -102,6 +102,38 @@ def test_wedge_contract_anticommutator_is_identity():
 # --------------------------------------------------------- the Gram form
 
 
+def partner(p):
+    """The index whose basis vector G pairs with e_p."""
+    return p + 3 if p < 3 else p - 3 if p < 6 else 6
+
+
+def so7_action_matrix(a, b):
+    """The 7x7 int matrix of e_a ^ e_b acting by v -> G(b,v)a - G(a,v)b."""
+    m = [[0] * 7 for _ in range(7)]
+    m[a] = list(sp.GRAM[b])
+    m[b] = [-x for x in sp.GRAM[a]]
+    return m
+
+
+def matrix_to_pair_coeffs(m):
+    """Inverse of so7_action_matrix on its image: coefficients c_{ab}
+    with m = sum c_{ab} so7_action_matrix(a,b); raises ValueError if m
+    is outside that image.  Each c_{ab} is read off an entry that no
+    other basis action touches: the 1 of e_a ^ e_b at row a, column
+    partner(b) for b < 6, and its -1 at row 6, column partner(a) for
+    b = 6.  This matrix route is the oracle of ``sp.so7_bracket``."""
+    coeffs = {
+        (a, b): m[a][partner(b)] if b < 6 else -m[6][partner(a)]
+        for a, b in sp.SO7_PAIRS
+    }
+    recon = [[0] * 7 for _ in range(7)]
+    for pair, c in coeffs.items():
+        recon = mat_add(recon, mat_scale(so7_action_matrix(*pair), c))
+    if recon != m:
+        raise ValueError("matrix is outside the span of the basis actions")
+    return coeffs
+
+
 def test_bilinear_form_pairs_opposite_indices():
     # G = 2B: coordinates 0..5 pair across a shift by three with G = 1,
     # and the fixed axis 6 has G = 2
@@ -119,9 +151,10 @@ def test_the_model_is_integer_throughout(rep):
     assert all(type(x) is int for m in rep.two_rho.values() for row in m for x in row)
     assert all(type(c) is int for c in rep.scalars)
     for x, y in sp.BRACKET_PAIRS:
-        mx, my = sp.so7_action_matrix(*x), sp.so7_action_matrix(*y)
+        mx, my = so7_action_matrix(*x), so7_action_matrix(*y)
         assert all(type(v) is int for row in mx for v in row)
-        assert all(type(c) is int for c in sp.matrix_to_pair_coeffs(commutator(mx, my)).values())
+        assert all(type(c) is int for c in matrix_to_pair_coeffs(commutator(mx, my)).values())
+        assert all(type(c) is int for c in sp.so7_bracket(x, y).values())
     for mono in sp.MONOMIALS:
         assert all(type(w) is int for w in rep.weight_of_monomial(mono))
     for pair in sp.SO7_PAIRS:
@@ -154,15 +187,26 @@ def test_no_fraction_is_made_before_the_kernels(monkeypatch):
 
 def test_matrix_to_pair_coeffs_rejects_a_matrix_outside_the_span():
     with pytest.raises(ValueError, match="outside the span"):
-        sp.matrix_to_pair_coeffs(identity(7))
+        matrix_to_pair_coeffs(identity(7))
     with pytest.raises(ValueError, match="outside the span"):
-        sp.matrix_to_pair_coeffs(int_identity(7))
+        matrix_to_pair_coeffs(int_identity(7))
 
 
 def test_matrix_to_pair_coeffs_inverts_every_basis_action():
     for pair in sp.SO7_PAIRS:
-        coeffs = sp.matrix_to_pair_coeffs(sp.so7_action_matrix(*pair))
+        coeffs = matrix_to_pair_coeffs(so7_action_matrix(*pair))
         assert coeffs == {p: int(p == pair) for p in sp.SO7_PAIRS}
+
+
+def test_so7_bracket_equals_the_matrix_route_on_every_pair():
+    # the 210 brackets read off G, against the commutator of the 7x7
+    # actions taken apart by matrix_to_pair_coeffs
+    for x, y in sp.BRACKET_PAIRS:
+        coeffs = matrix_to_pair_coeffs(commutator(so7_action_matrix(*x), so7_action_matrix(*y)))
+        bracket = sp.so7_bracket(x, y)
+        assert bracket == {pair: c for pair, c in coeffs.items() if c}, (x, y)
+        assert sp.so7_bracket(y, x) == {pair: -c for pair, c in bracket.items()}
+    assert all(sp.so7_bracket(x, x) == {} for x in sp.SO7_PAIRS)
 
 
 # -------------------------------------------------------------- brackets
@@ -203,8 +247,8 @@ def test_all_brackets_close(rep):
             a, b = pairs[idx_a], pairs[idx_b]
             lhs = commutator(rep.two_rho[a], rep.two_rho[b])
             # structure constants read off from the vector representation
-            vec = commutator(sp.so7_action_matrix(*a), sp.so7_action_matrix(*b))
-            target = sp.matrix_to_pair_coeffs(vec)
+            vec = commutator(so7_action_matrix(*a), so7_action_matrix(*b))
+            target = matrix_to_pair_coeffs(vec)
             assert lhs == mat_scale(two_rho_of(rep, target), 2), (a, b)
 
 
@@ -264,7 +308,7 @@ def dense_bracket_holds(two_rho, x, y) -> bool:
     """The dense bracket check the sparse kernel replaced: full 8x8 and
     7x7 products, [2rho(x), 2rho(y)] against 2 sum c 2rho(pair)."""
     lhs = commutator(two_rho[x], two_rho[y])
-    coeffs = sp.matrix_to_pair_coeffs(commutator(sp.so7_action_matrix(*x), sp.so7_action_matrix(*y)))
+    coeffs = matrix_to_pair_coeffs(commutator(so7_action_matrix(*x), so7_action_matrix(*y)))
     rhs = [[0] * 8 for _ in range(8)]
     for pair, c in coeffs.items():
         if c:

@@ -97,6 +97,35 @@ def conjugated(h, g) -> wc.HModel:
     )
 
 
+# ------------------------------------------------ dense derivation oracle
+
+
+def columns(mat):
+    """The (row, entry) pairs of the nonzero entries of each column of mat."""
+    return [[(p, x) for p, x in enumerate(col) if x] for col in zip(*mat)]
+
+
+def derivation_action(mat, k: int):
+    """Dense matrix of the induced derivation on wedge^k, lexicographic
+    subset basis: the matrix ``wc.derivation_columns`` keeps sparse."""
+    subsets = list(combinations(range(len(mat)), k))
+    index = {s: t for t, s in enumerate(subsets)}
+    out = [[0] * len(subsets) for _ in subsets]
+    for srcpos, src in enumerate(subsets):
+        for tgt, c in linalg.wedge_derivation(mat, src).items():
+            out[index[tgt]][srcpos] = c
+    return out
+
+
+def dense_weil_kernel(h) -> wc.SubspaceQ:
+    """ker(D_i^2 - 4 n^2 r) from the dense D_i and one matrix product."""
+    di = derivation_action(h.mat_i, 2 * h.n)
+    m = linalg.mat_mul(di, di)
+    for t, row in enumerate(m):
+        row[t] -= 4 * h.n**2 * h.params.r
+    return wc.SubspaceQ.from_vectors(linalg.nullspace(m), len(m))
+
+
 # ------------------------------------------- the group-action oracle path
 
 
@@ -173,7 +202,7 @@ def oracle_quaternion_span(h, wk):
     stable = 0
     for count, coords in enumerate(TRANSLATE_COORDS, start=1):
         y = QuatElem.make(h.params, *coords)
-        nxt = span.union_span(wk.image(wc._columns(wc.exterior_action(mat_of(h, y), k))))
+        nxt = span.union_span(wk.image(columns(wc.exterior_action(mat_of(h, y), k))))
         if count > 8:
             stable = stable + 1 if nxt.dim == span.dim else 0
         span = nxt
@@ -239,7 +268,7 @@ def test_exterior_size_guard():
     with pytest.raises(ValueError):
         wc.exterior_action(linalg.identity(18), 9)  # C(18,9) = 48620
     with pytest.raises(ValueError):
-        wc.derivation_action(linalg.identity(18), 9)
+        wc.derivation_columns(linalg.identity(18), 9)
 
 
 # ---------------------------------------------------- wedge derivations
@@ -277,23 +306,23 @@ def test_derivation_is_the_differential_of_the_group_action():
             one_plus_ta = [[int(p == q) + t * a[p][q] for q in range(d)] for p in range(d)]
             term = mat_scale(wc.exterior_action(one_plus_ta, k), w)
             slope = mat_add(slope, term)
-        assert slope == wc.derivation_action(a, k)
+        assert slope == derivation_action(a, k)
 
 
 def test_wedge_derivation_is_a_lie_map():
     h = model(2, M13)
     mi, mj, mk = h.mat_i, h.mat_j, h.mat_k
     for k in (2, 4):
-        di, dj, dk = (wc.derivation_action(m, k) for m in (mi, mj, mk))
+        di, dj, dk = (derivation_action(m, k) for m in (mi, mj, mk))
         for (x, dx), (y, dy) in (((mi, di), (mj, dj)), ((mj, dj), (mk, dk)),
                                  ((mk, dk), (mi, di))):
-            assert commutator(dx, dy) == wc.derivation_action(commutator(x, y), k)
+            assert commutator(dx, dy) == derivation_action(commutator(x, y), k)
     rng = random.Random(7)
     for k in (2, 3):
         a = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
         b = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
-        lhs = commutator(wc.derivation_action(a, k), wc.derivation_action(b, k))
-        assert lhs == wc.derivation_action(commutator(a, b), k)
+        lhs = commutator(derivation_action(a, k), derivation_action(b, k))
+        assert lhs == derivation_action(commutator(a, b), k)
 
 
 def test_wedge_derivation_keeps_the_entry_type():
@@ -342,6 +371,38 @@ def test_wedge_derivation_matches_the_sorting_oracle():
                     diagonal += any(mat[b][b] for b in mono)
         # monomials hit by several terms, and factors replaced by themselves
         assert repeated > 20 and diagonal > 20, kind
+
+
+REGISTRY_MODELS = [(1, M11), (1, M13), (2, M11), (2, M13)]
+
+
+@pytest.mark.parametrize("n,params", REGISTRY_MODELS)
+def test_derivation_columns_are_the_columns_of_the_dense_derivation(n, params):
+    h = model(n, params)
+    for mat in (h.mat_i, h.mat_j, h.mat_k):
+        got = wc.derivation_columns(mat, 2 * n)
+        assert [sorted(col) for col in got] == columns(derivation_action(mat, 2 * n))
+        assert all(type(c) is int for col in got for _, c in col)
+
+
+def test_derivation_columns_match_the_dense_derivation_on_a_seeded_matrix():
+    rng = random.Random(28)
+    a = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(6)] for _ in range(6)]
+    for k in range(7):
+        got = [sorted(col) for col in wc.derivation_columns(a, k)]
+        assert got == columns(derivation_action(a, k)), k
+
+
+@pytest.mark.parametrize("n,params", REGISTRY_MODELS + [(2, M25)])
+def test_weil_kernel_equals_the_dense_nullspace(n, params):
+    h = model(n, params)
+    assert wc.weil_kernel(h).rows == dense_weil_kernel(h).rows
+
+
+def test_weil_kernel_equals_the_dense_nullspace_on_a_conjugated_model():
+    h = model(1, M13)
+    hc = conjugated(h, mat_of(h, QuatElem.make(M13, 1, 0, 1, 0)))
+    assert wc.weil_kernel(hc).rows == dense_weil_kernel(hc).rows
 
 
 # ------------------------------------------------------------ the model
@@ -443,7 +504,7 @@ def test_weil_kernel_is_stable_under_the_field():
     )
     gen_action = wc.exterior_action(x_mat, k)
     for ker in (oracle_weil_kernel(h, x), wc.weil_kernel(h)):
-        assert contains_space(ker, ker.image(wc._columns(gen_action)))
+        assert contains_space(ker, ker.image(columns(gen_action)))
 
 
 def test_conjugate_element_has_same_kernel():
@@ -499,7 +560,7 @@ def test_full_span_is_stable_under_generators():
     wf = wc.quaternion_span(h, wc.weil_kernel(h))
     k = h.dim // 2
     for mat in (h.mat_i, h.mat_j, h.mat_k):
-        moved = wf.image(wc._columns(wc.exterior_action(linalg.frac_mat(mat), k)))
+        moved = wf.image(columns(wc.exterior_action(linalg.frac_mat(mat), k)))
         assert contains_space(wf, moved)
 
 
