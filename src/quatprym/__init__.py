@@ -34,7 +34,7 @@ from .surface_homs import (
     verify_psi_in_Ag,
 )
 from .cover_homology import check_cycle_c_and_basis, prym_lattice_model
-from .lie_engine import AlgebraType, decompose, invariant_dim, irrep_weights, weyl_dim
+from .lie_engine import AlgebraType, decompose, invariant_dim, irrep_weights
 from .spin_explicit import build_spin_rep, project_even, so7_invariant
 from .weil_classes import HModel, weil_kernel, weil_report
 from .curve_model import (
@@ -85,5 +85,4 @@ __all__ = [
     "verify_quadrics",
     "weil_kernel",
     "weil_report",
-    "weyl_dim",
 ]

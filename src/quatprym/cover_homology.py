@@ -2,20 +2,22 @@
 
 For a surjection f from a genus-g surface group onto the quaternion
 group Q, the associated cover retracts onto a graph with vertex set Q
-and one edge q -> q * f(alpha_m) per vertex and per handle index m.
-The deck group acts by left multiplication.  This module computes
-H_1 of that graph with the deck action, cuts out the sublattice on
-which -1 acts as -1, and assembles the rank-8(g-1) symplectic lattice
-model diag(A(q), transpose(A(q^{-1}))) together with an explicit basis
-exhibiting its module structure over the integer quaternions: one
-Hurwitz-order block from an 8-term cycle and its translates, and one
-free block per extra handle.  The blocks must equal the left
-multiplications that ``OrderLattice.left_mult`` reads off the structure
-constants of the Hurwitz order, in the basis (1, i, j, zeta) that the
-translates follow, and of the Lipschitz order, in (1, i, j, k).  With
-the standard form J, the model's ``symplectic_ok`` holds exactly when
-A(q^{-1}) A(q) = I for every q, that is, when the blocks form a
-representation; it does not compute an intersection form.
+and one edge q -> q * f(alpha_m) per vertex and per handle index m,
+read off the ``qalg`` table ``Q8_MUL``.  The deck group acts by left
+multiplication, which permutes the edges.  This module computes H_1 of
+that graph with the deck action, cuts out the sublattice on which -1
+acts as -1, and assembles the rank-8(g-1) symplectic lattice model of
+blocks A(q) on that sublattice, with an explicit basis exhibiting its
+module structure over the integer quaternions: one Hurwitz-order block
+from an 8-term cycle and its translates, and one free block per extra
+handle.  The blocks must equal the left multiplications that
+``OrderLattice.left_mult`` reads off the structure constants of the
+Hurwitz order, in the basis (1, i, j, zeta) that the translates follow,
+and of the Lipschitz order, in (1, i, j, k).  The model's
+``symplectic_ok`` checks A(q^{-1}) A(q) = I for every q, which is
+exactly rho(q)^T J rho(q) = J for rho(q) = diag(A(q), transpose(A(q^{-1})))
+and the standard form J: it holds when the blocks form a representation,
+and it does not compute an intersection form.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ from functools import cached_property
 
 from . import linalg
 from .linalg import identity, mat_mul, transpose
-from .qalg import HAMILTON, QUAT_GROUP, OrderLattice, basis_elems, qinv, qmul, qstr
+from .qalg import (HAMILTON, Q8_INDEX, Q8_INV, Q8_MUL, QUAT_GROUP, OrderLattice, basis_elems,
+                   qinv, qstr)
 from .surface_homs import HomTuple, classify_hom, standard_hom, normalize_hom
-
-_VINDEX = {q: t for t, q in enumerate(QUAT_GROUP)}  # vertex t is QUAT_GROUP[t]
 
 # the 8-term cycle in the g=2 graph, as ordered vertex pairs
 C_CHAIN_VERTEX_PAIRS = (
@@ -62,12 +63,9 @@ def build_cover_graph(h: HomTuple) -> CoverGraph:
     if not classify_hom(h)["valid"]:
         raise ValueError("tuple does not satisfy the surface relation")
     alpha = tuple(h.images[: h.g])
-    edges = []
-    for m in range(1, h.g + 1):
-        am = alpha[m - 1]
-        for u_idx, q in enumerate(QUAT_GROUP):
-            edges.append((u_idx, _VINDEX[qmul(q, am)], m))
-    return CoverGraph(h.g, alpha, tuple(edges))
+    edges = tuple((u, Q8_MUL[8 * u + Q8_INDEX[am]], m)
+                  for m, am in enumerate(alpha, 1) for u in range(8))
+    return CoverGraph(h.g, alpha, edges)
 
 
 class H1Data:
@@ -141,30 +139,20 @@ class H1Data:
             raise ValueError("cycle outside the fundamental span")
         return coords
 
-    def edge_perm(self, q):
-        """Action of left multiplication by q on edge indices."""
-        perm = [0] * self.graph.n_edges
-        for idx, (u, _, m) in enumerate(self.graph.edges):
-            qu = _VINDEX[qmul(q, QUAT_GROUP[u])]
-            perm[idx] = self.graph.edge_index(qu, m)
-        return perm
-
-    def act_on_edge_vec(self, q, edge_vec):
-        perm = self.edge_perm(q)
-        out = [0] * self.graph.n_edges
-        for idx, coef in enumerate(edge_vec):
-            if coef:
-                out[perm[idx]] += coef
-        return out
-
     def rho(self, q):
-        """Deck action of q in the fundamental-cycle basis."""
-        if q in self._rho_cache:
-            return self._rho_cache[q]
-        cols = [self.coords_of_cycle(self.act_on_edge_vec(q, cyc)) for cyc in self.cycles]
-        mat = [list(row) for row in zip(*cols)]
-        self._rho_cache[q] = mat
-        return mat
+        """Deck action of q in the fundamental-cycle basis.
+
+        Left multiplication by q permutes the edges, (u, m) -> (q u, m),
+        so it maps cycles to cycles, and the coordinates of a cycle are
+        its entries on the non-tree edges: entry (i, j) is cycle j on the
+        edge that q maps onto non-tree edge i."""
+        if q not in self._rho_cache:
+            back = 8 * Q8_INV[Q8_INDEX[q]]  # the row of q^-1 in Q8_MUL
+            edges = self.graph.edges
+            pulled = [self.graph.edge_index(Q8_MUL[back + edges[idx][0]], edges[idx][2])
+                      for idx in self.nontree]
+            self._rho_cache[q] = [[cyc[e] for cyc in self.cycles] for e in pulled]
+        return self._rho_cache[q]
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,7 @@ def chain_c_edge_vector(graph: CoverGraph):
     for idx, (u, v, _) in enumerate(graph.edges):
         edge_lookup.setdefault((u, v), []).append(idx)
     for src, dst in C_CHAIN_VERTEX_PAIRS:
-        u, v = _VINDEX[src], _VINDEX[dst]
+        u, v = Q8_INDEX[src], Q8_INDEX[dst]
         if (u, v) in edge_lookup:
             vec[edge_lookup[(u, v)][0]] += 1
         elif (v, u) in edge_lookup:
@@ -318,19 +306,16 @@ class PrymLatticeModel:
     rank: int
     module_type: str
     a_blocks: dict  # q -> integer matrix, in the explicit module basis
-    rho: dict  # q -> full 2r x 2r integer matrix diag(A(q), transpose(A(q^-1)))
-    j_form: list
     inclusion_divisors: list
     basis_det: int
     normalization_moves: int
 
     def symplectic_ok(self) -> bool:
-        """rho(q)^T J rho(q) = J for every q; for rho(q) = diag(A(q),
-        transpose(A(q^-1))) and the standard J, exactly A(q^-1) A(q) = I."""
-        return all(
-            mat_mul(transpose(m), mat_mul(self.j_form, m)) == self.j_form
-            for m in self.rho.values()
-        )
+        """A(q^-1) A(q) = I for every q: exactly rho(q)^T J rho(q) = J for
+        the deck action rho(q) = diag(A(q), transpose(A(q^-1))) on Z^rank
+        and the standard symplectic form J."""
+        eye = [[int(r == c) for c in range(self.rank // 2)] for r in range(self.rank // 2)]
+        return all(mat_mul(self.a_blocks[qinv(q)], a) == eye for q, a in self.a_blocks.items())
 
 
 def prym_lattice_model(g, h: HomTuple = None) -> PrymLatticeModel:
@@ -368,8 +353,8 @@ def prym_lattice_model(g, h: HomTuple = None) -> PrymLatticeModel:
         if std.alpha(m_idx) != (1, 0):
             raise ValueError(f"handle {m_idx} of the standard tuple does not map to 1")
         for a in range(4):
-            plus = _self_loop_vec(graph, _VINDEX[(1, a)], m_idx)
-            minus = _self_loop_vec(graph, _VINDEX[(-1, a)], m_idx)
+            plus = _self_loop_vec(graph, Q8_INDEX[(1, a)], m_idx)
+            minus = _self_loop_vec(graph, Q8_INDEX[(-1, a)], m_idx)
             free.append(h1.coords_of_cycle([p - q for p, q in zip(plus, minus)]))
     explicit, zeta_integral, coords, basis_det = _translate_basis(h1, vm, free)
     if not zeta_integral:
@@ -382,22 +367,12 @@ def prym_lattice_model(g, h: HomTuple = None) -> PrymLatticeModel:
     a_blocks = _actions_in_basis(h1, explicit, QUAT_GROUP)
     if not _module_structure_matches(a_blocks, g - 2):
         raise ValueError("module structure constants do not match")
-    # A(q)^{-1} = A(q^{-1}) on a representation, so no inverse is taken
-    rho = {q: linalg.block_diag([a, transpose(a_blocks[qinv(q)])]) for q, a in a_blocks.items()}
-    rk = 4 * (g - 1)
-    j_form = [[0] * (2 * rk) for _ in range(2 * rk)]
-    for t in range(rk):
-        j_form[t][rk + t] = 1
-        j_form[rk + t][t] = -1
-
     module_type = "(M)^2" if g == 2 else "(M ⊕ H_Z)^2"
     return PrymLatticeModel(
         g=g,
-        rank=2 * rk,
+        rank=8 * (g - 1),
         module_type=module_type,
         a_blocks=a_blocks,
-        rho=rho,
-        j_form=j_form,
         inclusion_divisors=vm.inclusion_divisors(),
         basis_det=basis_det,
         normalization_moves=moves,

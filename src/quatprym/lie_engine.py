@@ -310,10 +310,6 @@ def _highest_weight_parts(alg: AlgebraType, lam):
     return [(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices()]
 
 
-def weyl_dim(alg: AlgebraType, lam) -> int:
-    return prod(_factor_weyl_dim(f, part) for f, part in _highest_weight_parts(alg, lam))
-
-
 # ---------------------------------------------------------------------------
 # irreducible weight systems
 

@@ -8,7 +8,8 @@ the two parameter pairs exercised by the test suite are (-1, -1) and
 For (r, s) = (-1, -1) the maximal order is the Hurwitz order
 M = Z<zeta, i, j, k> with zeta = (1 + i + j + k) / 2, and the group of
 Lipschitz units is the quaternion group of order 8, modelled here as
-(sign, axis) pairs.
+(sign, axis) pairs.  ``Q8_INDEX``, ``Q8_MUL`` and ``Q8_INV`` table it by
+position in ``QUAT_GROUP``, once for the whole package.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .linalg import frac_mat, inverse, mat_vec
 
@@ -207,6 +209,11 @@ def qparse(text):
 # vertices, packed tuples): 1, -1, i, -i, j, -j, k, -k
 QUAT_GROUP = tuple((s, a) for a in range(4) for s in (1, -1))
 
+# Q8 by QUAT_GROUP position, the one product table of the package
+Q8_INDEX = {x: n for n, x in enumerate(QUAT_GROUP)}
+Q8_MUL = tuple(Q8_INDEX[qmul(x, y)] for x in QUAT_GROUP for y in QUAT_GROUP)  # [8a + b] = ab
+Q8_INV = tuple(Q8_INDEX[qinv(x)] for x in QUAT_GROUP)
+
 
 # ---------------------------------------------------------------------------
 # orders
@@ -352,59 +359,42 @@ def group_ring_wedderburn():
     2-dimensional character with indicator -1, which is why the 4-dim
     simple factor of Q[G] is a definite quaternion algebra rather than a
     matrix algebra.
-    """
-    # conjugacy classes: {1}, {-1}, {+-i}, {+-j}, {+-k}
-    classes = [
-        [(1, 0)],
-        [(-1, 0)],
-        [(1, 1), (-1, 1)],
-        [(1, 2), (-1, 2)],
-        [(1, 3), (-1, 3)],
-    ]
-    linears = []
-    for ei in (1, -1):
-        for ej in (1, -1):
-            # determined by values on i and j; value on -1 is ei^2 = 1
-            def chi(g, ei=ei, ej=ej):
-                s, a = g
-                if a == 0:
-                    return 1
-                if a == 1:
-                    return ei
-                if a == 2:
-                    return ej
-                return ei * ej
 
-            linears.append(chi)
-    # the regular character minus the linear ones, halved
-    reg = {0: 8}  # value 8 on identity, 0 elsewhere (indexed by class)
-    two_dim = []
-    for ci, cls in enumerate(classes):
-        g = cls[0]
-        val = Fraction(reg.get(ci, 0) - sum(chi(g) for chi in linears), 2)
+    Everything is read off ``Q8_MUL`` and ``Q8_INV``: the classes are the
+    conjugation orbits, the linear characters the sign vectors on the
+    classes that are multiplicative, the 2-dimensional character is the
+    regular character minus the linear ones, halved, and each indicator
+    is the mean of chi(g^2).  Raises RuntimeError if the 2-dimensional
+    character is not integral or not irreducible, or if an indicator is
+    not an integer.
+    """
+    n = len(QUAT_GROUP)
+    # position x lies in class cls[x]; a class is named by its least position
+    least = [min(Q8_MUL[n * Q8_MUL[n * g + x] + Q8_INV[g]] for g in range(n)) for x in range(n)]
+    reps = sorted(set(least))
+    cls = [reps.index(r) for r in least]
+    linears = [
+        signs for signs in product((1, -1), repeat=len(reps))
+        if all(signs[cls[a]] * signs[cls[b]] == signs[cls[Q8_MUL[n * a + b]]]
+               for a in range(n) for b in range(n))
+    ]
+    two_dim = []  # the regular character is n at the identity, position 0
+    for c, x in enumerate(reps):
+        val = Fraction(n * (x == 0) - sum(signs[c] for signs in linears), 2)
         if val.denominator != 1:
-            raise RuntimeError(f"2-dim character value {val} on class {ci} is not an integer")
+            raise RuntimeError(f"2-dim character value {val} on class {c} is not an integer")
         two_dim.append(int(val))
-    if two_dim != [2, -2, 0, 0, 0]:
-        raise RuntimeError(f"2-dim character {two_dim}, expected [2, -2, 0, 0, 0]")
+    norm = Fraction(sum(two_dim[c] ** 2 for c in cls), n)
+    if norm != 1:
+        raise RuntimeError(f"2-dim character {two_dim} has <chi, chi> = {norm}, not 1")
 
     def fs_indicator(chi_vals):
-        # (1/8) * sum over g of chi(g^2)
-        total = 0
-        for g in QUAT_GROUP:
-            g2 = qmul(g, g)
-            ci = next(i for i, cls in enumerate(classes) if g2 in cls)
-            total += chi_vals[ci]
-        if total % 8:
-            raise RuntimeError(f"Frobenius-Schur sum {total} is not divisible by 8")
-        return total // 8
+        total = sum(chi_vals[cls[Q8_MUL[(n + 1) * x]]] for x in range(n))
+        if total % n:
+            raise RuntimeError(f"Frobenius-Schur sum {total} is not divisible by {n}")
+        return total // n
 
-    out = []
-    for chi in linears:
-        vals = [chi(cls[0]) for cls in classes]
-        out.append((1, fs_indicator(vals)))
-    out.append((2, fs_indicator(two_dim)))
-    return out
+    return [(1, fs_indicator(signs)) for signs in linears] + [(2, fs_indicator(two_dim))]
 
 
 # ---------------------------------------------------------------------------

@@ -360,13 +360,15 @@ def _homs_claims(budgets: Budgets):
         for h in shapes:
             out = surface_homs.normalize_hom(h, node_budget=budgets.bfs_node_cap)
             if not out["reached"]:
-                # running out of budget is not a wrong answer; it says so
-                norm_ok = f"BFS cap {budgets.bfs_node_cap} hit"
+                # running out of budget is not a wrong answer and says so,
+                # but a wrong answer from another tuple wins over it
+                if norm_ok is not False:
+                    norm_ok = f"BFS cap {budgets.bfs_node_cap} hit"
                 continue
             replay = h
             for mv in out["moves"]:
                 replay = surface_homs.apply_move(replay, mv)
-            if replay.images != surface_homs.standard_hom(g).images and norm_ok is True:
+            if replay.images != surface_homs.standard_hom(g).images:
                 norm_ok = False
     num = surface_homs.genus_numerology(3)
     return {

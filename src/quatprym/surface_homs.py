@@ -12,8 +12,9 @@ itself) acts on such tuples by precomposition.  This module provides the
 word calculus, the move set, a two-phase normalization to the standard
 surjection, exhaustive enumeration in low genus, and the genus counts
 for the associated covers.  Words multiply QUAT_GROUP positions through
-the tables ``_MUL`` and ``_INV``; the census and the normalization search
-run on tuples packed into one int, with each move compiled to lookup tables.
+the ``qalg`` tables ``Q8_MUL`` and ``Q8_INV``; the census and the
+normalization search run on tuples packed into one int, with each move
+compiled to lookup tables.
 
 Phase 2 of the normalization is a cached distance table when every
 genus-g tuple fits in the cap, else the bounded breadth-first search.
@@ -38,7 +39,7 @@ from functools import cache
 from itertools import chain
 
 from .config import Budgets
-from .qalg import QUAT_GROUP, qmul, qinv, qparse, qstr
+from .qalg import Q8_INDEX, Q8_INV, Q8_MUL, QUAT_GROUP, qinv, qmul, qparse, qstr
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +76,6 @@ def surface_relator(g):
 # homomorphism tuples
 
 
-# Q8 by QUAT_GROUP position: _POS[x] is the position of x
-_POS = {x: n for n, x in enumerate(QUAT_GROUP)}
-_MUL = tuple(_POS[qmul(x, y)] for x in QUAT_GROUP for y in QUAT_GROUP)  # [8x + y] = xy
-_INV = tuple(_POS[qinv(x)] for x in QUAT_GROUP)
-
-
 @dataclass(frozen=True)
 class HomTuple:
     """Images of alpha_1..alpha_g, beta_1..beta_g in Q, as (sign, axis)."""
@@ -107,8 +102,8 @@ def eval_word(h: HomTuple, w) -> tuple:
     for x in w:
         if not 1 <= abs(x) <= 2 * h.g:
             raise ValueError(f"generator index {x} out of range for genus {h.g}")
-        v = _POS[h.images[abs(x) - 1]]
-        acc = _MUL[8 * acc + (v if x > 0 else _INV[v])]
+        v = Q8_INDEX[h.images[abs(x) - 1]]
+        acc = Q8_MUL[8 * acc + (v if x > 0 else Q8_INV[v])]
     return QUAT_GROUP[acc]
 
 
@@ -260,14 +255,14 @@ def verify_psi_in_Ag(g, k) -> bool:
 
 
 # [8a + b] = a b a^-1 b^-1, the relator of one handle
-_COMM = tuple(_MUL[8 * _MUL[8 * a + b] + _MUL[8 * _INV[a] + _INV[b]]]
+_COMM = tuple(Q8_MUL[8 * Q8_MUL[8 * a + b] + Q8_MUL[8 * Q8_INV[a] + Q8_INV[b]]]
               for a in range(8) for b in range(8))
 _AXIS_BIT = tuple(0 if a == 0 else 1 << (a - 1) for _, a in QUAT_GROUP)
 _AXIS_COUNT = tuple(bin(x).count("1") for x in range(8))
 
 
 def pack_images(images) -> int:
-    return sum(_POS[x] << 3 * t for t, x in enumerate(images))
+    return sum(Q8_INDEX[x] << 3 * t for t, x in enumerate(images))
 
 
 @cache
@@ -280,9 +275,9 @@ def _aut_tables() -> tuple:
     # x = i^e j^f for one e < 4, f < 2; i, j -> a, b (b not in <a>) sends x to a^e b^f
     exps = {qmul(y, z): (e, f) for e, y in enumerate(powers((1, 1)))
             for f, z in enumerate(powers((1, 2))[:2])}
-    perms = [tuple(_POS[qmul(pa[e], pb[f])] for e, f in map(exps.get, QUAT_GROUP))
+    perms = [tuple(Q8_INDEX[qmul(pa[e], pb[f])] for e, f in map(exps.get, QUAT_GROUP))
              for pa in map(powers, QUAT_GROUP[2:]) for pb in map(powers, QUAT_GROUP[2:]) if pb[1] not in pa]
-    inner = [tuple(_POS[qmul(qmul(a, x), qinv(a))] for x in QUAT_GROUP) for a in QUAT_GROUP[::2]]
+    inner = [tuple(Q8_INDEX[qmul(qmul(a, x), qinv(a))] for x in QUAT_GROUP) for a in QUAT_GROUP[::2]]
     ints = tuple(range(512))  # the 24 tables share one int object per value
     return tuple((p, tuple(ints[p[v & 7] | p[v >> 3 & 7] << 3 | p[v >> 6] << 6] for v in ints))
                  for p in inner + [p for p in perms if p not in inner])
@@ -294,7 +289,7 @@ def _compile_move(mv: Move) -> tuple:
     v1 | v2 << 3 | v3 << 6, vk the positions at the input shifts, to the
     output position already shifted into place; missing inputs read the
     zero bits above the tuple, i.e. +1.  A table is the word's product over
-    all its indices, multiplied through _MUL one letter at a time."""
+    all its indices, multiplied through Q8_MUL one letter at a time."""
     g = mv.g
     keep = 0
     slots = []
@@ -310,8 +305,8 @@ def _compile_move(mv: Move) -> tuple:
             if not 1 <= abs(x) <= 2 * g:
                 raise ValueError(f"generator index {x} out of range for genus {g}")
             k = 3 * srcs.index(abs(x) - 1)
-            signed = range(8) if x > 0 else _INV
-            table = [_MUL[8 * acc + signed[i >> k & 7]] for i, acc in enumerate(table)]
+            signed = range(8) if x > 0 else Q8_INV
+            table = [Q8_MUL[8 * acc + signed[i >> k & 7]] for i, acc in enumerate(table)]
         shifts = [3 * t for t in srcs] + [6 * g] * (3 - len(srcs))
         slots.append((*shifts, tuple(v << 3 * s for v in table)))
     return keep, tuple(slots)
@@ -575,18 +570,18 @@ def enumerate_surjections(g) -> EnumReport:
     ] or [[(0, 0, 0)]]
     prefixes = [(0, 0, 0)]  # the inner handles: packed, relator so far, axes met
     for pairs in inner:
-        prefixes = [(p | q, _MUL[8 * r + c], x | y) for p, r, x in prefixes for q, c, y in pairs]
+        prefixes = [(p | q, Q8_MUL[8 * r + c], x | y) for p, r, x in prefixes for q, c, y in pairs]
     last = {}  # the outer handle's pairs grouped by (commutator, axes met)
     for q, c, y in outer:
         last.setdefault((c, y), []).append(q)
     valid = surjective = 0
     for (r, x), n in Counter((r, x) for _, r, x in prefixes).items():
         for (c, y), qs in last.items():
-            if _MUL[8 * r + c] == 0:
+            if Q8_MUL[8 * r + c] == 0:
                 valid += n * len(qs)
                 surjective += n * len(qs) * (_AXIS_COUNT[x | y] >= 2)
     seeds = (p | q for p, r, x in prefixes for (c, y), qs in last.items()
-             if _MUL[8 * r + c] == 0 and _AXIS_COUNT[x | y] >= 2 for q in qs)
+             if Q8_MUL[8 * r + c] == 0 and _AXIS_COUNT[x | y] >= 2 for q in qs)
     _, compiled = _compiled_moves(g)
     handle = compiled[:len(handle_moves(g))]
     orbit_sizes, standard_orbit, labelled = [], 0, 0

@@ -18,6 +18,7 @@ from quatprym import report
 from quatprym import spin_explicit as sp
 from quatprym import surface_homs as sh
 from quatprym import weil_classes as wc
+from test_lie_engine import weyl_dim
 
 
 def _done(name, t0, cap, detail):
@@ -43,13 +44,13 @@ def test_spin_rep_wedge_decompositions():
     wedge2 = le.wedge_power(alg, gamma, 2)
     assert le.multiset_size(wedge2) == 28
     assert dict(le.decompose(alg, wedge2)) == {_w(1, 1, 0): 1, _w(1, 0, 0): 1}
-    assert le.weyl_dim(alg, _w(1, 1, 0)) == 21
-    assert le.weyl_dim(alg, _w(1, 0, 0)) == 7
+    assert weyl_dim(alg, _w(1, 1, 0)) == 21
+    assert weyl_dim(alg, _w(1, 0, 0)) == 7
 
     sym2 = le.sym_power(alg, gamma, 2)
     assert le.multiset_size(sym2) == 36
     assert dict(le.decompose(alg, sym2)) == {_w(1, 1, 1): 1, _w(0, 0, 0): 1}
-    assert le.weyl_dim(alg, _w(1, 1, 1)) == 35
+    assert weyl_dim(alg, _w(1, 1, 1)) == 35
 
     wedge4 = le.wedge_power(alg, gamma, 4)
     assert le.multiset_size(wedge4) == 70
@@ -59,7 +60,7 @@ def test_spin_rep_wedge_decompositions():
         _w(1, 0, 0): 1,
         _w(0, 0, 0): 1,
     }
-    assert le.weyl_dim(alg, _w(2, 0, 0)) == 27
+    assert weyl_dim(alg, _w(2, 0, 0)) == 27
 
     _done(
         "spin-rep-wedge-decompositions",

@@ -4,6 +4,7 @@ The deck-action matrices are rechecked against the group law pair by
 pair, and the distinguished-cycle data against hand-frozen values.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ import pytest
 from quatprym import cover_homology as ch
 from quatprym import linalg, report
 from quatprym import surface_homs as sh
-from quatprym.qalg import QUAT_GROUP, qmul
+from quatprym.qalg import QUAT_GROUP, qinv, qmul
 
 
 def h1(g=2, h=None):
@@ -90,6 +91,31 @@ def test_deck_action_is_a_left_group_action():
     for a in elems:
         for b in elems:
             assert linalg.mat_mul(rho[a], rho[b]) == rho[qmul(a, b)]
+
+
+def rho_by_edge_vectors(data, q):
+    """The deck action by moving each fundamental cycle's edge vector,
+    (u, m) -> (q u, m), and reading it back with coords_of_cycle: the
+    oracle for H1Data.rho."""
+    graph = data.graph
+    cols = []
+    for cyc in data.cycles:
+        moved = [0] * graph.n_edges
+        for idx, coef in enumerate(cyc):
+            u, _, m = graph.edges[idx]
+            moved[graph.edge_index(QUAT_GROUP.index(qmul(q, QUAT_GROUP[u])), m)] += coef
+        cols.append(data.coords_of_cycle(moved))
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize(
+    "h", [sh.standard_hom(2), sh.standard_hom(3), sh.parse_hom(2, "j,i,1,-1")],
+    ids=["standard-g2", "standard-g3", "j,i,1,-1"],
+)
+def test_deck_action_matches_the_edge_vector_path(h):
+    data = h1(h=h)
+    for q in QUAT_GROUP:
+        assert data.rho(q) == rho_by_edge_vectors(data, q)
 
 
 def test_deck_action_permutes_vertices_without_fixed_points():
@@ -253,6 +279,12 @@ def test_chain_c_vector_matches_vertex_pairs():
 # ------------------------------------------------------------ lattice model
 
 
+def deck_action(model, q):
+    """rho(q) = diag(A(q), transpose(A(q^-1))), the deck action on Z^rank
+    whose symplecticity symplectic_ok stands for."""
+    return linalg.block_diag([model.a_blocks[q], linalg.transpose(model.a_blocks[qinv(q)])])
+
+
 @pytest.mark.parametrize(
     "g,module_type,rank",
     [(2, "(M)^2", 8), (3, "(M ⊕ H_Z)^2", 16)],
@@ -264,10 +296,11 @@ def test_prym_lattice_model_structure(g, module_type, rank):
     assert model.symplectic_ok()
     assert model.inclusion_divisors == [1] * (rank // 2)
     assert abs(model.basis_det) == 1
-    # rho really is diag(A, tA^{-1}) on every group element
+    # diag(A(q), transpose(A(q^-1))) really is diag(A, tA^{-1}) on every group element
     r = rank // 2
-    for q, m in model.rho.items():
-        a = linalg.frac_mat(model.a_blocks[q])
+    for q, block in model.a_blocks.items():
+        m = deck_action(model, q)
+        a = linalg.frac_mat(block)
         inv_t = linalg.transpose(linalg.inverse(a))
         for i in range(r):
             for j in range(r):
@@ -275,6 +308,31 @@ def test_prym_lattice_model_structure(g, module_type, rank):
                 assert Fraction(m[i + r][j]) == 0
                 assert Fraction(m[i][j]) == a[i][j]
                 assert Fraction(m[i + r][j + r]) == inv_t[i][j]
+
+
+def symplectic_by_j_form(model):
+    """rho(q)^T J rho(q) = J for every q, with the standard J: the oracle
+    for symplectic_ok."""
+    r = model.rank // 2
+    j_form = [[int(c == t + r) - int(t == c + r) for c in range(2 * r)] for t in range(2 * r)]
+    for q in model.a_blocks:
+        m = deck_action(model, q)
+        if linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(j_form, m)) != j_form:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("broken", [None, "doubled", "swapped"])
+def test_symplectic_ok_matches_the_j_form(g, broken):
+    model = ch.prym_lattice_model(g)
+    blocks = dict(model.a_blocks)
+    if broken == "doubled":
+        blocks[(-1, 0)] = [[2 * x for x in row] for row in blocks[(-1, 0)]]
+    elif broken == "swapped":
+        blocks[(1, 1)], blocks[(1, 2)] = blocks[(1, 2)], blocks[(1, 1)]
+    model = dataclasses.replace(model, a_blocks=blocks)
+    assert model.symplectic_ok() == symplectic_by_j_form(model) == (broken is None)
 
 
 def test_deck_blocks_form_a_representation():
@@ -386,8 +444,8 @@ def test_lattice_model_consistency_checks_raise(monkeypatch, target, replacement
 
 
 def test_a_doubled_block_fails_the_symplectic_check(monkeypatch):
-    """rho(q) is built from A(q) and A(q^-1) without an inverse, so a
-    block that is not invertible over Z surfaces in symplectic_ok, and
+    """symplectic_ok multiplies A(q^-1) by A(q) without an inverse, so a
+    block that is not invertible over Z surfaces in it, and
     the registry records the model as a FAIL."""
     real = ch._actions_in_basis
 

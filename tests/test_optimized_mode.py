@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
 from fractions import Fraction
+from math import prod
 from quatprym import cover_homology as ch, curve_model as cm, lie_engine as le, linalg, qalg
 from quatprym import report, spin_explicit as sp, surface_homs as sh
 
@@ -32,13 +33,17 @@ def spin_with(name, fake):
         setattr(sp, name, real)
 
 
-def wedderburn_with(name, fake):
-    real = getattr(qalg, name)
-    setattr(qalg, name, fake)
+def wedderburn_with(entries):  # on Q8_MUL with the given entries replaced
+    real = qalg.Q8_MUL
+    qalg.Q8_MUL = tuple(entries.get(e, x) for e, x in enumerate(real))
     try:
         return qalg.group_ring_wedderburn()
     finally:
-        setattr(qalg, name, real)
+        qalg.Q8_MUL = real
+
+
+def weyl_dim(alg, lam):  # the Weyl product, as the lie_engine tests define it
+    return prod(le._factor_weyl_dim(f, part) for f, part in le._highest_weight_parts(alg, lam))
 
 
 # call() with owner.name replaced by fake(the real one)
@@ -109,14 +114,13 @@ cases = [
     ("coords_in_basis", lambda: qalg.coords_in_basis(third, (third,) * 4)),
     ("OrderLattice", lambda: qalg.OrderLattice(qalg.HAMILTON, (third,) * 4)),
     ("OrderLattice.left_mult", lambda: two_i_lattice.left_mult((1, 1))),
-    ("wedderburn character value",
-     lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 3 * d))),
-    ("wedderburn character", lambda: wedderburn_with("Fraction", lambda n, d=1: Fraction(n, 2 * d))),
-    ("wedderburn indicator",
-     lambda: wedderburn_with("qmul", lambda g, h: (1, 0) if g == (1, 0) else (1, 1))),
-    ("weyl_dim", lambda: le.weyl_dim(le.B3, (1, 0, 0))),
-    ("weyl_dim short", lambda: le.weyl_dim(le.B3, (1, 0))),
-    ("weyl_dim long", lambda: le.weyl_dim(le.B3, (1, 0, 0, 5))),
+    # every product 1; 1 * 1 = i; (-1) * (-1) = -1
+    ("wedderburn character value", lambda: wedderburn_with(dict.fromkeys(range(64), 0))),
+    ("wedderburn character", lambda: wedderburn_with({0: 2})),
+    ("wedderburn indicator", lambda: wedderburn_with({9: 1})),
+    ("weyl_dim", lambda: weyl_dim(le.B3, (1, 0, 0))),
+    ("weyl_dim short", lambda: weyl_dim(le.B3, (1, 0))),
+    ("weyl_dim long", lambda: weyl_dim(le.B3, (1, 0, 0, 5))),
     ("factor weyl_dim", lambda: le._factor_weyl_dim(le.B3.factors[0], (-5, 0, 0))),
     ("racah sign", lambda: patched(
         le, "_factor_shifts", lambda real: lambda f: tuple((s, -e) for s, e in real(f)),
@@ -219,11 +223,11 @@ def test_checks_raise_under_python_O():
         "coords_in_basis ValueError basis is linearly dependent",
         "OrderLattice ValueError basis is linearly dependent",
         "OrderLattice.left_mult ValueError lattice is not stable under left multiplication by i, j, k",
-        "wedderburn character value RuntimeError 2-dim character value 2/3 on class 0 "
+        "wedderburn character value RuntimeError 2-dim character value 7/2 on class 0 "
         "is not an integer",
-        "wedderburn character RuntimeError 2-dim character [1, -1, 0, 0, 0], "
-        "expected [2, -2, 0, 0, 0]",
-        "wedderburn indicator RuntimeError Frobenius-Schur sum -6 is not divisible by 8",
+        "wedderburn character RuntimeError 2-dim character [3, -1, -1, 0, 0] "
+        "has <chi, chi> = 3/2, not 1",
+        "wedderburn indicator RuntimeError Frobenius-Schur sum -12 is not divisible by 8",
         "weyl_dim ValueError weight is not integral for B3",
         "weyl_dim short ValueError weight has 2 coordinates, B3 needs 3",
         "weyl_dim long ValueError weight has 4 coordinates, B3 needs 3",

@@ -73,6 +73,17 @@ def test_q8_group_axioms_exhaustive():
                 assert qmul(qmul(a, b), c) == qmul(a, qmul(b, c))
 
 
+def test_q8_tables_are_the_lipschitz_units():
+    """Position n of QUAT_GROUP is the unit sign * (1, i, j, k)[axis] of
+    B(-1, -1); the tables multiply and invert as QuatElem does, with no
+    qmul or qinv call."""
+    basis = qalg.basis_elems(HAMILTON)
+    units = [basis[a].scale(s) for s, a in QUAT_GROUP]
+    assert qalg.Q8_INDEX == {x: n for n, x in enumerate(QUAT_GROUP)}
+    assert [units[n] for n in qalg.Q8_MUL] == [x * y for x in units for y in units]
+    assert [units[n] for n in qalg.Q8_INV] == [x.inv() for x in units]
+
+
 # ------------------------------------------------------- algebra arithmetic
 
 
@@ -455,6 +466,28 @@ def test_group_ring_wedderburn_components():
     components = group_ring_wedderburn()
     assert sorted(components) == [(1, 1), (1, 1), (1, 1), (1, 1), (2, -1)]
     assert sum(d * d for d, _ in components) == 8
+
+
+def wedderburn_by_hand():
+    """The character table written out: the classes {1}, {-1}, {+-i},
+    {+-j}, {+-k}, the linear characters by their signs on i and j, the
+    2-dimensional character [2, -2, 0, 0, 0], and each indicator as the
+    mean of chi(g^2) through qmul.  The oracle for group_ring_wedderburn."""
+    classes = [[(1, 0)], [(-1, 0)], [(1, 1), (-1, 1)], [(1, 2), (-1, 2)], [(1, 3), (-1, 3)]]
+    characters = [(1, [1, 1, ei, ej, ei * ej]) for ei in (1, -1) for ej in (1, -1)]
+    characters.append((2, [2, -2, 0, 0, 0]))
+
+    def indicator(values):
+        squares = [qmul(g, g) for g in QUAT_GROUP]
+        total = sum(values[c] for x in squares for c, cls in enumerate(classes) if x in cls)
+        assert total % 8 == 0
+        return total // 8
+
+    return [(dim, indicator(values)) for dim, values in characters]
+
+
+def test_group_ring_wedderburn_matches_the_hand_written_table():
+    assert group_ring_wedderburn() == wedderburn_by_hand()
 
 
 # ------------------------------------------------------- splitting embed

@@ -841,18 +841,30 @@ def test_cli_output_is_pinned(capsys, argv, code, stdout):
     assert run_cli(capsys, *argv) == (code, stdout)
 
 
+CAP_HIT = {"reached": False, "moves": []}
+# an empty path: right for the first genus-2 shape, which is the standard
+# tuple, and a replay that misses it for every later one
+NO_MOVES = {"reached": True, "moves": []}
+
+
 @pytest.mark.parametrize(
-    "outcome,computed",
+    "outcomes,computed",
     [
-        ({"reached": False, "moves": []}, "BFS cap 200000 hit"),
-        ({"reached": True, "moves": []}, "False"),  # replay misses the standard tuple
+        ([CAP_HIT], "BFS cap 200000 hit"),
+        ([NO_MOVES], "False"),
+        ([NO_MOVES, NO_MOVES, CAP_HIT], "False"),
+        ([CAP_HIT, NO_MOVES], "False"),
     ],
-    ids=["budget-spent", "replay-missed"],
+    ids=["budget-spent", "replay-missed", "missed-then-budget-spent", "budget-spent-then-missed"],
 )
-def test_cli_report_tells_a_spent_budget_from_a_wrong_answer(capsys, monkeypatch, outcome, computed):
+def test_cli_report_tells_a_spent_budget_from_a_wrong_answer(capsys, monkeypatch, outcomes, computed):
+    """The patched search gives the outcomes in turn, then the last one
+    for every later tuple; a wrong answer wins over a spent budget."""
+    calls = iter(outcomes)
+
     def normalize_hom(h, node_budget):
         assert node_budget == 200000
-        return outcome
+        return next(calls, outcomes[-1])
 
     monkeypatch.setattr(report.surface_homs, "normalize_hom", normalize_hom)
     code, out = run_cli(capsys, "report")

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quatprym import surface_homs as sh
-from quatprym.qalg import QUAT_GROUP, qinv, qmul
+from quatprym.qalg import Q8_INDEX, QUAT_GROUP, qinv, qmul
 
 
 # ------------------------------------------------------------ word calculus
@@ -542,7 +542,7 @@ def test_aut_tables_are_the_automorphisms():
     for sigma in maps:
         for x, y in product(QUAT_GROUP, repeat=2):
             assert sigma[qmul(x, y)] == qmul(sigma[x], sigma[y]), sigma
-    assert sorted(perms) == sorted(tuple(sh._POS[s[x]] for x in QUAT_GROUP) for s in automorphisms())
+    assert sorted(perms) == sorted(tuple(Q8_INDEX[s[x]] for x in QUAT_GROUP) for s in automorphisms())
     inner = [{x: qmul(qmul(a, x), qinv(a)) for x in QUAT_GROUP} for a in QUAT_GROUP[::2]]
     assert maps[:4] == inner
 
