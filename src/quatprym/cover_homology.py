@@ -130,12 +130,7 @@ class H1Data:
         if any(x != 0 for x in self.boundary(edge_vec)):
             raise ValueError("chain is not a cycle")
         coords = [edge_vec[idx] for idx in self.nontree]
-        recon = [0] * self.graph.n_edges
-        for c, cyc in zip(coords, self.cycles):
-            if c:
-                for t, x in enumerate(cyc):
-                    recon[t] += c * x
-        if recon != list(edge_vec):
+        if mat_mul([coords], self.cycles)[0] != list(edge_vec):
             raise ValueError("cycle outside the fundamental span")
         return coords
 

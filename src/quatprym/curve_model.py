@@ -276,7 +276,8 @@ _SECTION = {next(iter(p.terms)): t for t, p in enumerate(PARAM)}
 
 
 def reduce_mod_curve(poly: PolyGauss) -> PolyGauss:
-    """Rewrite y^2 -> x^5 - x until the y-degree is at most 1."""
+    """Rewrite y^2 -> x^5 - x: y^(2q + e) becomes (x^5 - x)^q y^e, of
+    y-degree e at most 1, since x^5 - x has no y."""
     if poly.nvars != XY:
         raise ValueError(f"polynomial in {poly.nvars} variables, the curve needs {XY}")
     rhs = X.pow(5) - X
@@ -287,8 +288,6 @@ def reduce_mod_curve(poly: PolyGauss) -> PolyGauss:
         if q:
             term = term * rhs.pow(q)
         out = out + term
-    if any(e[1] >= 2 for e in out.terms):
-        return reduce_mod_curve(out)
     return out
 
 

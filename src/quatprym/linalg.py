@@ -24,13 +24,16 @@ return ints.
 
 Zeros are skipped, never multiplied: the matrices met here are sparse
 (the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
-an exact product by zero costs as much as any other.  ``mat_mul`` and
-``mat_vec`` touch only the nonzero entries of the right operand, and
-every elimination step updates a row only at the nonzero columns of the
-pivot row (an int row is scaled first when the pivot does not divide
-its entry).  The values are those of the dense textbook
-algorithms, which the tests keep as oracles.  No floating point is used
-anywhere.
+an exact product by zero costs as much as any other.  ``sparse_mul`` is
+the one matrix product: it takes both operands as ``sparse_rows`` and
+forms only products of two nonzero entries.  ``mat_mul`` runs on it
+with the zero of its entries, and the spin and Weil operators, kept
+sparse, call it directly with int 0.  ``mat_vec`` touches only the
+nonzero entries of the vector, and every elimination step updates a
+row only at the nonzero columns of the pivot row (an int row is scaled
+first when the pivot does not divide its entry).  The values are those
+of the dense textbook algorithms, which the tests keep as oracles.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -80,26 +83,35 @@ def _zero_of_product(x, y):
     return p - p
 
 
+def sparse_rows(m):
+    """Per row of a matrix, the (column, entry) pairs of its nonzeros."""
+    return [_nonzeros(row) for row in m]
+
+
+def sparse_mul(a_rows, b_rows, width, zero=0):
+    """The product of two matrices given by their ``sparse_rows``, with
+    ``width`` columns summed from ``zero``: row i adds x * (row k of b)
+    for each nonzero x = a[i][k], and nothing else."""
+    out = []
+    for a_row in a_rows:
+        acc = [zero] * width
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
+
+
 def mat_mul(a, b):
     if not a or not b:
         return []
     n = len(b)
     if any(len(row) != n for row in a):
         raise ValueError("shape mismatch")
-    m = len(b[0])
-    if not m:
+    if not b[0]:
         return [[] for _ in a]
     zero = _zero_of_product(a[0][0], b[0][0])
-    b_rows = [_nonzeros(row) for row in b]
-    out = []
-    for row in a:
-        acc = [zero] * m
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
+    return sparse_mul(sparse_rows(a), sparse_rows(b), len(b[0]), zero)
 
 
 def mat_vec(a, v):
@@ -328,6 +340,13 @@ def solve(a, b):
     return x
 
 
+def _square(a):
+    """a itself, after checking that it has as many columns as rows."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+    return a
+
+
 def _bareiss_det(a):
     """Fraction-free (Bareiss) elimination of an int matrix: each update
     p*x - f*y is divided exactly (//) by the previous pivot, a row swap
@@ -354,7 +373,7 @@ def _bareiss_det(a):
 
 
 def det(a):
-    if _rational(a):
+    if _rational(_square(a)):
         # Bareiss on the rows cleared of denominators, over their product
         cleared = [_cleared(row) for row in a]
         return Fraction(_bareiss_det([row for _, row in cleared]), prod(d for d, _ in cleared))
@@ -375,7 +394,7 @@ def det(a):
 
 
 def inverse(a):
-    n = len(a)
+    n = len(_square(a))
     if n and not any(map(any, a)):
         # no nonzero entry to read the field's 1 off for the identity
         raise ValueError("matrix is singular")
@@ -507,7 +526,7 @@ def integer_kernel(a):
 
 def int_det(a):
     """Integer determinant; an all-int matrix skips ``det``'s Fraction."""
-    if all(isinstance(x, int) for row in a for x in row):
+    if all(isinstance(x, int) for row in _square(a) for x in row):
         return _bareiss_det(a)
     d = det(a)
     if d.denominator != 1:

@@ -28,13 +28,13 @@ scalar normalizations are not guessed: candidate assignments are
 searched and accepted only if (1) the sample action (e_i ^ e7) e_I =
 (-1)^{#I} e_i ^ e_I holds verbatim and (2) the full bracket
 compatibility [rho(X), rho(Y)] = rho([X, Y]) holds for all 210 pairs of
-basis elements of wedge^2 C^7.  Construction fails loudly otherwise.
+basis elements of wedge^2 C^7, its two products formed by
+``linalg.sparse_mul``.  Construction fails loudly otherwise.
 
 On top of the model sits the degree-4 computation: the weight-0
-subspace of wedge^4 S is 8-dimensional, the joint kernel of the three
-operators rho(e_i ^ e7) on it is one line, that line is annihilated by
-the whole algebra, and its coefficient on the single monomial from
-wedge^4(even part) is nonzero.
+subspace of wedge^4 S is 8-dimensional, the joint kernel of all 21
+operators rho(e_a ^ e_b) on it is one line, the invariants, and its
+coefficient on the single monomial from wedge^4(even part) is nonzero.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import lie_engine
-from .linalg import nullspace, wedge_derivation
+from .linalg import nullspace, sparse_mul, sparse_rows, wedge_derivation
 
 # spinor basis: subsets of {1,2,3}, fixed order
 SUBSETS = ((), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3))
@@ -94,30 +94,6 @@ def so7_bracket(x, y) -> dict:
                 p, q, g = q, p, -g
             out[p, q] = out.get((p, q), 0) + g
     return {pair: coef for pair, coef in out.items() if coef}
-
-
-def _entries(m):
-    """Per row of a matrix, the (column, entry) pairs of its nonzero entries."""
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in m)
-
-
-def _add_scaled(acc, entries, c):
-    """acc += c * the matrix with nonzero ``entries``, in place."""
-    for acc_row, row in zip(acc, entries):
-        for j, x in row:
-            acc_row[j] += c * x
-
-
-def _commutator(a, b):
-    """AB - BA for square matrices given by their nonzero ``_entries``;
-    only products of two nonzero entries are formed."""
-    out = [[0] * len(a) for _ in a]
-    for p, q, sign in ((a, b, 1), (b, a, -1)):
-        for out_row, row in zip(out, p):
-            for k, x in row:
-                for j, y in q[k]:
-                    out_row[j] += sign * x * y
-    return out
 
 
 class SpinConstructionError(RuntimeError):
@@ -184,15 +160,17 @@ BRACKET_PAIRS = tuple(combinations(SO7_PAIRS, 2))
 def bracket_failures(two_rho) -> list:
     """The pairs (x, y) of ``BRACKET_PAIRS``, in order, where [rho(x),
     rho(y)] = rho([x, y]) fails.  On the doubled matrices, with [x, y] =
-    sum c pair from ``so7_bracket``, it reads [2rho(x), 2rho(y)] = 2 sum
-    c 2rho(pair); both sides are products of nonzero entries only."""
-    rho = {pair: _entries(m) for pair, m in two_rho.items()}
+    sum c pair from ``so7_bracket``, it reads 2rho(x) 2rho(y) = 2rho(y)
+    2rho(x) + 2 sum c 2rho(pair), both sides from ``sparse_mul``."""
+    rho = {pair: sparse_rows(m) for pair, m in two_rho.items()}
     failures = []
     for x, y in BRACKET_PAIRS:
-        rhs = [[0] * 8 for _ in range(8)]
+        rhs = sparse_mul(rho[y], rho[x], 8)
         for pair, c in so7_bracket(x, y).items():
-            _add_scaled(rhs, rho[pair], 2 * c)
-        if _commutator(rho[x], rho[y]) != rhs:
+            for rhs_row, row in zip(rhs, rho[pair]):
+                for j, z in row:
+                    rhs_row[j] += 2 * c * z
+        if sparse_mul(rho[x], rho[y], 8) != rhs:
             failures.append((x, y))
     return failures
 
@@ -241,18 +219,17 @@ def _operator_system(rep: SpinRep, pairs, monos, derive) -> list:
 def so7_invariant(rep: SpinRep) -> dict:
     """The invariant line in degree 4, normalized so the coefficient of
     the all-even monomial is 2, with int coefficients.  Computed as the
-    joint kernel of the three raising operators on the weight-0 subspace,
-    then checked against the whole algebra."""
+    joint kernel of all 21 basis operators on the weight-0 subspace, the
+    system of ``invariant_count``."""
     zmonos = weight_zero_monomials(rep)
     if len(zmonos) != 8:
         raise SpinConstructionError(
             f"weight-zero subspace has dimension {len(zmonos)}, expected 8"
         )
-    raising = ((0, 6), (1, 6), (2, 6))
-    kernel = nullspace(_operator_system(rep, raising, zmonos, wedge_derivation))
+    kernel = nullspace(_operator_system(rep, SO7_PAIRS, zmonos, wedge_derivation))
     if len(kernel) != 1:
         raise SpinConstructionError(
-            f"raising-operator kernel has dimension {len(kernel)}, expected 1"
+            f"invariant subspace has dimension {len(kernel)}, expected 1"
         )
     vec = kernel[0]
     lead = vec[zmonos.index(EVEN_MONOMIAL)]
@@ -262,11 +239,6 @@ def so7_invariant(rep: SpinRep) -> dict:
     if any(x.denominator != 1 for x in vec):
         raise SpinConstructionError("normalized invariant line is not integral")
     vec = [x.numerator for x in vec]
-    # full invariance: every basis operator annihilates the vector
-    for pair in SO7_PAIRS:
-        for row in _operator_system(rep, (pair,), zmonos, wedge_derivation):
-            if sum(r * x for r, x in zip(row, vec)):
-                raise SpinConstructionError(f"degree-4 line is not invariant under {pair}")
     return {mono: coef for mono, coef in zip(zmonos, vec) if coef}
 
 

@@ -25,13 +25,16 @@ W_F is the span of the translates of W_K by F*.  F* is a connected
 algebraic group and F*(Q) is Zariski-dense in it (Borel, *Linear
 Algebraic Groups*, 18.3), so a subspace is stable under F*(Q) exactly
 when it is stable under F*, and then exactly when it is stable under the
-Lie algebra F, spanned by 1 (a scalar on wedge^{2n}) and i, j, k.  So
-W_F is the smallest subspace that contains W_K and is stable under D_i,
-D_j and D_k, of dimension 2n + 1.  ``quaternion_span`` applies all three
-to the current span and adds the images.  Every span it builds lies in
-W_F, and a round that adds no dimension leaves a span stable under all
-three, which is then W_F itself: the stopping rule is exact, and the
-dimension of wedge^{2n} V bounds the number of rounds.
+Lie algebra F, spanned by 1 (a scalar on wedge^{2n}) and i, j, k.
+Since b -> D_b is a Lie homomorphism and ij - ji = 2k, D_k = [D_i, D_j]
+/ 2, so W_F is the smallest subspace that contains W_K and is stable
+under D_i and D_j, of dimension 2n + 1.  ``quaternion_span`` images
+each pending vector, starting from the rows of W_K, once under D_i and
+D_j, and an image outside the span joins it and the pending list.
+Every span it builds lies in W_F, and once no vector is pending D_i and
+D_j map a basis of the span into it, so the span is W_F: the stopping
+rule is exact, and it images 2 dim W_F vectors.  Operator products
+(images, D_i^2) are ``linalg.sparse_mul`` of the sparse columns.
 """
 
 from __future__ import annotations
@@ -48,31 +51,32 @@ from .linalg import (
     mat_mul,
     nullspace,
     perm_sign,
+    sparse_mul,
+    sparse_rows,
+    transpose,
     wedge_derivation,
 )
 from .qalg import AlgebraParams, basis_elems, left_mult_matrix
 
-EXTERIOR_DIM_CAP = 12870  # C(16, 8): ambient dimension at most 16
+EXTERIOR_DIM_CAP = 924  # C(12, 6): weil_kernel's nullspace is dense, 1.66e8 cells at C(16, 8)
 
 
 @dataclass(frozen=True)
 class HModel:
-    """F^n with left multiplication by i, j and k, as rational matrices."""
+    """F^n with left multiplication by i and j, as rational matrices."""
 
     params: AlgebraParams
     n: int
     mat_i: tuple
     mat_j: tuple
-    mat_k: tuple
 
     @staticmethod
     def make(n: int, params: AlgebraParams) -> "HModel":
         if n < 1:
             raise ValueError("n must be a positive integer")
-        basis = basis_elems(params)
-        mi, mj, mk = (tuple(map(tuple, block_diag([left_mult_matrix(x)] * n)))
-                      for x in basis[1:])
-        model = HModel(params=params, n=n, mat_i=mi, mat_j=mj, mat_k=mk)
+        mi, mj = (tuple(map(tuple, block_diag([left_mult_matrix(x)] * n)))
+                  for x in basis_elems(params)[1:3])
+        model = HModel(params=params, n=n, mat_i=mi, mat_j=mj)
         model._check()
         return model
 
@@ -117,15 +121,9 @@ class SubspaceQ:
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
 
     def image(self, cols) -> "SubspaceQ":
-        """Image under the map with sparse columns ``cols`` (``derivation_columns``)."""
-        img = []
-        for row in self.rows:
-            acc = [0] * self.ambient
-            for x, col in zip(row, cols):
-                if x:
-                    for p, y in col:
-                        acc[p] += x * y
-            img.append(acc)
+        """Image under the map with sparse columns ``cols`` (``derivation_columns``):
+        the rows times the map's transpose, whose rows are ``cols``."""
+        img = sparse_mul(sparse_rows(self.rows), cols, self.ambient)
         return SubspaceQ.from_vectors(img, self.ambient)
 
 
@@ -179,34 +177,33 @@ def derivation_columns(mat, k: int):
 
 
 def weil_kernel(model: HModel) -> SubspaceQ:
-    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}: column t of D_i^2 is D_i
-    applied to the sparse column t of D_i."""
+    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}.  The sparse columns of D_i
+    are the rows of its transpose T, and T T = (D_i^2)^T, so row t of
+    ``sparse_mul(cols, cols)`` is D_i^2 e_t: transposed, it is column t."""
     cols = derivation_columns(model.mat_i, 2 * model.n)
-    shift = 4 * model.n**2 * model.params.r
-    m = [[0] * len(cols) for _ in cols]
-    for t, col in enumerate(cols):
-        m[t][t] -= shift
-        for p, x in col:
-            for q, y in cols[p]:
-                m[q][t] += x * y
+    m = transpose(sparse_mul(cols, cols, len(cols)))
+    for t, row in enumerate(m):
+        row[t] -= 4 * model.n**2 * model.params.r
     return SubspaceQ.from_vectors(nullspace(m), len(m))
 
 
 def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     """W_F: the smallest subspace of wedge^{2n} that contains W_K and is
-    stable under D_i, D_j and D_k.  Each round adds the images of the
-    current span under all three; the first round that adds no dimension
-    ends the loop."""
-    k = 2 * model.n
-    ders = [derivation_columns(m, k) for m in (model.mat_i, model.mat_j, model.mat_k)]
-    span = wk
-    while True:
-        grown = span
+    stable under D_i and D_j, hence under D_k = [D_i, D_j] / 2.  Each
+    pending vector is imaged once under D_i and D_j, and an image that
+    grows the span is pending in turn; the span is stable once no vector
+    is pending."""
+    ders = [derivation_columns(m, 2 * model.n) for m in (model.mat_i, model.mat_j)]
+    span, pending = wk, list(wk.rows)
+    while pending:
+        line = SubspaceQ(wk.ambient, (pending.pop(),))
         for d in ders:
-            grown = grown.union_span(span.image(d))
-        if grown.dim == span.dim:
-            return span
-        span = grown
+            img = line.image(d)
+            grown = span.union_span(img)
+            if grown.dim > span.dim:
+                span = grown
+                pending.extend(img.rows)
+    return span
 
 
 def weil_report(n: int, params: AlgebraParams) -> dict:

@@ -283,6 +283,23 @@ def test_mat_mul_rejects_shape_mismatch():
         linalg.mat_mul([[1, 2, 3]], [[1], [1]])
 
 
+NON_SQUARE = ([[1, 2, 3], [4, 5, 6]], [[1, 2, 3]], [[1, 0, 0], [0, 1, 0]], [[1], [2]], [[1, 2], [3]])
+ENTRY_OF_INT = {
+    "int": int,
+    "Fraction": lambda x: Fraction(x, 3),
+    "KNum": lambda x: KNum.make(-3, x, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_OF_INT))
+@pytest.mark.parametrize("routine", ["det", "int_det", "inverse"])
+def test_non_square_matrix_is_rejected(routine, kind):
+    for shape in NON_SQUARE:
+        m = [[ENTRY_OF_INT[kind](x) for x in row] for row in shape]
+        with pytest.raises(ValueError, match="matrix is not square"):
+            getattr(linalg, routine)(m)
+
+
 def test_int_det_rejects_non_integral_determinant():
     with pytest.raises(ValueError):
         linalg.int_det([[Fraction(1, 2)]])
@@ -479,6 +496,31 @@ def test_sparse_mat_mul_matches_dense_oracle(kind):
         got = linalg.mat_mul(a, b)
         assert_same_entries(got, dense_mat_mul(a, b))
         assert all(type(x) is type(zero) and not x for row in got for x in row)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_MAKERS))
+def test_sparse_mul_matches_dense_oracle(kind):
+    entry = ENTRY_MAKERS[kind]
+    rng = random.Random(f"sparse_mul-{kind}")
+    for trial in range(60):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.0, 0.1, 0.3, 0.7, 1.0))
+        a = sparse_matrix(rng, m, k, density, entry)
+        b = sparse_matrix(rng, k, n, density, entry)
+        if trial % 2:
+            # all-zero rows in both operands
+            a = zeroed(a, rows=(rng.randrange(m),))
+            b = zeroed(b, rows=(rng.randrange(k),))
+        zero = a[0][0] - a[0][0]
+        # columns past the last nonzero one are zeros of the given type
+        extra = rng.randint(0, 3)
+        got = linalg.sparse_mul(linalg.sparse_rows(a), linalg.sparse_rows(b), n + extra, zero)
+        assert_same_entries(got, [row + [zero] * extra for row in dense_mat_mul(a, b)])
+    # the default zero is int 0: int operands give an int product
+    a = sparse_matrix(rng, 4, 5, 0.4, ENTRY_MAKERS["int"])
+    b = sparse_matrix(rng, 5, 3, 0.4, ENTRY_MAKERS["int"])
+    got = linalg.sparse_mul(linalg.sparse_rows(a), linalg.sparse_rows(b), 3)
+    assert_same_entries(got, dense_mat_mul(a, b))
 
 
 @pytest.mark.parametrize("kind", ["Fraction", "KNum"])

@@ -201,6 +201,7 @@ cases = [
         ch.OrderLattice, "left_mult", lambda real: lambda self, q: eye4,
         lambda: ch.prym_lattice_model(2))),
     ("_self_loop_vec", lambda: ch._self_loop_vec(g2, 0, 1)),
+    ("det", lambda: linalg.det([[1, 2, 3], [4, 5, 6]])),
 ]
 for name, call in cases:
     try:
@@ -289,6 +290,7 @@ def test_checks_raise_under_python_O():
         "model basis ValueError explicit vectors do not form a basis of the minus part",
         "model structure ValueError module structure constants do not match",
         "_self_loop_vec ValueError edge 0 is not a self-loop at vertex 0 of handle 1",
+        "det ValueError matrix is not square",
     ]
 
 

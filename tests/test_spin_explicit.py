@@ -15,7 +15,7 @@ import pytest
 
 from quatprym import lie_engine as le
 from quatprym import spin_explicit as sp
-from quatprym.linalg import identity, mat_mul
+from quatprym.linalg import identity, mat_mul, nullspace
 
 
 @pytest.fixture(scope="module")
@@ -422,12 +422,34 @@ def test_a_non_integral_normalized_line_raises(rep, monkeypatch):
         sp.so7_invariant(rep)
 
 
+def raising_kernel_invariant(rep):
+    """The invariant line by the raising operators: the joint kernel of
+    rho(e_i ^ e7), i = 1, 2, 3, on the weight-0 span, normalized as
+    ``so7_invariant`` does, then checked against all 21 operators."""
+    zmonos = sp.weight_zero_monomials(rep)
+    raising = ((0, 6), (1, 6), (2, 6))
+    (vec,) = nullspace(sp._operator_system(rep, raising, zmonos, sp.wedge_derivation))
+    lead = vec[zmonos.index(sp.EVEN_MONOMIAL)]
+    vec = [2 * x / lead for x in vec]
+    for row in sp._operator_system(rep, sp.SO7_PAIRS, zmonos, sp.wedge_derivation):
+        assert sum(r * x for r, x in zip(row, vec)) == 0
+    return {mono: coef for mono, coef in zip(zmonos, vec) if coef}
+
+
+def test_invariant_equals_the_raising_kernel_route(rep):
+    assert sp.so7_invariant(rep) == raising_kernel_invariant(rep)
+
+
 def test_invariance_check_raises_on_a_broken_rho(rep):
     # the raising operators and the Cartan part are kept, so the raising
-    # kernel is still one line, but e1 ^ e2 now acts as the identity
+    # kernel is still one line, but e1 ^ e2 now acts as the identity, and
+    # no nonzero weight-0 vector of wedge^4 is killed by it
     broken_two_rho = {**rep.two_rho, (0, 1): mat_scale(int_identity(8), 2)}
     broken = sp.SpinRep(two_rho=broken_two_rho, scalars=rep.scalars)
-    with pytest.raises(sp.SpinConstructionError, match=r"not invariant under \(0, 1\)"):
+    zmonos = sp.weight_zero_monomials(broken)
+    raising = ((0, 6), (1, 6), (2, 6))
+    assert len(nullspace(sp._operator_system(broken, raising, zmonos, sp.wedge_derivation))) == 1
+    with pytest.raises(sp.SpinConstructionError, match="invariant subspace has dimension 0"):
         sp.so7_invariant(broken)
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from quatprym import linalg
 from quatprym import weil_classes as wc
-from quatprym.qalg import AlgebraParams, KNum, QuatElem
+from quatprym.qalg import HAMILTON, AlgebraParams, KNum, QuatElem
 
 M11 = AlgebraParams.make(-1, -1)
 M13 = AlgebraParams.make(-1, -3)
@@ -58,9 +58,12 @@ def intersect(a, b) -> wc.SubspaceQ:
 
 def action_of(h, name):
     """The model's matrix ``name``; "mat_one", left multiplication by 1,
-    is the identity."""
+    is the identity, and "mat_k", left multiplication by k = ij, is
+    mat_i mat_j."""
     if name == "mat_one":
         return tuple(tuple(int(p == q) for q in range(h.dim)) for p in range(h.dim))
+    if name == "mat_k":
+        return linalg.mat_mul(h.mat_i, h.mat_j)
     return getattr(h, name)
 
 
@@ -92,9 +95,7 @@ def conjugated(h, g) -> wc.HModel:
     def conj(m):
         return tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in m]), ginv)))
 
-    return dataclasses.replace(
-        h, mat_i=conj(h.mat_i), mat_j=conj(h.mat_j), mat_k=conj(h.mat_k)
-    )
+    return dataclasses.replace(h, mat_i=conj(h.mat_i), mat_j=conj(h.mat_j))
 
 
 # ------------------------------------------------ dense derivation oracle
@@ -211,6 +212,21 @@ def oracle_quaternion_span(h, wk):
     raise ValueError("translate span did not stabilize")
 
 
+def round_quaternion_span(h, wk):
+    """W_F by whole rounds: each round adds the images of the current
+    span under D_i, D_j and D_k, until a round adds no dimension."""
+    ders = [wc.derivation_columns(action_of(h, name), 2 * h.n)
+            for name in ("mat_i", "mat_j", "mat_k")]
+    span = wk
+    while True:
+        grown = span
+        for d in ders:
+            grown = grown.union_span(span.image(d))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
 # ----------------------------------------------------- exterior actions
 
 
@@ -269,6 +285,8 @@ def test_exterior_size_guard():
         wc.exterior_action(linalg.identity(18), 9)  # C(18,9) = 48620
     with pytest.raises(ValueError):
         wc.derivation_columns(linalg.identity(18), 9)
+    with pytest.raises(ValueError, match="exceeds the supported cap 924"):
+        wc.weil_report(4, HAMILTON)  # C(16, 8) = 12870
 
 
 # ---------------------------------------------------- wedge derivations
@@ -311,7 +329,7 @@ def test_derivation_is_the_differential_of_the_group_action():
 
 def test_wedge_derivation_is_a_lie_map():
     h = model(2, M13)
-    mi, mj, mk = h.mat_i, h.mat_j, h.mat_k
+    mi, mj, mk = (action_of(h, name) for name in ("mat_i", "mat_j", "mat_k"))
     for k in (2, 4):
         di, dj, dk = (derivation_action(m, k) for m in (mi, mj, mk))
         for (x, dx), (y, dy) in (((mi, di), (mj, dj)), ((mj, dj), (mk, dk)),
@@ -379,7 +397,8 @@ REGISTRY_MODELS = [(1, M11), (1, M13), (2, M11), (2, M13)]
 @pytest.mark.parametrize("n,params", REGISTRY_MODELS)
 def test_derivation_columns_are_the_columns_of_the_dense_derivation(n, params):
     h = model(n, params)
-    for mat in (h.mat_i, h.mat_j, h.mat_k):
+    for name in ("mat_i", "mat_j", "mat_k"):
+        mat = action_of(h, name)
         got = wc.derivation_columns(mat, 2 * n)
         assert [sorted(col) for col in got] == columns(derivation_action(mat, 2 * n))
         assert all(type(c) is int for col in got for _, c in col)
@@ -419,8 +438,8 @@ def test_model_satisfies_quaternion_relations(n, params):
     assert linalg.mat_mul(mj, mj) == mat_scale(linalg.identity(h.dim), s)
     anti = mat_add(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
     assert all(x == 0 for row in anti for x in row)
-    assert all(type(x) is int for m in (h.mat_i, h.mat_j, h.mat_k)
-               for row in m for x in row)
+    assert all(type(x) is int for name in ("mat_i", "mat_j", "mat_k")
+               for row in action_of(h, name) for x in row)
 
 
 @pytest.mark.parametrize(
@@ -555,12 +574,55 @@ def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
     assert contains_space(wf, wk)
 
 
+@pytest.mark.parametrize("n,params", REGISTRY_MODELS)
+def test_the_bracket_of_d_i_and_d_j_is_twice_d_k(n, params):
+    # on the transposes, whose rows are the sparse columns:
+    # [D_i, D_j]^T = D_j^T D_i^T - D_i^T D_j^T
+    h = model(n, params)
+    di, dj = (wc.derivation_columns(action_of(h, name), 2 * n) for name in ("mat_i", "mat_j"))
+    ji, ij = linalg.sparse_mul(dj, di, len(di)), linalg.sparse_mul(di, dj, len(di))
+    bracket = [[x - y for x, y in zip(r, q)] for r, q in zip(ji, ij)]
+    dk = derivation_action(action_of(h, "mat_k"), 2 * n)
+    assert bracket == mat_scale(linalg.transpose(dk), 2)
+    assert any(map(any, bracket))
+
+
+@pytest.mark.parametrize(
+    "n,params,conjugate",
+    [(n, p, False) for n, p in REGISTRY_MODELS] + [(2, M25, False), (2, M13, True)],
+)
+def test_pending_list_span_equals_the_round_closure(n, params, conjugate):
+    h = model(n, params)
+    if conjugate:
+        h = conjugated(h, mat_of(h, QuatElem.make(params, 1, 0, 1, 0)))
+    wk = wc.weil_kernel(h)
+    assert wc.quaternion_span(h, wk).rows == round_quaternion_span(h, wk).rows
+
+
+@pytest.mark.parametrize("n,params,imaged", [(1, M11, 6), (1, M13, 6), (2, M11, 10), (2, M13, 10)])
+def test_quaternion_span_images_each_basis_vector_once_per_generator(
+    n, params, imaged, monkeypatch
+):
+    rows = []
+    real = wc.SubspaceQ.image
+
+    def counting(self, cols):
+        rows.append(self.dim)
+        return real(self, cols)
+
+    h = model(n, params)
+    wk = wc.weil_kernel(h)
+    monkeypatch.setattr(wc.SubspaceQ, "image", counting)
+    wf = wc.quaternion_span(h, wk)
+    assert sum(rows) == 2 * wf.dim == imaged
+
+
 def test_full_span_is_stable_under_generators():
     h = model(1, M11)
     wf = wc.quaternion_span(h, wc.weil_kernel(h))
     k = h.dim // 2
-    for mat in (h.mat_i, h.mat_j, h.mat_k):
-        moved = wf.image(columns(wc.exterior_action(linalg.frac_mat(mat), k)))
+    for name in ("mat_i", "mat_j", "mat_k"):
+        moved = wf.image(columns(wc.exterior_action(linalg.frac_mat(action_of(h, name)), k)))
         assert contains_space(wf, moved)
 
 
