@@ -6,8 +6,8 @@ elements support ``+ - * /``, with ``bool(x)`` false exactly for zero.
 The field is read off the entries: ``fractions.Fraction`` entries give
 results over Q, ``qalg.KNum`` entries results over Q(sqrt(r)).  The ring
 routines ``mat_mul``, ``mat_vec``, ``block_diag`` and
-``wedge_derivation`` keep the entry type, so int matrices give int
-results.
+``wedge_derivation`` and ``wedge_vector`` keep the entry type, so int
+matrices give int results.
 The eliminations (``rref``, ``nullspace``, ``solve``, ``inverse``,
 ``det`` and what is built on them) read integer entries as elements of
 Q, so their results come back as ``Fraction``, never ``float``.  Over
@@ -22,9 +22,8 @@ another field.  ``frac_mat`` and ``identity`` build matrices over Q.
 The integer routines (Smith form and what is built on it) take and
 return ints.
 
-Zeros are skipped, never multiplied: the matrices met here are sparse
-(the 70x70 wedge^4 actions of the Weil computation are 9% nonzero), and
-an exact product by zero costs as much as any other.  ``sparse_mul`` is
+Zeros are skipped, never multiplied: the matrices met here are sparse,
+and an exact product by zero costs as much as any other.  ``sparse_mul`` is
 the one matrix product: it takes both operands as ``sparse_rows`` and
 forms only products of two nonzero entries.  ``mat_mul`` runs on it
 with the zero of its entries, and the spin and Weil operators, kept
@@ -147,41 +146,45 @@ def block_diag(blocks):
     return out
 
 
-def perm_sign(seq):
-    """Sign of the permutation that sorts ``seq`` (distinct items), by
-    counting the swaps of a bubble sort."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                sign = -sign
-    return sign
+def _insert(out, rest, p, pos, coef):
+    """Add to out coef times the sorted monomial ``rest`` with e_p put at
+    position pos, sorted: e_p moves past |q - pos| factors to its place q."""
+    q = bisect_left(rest, p)
+    key = rest[:q] + (p,) + rest[q:]
+    term = -coef if (q - pos) % 2 else coef
+    out[key] = out[key] + term if key in out else term
 
 
 def wedge_derivation(mat, mono):
     """The derivation a square matrix induces on the exterior algebra,
     applied to one wedge monomial (a sorted tuple of distinct basis
     indices): each factor e_b in turn is replaced by column b of the
-    matrix.  Sorting moves e_p, put at position pos of e_b, to its place q
-    among the other factors, past the |q - pos| factors strictly between
-    b and p: that is the sign.  Returns {monomial: coefficient} without
-    zero coefficients; the coefficients have the type of the entries, so
-    an int matrix gives int coefficients."""
+    matrix, e_p at the position of e_b, sorted in by ``_insert``.  Returns
+    {monomial: coefficient} without zero coefficients; the coefficients
+    have the type of the entries, so an int matrix gives int
+    coefficients."""
     present = set(mono)
     out = {}
     for pos, b in enumerate(mono):
         rest = mono[:pos] + mono[pos + 1 :]
         for p, row in enumerate(mat):
             coef = row[b]
-            if not coef or (p != b and p in present):
-                continue
-            q = bisect_left(rest, p)
-            key = rest[:q] + (p,) + rest[q:]
-            term = -coef if (q - pos) % 2 else coef
-            out[key] = out[key] + term if key in out else term
+            if coef and (p == b or p not in present):
+                _insert(out, rest, p, pos, coef)
     return {k: v for k, v in out.items() if v}
+
+
+def wedge_vector(w, v):
+    """w ^ v for w an element {monomial: coefficient} of the exterior
+    algebra and v a vector: each nonzero v[p] e_p is put last in each
+    monomial without e_p and sorted in by ``_insert``.  Returns {monomial:
+    coefficient} without zero coefficients."""
+    out, nonzeros = {}, _nonzeros(v)
+    for mono, c in w.items():
+        for p, x in nonzeros:
+            if p not in mono:
+                _insert(out, mono, p, len(mono), c * x)
+    return {k: y for k, y in out.items() if y}
 
 
 _denominator = attrgetter("denominator")

@@ -470,7 +470,7 @@ def scenario_report(name) -> dict:
 def _spin_claims(budgets: Budgets):
     rep = spin_explicit.build_spin_rep()
     inv = spin_explicit.so7_invariant(rep)
-    cmp = spin_explicit.reference_comparison(rep)
+    cmp = spin_explicit.reference_comparison(rep, inv)
     return {
         "spin.weight_zero_dim": len(spin_explicit.weight_zero_monomials(rep)),
         "spin.invariant_line": (inv[(0, 4, 5, 6)], inv[(1, 2, 3, 7)]),

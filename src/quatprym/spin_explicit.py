@@ -265,9 +265,9 @@ REFERENCE_TERMS = (
 )
 
 
-def reference_comparison(rep: SpinRep = None) -> dict:
-    """Term-by-term comparison of the computed invariant against the
-    transcribed reference expression.
+def reference_comparison(rep: SpinRep, inv: dict) -> dict:
+    """Term-by-term comparison of the invariant ``inv`` computed on ``rep``
+    (``so7_invariant``) against the transcribed reference expression.
 
     Seven of the eight reference terms match exactly.  The sixth names
     a monomial of nonzero weight, which cannot appear in an invariant;
@@ -277,9 +277,6 @@ def reference_comparison(rep: SpinRep = None) -> dict:
     the previous term becomes the (2,3) spinor).  This is reported as a
     flagged discrepancy, not a failure.
     """
-    if rep is None:
-        rep = build_spin_rep()
-    inv = so7_invariant(rep)
     zset = set(weight_zero_monomials(rep))
     terms = []
     mismatches = []

@@ -1,47 +1,44 @@
-"""Weil classes on quaternion-module models, from Lie-algebra derivations.
+"""Weil classes on quaternion-module models, as spans of wedge products.
 
 The ambient space is V = F^n viewed as a 4n-dimensional rational vector
 space, with the definite quaternion algebra F = (r, s | Q) acting by
 left multiplication in each coordinate; integer r and s give int
 matrices.  An element b of F induces a derivation D_b of the exterior
 algebra (``linalg.wedge_derivation``): the differential of the group
-action of F* on wedge^{2n} V (``exterior_action``), held as the sparse
-columns of ``derivation_columns`` with no dense matrix formed.
+action of F* on wedge^{2n} V (``exterior_action``).
 
-Over C, V splits into the eigenspaces V_sigma and V_sigmabar of i for
-the eigenvalues sqrt(r) and -sqrt(r), each of dimension 2n, and
+Over K = Q(sqrt(r)), V splits into the eigenspaces V_sigma and
+V_sigmabar of i for sqrt(r) and -sqrt(r), each of dimension 2n, and
 wedge^{2n} V into the (p, q) summands wedge^p V_sigma (x) wedge^q
-V_sigmabar, p + q = 2n.  D_i acts on the (p, q) summand by
-(p - q) sqrt(r), so D_i^2 acts by (p - q)^2 r, and
+V_sigmabar, p + q = 2n, on which D_i acts by (p - q) sqrt(r).  So
+W_K = ker(D_i^2 - 4 n^2 r), the Weil classes of K, is wedge^{2n} V_sigma
+plus its conjugate, of dimension 2 (van Geemen, *An introduction to the
+Hodge conjecture for abelian varieties*, LNM 1594).  As i^2 = r, the
+columns of i + sqrt(r) span V_sigma; a column is kept in the basis
+v_1..v_2n when the wedge with those kept (``linalg.wedge_vector``)
+stays nonzero.  W_K is spanned by the rational and sqrt(r) parts of
+w(0), the wedge of the v_k.
 
-    W_K = ker(D_i^2 - 4 n^2 r)
+W_F is the span of the translates of W_K by F*.  F*(Q) is Zariski-dense
+in the connected group F* (Borel, *Linear Algebraic Groups*, 18.3), so
+W_F is the smallest subspace that contains W_K and is stable under the
+Lie algebra F, and so under D_i and D_j, as D_k = [D_i, D_j] / 2; its
+dimension is 2n + 1.  w(t) = ^_k (v_k + t j v_k) is the translate of
+w(0) by 1 + tj, a polynomial of degree 2n in t, so by Vandermonde the
+parts of w(0), ..., w(2n) span the parts of its coefficients, in W_F.
 
-is exactly the sum of the summands with pq = 0: the Weil classes of
-K = Q(sqrt(r)), dimension 2 (van Geemen, *An introduction to the Hodge
-conjecture for abelian varieties*, LNM 1594).  It is one rational
-nullspace on the C(4n, 2n) monomials, with no choice of field element.
-
-W_F is the span of the translates of W_K by F*.  F* is a connected
-algebraic group and F*(Q) is Zariski-dense in it (Borel, *Linear
-Algebraic Groups*, 18.3), so a subspace is stable under F*(Q) exactly
-when it is stable under F*, and then exactly when it is stable under the
-Lie algebra F, spanned by 1 (a scalar on wedge^{2n}) and i, j, k.
-Since b -> D_b is a Lie homomorphism and ij - ji = 2k, D_k = [D_i, D_j]
-/ 2, so W_F is the smallest subspace that contains W_K and is stable
-under D_i and D_j, of dimension 2n + 1.  ``quaternion_span`` images
-each pending vector, starting from the rows of W_K, once under D_i and
-D_j, and an image outside the span joins it and the pending list.
-Every span it builds lies in W_F, and once no vector is pending D_i and
-D_j map a basis of the span into it, so the span is W_F: the stopping
-rule is exact, and it images 2 dim W_F vectors.  Operator products
-(images, D_i^2) are ``linalg.sparse_mul`` of the sparse columns.
+Certificates check all this exactly: D_i^2 = 4 n^2 r on both parts of
+w(0), and the span of the parts of the w(t) contains W_K and is mapped
+into itself by D_i and D_j, so it is W_F.  Each image is taken by
+``wedge_derivation`` on the rows' own support, and a failed certificate
+raises RuntimeError.  No matrix on wedge^{2n} is formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from functools import cache, partial, reduce
+from itertools import combinations
 
 from .linalg import (
     F0,
@@ -49,16 +46,11 @@ from .linalg import (
     block_diag,
     int_echelon,
     mat_mul,
-    nullspace,
-    perm_sign,
-    sparse_mul,
-    sparse_rows,
-    transpose,
+    mat_vec,
     wedge_derivation,
+    wedge_vector,
 )
-from .qalg import AlgebraParams, basis_elems, left_mult_matrix
-
-EXTERIOR_DIM_CAP = 924  # C(12, 6): weil_kernel's nullspace is dense, 1.66e8 cells at C(16, 8)
+from .qalg import AlgebraParams, KNum, basis_elems, left_mult_matrix
 
 
 @dataclass(frozen=True)
@@ -120,90 +112,98 @@ class SubspaceQ:
     def union_span(self, other: "SubspaceQ") -> "SubspaceQ":
         return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
 
-    def image(self, cols) -> "SubspaceQ":
-        """Image under the map with sparse columns ``cols`` (``derivation_columns``):
-        the rows times the map's transpose, whose rows are ``cols``."""
-        img = sparse_mul(sparse_rows(self.rows), cols, self.ambient)
-        return SubspaceQ.from_vectors(img, self.ambient)
-
 
 def _wedge_basis(d: int, k: int):
     """The k-subsets of range(d) in lexicographic order: the monomial
     basis of wedge^k of a d-dimensional space."""
     if k < 0 or k > d:
         raise ValueError("exterior power out of range")
-    cdim = math.comb(d, k)
-    if cdim > EXTERIOR_DIM_CAP:
-        raise ValueError(
-            f"exterior power dimension {cdim} exceeds the supported cap {EXTERIOR_DIM_CAP}"
-        )
     return list(combinations(range(d), k))
 
 
 def exterior_action(mat, k: int):
     """Matrix of the induced group action on wedge^k, lexicographic subset
-    basis.
-
-    Columns are expanded through the nonzero entries of the input, so
-    sparse inputs stay cheap."""
-    d = len(mat)
-    subsets = _wedge_basis(d, k)
+    basis: column S is the wedge of the columns of mat indexed by S."""
+    subsets = _wedge_basis(len(mat), k)
     index = {s: t for t, s in enumerate(subsets)}
-    col_support = []
-    for q in range(d):
-        col_support.append([(p, mat[p][q]) for p in range(d) if mat[p][q]])
+    cols = list(zip(*mat))
     out = [[F0] * len(subsets) for _ in subsets]
-    for srcpos, src in enumerate(subsets):
-        for choice in iproduct(*(col_support[q] for q in src)):
-            rows = [p for p, _ in choice]
-            if len(set(rows)) < k:
-                continue
-            coef = F1
-            for _, c in choice:
-                coef *= c
-            sign = perm_sign(rows)
-            tgt = index[tuple(sorted(rows))]
-            out[tgt][srcpos] += sign * coef
+    for src, sub in enumerate(subsets):
+        for tgt, c in reduce(wedge_vector, (cols[q] for q in sub), {(): F1}).items():
+            out[index[tgt]][src] = c
     return out
 
 
-def derivation_columns(mat, k: int):
-    """The induced derivation on wedge^k as sparse columns, one per
-    k-subset of ``_wedge_basis``: the (row, entry) pairs of its image,
-    read off ``wedge_derivation``; an int matrix gives int entries."""
-    subsets = _wedge_basis(len(mat), k)
+def _over_k(mat, r, t, u, v):
+    """t * mat + (u + v sqrt(r)) * 1 as a matrix over K = Q(sqrt(r))."""
+    return [[KNum(r, t * x + u * (p == q), v * (p == q)) for q, x in enumerate(row)]
+            for p, row in enumerate(mat)]
+
+
+def _wedge_parts(model: HModel, ts):
+    """The rational and sqrt(r) parts of w(t) = ^_k (1 + t j) v_k for each
+    t in ts, as {monomial: coefficient}; v_1..v_2n are the columns of
+    i + sqrt(r) whose wedge with those kept before is nonzero."""
+    unit = KNum.make(model.params.r, 1)
+    r, one = unit.r, {(): unit}
+    w, basis = one, []
+    for col in zip(*_over_k(model.mat_i, r, 1, 0, 1)):
+        grown = wedge_vector(w, col)
+        if grown:
+            w, basis = grown, basis + [col]
+    wedges = []
+    for t in ts:
+        one_tj = _over_k(model.mat_j, r, t, 1, 0)
+        wedges.append(reduce(wedge_vector, (mat_vec(one_tj, v) for v in basis), one))
+    return [{m: c.u for m, c in wt.items() if c.u} for wt in wedges] + [
+        {m: c.v for m, c in wt.items() if c.v} for wt in wedges]
+
+
+def _images(mat, vecs):
+    """D_mat of each vector {monomial: coefficient}, by ``wedge_derivation``
+    once per monomial of their joint support."""
+    derive, out = cache(partial(wedge_derivation, mat)), []
+    for vec in vecs:
+        img = {}
+        for mono, c in vec.items():
+            for key, x in derive(mono).items():
+                img[key] = img.get(key, 0) + c * x
+        out.append({k: x for k, x in img.items() if x})
+    return out
+
+
+def _span(vecs, subsets) -> SubspaceQ:
+    """The span of vectors {monomial: coefficient} of the wedge power with
+    monomial basis ``subsets``."""
     index = {s: t for t, s in enumerate(subsets)}
-    return [[(index[tgt], c) for tgt, c in wedge_derivation(mat, src).items()] for src in subsets]
+    rows = [[0] * len(subsets) for _ in vecs]
+    for row, vec in zip(rows, vecs):
+        for mono, c in vec.items():
+            row[index[mono]] = c
+    return SubspaceQ.from_vectors(rows, len(subsets))
 
 
 def weil_kernel(model: HModel) -> SubspaceQ:
-    """W_K = ker(D_i^2 - 4 n^2 r) on wedge^{2n}.  The sparse columns of D_i
-    are the rows of its transpose T, and T T = (D_i^2)^T, so row t of
-    ``sparse_mul(cols, cols)`` is D_i^2 e_t: transposed, it is column t."""
-    cols = derivation_columns(model.mat_i, 2 * model.n)
-    m = transpose(sparse_mul(cols, cols, len(cols)))
-    for t, row in enumerate(m):
-        row[t] -= 4 * model.n**2 * model.params.r
-    return SubspaceQ.from_vectors(nullspace(m), len(m))
+    """W_K: the span of the parts of w(0), certified to lie in
+    ker(D_i^2 - 4 n^2 r)."""
+    parts = _wedge_parts(model, [0])
+    ev = 4 * model.n**2 * model.params.r
+    if _images(model.mat_i, _images(model.mat_i, parts)) != [
+            {m: ev * c for m, c in x.items()} for x in parts]:
+        raise RuntimeError("D_i^2 is not 4 n^2 r on the wedge of V_sigma")
+    return _span(parts, _wedge_basis(model.dim, 2 * model.n))
 
 
 def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
-    """W_F: the smallest subspace of wedge^{2n} that contains W_K and is
-    stable under D_i and D_j, hence under D_k = [D_i, D_j] / 2.  Each
-    pending vector is imaged once under D_i and D_j, and an image that
-    grows the span is pending in turn; the span is stable once no vector
-    is pending."""
-    ders = [derivation_columns(m, 2 * model.n) for m in (model.mat_i, model.mat_j)]
-    span, pending = wk, list(wk.rows)
-    while pending:
-        line = SubspaceQ(wk.ambient, (pending.pop(),))
-        for d in ders:
-            img = line.image(d)
-            grown = span.union_span(img)
-            if grown.dim > span.dim:
-                span = grown
-                pending.extend(img.rows)
-    return span
+    """W_F: the span of the parts of w(t), t = 0..2n, certified to contain
+    W_K and to be stable under D_i and D_j."""
+    subsets = _wedge_basis(model.dim, 2 * model.n)
+    wf = _span(_wedge_parts(model, range(2 * model.n + 1)), subsets)
+    vecs = [{subsets[t]: x for t, x in enumerate(row) if x} for row in wf.rows]
+    moved = _span(_images(model.mat_i, vecs) + _images(model.mat_j, vecs), subsets)
+    if wf.union_span(wk).union_span(moved).dim > wf.dim:
+        raise RuntimeError("the span of the w(t) misses W_K or is not stable under D_i and D_j")
+    return wf
 
 
 def weil_report(n: int, params: AlgebraParams) -> dict:

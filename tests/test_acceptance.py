@@ -160,7 +160,7 @@ def test_explicit_invariant_line():
 
     # the transcribed reference list differs in exactly one position;
     # that discrepancy is FLAGGED by the claim registry, never FAIL
-    cmp = sp.reference_comparison(rep)
+    cmp = sp.reference_comparison(rep, inv)
     assert cmp["matches"] == 7
     assert cmp["mismatch_positions"] == [6]
     statuses = {r.claim_id: r.status for r in report.run_suite(module="spin")}

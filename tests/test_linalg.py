@@ -246,11 +246,17 @@ def test_elementary_divisors_known_case():
 
 
 def test_library_perm_sign_matches_cycle_oracle():
+    # the library reads a permutation's sign off its sorting step: the
+    # wedge of the basis vectors in the permuted order, sorted
+    def wedge_of_units(seq):
+        units = ([int(q == p) for q in range(10)] for p in seq)
+        return reduce(linalg.wedge_vector, units, {(): 1})
+
     for n in range(7):
         for p in permutations(range(n)):
-            assert linalg.perm_sign(p) == perm_sign(p)
+            assert wedge_of_units(p) == {tuple(range(n)): perm_sign(p)}
     # the sign of the permutation that sorts arbitrary distinct items
-    assert linalg.perm_sign((5, 2, 9)) == perm_sign((1, 0, 2)) == -1
+    assert wedge_of_units((5, 2, 9)) == {(2, 5, 9): perm_sign((1, 0, 2))} == {(2, 5, 9): -1}
 
 
 def test_block_diag_keeps_the_entry_type():

@@ -490,7 +490,7 @@ def test_invariant_count_equals_the_weight_engine_in_every_degree(rep, kind, k):
 
 
 def test_reference_terms_differ_in_exactly_one_monomial(rep):
-    cmp = sp.reference_comparison(rep)
+    cmp = sp.reference_comparison(rep, sp.so7_invariant(rep))
     assert cmp["matches"] == 7
     assert cmp["mismatch_positions"] == [6]
     printed = dict(sp.REFERENCE_TERMS)

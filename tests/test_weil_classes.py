@@ -3,10 +3,12 @@
 The exterior-square oracle below expands 2x2 minors directly from the
 definition, independent of the implementation's column recursion.  The
 derivation is checked as the differential of the group action and as a
-Lie map.  W_K and W_F, computed from derivations, are gated against
-the group-action path kept here as the oracle: the per-element Weil
-kernels ker(X^2 + aX + b), intersected along the ladder 1 + sqrt(r),
-2 + sqrt(r), ..., and the span of a fixed list of algebra translates.
+Lie map.  W_K and W_F, spanned by wedges of eigenvectors, are gated
+against three oracles kept here: the nullspace of the dense D_i^2 - 4 n^2 r,
+the closure under D_i, D_j and D_k by whole rounds, and the group-action
+path: the per-element Weil kernels ker(X^2 + aX + b), intersected along
+the ladder 1 + sqrt(r), 2 + sqrt(r), ..., and the span of a fixed list
+of algebra translates.
 The oracle's annihilator coefficients are rechecked against
 quadratic-field powers computed with the field arithmetic of the
 algebra module.
@@ -20,7 +22,7 @@ from itertools import combinations
 
 import pytest
 
-from quatprym import linalg
+from quatprym import linalg, report
 from quatprym import weil_classes as wc
 from quatprym.qalg import HAMILTON, AlgebraParams, KNum, QuatElem
 
@@ -45,6 +47,13 @@ def contains_space(a, b) -> bool:
     if b.dim == 0:
         return True
     return a.union_span(b).dim == a.dim
+
+
+def image(space, cols) -> wc.SubspaceQ:
+    """Image of a subspace under the map with sparse columns ``cols``: its
+    rows times the map's transpose, whose rows are ``cols``."""
+    img = linalg.sparse_mul(linalg.sparse_rows(space.rows), cols, space.ambient)
+    return wc.SubspaceQ.from_vectors(img, space.ambient)
 
 
 def intersect(a, b) -> wc.SubspaceQ:
@@ -108,7 +117,7 @@ def columns(mat):
 
 def derivation_action(mat, k: int):
     """Dense matrix of the induced derivation on wedge^k, lexicographic
-    subset basis: the matrix ``wc.derivation_columns`` keeps sparse."""
+    subset basis."""
     subsets = list(combinations(range(len(mat)), k))
     index = {s: t for t, s in enumerate(subsets)}
     out = [[0] * len(subsets) for _ in subsets]
@@ -203,7 +212,7 @@ def oracle_quaternion_span(h, wk):
     stable = 0
     for count, coords in enumerate(TRANSLATE_COORDS, start=1):
         y = QuatElem.make(h.params, *coords)
-        nxt = span.union_span(wk.image(columns(wc.exterior_action(mat_of(h, y), k))))
+        nxt = span.union_span(image(wk, columns(wc.exterior_action(mat_of(h, y), k))))
         if count > 8:
             stable = stable + 1 if nxt.dim == span.dim else 0
         span = nxt
@@ -215,13 +224,13 @@ def oracle_quaternion_span(h, wk):
 def round_quaternion_span(h, wk):
     """W_F by whole rounds: each round adds the images of the current
     span under D_i, D_j and D_k, until a round adds no dimension."""
-    ders = [wc.derivation_columns(action_of(h, name), 2 * h.n)
+    ders = [columns(derivation_action(action_of(h, name), 2 * h.n))
             for name in ("mat_i", "mat_j", "mat_k")]
     span = wk
     while True:
         grown = span
         for d in ders:
-            grown = grown.union_span(span.image(d))
+            grown = grown.union_span(image(span, d))
         if grown.dim == span.dim:
             return span
         span = grown
@@ -281,12 +290,9 @@ def test_exterior_identity_and_scaling():
 
 
 def test_exterior_size_guard():
-    with pytest.raises(ValueError):
-        wc.exterior_action(linalg.identity(18), 9)  # C(18,9) = 48620
-    with pytest.raises(ValueError):
-        wc.derivation_columns(linalg.identity(18), 9)
-    with pytest.raises(ValueError, match="exceeds the supported cap 924"):
-        wc.weil_report(4, HAMILTON)  # C(16, 8) = 12870
+    for k in (-1, 5):
+        with pytest.raises(ValueError, match="exterior power out of range"):
+            wc.exterior_action(linalg.identity(4), k)
 
 
 # ---------------------------------------------------- wedge derivations
@@ -351,10 +357,16 @@ def test_wedge_derivation_keeps_the_entry_type():
     assert fracs == ints and all(type(c) is Fraction for c in fracs.values())
 
 
+def sort_sign(seq):
+    """Sign of the permutation that sorts ``seq`` (distinct items), from
+    the number of inversions."""
+    return (-1) ** sum(a > b for t, a in enumerate(seq) for b in seq[t + 1 :])
+
+
 def sorted_derivation(mat, mono):
     """The derivation as ``wedge_derivation`` computed it before the sign
     was read in closed form: each rebuilt monomial sorted, its sign from
-    ``perm_sign``.  Also returns how many terms each monomial received."""
+    ``sort_sign``.  Also returns how many terms each monomial received."""
     present = set(mono)
     out, terms = {}, {}
     for pos, b in enumerate(mono):
@@ -364,7 +376,7 @@ def sorted_derivation(mat, mono):
                 continue
             rest = mono[:pos] + (p,) + mono[pos + 1 :]
             key = tuple(sorted(rest))
-            term = coef if linalg.perm_sign(rest) > 0 else -coef
+            term = coef if sort_sign(rest) > 0 else -coef
             out[key] = out[key] + term if key in out else term
             terms[key] = terms.get(key, 0) + 1
     return {k: v for k, v in out.items() if v}, terms
@@ -391,7 +403,52 @@ def test_wedge_derivation_matches_the_sorting_oracle():
         assert repeated > 20 and diagonal > 20, kind
 
 
+def test_wedge_vector_matches_the_sorting_oracle():
+    rng = random.Random(31)
+    entries = {
+        "int": lambda: rng.choice((0, 1, -1, 2, -3)),
+        "Fraction": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        "KNum": lambda: KNum.make(-3, rng.randint(-2, 2), rng.choice((0, 1, Fraction(-1, 2)))),
+    }
+    for kind, entry in entries.items():
+        for d in (3, 5, 6):
+            for k in range(d):
+                monos = list(combinations(range(d), k))
+                w = {m: entry() for m in rng.sample(monos, min(4, len(monos)))}
+                w = {m: c for m, c in w.items() if c}
+                v = [entry() for _ in range(d)]
+                want = {}
+                for mono, c in w.items():
+                    for p, x in enumerate(v):
+                        if x and p not in mono:
+                            key = tuple(sorted(mono + (p,)))
+                            term = c * x if sort_sign(mono + (p,)) > 0 else -(c * x)
+                            want[key] = want[key] + term if key in want else term
+                want = {m: c for m, c in want.items() if c}
+                assert linalg.wedge_vector(w, v) == want, (kind, w, v)
+
+
+def test_wedge_vector_vanishes_exactly_on_dependent_vectors():
+    vecs = [[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 0]]
+    w = {(): 1}
+    for v in vecs:
+        w = linalg.wedge_vector(w, v)
+    assert w
+    combo = [3 * a - b + 2 * c for a, b, c in zip(*vecs)]
+    assert linalg.wedge_vector(w, combo) == {}
+    assert linalg.wedge_vector(w, [0, 0, 0, 1]) != {}
+
+
 REGISTRY_MODELS = [(1, M11), (1, M13), (2, M11), (2, M13)]
+
+
+def derivation_columns(mat, k):
+    """The columns of the derivation on wedge^k as the module takes them:
+    ``wc._images`` of each basis monomial, as (row, entry) pairs."""
+    subsets = list(combinations(range(len(mat)), k))
+    index = {s: t for t, s in enumerate(subsets)}
+    images = wc._images(mat, [{src: 1} for src in subsets])
+    return [sorted((index[m], c) for m, c in img.items()) for img in images]
 
 
 @pytest.mark.parametrize("n,params", REGISTRY_MODELS)
@@ -399,8 +456,8 @@ def test_derivation_columns_are_the_columns_of_the_dense_derivation(n, params):
     h = model(n, params)
     for name in ("mat_i", "mat_j", "mat_k"):
         mat = action_of(h, name)
-        got = wc.derivation_columns(mat, 2 * n)
-        assert [sorted(col) for col in got] == columns(derivation_action(mat, 2 * n))
+        got = derivation_columns(mat, 2 * n)
+        assert got == columns(derivation_action(mat, 2 * n))
         assert all(type(c) is int for col in got for _, c in col)
 
 
@@ -408,11 +465,16 @@ def test_derivation_columns_match_the_dense_derivation_on_a_seeded_matrix():
     rng = random.Random(28)
     a = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(6)] for _ in range(6)]
     for k in range(7):
-        got = [sorted(col) for col in wc.derivation_columns(a, k)]
-        assert got == columns(derivation_action(a, k)), k
+        assert derivation_columns(a, k) == columns(derivation_action(a, k)), k
+    # a sum of monomials is imaged as the sum of their columns
+    dense = derivation_action(a, 3)
+    subsets = list(combinations(range(6), 3))
+    vec = {subsets[t]: c for t, c in ((0, 2), (7, -1), (19, 3))}
+    want = {m: x for m, x in zip(subsets, linalg.mat_vec(dense, [vec.get(m, 0) for m in subsets])) if x}
+    assert wc._images(a, [vec]) == [want]
 
 
-@pytest.mark.parametrize("n,params", REGISTRY_MODELS + [(2, M25)])
+@pytest.mark.parametrize("n,params", REGISTRY_MODELS + [(2, M25), (3, M13)])
 def test_weil_kernel_equals_the_dense_nullspace(n, params):
     h = model(n, params)
     assert wc.weil_kernel(h).rows == dense_weil_kernel(h).rows
@@ -523,7 +585,7 @@ def test_weil_kernel_is_stable_under_the_field():
     )
     gen_action = wc.exterior_action(x_mat, k)
     for ker in (oracle_weil_kernel(h, x), wc.weil_kernel(h)):
-        assert contains_space(ker, ker.image(columns(gen_action)))
+        assert contains_space(ker, image(ker, columns(gen_action)))
 
 
 def test_conjugate_element_has_same_kernel():
@@ -579,7 +641,7 @@ def test_the_bracket_of_d_i_and_d_j_is_twice_d_k(n, params):
     # on the transposes, whose rows are the sparse columns:
     # [D_i, D_j]^T = D_j^T D_i^T - D_i^T D_j^T
     h = model(n, params)
-    di, dj = (wc.derivation_columns(action_of(h, name), 2 * n) for name in ("mat_i", "mat_j"))
+    di, dj = (columns(derivation_action(action_of(h, name), 2 * n)) for name in ("mat_i", "mat_j"))
     ji, ij = linalg.sparse_mul(dj, di, len(di)), linalg.sparse_mul(di, dj, len(di))
     bracket = [[x - y for x, y in zip(r, q)] for r, q in zip(ji, ij)]
     dk = derivation_action(action_of(h, "mat_k"), 2 * n)
@@ -589,7 +651,7 @@ def test_the_bracket_of_d_i_and_d_j_is_twice_d_k(n, params):
 
 @pytest.mark.parametrize(
     "n,params,conjugate",
-    [(n, p, False) for n, p in REGISTRY_MODELS] + [(2, M25, False), (2, M13, True)],
+    [(n, p, False) for n, p in REGISTRY_MODELS] + [(2, M25, False), (2, M13, True), (3, M13, False)],
 )
 def test_pending_list_span_equals_the_round_closure(n, params, conjugate):
     h = model(n, params)
@@ -599,22 +661,42 @@ def test_pending_list_span_equals_the_round_closure(n, params, conjugate):
     assert wc.quaternion_span(h, wk).rows == round_quaternion_span(h, wk).rows
 
 
-@pytest.mark.parametrize("n,params,imaged", [(1, M11, 6), (1, M13, 6), (2, M11, 10), (2, M13, 10)])
-def test_quaternion_span_images_each_basis_vector_once_per_generator(
-    n, params, imaged, monkeypatch
-):
-    rows = []
-    real = wc.SubspaceQ.image
+# the corrupting monomial takes 1 ^ x in each copy of F; D_x kills it, so
+# for x = i only the D_i^2 and D_j certificates can reject it, and for
+# x = j only the D_i one
+@pytest.mark.parametrize("corrupt,x,message", [
+    (lambda ts: ts == [0], 1, "D_i\\^2 is not 4 n\\^2 r"),
+    (lambda ts: len(ts) > 1, 1, "not stable under D_i and D_j"),
+    (lambda ts: len(ts) > 1, 2, "not stable under D_i and D_j"),
+])
+def test_a_corrupted_wedge_fails_its_certificate(corrupt, x, message, monkeypatch):
+    real = wc._wedge_parts
 
-    def counting(self, cols):
-        rows.append(self.dim)
-        return real(self, cols)
+    def corrupted(h, ts):
+        parts = real(h, ts)
+        if corrupt(list(ts)):
+            parts[-1] = {**parts[-1], tuple(p for b in range(h.n) for p in (4 * b, 4 * b + x)): 1}
+        return parts
 
-    h = model(n, params)
-    wk = wc.weil_kernel(h)
-    monkeypatch.setattr(wc.SubspaceQ, "image", counting)
-    wf = wc.quaternion_span(h, wk)
-    assert sum(rows) == 2 * wf.dim == imaged
+    monkeypatch.setattr(wc, "_wedge_parts", corrupted)
+    h = model(2, M13)
+    with pytest.raises(RuntimeError, match=message):
+        wc.quaternion_span(h, wc.weil_kernel(h))
+    records = report.run_suite("weil")
+    assert records and all(r.status == report.FAIL for r in records)
+    assert all(r.computed.startswith("raised RuntimeError: ") for r in records)
+
+
+def test_quaternion_span_rejects_a_kernel_it_does_not_contain():
+    h = model(2, M13)
+    with pytest.raises(RuntimeError, match="misses W_K"):
+        wc.quaternion_span(h, wc.weil_kernel(model(2, M25)))
+
+
+@pytest.mark.parametrize("n,params,dims", [(3, M11, (2, 7)), (3, M25, (2, 7)), (4, HAMILTON, (2, 9))])
+def test_weil_dimensions_at_n_3_and_4(n, params, dims):
+    rep = wc.weil_report(n, params)
+    assert (rep["dim_WK"], rep["dim_WF"]) == dims
 
 
 def test_full_span_is_stable_under_generators():
@@ -622,7 +704,7 @@ def test_full_span_is_stable_under_generators():
     wf = wc.quaternion_span(h, wc.weil_kernel(h))
     k = h.dim // 2
     for name in ("mat_i", "mat_j", "mat_k"):
-        moved = wf.image(columns(wc.exterior_action(linalg.frac_mat(action_of(h, name)), k)))
+        moved = image(wf, columns(wc.exterior_action(linalg.frac_mat(action_of(h, name)), k)))
         assert contains_space(wf, moved)
 
 
