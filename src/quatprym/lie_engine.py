@@ -7,15 +7,20 @@ highest weight lam occurs sum_w sign(w) ms[lam + rho - w rho] times in a
 Weyl-symmetric multiset ms (Brauer-Klimyk), which decomposes a multiset,
 and the same sum over the irrep itself, equal to 1 at lam and 0 at every
 other dominant weight, builds its weight system (Racah's recursion; each
-total is checked against the Weyl dimension formula).  A factor is seen
-only through its positive roots and simple reflections: 2 rho is the sum
-of the roots, the (rho - w rho, sign w) pairs come from the orbit of
-rho, and the dominant weights below a highest weight, which must be
-dominant and integral (else ValueError), are reached from it by
-subtracting positive roots.  Exterior and symmetric powers are the
-coefficients of prod (1 + t e^mu) and prod 1/(1 - t e^mu) over the
-weights mu, in integer counts; tensor products, direct sums and
-concatenation across commuting factors complete the calculus.  Sizes:
+total is checked against the Weyl dimension formula).  Decompose first
+checks, in one pass and without reflecting, that ms is Weyl-symmetric:
+exactly when every weight has the multiplicity of its dominant conjugate
+(one sort per factor block) and, for each dominant lam, |W lam| weights
+are conjugate to lam, |W lam| read off lam's coordinates in closed form.
+Otherwise a factor is seen only through its positive roots and simple
+reflections: 2 rho is the sum of the roots, the (rho - w rho, sign w)
+pairs come from the orbit of rho, and the dominant weights below a
+highest weight, which must be dominant and integral (else ValueError),
+are reached from it by subtracting positive roots.  Exterior and
+symmetric powers are the coefficients of prod (1 + t e^mu) and
+prod 1/(1 - t e^mu) over the weights mu, in integer counts; tensor
+products, direct sums and concatenation across commuting factors
+complete the calculus.  Sizes:
 wedge^12 of three 8-dim spin representations has C(24,12) = 2704156
 weights, 553 distinct.
 
@@ -42,11 +47,12 @@ signed digits in an odd base wide enough for every sum the loop forms
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
-from math import prod
+from functools import cache, cached_property
+from itertools import chain, combinations, repeat
+from math import factorial, prod
 
 
 class NotARepresentation(ValueError):
@@ -90,13 +96,44 @@ class AlgebraType:
     def ncoords(self):
         return sum(f.ncoords for f in self.factors)
 
-    def slices(self):
+    # the tables below depend on the factors alone, so each algebra
+    # builds them once
+
+    @cached_property
+    def slices(self) -> tuple:
+        """(factor, lo, hi) for each factor: its block of coordinates."""
         out = []
         off = 0
         for f in self.factors:
             out.append((f, off, off + f.ncoords))
             off += f.ncoords
-        return out
+        return tuple(out)
+
+    @cached_property
+    def _a_blocks(self) -> tuple:
+        return tuple((lo, hi) for f, lo, hi in self.slices if f.family == "A")
+
+    @cached_property
+    def _shifts(self) -> tuple:
+        """(rho - w rho, sign w) for every w in the Weyl group: the
+        products of the factors' ``_factor_shifts``."""
+        shifts = [((), 1)]
+        for f in self.factors:
+            shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
+        return tuple(shifts)
+
+    @cached_property
+    def _conjugate(self):
+        """The function taking a canonical weight to its dominant
+        conjugate, factor block by factor block."""
+        parts = [(_CONJUGATE[f.family], lo, hi) for f, lo, hi in self.slices]
+        if len(parts) == 1:  # one block: the whole weight, no slicing
+            return parts[0][0]
+
+        def conjugate(w):
+            return tuple(chain.from_iterable(c(w[lo:hi]) for c, lo, hi in parts))
+
+        return conjugate
 
     def __str__(self):
         return "+".join(str(f) for f in self.factors)
@@ -110,8 +147,8 @@ B3A1 = AlgebraType.parse("B3+A1")
 
 
 # ---------------------------------------------------------------------------
-# weight helpers: the format, then dominance and reflections (which take
-# any coordinate type)
+# weight helpers: the format, then dominance, reflections and orbits
+# (which take any coordinate type)
 
 
 def weight_text(w) -> tuple:
@@ -124,16 +161,18 @@ def _fmt_weight(w):
     return "(" + ",".join(weight_text(w)) + ")"
 
 
-def _checked(w, alg: AlgebraType) -> tuple:
-    """w as a tuple, after a ValueError unless it has alg's number of
-    coordinates and each is an int, as the doubled coordinates of an
-    integral weight are."""
-    w = tuple(w)
-    if len(w) != alg.ncoords:
-        raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {alg.ncoords}")
-    if not all(isinstance(x, int) for x in w):
+def _checked(alg: AlgebraType, weights) -> list:
+    """The weights as tuples, after a ValueError unless each has alg's
+    number of coordinates and each coordinate is an int, as the doubled
+    coordinates of an integral weight are."""
+    weights = list(map(tuple, weights))
+    n = alg.ncoords
+    for w in weights:
+        if len(w) != n:
+            raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {n}")
+    if not all(map(isinstance, chain.from_iterable(weights), repeat(int))):
         raise ValueError(f"weight is not integral for {alg}")
-    return w
+    return weights
 
 
 def _a_canon(w):
@@ -151,7 +190,7 @@ def _canon(w: tuple, a_blocks) -> tuple:
 
 def canonicalize(alg: AlgebraType, w) -> tuple:
     """w, checked by ``_checked``, with each A-block shifted to end in 0."""
-    return _canon(_checked(w, alg), [(lo, hi) for f, lo, hi in alg.slices() if f.family == "A"])
+    return _canon(_checked(alg, [w])[0], alg._a_blocks)
 
 
 def _factor_dominant(f: SimpleFactor, w) -> bool:
@@ -164,7 +203,7 @@ def _factor_dominant(f: SimpleFactor, w) -> bool:
 
 def is_dominant(alg: AlgebraType, w) -> bool:
     return all(
-        _factor_dominant(f, w[lo:hi]) for f, lo, hi in alg.slices()
+        _factor_dominant(f, w[lo:hi]) for f, lo, hi in alg.slices
     )
 
 
@@ -200,18 +239,6 @@ def _factor_reflections(f: SimpleFactor):
     return refl
 
 
-def reflections(alg: AlgebraType):
-    """All simple reflections, lifted to full concatenated weights."""
-    out = []
-    for f, lo, hi in alg.slices():
-        for r in _factor_reflections(f):
-            def lifted(w, lo=lo, hi=hi, r=r):
-                return w[:lo] + r(w[lo:hi]) + w[hi:]
-
-            out.append(lifted)
-    return out
-
-
 def _factor_orbit(f: SimpleFactor, w):
     """The Weyl orbit of w as a list in discovery order, w first, so the
     order does not depend on how the weights hash."""
@@ -225,6 +252,45 @@ def _factor_orbit(f: SimpleFactor, w):
                 seen.add(nxt)
                 orbit.append(nxt)
     return orbit
+
+
+# The dominant conjugate of a factor-local weight, canonical for A: W is
+# the permutations of the coordinates for A, with all sign changes for B
+# and the even ones for D, so sorting (the absolute values, for B and D)
+# reaches it.  A D-weight with no zero coordinate keeps the parity of its
+# negative signs, on the last coordinate.
+
+
+def _a_conjugate(w):
+    return _a_canon(sorted(w, reverse=True))
+
+
+def _b_conjugate(w):
+    return tuple(sorted(map(abs, w), reverse=True))
+
+
+def _d_conjugate(w):
+    v = sorted(map(abs, w), reverse=True)
+    if v[-1] and len([x for x in w if x < 0]) % 2:
+        v[-1] = -v[-1]
+    return tuple(v)
+
+
+_CONJUGATE = {"A": _a_conjugate, "B": _b_conjugate, "D": _d_conjugate}
+
+
+def _factor_orbit_size(f: SimpleFactor, lam) -> int:
+    """|W lam| for a dominant lam, without walking the orbit: the distinct
+    arrangements of its coordinates (of their absolute values, for B and
+    D), times, for B and D, the signs of the nonzero ones; half of those
+    for D when no coordinate is 0, as its sign changes come in pairs."""
+    values = lam if f.family == "A" else tuple(map(abs, lam))
+    size = factorial(len(values)) // prod(map(factorial, Counter(values).values()))
+    if f.family == "A":
+        return size
+    zeros = values.count(0)
+    size <<= len(values) - zeros
+    return size if zeros or f.family == "B" else size // 2
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +326,7 @@ def _vadd(u, v, k=1):
     return tuple(x + k * y for x, y in zip(u, v))
 
 
+@cache
 def _integral(f: SimpleFactor, lam):
     """lam, after a ValueError unless 2<lam, a>/<a, a> is an integer for
     every positive root a; in doubled coordinates, <a, a> divides <lam, a>."""
@@ -268,6 +335,7 @@ def _integral(f: SimpleFactor, lam):
     return lam
 
 
+@cache
 def _factor_weyl_dim(f: SimpleFactor, lam) -> int:
     """prod <lam + rho, a> / <rho, a> over the positive roots; the doubling
     of lam and rho cancels."""
@@ -307,7 +375,7 @@ def _highest_weight_parts(alg: AlgebraType, lam):
     lam = canonicalize(alg, lam)
     if not is_dominant(alg, lam):
         raise ValueError("weight is not dominant")
-    return [(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices()]
+    return [(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +453,7 @@ def _packer(weights, reach):
     |coordinate| such a sum can reach.  pack is linear, so pack(u) +
     pack(v) == pack(u + v), and it is one-to-one on the vectors those sums
     reach."""
-    top = max((abs(x) for w in weights for x in w), default=0)
+    top = max(map(abs, chain.from_iterable(weights)), default=0)
     base = 2 * reach * top + 1
     half = base // 2
     ncoords = len(weights[0]) if weights else 0
@@ -418,7 +486,7 @@ def _powers(alg: AlgebraType, ms, k, sym):
     if not sym and k > n:
         raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
     zero = (0,) * alg.ncoords
-    weights = [(_checked(mu, alg), m) for mu, m in ms.items()]
+    weights = list(zip(_checked(alg, ms), ms.values()))
     pack, unpack = _packer([zero, *(mu for mu, _ in weights)], k)
     levels = [{pack(zero): 1}] + [{} for _ in range(k)]
     degrees = range(1, k + 1) if sym else range(k, 0, -1)
@@ -445,8 +513,8 @@ def sym_power(alg: AlgebraType, ms, k) -> dict:
 
 
 def tensor(alg: AlgebraType, a, b) -> dict:
-    a = [(_checked(w, alg), m) for w, m in a.items()]
-    b = [(_checked(w, alg), m) for w, m in b.items()]
+    a = list(zip(_checked(alg, a), a.values()))
+    b = list(zip(_checked(alg, b), b.values()))
     pack, unpack = _packer([w for w, _ in a + b], 2)
     packed_b = [(pack(w), m) for w, m in b]
     out = {}
@@ -484,38 +552,50 @@ def box_tensor(alg_a: AlgebraType, a, alg_b: AlgebraType, b):
 def decompose(alg: AlgebraType, ms) -> list:
     """[(highest weight, multiplicity)] in decreasing lexicographic order,
     by Brauer-Klimyk at each dominant weight of ms.  Raises
-    NotARepresentation when a multiplicity is negative, a simple
-    reflection does not preserve the multiset, or the counted dimensions
-    do not exhaust the input, and ValueError when a highest weight is not
-    integral."""
+    NotARepresentation when a multiplicity is negative, the multiset is
+    not Weyl-symmetric (some simple reflection does not preserve it), or
+    the counted dimensions do not exhaust the input, and ValueError when
+    a highest weight is not integral.
+
+    Symmetry is checked in one pass, without reflecting: the multiset is
+    Weyl-symmetric exactly when every weight has the multiplicity of its
+    dominant conjugate and, for each dominant lam, |W lam| weights are
+    conjugate to lam, |W lam| read off lam's coordinates."""
     if any(m < 0 for m in ms.values()):
         raise NotARepresentation("negative input multiplicity")
-    shifts = [((), 1)]
-    for f, _, _ in alg.slices():
-        shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in _factor_shifts(f)]
     # weights that canonicalize alike are one weight
-    a_blocks = [(lo, hi) for f, lo, hi in alg.slices() if f.family == "A"]
+    a_blocks = alg._a_blocks
+    nonzero = {w: m for w, m in ms.items() if m}
     weights = {}
-    for w, m in ms.items():
-        if m:
-            w = _canon(_checked(w, alg), a_blocks)
-            weights[w] = weights.get(w, 0) + m
-    # a reflected weight, and a weight plus a shift, are sums of at most
-    # two of the packed vectors (an A-block reflection subtracts a
-    # coordinate), so reach 2 keeps every lookup below exact
+    for w, m in zip(_checked(alg, nonzero), nonzero.values()):
+        w = _canon(w, a_blocks)
+        weights[w] = weights.get(w, 0) + m
+    conjugate = alg._conjugate
+    orbits = {}  # dominant lam -> the number of weights conjugate to it
+    for w, m in weights.items():
+        lam = conjugate(w)
+        if weights.get(lam) != m:
+            raise NotARepresentation(
+                f"weight {_fmt_weight(w)} and its dominant conjugate {_fmt_weight(lam)} "
+                "have different multiplicities, so a reflection does not preserve them"
+            )
+        orbits[lam] = orbits.get(lam, 0) + 1
+    for lam, count in orbits.items():
+        size = prod(_factor_orbit_size(f, lam[lo:hi]) for f, lo, hi in alg.slices)
+        if count != size:
+            raise NotARepresentation(
+                f"{count} of the {size} conjugates of {_fmt_weight(lam)} are weights, "
+                "so a reflection does not preserve the multiset"
+            )
+    # a weight plus a shift is a sum of two of the packed vectors, so
+    # reach 2 keeps every lookup below exact
+    shifts = alg._shifts
     pack, _ = _packer([*weights, *(s for s, _ in shifts)], 2)
     packed = {pack(w): m for w, m in weights.items()}
     get = packed.get
-    for r in reflections(alg):
-        for w, m in weights.items():
-            if get(pack(r(w))) != m:
-                raise NotARepresentation(
-                    f"weight {_fmt_weight(w)} and its reflection "
-                    f"{_fmt_weight(r(w))} have different multiplicities"
-                )
     packed_shifts = [(pack(s), e) for s, e in shifts]
     out = []
-    for lam in sorted((w for w in weights if is_dominant(alg, w)), reverse=True):
+    for lam in sorted(orbits, reverse=True):
         p = pack(lam)
         mult = sum(e * get(p + s, 0) for s, e in packed_shifts)
         if mult < 0:
@@ -523,7 +603,7 @@ def decompose(alg: AlgebraType, ms) -> list:
         if mult:
             out.append((lam, mult))
     counted = sum(
-        m * prod(_factor_weyl_dim(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices())
+        m * prod(_factor_weyl_dim(f, _integral(f, lam[lo:hi])) for f, lo, hi in alg.slices)
         for lam, m in out
     )
     if counted != multiset_size(ms):

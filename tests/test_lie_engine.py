@@ -12,12 +12,15 @@ it replaced, kept here as the oracle, and half the sum of the positive
 roots against the closed forms of rho.  The generating-function powers
 and the Brauer-Klimyk decomposition are gated against the subset walks
 and the greedy stripping of dominant tables they replaced, also kept
-here as oracles.  The engine takes and returns doubled-int weights; the
-tests write weights in true coordinates and convert them with ``twice``,
-and the oracles keep Fraction coordinates (sum-zero for A) and convert
-with ``internal`` and ``doubled``.  The packed-int
-weights inside the power loops are checked for round trips and
-additivity against tuple sums, and tensor against a tuple loop.
+here as oracles.  Decompose's one-pass symmetry check (dominant
+conjugates and closed-form orbit sizes) is gated against the orbit walk
+and against the simple-reflection check it replaced, kept here as the
+oracle, on perturbed sums of irreps.  The engine takes and returns
+doubled-int weights; the tests write weights in true coordinates and
+convert them with ``twice``, and the oracles keep Fraction coordinates
+(sum-zero for A) and convert with ``internal`` and ``doubled``.  The
+packed-int weights inside the power loops are checked for round trips
+and additivity against tuple sums, and tensor against a tuple loop.
 """
 
 import dataclasses
@@ -500,17 +503,165 @@ def test_weyl_dimension_formula(alg, lam, dim):
 # ----------------------------------------------------- Weyl invariance
 
 
+def reflections(alg):
+    """All simple reflections, lifted to full concatenated weights."""
+    out = []
+    for f, lo, hi in alg.slices:
+        for r in le._factor_reflections(f):
+            def lifted(w, lo=lo, hi=hi, r=r):
+                return w[:lo] + r(w[lo:hi]) + w[hi:]
+
+            out.append(lifted)
+    return out
+
+
+def reflection_decompose(alg, ms):
+    """decompose with the symmetry check it replaced: every simple
+    reflection must map the canonicalized multiset to itself; then
+    Brauer-Klimyk on tuples, with the same negativity and coverage checks."""
+    if any(m < 0 for m in ms.values()):
+        raise le.NotARepresentation("negative input multiplicity")
+    weights = {}
+    for w, m in ms.items():
+        if m:
+            w = le.canonicalize(alg, w)
+            weights[w] = weights.get(w, 0) + m
+    for r in reflections(alg):
+        for w, m in weights.items():
+            if weights.get(r(w)) != m:
+                raise le.NotARepresentation(f"a reflection moves {w}")
+    shifts = [((), 1)]
+    for f in alg.factors:
+        shifts = [(s0 + s1, e0 * e1) for s0, e0 in shifts for s1, e1 in le._factor_shifts(f)]
+    out = []
+    for lam in sorted((w for w in weights if le.is_dominant(alg, w)), reverse=True):
+        mult = sum(e * weights.get(le._vadd(lam, s), 0) for s, e in shifts)
+        if mult < 0:
+            raise le.NotARepresentation(f"negative multiplicity at {lam}")
+        if mult:
+            out.append((lam, mult))
+    if sum(m * weyl_dim(alg, lam) for lam, m in out) != le.multiset_size(ms):
+        raise le.NotARepresentation("the decomposition does not cover the weights")
+    return out
+
+
 def test_weight_multisets_are_reflection_invariant():
     rng = random.Random(5)
     cases = [(le.B3, (1, 1, 0)), (le.B3, (H, H, H)), (le.D4, (1, 1, 0, 0)), (le.A3, (2, 1, 0, 0))]
     for alg, lam in cases:
         ms = le.irrep_weights(alg, twice(lam))
         for _ in range(4):
-            refl = rng.choice(le.reflections(alg))
+            refl = rng.choice(reflections(alg))
             reflected = {}
             for w, m in ms.items():
                 reflected[refl(w)] = reflected.get(refl(w), 0) + m
             assert ms_eq(reflected, ms)
+
+
+ORBIT_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "B4", "D4", "D5")
+
+
+def test_orbit_sizes_and_dominant_conjugates_match_the_orbit_walk():
+    # every dominant weight with stored coordinates in -4..4 (the A-block
+    # canonical): the closed-form size is the length of the orbit, and
+    # every weight of the orbit conjugates back to the dominant one
+    count = 0
+    for name in ORBIT_ALGEBRAS:
+        (f,) = le.AlgebraType.parse(name).factors
+        conjugate = le._CONJUGATE[f.family]
+        for lam in product(range(-4, 5), repeat=f.ncoords):
+            if (f.family == "A" and lam[-1]) or not le._factor_dominant(f, lam):
+                continue
+            orbit = le._factor_orbit(f, lam)
+            assert le._factor_orbit_size(f, lam) == len(orbit), (f, lam)
+            assert all(conjugate(w) == lam for w in orbit), (f, lam)
+            count += 1
+    assert count == 462
+
+
+def orbit(alg, w):
+    """The Weyl orbit of w: the products of the factor orbits."""
+    out = [()]
+    for f, lo, hi in alg.slices:
+        out = [v + u for v in out for u in le._factor_orbit(f, w[lo:hi])]
+    return set(out)
+
+
+def perturbations(rng, alg, ms):
+    """ms with one orbit member dropped, with one count of a weight moved to
+    a weight not conjugate to it, and with a lone dominant weight added."""
+    for w in ms:
+        yield {v: m for v, m in ms.items() if v != w}
+    for w in ms:
+        away = [v for v in [*ms, (0,) * alg.ncoords] if v not in orbit(alg, w)]
+        if away:
+            v = rng.choice(away)
+            moved = dict(ms)
+            moved[w] -= 1
+            moved[v] = moved.get(v, 0) + 1
+            yield moved
+    highest = max(w for w in ms if le.is_dominant(alg, w))
+    for lam in [w for w in ms if le.is_dominant(alg, w)] + [tuple(2 * x for x in highest)]:
+        yield le.dsum(ms, {lam: 1})
+
+
+def verdict(decompose, alg, ms):
+    """The decomposition, or how it was refused: a failed symmetry check
+    names a reflection."""
+    try:
+        return decompose(alg, ms)
+    except le.NotARepresentation as e:
+        return "reflection" in str(e)
+
+
+def irrep_sum(alg, *lams):
+    ms = {}
+    for lam in lams:
+        ms = le.dsum(ms, le.irrep_weights(alg, twice(lam)))
+    return ms
+
+
+SYMMETRY_CASES = {
+    "B3 spin": (le.B3, irrep_sum(le.B3, (H, H, H))),
+    "B3 adjoint + vector": (le.B3, irrep_sum(le.B3, (1, 1, 0), (1, 0, 0))),
+    "D4 half-spin + vector": (le.D4, irrep_sum(le.D4, (H, H, H, H), (1, 0, 0, 0))),
+    "D4 adjoint": (le.D4, irrep_sum(le.D4, (1, 1, 0, 0))),
+    "A3 W + wedge2 W": (le.A3, irrep_sum(le.A3, (1, 0, 0, 0), (1, 1, 0, 0))),
+    "A3 adjoint": (le.A3, irrep_sum(le.A3, (1, 0, 0, -1))),
+    "B3+A1 spin x V2": (le.B3A1, irrep_sum(le.B3A1, (H, H, H, 1, 0))),
+    "B3+A1 + vector": (le.B3A1, irrep_sum(le.B3A1, (H, H, H, 1, 0), (1, 0, 0, 0, 0))),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CASES)
+def test_symmetry_check_agrees_with_the_reflection_oracle(name):
+    alg, ms = SYMMETRY_CASES[name]
+    rng = random.Random(name)
+    assert le.decompose(alg, ms) == reflection_decompose(alg, ms)
+    verdicts = []
+    for bad in perturbations(rng, alg, ms):
+        got = verdict(le.decompose, alg, bad)
+        assert got == verdict(reflection_decompose, alg, bad), bad
+        verdicts.append(got)
+    assert True in verdicts  # some perturbation failed the symmetry check
+
+
+@pytest.mark.parametrize(
+    "alg,ms",
+    [
+        (le.B3, {twice((1, 0, 0)): 1}),  # the lone dominant weight e1
+        # the D4 half-spin weights, an even number of signs negative, and
+        # one weight with an odd number
+        (le.D4, le.dsum(le.atom("Gamma+")[1], {twice((H, H, H, -H)): 1})),
+        # a regular weight of B8, whose orbit has 8! 2^8 = 10321920 weights
+        (le.AlgebraType.parse("B8"), {tuple(range(16, 0, -2)): 1}),
+    ],
+)
+def test_decompose_rejects_an_incomplete_orbit(alg, ms):
+    with pytest.raises(le.NotARepresentation, match="reflection"):
+        le.decompose(alg, ms)
+    with pytest.raises(le.NotARepresentation, match="reflection"):
+        reflection_decompose(alg, ms)
 
 
 # ------------------------------------------------------------ decompose
