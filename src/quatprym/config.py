@@ -11,14 +11,21 @@ these defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Budgets:
+    """The caps as class constants; every instance is the default one,
+    so ``normalize_hom`` can read its default off the class."""
+
+    __slots__ = ()
+
     # normalization phase 2: a cached distance table when every genus-g
     # tuple fits in the cap, else the bounded breadth-first search
-    bfs_node_cap: int = 200000
+    bfs_node_cap = 200000
+
+    def __eq__(self, other):
+        if other.__class__ is not Budgets:
+            return NotImplemented
+        return True
 
 
 def load_budgets() -> Budgets:

@@ -22,7 +22,6 @@ and it does not compute an intersection form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,11 +44,13 @@ C_CHAIN_VERTEX_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
 class CoverGraph:
-    g: int
-    alpha_images: tuple  # g group elements
-    edges: tuple  # 8g triples (u_index, v_index, m), edge (m-1)*8+u
+    __slots__ = ("g", "alpha_images", "edges")
+
+    def __init__(self, g: int, alpha_images: tuple, edges: tuple):
+        self.g = g
+        self.alpha_images = alpha_images  # g group elements
+        self.edges = edges  # 8g triples (u_index, v_index, m), edge (m-1)*8+u
 
     @property
     def n_edges(self):
@@ -150,7 +151,6 @@ class H1Data:
         return self._rho_cache[q]
 
 
-@dataclass(frozen=True)
 class IntLattice:
     """A sublattice of Z^ambient, rows of ``basis`` are the basis vectors.
 
@@ -158,8 +158,11 @@ class IntLattice:
     ``linalg.int_echelon`` of [B | I], with B the basis vectors as
     columns, each row [R | E] with a positive int pivot d, so E B = R."""
 
-    ambient: int
-    basis: list
+    __slots__ = ("ambient", "basis", "__dict__")  # __dict__ holds the cached elimination
+
+    def __init__(self, ambient: int, basis: list):
+        self.ambient = ambient
+        self.basis = basis
 
     @property
     def rank(self):
@@ -295,15 +298,19 @@ def check_cycle_c_and_basis(h: HomTuple = None) -> dict:
     }
 
 
-@dataclass
 class PrymLatticeModel:
-    g: int
-    rank: int
-    module_type: str
-    a_blocks: dict  # q -> integer matrix, in the explicit module basis
-    inclusion_divisors: list
-    basis_det: int
-    normalization_moves: int
+    __slots__ = ("g", "rank", "module_type", "a_blocks", "inclusion_divisors", "basis_det",
+                 "normalization_moves")
+
+    def __init__(self, g: int, rank: int, module_type: str, a_blocks: dict,
+                 inclusion_divisors: list, basis_det: int, normalization_moves: int):
+        self.g = g
+        self.rank = rank
+        self.module_type = module_type
+        self.a_blocks = a_blocks  # q -> integer matrix, in the explicit module basis
+        self.inclusion_divisors = inclusion_divisors
+        self.basis_det = basis_det
+        self.normalization_moves = normalization_moves
 
     def symplectic_ok(self) -> bool:
         """A(q^-1) A(q) = I for every q: exactly rho(q)^T J rho(q) = J for

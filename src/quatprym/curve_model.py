@@ -21,7 +21,6 @@ is a finite-field enumeration comparing zero loci pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .linalg import inverse, mat_mul, rank, solve
@@ -160,14 +159,16 @@ Y = PolyGauss.var(1, XY)
 CURVE_POLY = Y * Y - X.pow(5) + X  # y^2 - x^5 + x
 
 
-@dataclass(frozen=True)
 class CurveAuto:
     """Automorphism of the affine curve, as Laurent polynomials
     substituted for x and y."""
 
-    name: str
-    fx: PolyGauss
-    fy: PolyGauss
+    __slots__ = ("name", "fx", "fy")
+
+    def __init__(self, name: str, fx: PolyGauss, fy: PolyGauss):
+        self.name = name
+        self.fx = fx
+        self.fy = fy
 
     def compose(self, other: "CurveAuto") -> "CurveAuto":
         """self after other."""

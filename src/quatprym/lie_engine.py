@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
@@ -59,16 +58,27 @@ class NotARepresentation(ValueError):
     """The multiset is not the weight system of any finite-dim rep."""
 
 
-@dataclass(frozen=True)
 class SimpleFactor:
-    family: str  # 'A', 'B' or 'D'
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "D"):
-            raise ValueError(f"unknown family {self.family!r}; know A, B, D")
-        if self.rank < (2 if self.family == "D" else 1):
-            raise ValueError(f"rank {self.rank} is too small for family {self.family}")
+    def __init__(self, family: str, rank: int):
+        if family not in ("A", "B", "D"):
+            raise ValueError(f"unknown family {family!r}; know A, B, D")
+        if rank < (2 if family == "D" else 1):
+            raise ValueError(f"rank {rank} is too small for family {family}")
+        self.family = family
+        self.rank = rank
+
+    def __eq__(self, other):
+        if other.__class__ is not SimpleFactor:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"SimpleFactor(family={self.family!r}, rank={self.rank!r})"
 
     @property
     def ncoords(self):
@@ -78,9 +88,22 @@ class SimpleFactor:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
 class AlgebraType:
-    factors: tuple
+    __slots__ = ("factors", "__dict__")  # __dict__ holds the cached tables
+
+    def __init__(self, factors: tuple):
+        self.factors = factors
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraType:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"AlgebraType(factors={self.factors!r})"
 
     @staticmethod
     def parse(text) -> "AlgebraType":
@@ -193,18 +216,11 @@ def canonicalize(alg: AlgebraType, w) -> tuple:
     return _canon(_checked(alg, [w])[0], alg._a_blocks)
 
 
-def _factor_dominant(f: SimpleFactor, w) -> bool:
-    if f.family == "A":
-        return all(w[t] >= w[t + 1] for t in range(len(w) - 1))
-    if f.family == "B":
-        return all(w[t] >= w[t + 1] for t in range(len(w) - 1)) and w[-1] >= 0
-    return all(w[t] >= w[t + 1] for t in range(len(w) - 2)) and w[-2] >= abs(w[-1])
-
-
 def is_dominant(alg: AlgebraType, w) -> bool:
-    return all(
-        _factor_dominant(f, w[lo:hi]) for f, lo, hi in alg.slices
-    )
+    """Whether w, with its A-blocks canonicalized, is its own dominant
+    conjugate (``_CONJUGATE``)."""
+    w = _canon(tuple(w), alg._a_blocks)
+    return alg._conjugate(w) == w
 
 
 def _factor_reflections(f: SimpleFactor):
@@ -389,6 +405,7 @@ def _candidates(f: SimpleFactor, lam):
     dominant weights, 1998), so subtracting positive roots and keeping
     the dominant results reaches all of them."""
     roots = _factor_roots(f)
+    conjugate = _CONJUGATE[f.family]
     out = [lam]
     seen = {lam}
     for mu in out:
@@ -396,7 +413,7 @@ def _candidates(f: SimpleFactor, lam):
             nu = _vadd(mu, a, -2)
             if f.family == "A":
                 nu = _a_canon(nu)
-            if nu not in seen and _factor_dominant(f, nu):
+            if nu not in seen and conjugate(nu) == nu:
                 seen.add(nu)
                 out.append(nu)
     return out

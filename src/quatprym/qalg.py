@@ -15,7 +15,6 @@ position in ``QUAT_GROUP``, once for the whole package.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -24,12 +23,25 @@ from .linalg import frac_mat, inverse, mat_vec
 Q1 = Fraction(1)
 
 
-@dataclass(frozen=True)
 class AlgebraParams:
     """Structure constants (r, s) of a rational quaternion algebra."""
 
-    r: Fraction
-    s: Fraction
+    __slots__ = ("r", "s")
+
+    def __init__(self, r: Fraction, s: Fraction):
+        self.r = r
+        self.s = s
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraParams:
+            return NotImplemented
+        return (self.r, self.s) == (other.r, other.s)
+
+    def __hash__(self):
+        return hash((self.r, self.s))
+
+    def __repr__(self):
+        return f"AlgebraParams(r={self.r!r}, s={self.s!r})"
 
     @staticmethod
     def make(r, s) -> "AlgebraParams":
@@ -42,15 +54,30 @@ class AlgebraParams:
 HAMILTON = AlgebraParams.make(-1, -1)
 
 
-@dataclass(frozen=True)
 class QuatElem:
     """Element a + b i + c j + d k of B(r, s)."""
 
-    params: AlgebraParams
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = ("params", "a", "b", "c", "d")
+
+    def __init__(self, params: AlgebraParams, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        self.params = params
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is not QuatElem:
+            return NotImplemented
+        return ((self.params, self.a, self.b, self.c, self.d)
+                == (other.params, other.a, other.b, other.c, other.d))
+
+    def __hash__(self):
+        return hash((self.params, self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return (f"QuatElem(params={self.params!r}, a={self.a!r}, b={self.b!r},"
+                f" c={self.c!r}, d={self.d!r})")
 
     @staticmethod
     def make(params, a, b=0, c=0, d=0) -> "QuatElem":
@@ -401,7 +428,6 @@ def group_ring_wedderburn():
 # splitting over K = Q(sqrt(r))
 
 
-@dataclass(frozen=True)
 class KNum:
     """Element u + v*sqrt(r) of the quadratic field K = Q(sqrt(r)).
 
@@ -411,9 +437,23 @@ class KNum:
     ``scale`` and ``inv`` store an integral part as an int (equal to its
     Fraction, with the same hash and str), so Gaussian integers stay ints."""
 
-    r: int | Fraction
-    u: int | Fraction
-    v: int | Fraction
+    __slots__ = ("r", "u", "v")
+
+    def __init__(self, r: int | Fraction, u: int | Fraction, v: int | Fraction):
+        self.r = r
+        self.u = u
+        self.v = v
+
+    def __eq__(self, other):
+        if other.__class__ is not KNum:
+            return NotImplemented
+        return (self.r, self.u, self.v) == (other.r, other.u, other.v)
+
+    def __hash__(self):
+        return hash((self.r, self.u, self.v))
+
+    def __repr__(self):
+        return f"KNum(r={self.r!r}, u={self.u!r}, v={self.v!r})"
 
     @staticmethod
     def make(r, u, v=0):

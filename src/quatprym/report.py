@@ -26,7 +26,6 @@ Exit-code contract: a suite is green iff it contains no FAIL.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 
 from . import (
@@ -47,25 +46,30 @@ EVIDENCE = "EVIDENCE"
 FLAGGED = "FLAGGED"
 
 
-@dataclass(frozen=True)
 class ClaimRecord:
-    claim_id: str
-    statement: str
-    expected: str
-    computed: str
-    status: str
+    __slots__ = ("claim_id", "statement", "expected", "computed", "status")  # the JSON key order
+
+    def __init__(self, claim_id: str, statement: str, expected: str, computed: str, status: str):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.expected = expected
+        self.computed = computed
+        self.status = status
 
 
-@dataclass(frozen=True)
 class Claim:
     """One registry row.  ``status`` is earned when the computed value
     matches ``typo`` if given (FLAGGED rows), else ``expected``."""
 
-    claim_id: str
-    statement: str
-    expected: object
-    status: str = PASS
-    typo: object = None
+    __slots__ = ("claim_id", "statement", "expected", "status", "typo")
+
+    def __init__(self, claim_id: str, statement: str, expected: object, status: str = PASS,
+                 typo: object = None):
+        self.claim_id = claim_id
+        self.statement = statement
+        self.expected = expected
+        self.status = status
+        self.typo = typo
 
 
 _MODULE_TYPES = {2: "(M)^2", 3: "(M ⊕ H_Z)^2"}
@@ -594,7 +598,7 @@ def has_failures(records) -> bool:
 
 def emit(records, fmt: str) -> str:
     if fmt == "json":
-        payload = {"claims": [asdict(r) for r in records]}
+        payload = {"claims": [{k: getattr(r, k) for k in ClaimRecord.__slots__} for r in records]}
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "markdown":
         lines = [

@@ -40,7 +40,6 @@ coefficient on the single monomial from wedge^4(even part) is nonzero.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -100,10 +99,12 @@ class SpinConstructionError(RuntimeError):
     pass
 
 
-@dataclass
 class SpinRep:
-    two_rho: dict  # (a,b) -> 8x8 int matrix of 2 rho(e_a ^ e_b)
-    scalars: tuple  # the signs s1..s4 and the doubled Cartan shift 2c
+    __slots__ = ("two_rho", "scalars")
+
+    def __init__(self, two_rho: dict, scalars: tuple):
+        self.two_rho = two_rho  # (a,b) -> 8x8 int matrix of 2 rho(e_a ^ e_b)
+        self.scalars = scalars  # the signs s1..s4 and the doubled Cartan shift 2c
 
     def weight_of_spinor(self, s) -> tuple:
         """Doubled Cartan weight of the s-th spinor basis vector."""

@@ -34,7 +34,6 @@ g+m is beta_m, and a negative letter is the inverse.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -76,19 +75,30 @@ def surface_relator(g):
 # homomorphism tuples
 
 
-@dataclass(frozen=True)
 class HomTuple:
     """Images of alpha_1..alpha_g, beta_1..beta_g in Q, as (sign, axis)."""
 
-    g: int
-    images: tuple
+    __slots__ = ("g", "images")
 
-    def __post_init__(self):
-        if len(self.images) != 2 * self.g:
-            raise ValueError(f"genus {self.g} needs {2 * self.g} images, got {len(self.images)}")
-        for x in self.images:
+    def __init__(self, g: int, images: tuple):
+        if len(images) != 2 * g:
+            raise ValueError(f"genus {g} needs {2 * g} images, got {len(images)}")
+        for x in images:
             if x not in QUAT_GROUP:
                 raise ValueError(f"image {x!r} is not an element of Q8")
+        self.g = g
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not HomTuple:
+            return NotImplemented
+        return (self.g, self.images) == (other.g, other.images)
+
+    def __hash__(self):
+        return hash((self.g, self.images))
+
+    def __repr__(self):
+        return f"HomTuple(g={self.g!r}, images={self.images!r})"
 
     def alpha(self, m):
         return self.images[m - 1]
@@ -138,14 +148,27 @@ def format_hom(h: HomTuple) -> str:
 # the move calculus
 
 
-@dataclass(frozen=True)
 class Move:
     """A free-group endomorphism given by generator images, acting on
     HomTuples by precomposition."""
 
-    kind: str
-    g: int
-    images: tuple  # 2g free words
+    __slots__ = ("kind", "g", "images")
+
+    def __init__(self, kind: str, g: int, images: tuple):
+        self.kind = kind
+        self.g = g
+        self.images = images  # 2g free words
+
+    def __eq__(self, other):
+        if other.__class__ is not Move:
+            return NotImplemented
+        return (self.kind, self.g, self.images) == (other.kind, other.g, other.images)
+
+    def __hash__(self):
+        return hash((self.kind, self.g, self.images))
+
+    def __repr__(self):
+        return f"Move(kind={self.kind!r}, g={self.g!r}, images={self.images!r})"
 
     def substitute(self, w):
         parts = []
@@ -492,14 +515,22 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
 # enumeration
 
 
-@dataclass(frozen=True)
 class EnumReport:
-    genus: int
-    total: int
-    valid: int
-    surjective: int
-    orbit_sizes: tuple
-    standard_orbit_size: int
+    __slots__ = ("genus", "total", "valid", "surjective", "orbit_sizes", "standard_orbit_size")
+
+    def __init__(self, genus: int, total: int, valid: int, surjective: int,
+                 orbit_sizes: tuple, standard_orbit_size: int):
+        self.genus = genus
+        self.total = total
+        self.valid = valid
+        self.surjective = surjective
+        self.orbit_sizes = orbit_sizes
+        self.standard_orbit_size = standard_orbit_size
+
+    def __eq__(self, other):
+        if other.__class__ is not EnumReport:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
 def _generated(gens) -> frozenset:
@@ -582,8 +613,10 @@ def enumerate_surjections(g) -> EnumReport:
                 surjective += n * len(qs) * (_AXIS_COUNT[x | y] >= 2)
     seeds = (p | q for p, r, x in prefixes for (c, y), qs in last.items()
              if Q8_MUL[8 * r + c] == 0 and _AXIS_COUNT[x | y] >= 2 for q in qs)
-    _, compiled = _compiled_moves(g)
-    handle = compiled[:len(handle_moves(g))]
+    # the handle moves but the twists: BETA_TWIST(m) is BETA_SLIDE(m) squared,
+    # so PSI and the slides generate the same group
+    handle = tuple(c for mv, c in zip(*_compiled_moves(g))
+                   if not mv.kind.startswith(("BETA_TWIST", "CONJ")))
     orbit_sizes, standard_orbit, labelled = [], 0, 0
     std = pack_images(standard_hom(g).images) if g >= 2 else 0  # 0 is not surjective
     labels = bytearray(8 ** (2 * g))

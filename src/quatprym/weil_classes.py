@@ -36,7 +36,6 @@ raises RuntimeError.  No matrix on wedge^{2n} is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import combinations
 
@@ -53,14 +52,16 @@ from .linalg import (
 from .qalg import AlgebraParams, KNum, basis_elems, left_mult_matrix
 
 
-@dataclass(frozen=True)
 class HModel:
     """F^n with left multiplication by i and j, as rational matrices."""
 
-    params: AlgebraParams
-    n: int
-    mat_i: tuple
-    mat_j: tuple
+    __slots__ = ("params", "n", "mat_i", "mat_j")
+
+    def __init__(self, params: AlgebraParams, n: int, mat_i: tuple, mat_j: tuple):
+        self.params = params
+        self.n = n
+        self.mat_i = mat_i
+        self.mat_j = mat_j
 
     @staticmethod
     def make(n: int, params: AlgebraParams) -> "HModel":
@@ -91,14 +92,16 @@ class HModel:
             raise ValueError("i and j anticommute")
 
 
-@dataclass(frozen=True)
 class SubspaceQ:
     """Rational subspace, stored as the canonical rows of
     ``linalg.int_echelon``: the reduced-echelon rows, each scaled to a
     primitive int row with a positive pivot entry."""
 
-    ambient: int
-    rows: tuple
+    __slots__ = ("ambient", "rows")
+
+    def __init__(self, ambient: int, rows: tuple):
+        self.ambient = ambient
+        self.rows = rows
 
     @staticmethod
     def from_vectors(vecs, ambient) -> "SubspaceQ":

@@ -1,7 +1,5 @@
 """Budgets: one fixed cap, no file and no environment override."""
 
-import dataclasses
-
 from quatprym import config
 
 # the variable that once scaled the search caps, spelled in two parts so
@@ -12,7 +10,9 @@ OLD_SCALE_VAR = "HODGE_BUDGET" + "_SCALE"
 def test_defaults():
     b = config.load_budgets()
     assert b.bfs_node_cap == 200000
-    assert [f.name for f in dataclasses.fields(b)] == ["bfs_node_cap"]
+    # the one budget: the only public name of the class, and no per-instance state
+    assert [name for name in vars(config.Budgets) if not name.startswith("_")] == ["bfs_node_cap"]
+    assert config.Budgets.__slots__ == ()
 
 
 def test_environment_does_not_scale_budgets(monkeypatch):

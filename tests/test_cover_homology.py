@@ -4,7 +4,6 @@ The deck-action matrices are rechecked against the group law pair by
 pair, and the distinguished-cycle data against hand-frozen values.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -331,7 +330,11 @@ def test_symplectic_ok_matches_the_j_form(g, broken):
         blocks[(-1, 0)] = [[2 * x for x in row] for row in blocks[(-1, 0)]]
     elif broken == "swapped":
         blocks[(1, 1)], blocks[(1, 2)] = blocks[(1, 2)], blocks[(1, 1)]
-    model = dataclasses.replace(model, a_blocks=blocks)
+    model = ch.PrymLatticeModel(
+        g=model.g, rank=model.rank, module_type=model.module_type, a_blocks=blocks,
+        inclusion_divisors=model.inclusion_divisors, basis_det=model.basis_det,
+        normalization_moves=model.normalization_moves,
+    )
     assert model.symplectic_ok() == symplectic_by_j_form(model) == (broken is None)
 
 

@@ -460,6 +460,30 @@ def test_census_is_the_full_search_at_genus3():
     assert rep.orbit_sizes == full_orbit_sizes(surjective_packed(3), compiled) == (120960,)
 
 
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_beta_twist_is_the_beta_slide_squared(g):
+    for m in range(1, g + 1):
+        slide = sh.beta_slide(g, m)
+        assert tuple(slide.substitute(w) for w in slide.images) == sh.beta_twist(g, m).images
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_census_searches_without_the_twists_and_finds_the_same_orbits(g, monkeypatch):
+    real, handles = sh._orbits, []
+
+    def spy(tuples, handle, labels):
+        handles.append(handle)
+        return real(tuples, handle, labels)
+
+    monkeypatch.setattr(sh, "_orbits", spy)
+    rep = sh.enumerate_surjections(g)
+    [handle] = handles
+    assert handle == handle_subset(g, ("psi", "slides"))[0] and len(handle) == 3 * g - 1
+    every = handle_subset(g, ("psi", "twists", "slides"))[0]
+    monkeypatch.setattr(sh, "_orbits", lambda tuples, handle, labels: real(tuples, every, labels))
+    assert sh.enumerate_surjections(g) == rep
+
+
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
 def test_census_counts_are_the_closed_forms(g):
     rep = sh.enumerate_surjections(g)

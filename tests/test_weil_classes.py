@@ -14,7 +14,6 @@ quadratic-field powers computed with the field arithmetic of the
 algebra module.
 """
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -104,7 +103,7 @@ def conjugated(h, g) -> wc.HModel:
     def conj(m):
         return tuple(map(tuple, linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in m]), ginv)))
 
-    return dataclasses.replace(h, mat_i=conj(h.mat_i), mat_j=conj(h.mat_j))
+    return wc.HModel(params=h.params, n=h.n, mat_i=conj(h.mat_i), mat_j=conj(h.mat_j))
 
 
 # ------------------------------------------------ dense derivation oracle
@@ -515,7 +514,8 @@ def test_model_satisfies_quaternion_relations(n, params):
 )
 def test_model_check_raises_on_a_wrong_action(field, replacement, message):
     good = model(1, M11)
-    bad = dataclasses.replace(good, **{field: action_of(good, replacement)})
+    fields = {"params": good.params, "n": good.n, "mat_i": good.mat_i, "mat_j": good.mat_j}
+    bad = wc.HModel(**{**fields, field: action_of(good, replacement)})
     with pytest.raises(ValueError, match=message):
         bad._check()
 
