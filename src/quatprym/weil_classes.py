@@ -1,11 +1,11 @@
 """Weil classes on quaternion-module models, as spans of wedge products.
 
-The ambient space is V = F^n viewed as a 4n-dimensional rational vector
-space, with the definite quaternion algebra F = (r, s | Q) acting by
-left multiplication in each coordinate; integer r and s give int
-matrices.  An element b of F induces a derivation D_b of the exterior
-algebra (``linalg.wedge_derivation``): the differential of the group
-action of F* on wedge^{2n} V (``exterior_action``).
+V = F^n is viewed as a 4n-dimensional rational vector space, with the
+definite quaternion algebra F = (r, s | Q) acting by left
+multiplication in each coordinate; integer r and s give int matrices.
+An element b of F induces a derivation D_b of the exterior algebra
+(``linalg.wedge_derivation``): the differential of the group action of
+F* on wedge^{2n} V (``exterior_action``).
 
 Over K = Q(sqrt(r)), V splits into the eigenspaces V_sigma and
 V_sigmabar of i for sqrt(r) and -sqrt(r), each of dimension 2n, and
@@ -29,9 +29,13 @@ parts of w(0), ..., w(2n) span the parts of its coefficients, in W_F.
 
 Certificates check all this exactly: D_i^2 = 4 n^2 r on both parts of
 w(0), and the span of the parts of the w(t) contains W_K and is mapped
-into itself by D_i and D_j, so it is W_F.  Each image is taken by
-``wedge_derivation`` on the rows' own support, and a failed certificate
-raises RuntimeError.  No matrix on wedge^{2n} is formed.
+into itself by D_i and D_j, so it is W_F; the second is one elimination
+of the rows of W_F, W_K and the images of W_F, which must span no more
+than W_F.  Each image is taken by ``wedge_derivation`` on the rows' own
+support, and a failed certificate raises RuntimeError.  A subspace
+(``SubspaceQ``) keeps its echelon rows as {monomial: coefficient}, so
+neither a matrix on wedge^{2n} nor a row over all C(4n, 2n) monomials
+is formed.
 """
 
 from __future__ import annotations
@@ -93,27 +97,28 @@ class HModel:
 
 
 class SubspaceQ:
-    """Rational subspace, stored as the canonical rows of
-    ``linalg.int_echelon``: the reduced-echelon rows, each scaled to a
-    primitive int row with a positive pivot entry."""
+    """Rational subspace of a wedge power, stored as the canonical rows of
+    ``linalg.int_echelon`` as {monomial: coefficient}: the reduced-echelon
+    rows, each scaled to a primitive int row with a positive pivot entry.
+    The elimination runs over the sorted union of the vectors' supports.
+    Sorted monomials are in ``_wedge_basis`` order, and a column that is
+    zero in every vector is never a pivot and stays zero, so the rows are
+    those over all C(d, k) monomials with their zero entries left out."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, ambient: int, rows: tuple):
-        self.ambient = ambient
+    def __init__(self, rows: tuple):
         self.rows = rows
 
     @staticmethod
-    def from_vectors(vecs, ambient) -> "SubspaceQ":
-        rows, _ = int_echelon(vecs)
-        return SubspaceQ(ambient=ambient, rows=tuple(map(tuple, rows)))
+    def from_vectors(vecs) -> "SubspaceQ":
+        support = sorted({m for vec in vecs for m in vec})
+        rows, _ = int_echelon([[vec.get(m, 0) for m in support] for vec in vecs])
+        return SubspaceQ(tuple({m: x for m, x in zip(support, row) if x} for row in rows))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def union_span(self, other: "SubspaceQ") -> "SubspaceQ":
-        return SubspaceQ.from_vectors(list(self.rows) + list(other.rows), self.ambient)
 
 
 def _wedge_basis(d: int, k: int):
@@ -175,17 +180,6 @@ def _images(mat, vecs):
     return out
 
 
-def _span(vecs, subsets) -> SubspaceQ:
-    """The span of vectors {monomial: coefficient} of the wedge power with
-    monomial basis ``subsets``."""
-    index = {s: t for t, s in enumerate(subsets)}
-    rows = [[0] * len(subsets) for _ in vecs]
-    for row, vec in zip(rows, vecs):
-        for mono, c in vec.items():
-            row[index[mono]] = c
-    return SubspaceQ.from_vectors(rows, len(subsets))
-
-
 def weil_kernel(model: HModel) -> SubspaceQ:
     """W_K: the span of the parts of w(0), certified to lie in
     ker(D_i^2 - 4 n^2 r)."""
@@ -194,17 +188,15 @@ def weil_kernel(model: HModel) -> SubspaceQ:
     if _images(model.mat_i, _images(model.mat_i, parts)) != [
             {m: ev * c for m, c in x.items()} for x in parts]:
         raise RuntimeError("D_i^2 is not 4 n^2 r on the wedge of V_sigma")
-    return _span(parts, _wedge_basis(model.dim, 2 * model.n))
+    return SubspaceQ.from_vectors(parts)
 
 
 def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     """W_F: the span of the parts of w(t), t = 0..2n, certified to contain
     W_K and to be stable under D_i and D_j."""
-    subsets = _wedge_basis(model.dim, 2 * model.n)
-    wf = _span(_wedge_parts(model, range(2 * model.n + 1)), subsets)
-    vecs = [{subsets[t]: x for t, x in enumerate(row) if x} for row in wf.rows]
-    moved = _span(_images(model.mat_i, vecs) + _images(model.mat_j, vecs), subsets)
-    if wf.union_span(wk).union_span(moved).dim > wf.dim:
+    wf = SubspaceQ.from_vectors(_wedge_parts(model, range(2 * model.n + 1)))
+    moved = _images(model.mat_i, wf.rows) + _images(model.mat_j, wf.rows)
+    if SubspaceQ.from_vectors([*wf.rows, *wk.rows, *moved]).dim > wf.dim:
         raise RuntimeError("the span of the w(t) misses W_K or is not stable under D_i and D_j")
     return wf
 
@@ -218,7 +210,7 @@ def weil_report(n: int, params: AlgebraParams) -> dict:
     wf = quaternion_span(model, wk)
     return {
         "n": n,
-        "params": [params.r, params.s],
+        "params": [int(x) if x.denominator == 1 else x for x in (params.r, params.s)],
         "dim_WK": wk.dim,
         "dim_WF": wf.dim,
     }

@@ -199,11 +199,18 @@ def test_cli_lie_decompose_rejects_a_rank_too_small(capsys, alg):
 
 
 def test_cli_weil_report(capsys):
-    code, out = run_cli(capsys, "weil", "--n", "1", "--params=-1,-3")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["dim_WK"] == 2
-    assert payload["dim_WF"] == 3
+    # the algebra parameters are printed as JSON numbers, not strings
+    assert run_cli(capsys, "weil", "--n", "1", "--params=-1,-3") == (0, """\
+{
+  "n": 1,
+  "params": [
+    -1,
+    -3
+  ],
+  "dim_WK": 2,
+  "dim_WF": 3
+}
+""")
 
 
 def test_cli_weil_rejects_indefinite_params(capsys):

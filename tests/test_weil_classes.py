@@ -8,7 +8,9 @@ against three oracles kept here: the nullspace of the dense D_i^2 - 4 n^2 r,
 the closure under D_i, D_j and D_k by whole rounds, and the group-action
 path: the per-element Weil kernels ker(X^2 + aX + b), intersected along
 the ladder 1 + sqrt(r), 2 + sqrt(r), ..., and the span of a fixed list
-of algebra translates.
+of algebra translates.  The oracles keep dense rows over all C(4n, 2n)
+monomials (``DenseSpace``), and their rows are compared with the
+module's sparse rows once the zero entries are dropped.
 The oracle's annihilator coefficients are rechecked against
 quadratic-field powers computed with the field arithmetic of the
 algebra module.
@@ -35,6 +37,44 @@ def model(n=1, params=M11):
     return wc.HModel.make(n, params)
 
 
+def wedge_monomials(h):
+    """The monomial basis of wedge^{2n} of the model, in lexicographic order."""
+    return list(combinations(range(h.dim), 2 * h.n))
+
+
+class DenseSpace:
+    """The oracles' subspace of Q^ambient: the canonical rows of
+    ``linalg.int_echelon`` over all ``ambient`` columns, zeros included."""
+
+    def __init__(self, ambient, rows):
+        self.ambient = ambient
+        self.rows = rows
+
+    @staticmethod
+    def from_vectors(vecs, ambient):
+        rows, _ = linalg.int_echelon(vecs)
+        return DenseSpace(ambient, tuple(map(tuple, rows)))
+
+    @staticmethod
+    def of(space, h):
+        """The module's subspace ``space`` of wedge^{2n}, as dense rows."""
+        basis = wedge_monomials(h)
+        return DenseSpace.from_vectors([[row.get(m, 0) for m in basis] for row in space.rows],
+                                       len(basis))
+
+    def sparse_rows(self, h):
+        """The rows as the module keeps them: {monomial: x} for x != 0."""
+        return tuple({m: x for m, x in zip(wedge_monomials(h), row) if x} for row in self.rows)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def union_span(self, other):
+        same_ambient(self, other)
+        return DenseSpace.from_vectors(list(self.rows) + list(other.rows), self.ambient)
+
+
 def same_ambient(a, b):
     if a.ambient != b.ambient:
         raise ValueError(f"ambient dimensions {a.ambient} and {b.ambient} differ")
@@ -48,20 +88,20 @@ def contains_space(a, b) -> bool:
     return a.union_span(b).dim == a.dim
 
 
-def image(space, cols) -> wc.SubspaceQ:
+def image(space, cols) -> DenseSpace:
     """Image of a subspace under the map with sparse columns ``cols``: its
     rows times the map's transpose, whose rows are ``cols``."""
     img = linalg.sparse_mul(linalg.sparse_rows(space.rows), cols, space.ambient)
-    return wc.SubspaceQ.from_vectors(img, space.ambient)
+    return DenseSpace.from_vectors(img, space.ambient)
 
 
-def intersect(a, b) -> wc.SubspaceQ:
+def intersect(a, b) -> DenseSpace:
     """The intersection of two subspaces of one ambient space."""
     same_ambient(a, b)
     if a.dim == 0 or b.dim == 0:
-        return wc.SubspaceQ(ambient=a.ambient, rows=())
+        return DenseSpace(a.ambient, ())
     got = linalg.intersect_row_spaces([list(r) for r in a.rows], [list(r) for r in b.rows])
-    return wc.SubspaceQ.from_vectors(got, a.ambient)
+    return DenseSpace.from_vectors(got, a.ambient)
 
 
 def action_of(h, name):
@@ -126,13 +166,13 @@ def derivation_action(mat, k: int):
     return out
 
 
-def dense_weil_kernel(h) -> wc.SubspaceQ:
+def dense_weil_kernel(h) -> DenseSpace:
     """ker(D_i^2 - 4 n^2 r) from the dense D_i and one matrix product."""
     di = derivation_action(h.mat_i, 2 * h.n)
     m = linalg.mat_mul(di, di)
     for t, row in enumerate(m):
         row[t] -= 4 * h.n**2 * h.params.r
-    return wc.SubspaceQ.from_vectors(linalg.nullspace(m), len(m))
+    return DenseSpace.from_vectors(linalg.nullspace(m), len(m))
 
 
 # ------------------------------------------- the group-action oracle path
@@ -152,7 +192,7 @@ def annihilator_coefficients(x: KNum, power: int):
     return -p_power, nrm**power
 
 
-def oracle_weil_kernel(h, x: KNum) -> wc.SubspaceQ:
+def oracle_weil_kernel(h, x: KNum) -> DenseSpace:
     """ker(X^2 + aX + b) on wedge^{2n}, X the group action of x = u + v i."""
     if not x.v:
         raise ValueError("rational field elements give a degenerate kernel")
@@ -166,7 +206,7 @@ def oracle_weil_kernel(h, x: KNum) -> wc.SubspaceQ:
         for col in range(len(xm)):
             p[row][col] += a * xm[row][col]
         p[row][row] += b
-    return wc.SubspaceQ.from_vectors(linalg.nullspace(p), len(xm))
+    return DenseSpace.from_vectors(linalg.nullspace(p), len(xm))
 
 
 def oracle_weil_space(h, ladder_max=20):
@@ -476,13 +516,13 @@ def test_derivation_columns_match_the_dense_derivation_on_a_seeded_matrix():
 @pytest.mark.parametrize("n,params", REGISTRY_MODELS + [(2, M25), (3, M13)])
 def test_weil_kernel_equals_the_dense_nullspace(n, params):
     h = model(n, params)
-    assert wc.weil_kernel(h).rows == dense_weil_kernel(h).rows
+    assert wc.weil_kernel(h).rows == dense_weil_kernel(h).sparse_rows(h)
 
 
 def test_weil_kernel_equals_the_dense_nullspace_on_a_conjugated_model():
     h = model(1, M13)
     hc = conjugated(h, mat_of(h, QuatElem.make(M13, 1, 0, 1, 0)))
-    assert wc.weil_kernel(hc).rows == dense_weil_kernel(hc).rows
+    assert wc.weil_kernel(hc).rows == dense_weil_kernel(hc).sparse_rows(hc)
 
 
 # ------------------------------------------------------------ the model
@@ -584,7 +624,7 @@ def test_weil_kernel_is_stable_under_the_field():
         mat_scale(linalg.frac_mat(h.mat_i), x.v),
     )
     gen_action = wc.exterior_action(x_mat, k)
-    for ker in (oracle_weil_kernel(h, x), wc.weil_kernel(h)):
+    for ker in (oracle_weil_kernel(h, x), DenseSpace.of(wc.weil_kernel(h), h)):
         assert contains_space(ker, image(ker, columns(gen_action)))
 
 
@@ -604,8 +644,8 @@ def test_derivation_spaces_equal_the_oracle(n, params):
     h = model(n, params)
     oracle_wk, _ = oracle_weil_space(h)
     wk = wc.weil_kernel(h)
-    assert wk.rows == oracle_wk.rows
-    assert wc.quaternion_span(h, wk).rows == oracle_quaternion_span(h, oracle_wk).rows
+    assert wk.rows == oracle_wk.sparse_rows(h)
+    assert wc.quaternion_span(h, wk).rows == oracle_quaternion_span(h, oracle_wk).sparse_rows(h)
 
 
 def test_derivation_spaces_equal_the_oracle_on_a_conjugated_model():
@@ -615,8 +655,8 @@ def test_derivation_spaces_equal_the_oracle_on_a_conjugated_model():
     assert any(type(x) is Fraction for row in hc.mat_i for x in row)
     oracle_wk, _ = oracle_weil_space(hc)
     wk = wc.weil_kernel(hc)
-    assert wk.rows == oracle_wk.rows
-    assert wc.quaternion_span(hc, wk).rows == oracle_quaternion_span(hc, oracle_wk).rows
+    assert wk.rows == oracle_wk.sparse_rows(hc)
+    assert wc.quaternion_span(hc, wk).rows == oracle_quaternion_span(hc, oracle_wk).sparse_rows(hc)
     assert wk.rows != wc.weil_kernel(h).rows
 
 
@@ -633,7 +673,7 @@ def test_span_dimensions_frozen(n, params, dim_wk, dim_wf):
     assert wk.dim == dim_wk
     wf = wc.quaternion_span(h, wk)
     assert wf.dim == dim_wf
-    assert contains_space(wf, wk)
+    assert contains_space(DenseSpace.of(wf, h), DenseSpace.of(wk, h))
 
 
 @pytest.mark.parametrize("n,params", REGISTRY_MODELS)
@@ -658,7 +698,7 @@ def test_pending_list_span_equals_the_round_closure(n, params, conjugate):
     if conjugate:
         h = conjugated(h, mat_of(h, QuatElem.make(params, 1, 0, 1, 0)))
     wk = wc.weil_kernel(h)
-    assert wc.quaternion_span(h, wk).rows == round_quaternion_span(h, wk).rows
+    assert wc.quaternion_span(h, wk).rows == round_quaternion_span(h, DenseSpace.of(wk, h)).sparse_rows(h)
 
 
 # the corrupting monomial takes 1 ^ x in each copy of F; D_x kills it, so
@@ -693,7 +733,8 @@ def test_quaternion_span_rejects_a_kernel_it_does_not_contain():
         wc.quaternion_span(h, wc.weil_kernel(model(2, M25)))
 
 
-@pytest.mark.parametrize("n,params,dims", [(3, M11, (2, 7)), (3, M25, (2, 7)), (4, HAMILTON, (2, 9))])
+@pytest.mark.parametrize("n,params,dims", [
+    (3, M11, (2, 7)), (3, M25, (2, 7)), (4, HAMILTON, (2, 9)), (4, M13, (2, 9))])
 def test_weil_dimensions_at_n_3_and_4(n, params, dims):
     rep = wc.weil_report(n, params)
     assert (rep["dim_WK"], rep["dim_WF"]) == dims
@@ -701,7 +742,7 @@ def test_weil_dimensions_at_n_3_and_4(n, params, dims):
 
 def test_full_span_is_stable_under_generators():
     h = model(1, M11)
-    wf = wc.quaternion_span(h, wc.weil_kernel(h))
+    wf = DenseSpace.of(wc.quaternion_span(h, wc.weil_kernel(h)), h)
     k = h.dim // 2
     for name in ("mat_i", "mat_j", "mat_k"):
         moved = image(wf, columns(wc.exterior_action(linalg.frac_mat(action_of(h, name)), k)))
@@ -730,19 +771,44 @@ def test_weil_report_shape():
     }
 
 
+def test_sparse_rows_are_the_dense_echelon_rows_without_zeros():
+    rng = random.Random(34)
+    monos = list(combinations(range(8), 4))
+
+    def coef():
+        return rng.choice((1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3)))
+
+    def vec(size):
+        return {m: coef() for m in rng.sample(monos, size)}
+
+    cases = [[]]
+    for count in (1, 2, 4, 7):
+        cases.append([vec(rng.randint(1, 6)) for _ in range(count)])
+    a, b = vec(5), vec(4)
+    combo = {m: a.get(m, 0) - 2 * b.get(m, 0) for m in {*a, *b}}
+    cases += [[a, {}, b], [a, b, a], [a, b, combo], [{monos[3]: 0}, a], [{}], [vec(70), a]]
+    for vecs in cases:
+        dense, _ = linalg.int_echelon([[v.get(m, 0) for m in monos] for v in vecs])
+        want = tuple({m: x for m, x in zip(monos, row) if x} for row in dense)
+        got = wc.SubspaceQ.from_vectors(vecs).rows
+        assert got == want, vecs
+        assert all(type(x) is int for row in got for x in row.values())
+    assert wc.SubspaceQ.from_vectors([a, b, a]).dim == wc.SubspaceQ.from_vectors([a, b, combo]).dim == 2
+
+
 def test_subspace_operations():
     amb = 4
-    a = wc.SubspaceQ.from_vectors([[1, 0, 0, 0], [0, 1, 0, 0]], amb)
-    b = wc.SubspaceQ.from_vectors([[0, 1, 0, 0], [0, 0, 1, 0]], amb)
+    a = DenseSpace.from_vectors([[1, 0, 0, 0], [0, 1, 0, 0]], amb)
+    b = DenseSpace.from_vectors([[0, 1, 0, 0], [0, 0, 1, 0]], amb)
     assert intersect(a, b).dim == 1
     assert a.union_span(b).dim == 3
     assert contains_space(a, intersect(a, b))
 
 
 def test_subspace_comparisons_need_one_ambient_space():
-    line3 = wc.SubspaceQ.from_vectors([[0, 0, 1]], 3)
-    line2 = wc.SubspaceQ.from_vectors([[1, 0]], 2)
-    zero2 = wc.SubspaceQ.from_vectors([], 2)
+    line3 = DenseSpace.from_vectors([[0, 0, 1]], 3)
+    line2 = DenseSpace.from_vectors([[1, 0]], 2)
+    zero2 = DenseSpace.from_vectors([], 2)
     with pytest.raises(ValueError, match="ambient dimensions 3 and 2 differ"):
         contains_space(line3, line2)
     with pytest.raises(ValueError, match="ambient dimensions 2 and 3 differ"):
