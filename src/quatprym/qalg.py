@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .linalg import frac_mat, inverse, mat_vec
 
@@ -324,17 +324,36 @@ def _det4(m):
             + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
-def _index_kernel(forms, coords):
-    """(|det M(c)|, 2 N(c)) for m with basis coordinates c, in ints, from
-    the order's 20 linear forms: row u of M(c) holds the coordinates of
-    u * m, and 2 N(c) = c . (gram c).  Raises ValueError if a coordinate
-    is not an integer."""
-    if any(x.denominator != 1 for x in coords):
+def _check_integral(values):
+    """Raise ValueError unless every one of the coordinates ``values`` is
+    an integer: one set of denominators, so a long stream costs one pass."""
+    if {x.denominator for x in values} - {1}:
         raise ValueError("element is not in the order")
-    c0, c1, c2, c3 = map(int, coords)
+
+
+def _signed_kernel(forms, c0, c1, c2, c3):
+    """(det M(c), 2 N(c)) for m with int basis coordinates c, from the
+    order's 20 linear forms: row u of M(c) holds the coordinates of
+    u * m, and 2 N(c) = c . (gram c).  The determinant keeps its sign."""
     v = [c0 * a0 + c1 * a1 + c2 * a2 + c3 * a3 for a0, a1, a2, a3 in forms]
     det = _det4((v[0:4], v[4:8], v[8:12], v[12:16]))
-    return abs(det), c0 * v[16] + c1 * v[17] + c2 * v[18] + c3 * v[19]
+    return det, c0 * v[16] + c1 * v[17] + c2 * v[18] + c3 * v[19]
+
+
+def _index_kernel(forms, coords):
+    """(|det M(c)|, 2 N(c)) for m with basis coordinates c, in ints, by
+    ``_signed_kernel``.  Raises ValueError if a coordinate is not an
+    integer."""
+    _check_integral(coords)
+    c0, c1, c2, c3 = map(int, coords)
+    det, twice_norm = _signed_kernel(forms, c0, c1, c2, c3)
+    return abs(det), twice_norm
+
+
+# the 70 = C(8, 4) points alpha of N^4 with alpha_0 + ... + alpha_3 <= 4:
+# a polynomial of total degree <= 4 in four variables that vanishes on
+# them is zero (see ``index_mismatches``)
+_SIMPLEX = tuple(c for c in product(range(5), repeat=4) if sum(c) <= 4)
 
 
 def left_ideal_index(order, coords):
@@ -343,11 +362,19 @@ def left_ideal_index(order, coords):
     twice the squared norm of m.
 
     Returns (index, 2 * norm(m)^2), both Fraction; the two agree for
-    every m in the Hurwitz order.  They are computed in ints by
-    ``_index_kernel`` (the index is a closed-form ``_det4``) and made
-    Fractions only here.  Raises ValueError if a coordinate is not an
-    integer (m is not in the order) or if the order is not stable under
-    left multiplication by i, j, k.
+    every m in the Hurwitz order.  That is a polynomial identity: the
+    signed det M(c) and (2 N(c))^2 / 2 are polynomials of total degree
+    <= 4 in the coordinates c, and a polynomial of total degree <= d in
+    n variables that vanishes on the simplex {alpha in N^n : |alpha| <=
+    d} is zero (restricted to c_0 = 0 it vanishes on the simplex in n - 1
+    variables, so c_0 divides it, and the quotient has degree <= d - 1
+    and vanishes on the simplex shifted by e_0).  So the 70 points of
+    ``_SIMPLEX`` prove it for all m; ``index_mismatches`` checks them.
+
+    Both values are computed in ints by ``_index_kernel`` (the index is a
+    closed-form ``_det4``) and made Fractions only here.  Raises
+    ValueError if a coordinate is not an integer (m is not in the order)
+    or if the order is not stable under left multiplication by i, j, k.
     """
     index, twice_norm = _index_kernel(order._left_ideal_constants(), coords)
     return Fraction(index), Fraction(twice_norm * twice_norm, 2)
@@ -356,8 +383,24 @@ def left_ideal_index(order, coords):
 def index_mismatches(order, points):
     """How many coordinate tuples in ``points`` break the identity of
     ``left_ideal_index``: 2 * index != (2 N(m))^2, compared in ints with
-    no Fraction made.  Raises ValueError as ``left_ideal_index`` does."""
+    no Fraction made.
+
+    The identity is certified first: P(c) = 2 det M(c) - (2 N(c))^2, with
+    the signed determinant, has total degree <= 4 in c, so if it vanishes
+    at the 70 points of ``_SIMPLEX`` it is the zero polynomial (the
+    unisolvence argument of ``left_ideal_index``).  Then det M(c) =
+    (2 N(c))^2 / 2 >= 0 for every c, so 2 |det| = (2 N)^2 at every point
+    and the count is 0: ``points`` is only checked to be integral.  Only
+    when some point of the simplex fails is each of ``points`` evaluated
+    by ``_index_kernel``, so the count stays exact.  ``points`` is read
+    once, as a stream.  Raises ValueError as ``left_ideal_index`` does.
+    """
     forms = order._left_ideal_constants()
+    certified = all(2 * det == twice_norm * twice_norm
+                    for det, twice_norm in (_signed_kernel(forms, *c) for c in _SIMPLEX))
+    if certified:
+        _check_integral(chain.from_iterable(points))
+        return 0
     pairs = (_index_kernel(forms, coords) for coords in points)
     return sum(2 * index != twice_norm * twice_norm for index, twice_norm in pairs)
 

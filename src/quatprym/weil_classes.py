@@ -32,10 +32,11 @@ w(0), and the span of the parts of the w(t) contains W_K and is mapped
 into itself by D_i and D_j, so it is W_F; the second is one elimination
 of the rows of W_F, W_K and the images of W_F, which must span no more
 than W_F.  Each image is taken by ``wedge_derivation`` on the rows' own
-support, and a failed certificate raises RuntimeError.  A subspace
-(``SubspaceQ``) keeps its echelon rows as {monomial: coefficient}, so
-neither a matrix on wedge^{2n} nor a row over all C(4n, 2n) monomials
-is formed.
+support, cached per model (``HModel.derive_i`` and ``derive_j``), so a
+monomial is derived once per matrix, and a failed certificate raises
+RuntimeError.  A subspace (``SubspaceQ``) keeps its echelon rows as
+{monomial: coefficient}, so neither a matrix on wedge^{2n} nor a row
+over all C(4n, 2n) monomials is formed.
 """
 
 from __future__ import annotations
@@ -57,15 +58,21 @@ from .qalg import AlgebraParams, KNum, basis_elems, left_mult_matrix
 
 
 class HModel:
-    """F^n with left multiplication by i and j, as rational matrices."""
+    """F^n with left multiplication by i and j, as rational matrices.
 
-    __slots__ = ("params", "n", "mat_i", "mat_j")
+    ``derive_i`` and ``derive_j`` are their derivations on wedge
+    monomials (``wedge_derivation``), cached per model, so each monomial
+    is derived once however many certificates image it."""
+
+    __slots__ = ("params", "n", "mat_i", "mat_j", "derive_i", "derive_j")
 
     def __init__(self, params: AlgebraParams, n: int, mat_i: tuple, mat_j: tuple):
         self.params = params
         self.n = n
         self.mat_i = mat_i
         self.mat_j = mat_j
+        self.derive_i = cache(partial(wedge_derivation, mat_i))
+        self.derive_j = cache(partial(wedge_derivation, mat_j))
 
     @staticmethod
     def make(n: int, params: AlgebraParams) -> "HModel":
@@ -167,10 +174,10 @@ def _wedge_parts(model: HModel, ts):
         {m: c.v for m, c in wt.items() if c.v} for wt in wedges]
 
 
-def _images(mat, vecs):
-    """D_mat of each vector {monomial: coefficient}, by ``wedge_derivation``
-    once per monomial of their joint support."""
-    derive, out = cache(partial(wedge_derivation, mat)), []
+def _images(derive, vecs):
+    """D of each vector {monomial: coefficient}, for ``derive`` the
+    derivation D on wedge monomials (``HModel.derive_i`` or ``derive_j``)."""
+    out = []
     for vec in vecs:
         img = {}
         for mono, c in vec.items():
@@ -185,7 +192,7 @@ def weil_kernel(model: HModel) -> SubspaceQ:
     ker(D_i^2 - 4 n^2 r)."""
     parts = _wedge_parts(model, [0])
     ev = 4 * model.n**2 * model.params.r
-    if _images(model.mat_i, _images(model.mat_i, parts)) != [
+    if _images(model.derive_i, _images(model.derive_i, parts)) != [
             {m: ev * c for m, c in x.items()} for x in parts]:
         raise RuntimeError("D_i^2 is not 4 n^2 r on the wedge of V_sigma")
     return SubspaceQ.from_vectors(parts)
@@ -195,7 +202,7 @@ def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
     """W_F: the span of the parts of w(t), t = 0..2n, certified to contain
     W_K and to be stable under D_i and D_j."""
     wf = SubspaceQ.from_vectors(_wedge_parts(model, range(2 * model.n + 1)))
-    moved = _images(model.mat_i, wf.rows) + _images(model.mat_j, wf.rows)
+    moved = _images(model.derive_i, wf.rows) + _images(model.derive_j, wf.rows)
     if SubspaceQ.from_vectors([*wf.rows, *wk.rows, *moved]).dim > wf.dim:
         raise RuntimeError("the span of the w(t) misses W_K or is not stable under D_i and D_j")
     return wf

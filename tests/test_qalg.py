@@ -5,6 +5,7 @@ expected index comes straight from the reduced-norm formula evaluated
 in the test, not from the implementation under test.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -420,8 +421,83 @@ def test_closed_form_det_matches_bareiss_and_leibniz():
         assert got == linalg.int_det(m) == leibniz_det(m)
 
 
-def test_index_mismatches_sweeps_the_box_in_ints(monkeypatch):
+def box_points():
+    """The registry's 2,400 nonzero points of [-3, 3]^4, as a stream."""
+    return (c for c in product(range(-3, 4), repeat=4) if any(c))
+
+
+def planted_gram_order():
+    """A fresh Hurwitz order with its Gram entry g_00 raised by 2, the
+    order ``PLANTED_GRAM`` plants in the registry's."""
+    order = qalg.OrderLattice(HAMILTON, hurwitz_order().basis)
+    forms = order._left_ideal_constants()
+    order._index_constants = forms[:16] + ((forms[16][0] + 2,) + forms[16][1:],) + forms[17:]
+    return order
+
+
+def box_sweep(order):
+    """The oracle: the identity of ``left_ideal_index`` evaluated at every
+    box point, one element at a time."""
+    return sum(index != want for index, want in (qalg.left_ideal_index(order, c) for c in box_points()))
+
+
+def test_the_simplex_is_unisolvent_in_degree_4():
+    """The certificate's premise, checked apart from its proof: the 70
+    monomials of total degree <= 4 in four variables, evaluated at the 70
+    points of the simplex, form an invertible matrix, so the only
+    polynomial of that degree vanishing there is zero."""
+    exponents = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
+    assert len(exponents) == math.comb(8, 4) == 70
+    assert sorted(qalg._SIMPLEX) == exponents
+    values = [[math.prod(x**e for x, e in zip(point, monomial)) for monomial in exponents]
+              for point in qalg._SIMPLEX]
+    assert linalg.int_det(values) != 0
+
+
+@pytest.mark.parametrize(
+    "make_order, mismatches",
+    [(hurwitz_order, 0), (hz_order, 2400), (planted_gram_order, 2058)],
+    ids=["hurwitz", "lipschitz", "planted-gram"],
+)
+def test_index_mismatches_matches_the_box_sweep(make_order, mismatches):
+    order = make_order()
+    assert qalg.index_mismatches(order, box_points()) == box_sweep(order) == mismatches
+
+
+def test_index_mismatches_evaluates_no_box_point_on_the_hurwitz_order(monkeypatch):
+    """The 70 simplex points certify the Hurwitz order, so the sweep's
+    kernel runs at none of the 2,400 box points; on the Lipschitz order
+    the certificate fails and every point is swept."""
+    swept, signed = [], []
+    real_index, real_signed = qalg._index_kernel, qalg._signed_kernel
+
+    def index_kernel(forms, coords):
+        swept.append(coords)
+        return real_index(forms, coords)
+
+    def signed_kernel(forms, *coords):
+        signed.append(coords)
+        return real_signed(forms, *coords)
+
+    monkeypatch.setattr(qalg, "_index_kernel", index_kernel)
+    monkeypatch.setattr(qalg, "_signed_kernel", signed_kernel)
+    assert qalg.index_mismatches(hurwitz_order(), box_points()) == 0
+    assert swept == []
+    assert signed == list(qalg._SIMPLEX)
+    assert qalg.index_mismatches(hz_order(), box_points()) == 2400
+    assert len(swept) == 2400
+
+
+@pytest.mark.parametrize("make_order", [hurwitz_order, hz_order], ids=["certified", "swept"])
+def test_index_mismatches_rejects_a_point_outside_the_order_on_both_branches(make_order):
+    points = ((1, 0, 0, 0), (Fraction(1, 2), 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="element is not in the order"):
+        qalg.index_mismatches(make_order(), iter(points))
+
+
+def test_index_mismatches_certifies_the_box_in_ints(monkeypatch):
     order = hurwitz_order()
+    planted = planted_gram_order()
     box = [c for c in product(range(-3, 4), repeat=4) if any(c)]
     assert qalg.index_mismatches(order, box) == 0  # the constants, built once
     made = []
@@ -436,6 +512,7 @@ def test_index_mismatches_sweeps_the_box_in_ints(monkeypatch):
     assert made == [(1, 2)]
     made.clear()
     assert qalg.index_mismatches(order, box) == 0
+    assert qalg.index_mismatches(planted, box) == 2058  # the sweep, also in ints
     assert made == []
 
 

@@ -19,6 +19,7 @@ algebra module.
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -486,7 +487,7 @@ def derivation_columns(mat, k):
     ``wc._images`` of each basis monomial, as (row, entry) pairs."""
     subsets = list(combinations(range(len(mat)), k))
     index = {s: t for t, s in enumerate(subsets)}
-    images = wc._images(mat, [{src: 1} for src in subsets])
+    images = wc._images(partial(linalg.wedge_derivation, mat), [{src: 1} for src in subsets])
     return [sorted((index[m], c) for m, c in img.items()) for img in images]
 
 
@@ -510,7 +511,7 @@ def test_derivation_columns_match_the_dense_derivation_on_a_seeded_matrix():
     subsets = list(combinations(range(6), 3))
     vec = {subsets[t]: c for t, c in ((0, 2), (7, -1), (19, 3))}
     want = {m: x for m, x in zip(subsets, linalg.mat_vec(dense, [vec.get(m, 0) for m in subsets])) if x}
-    assert wc._images(a, [vec]) == [want]
+    assert wc._images(partial(linalg.wedge_derivation, a), [vec]) == [want]
 
 
 @pytest.mark.parametrize("n,params", REGISTRY_MODELS + [(2, M25), (3, M13)])
@@ -738,6 +739,23 @@ def test_quaternion_span_rejects_a_kernel_it_does_not_contain():
 def test_weil_dimensions_at_n_3_and_4(n, params, dims):
     rep = wc.weil_report(n, params)
     assert (rep["dim_WK"], rep["dim_WF"]) == dims
+
+
+@pytest.mark.parametrize("n,params,calls", [(2, HAMILTON, 72), (2, M13, 72), (4, HAMILTON, 2592)])
+def test_weil_report_derives_each_monomial_once_per_matrix(n, params, calls, monkeypatch):
+    """The model keeps one derivation cache per matrix, shared by
+    ``weil_kernel``'s two images and ``quaternion_span``'s: no (matrix,
+    monomial) pair is derived twice (a cache per image made 104 calls at
+    n = 2 and 3,104 at n = 4)."""
+    real, derived = linalg.wedge_derivation, []
+
+    def counting(mat, mono):
+        derived.append((mat, mono))
+        return real(mat, mono)
+
+    monkeypatch.setattr(wc, "wedge_derivation", counting)
+    wc.weil_report(n, params)
+    assert len(derived) == len(set(derived)) == calls
 
 
 def test_full_span_is_stable_under_generators():
