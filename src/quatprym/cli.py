@@ -2,13 +2,16 @@
 
 One subcommand per module plus `report`, which runs the whole claim
 registry and emits the verification table.  All output is deterministic;
-exit code 0 means no FAIL record was produced.
+exit code 0 means no FAIL record was produced, 2 a bad input, and 141
+(128 + SIGPIPE, as a shell reports a process a closed pipe killed) that
+the reader of standard output went away before it was all written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import (
@@ -21,6 +24,9 @@ from . import (
     surface_homs,
 )
 from .weil_classes import weil_report
+
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _print_json(obj):
@@ -253,10 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (`hodge ... | head`): send what is still
+        # buffered to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -14,11 +14,17 @@ exactly when every weight has the multiplicity of its dominant conjugate
 are conjugate to lam, |W lam| read off lam's coordinates in closed form.
 Otherwise a factor is seen only through its positive roots and simple
 reflections: 2 rho is the sum of the roots, the (rho - w rho, sign w)
-pairs come from the orbit of rho, and the dominant weights below a
-highest weight, which must be dominant and integral (else ValueError),
-are reached from it by subtracting positive roots.  Exterior and
-symmetric powers are the coefficients of prod (1 + t e^mu) and
-prod 1/(1 - t e^mu) over the weights mu, in integer counts; tensor
+pairs come from the orbit of rho (sign w = det w flips with each simple
+reflection of the walk), and the dominant weights below a highest
+weight, which must be dominant and integral (else ValueError), are
+reached from it by subtracting positive roots.  Exterior and symmetric
+powers are the coefficients of prod (1 + t e^mu) and prod 1/(1 - t e^mu)
+over the weights mu, in integer counts, with negative multiplicities
+refused (ValueError).  Past half the size n of ms, wedge^k is read off
+degree n - k by the complement identity wedge^k = (wedge^(n-k))* (x) det:
+a k-subset of the weights sums to sigma - w, sigma the weight sum of ms
+and w the sum of the complementary (n - k)-subset, which holds for any
+multiset, so the power loop never runs past degree n/2.  Tensor
 products, direct sums and concatenation across commuting factors
 complete the calculus.  Sizes:
 wedge^12 of three 8-dim spin representations has C(24,12) = 2704156
@@ -52,6 +58,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from math import factorial, prod
+from operator import sub
 
 
 class NotARepresentation(ValueError):
@@ -295,6 +302,7 @@ def _d_conjugate(w):
 _CONJUGATE = {"A": _a_conjugate, "B": _b_conjugate, "D": _d_conjugate}
 
 
+@cache
 def _factor_orbit_size(f: SimpleFactor, lam) -> int:
     """|W lam| for a dominant lam, without walking the orbit: the distinct
     arrangements of its coordinates (of their absolute values, for B and
@@ -371,17 +379,22 @@ def _factor_weyl_dim(f: SimpleFactor, lam) -> int:
 @cache
 def _factor_shifts(f: SimpleFactor):
     """(rho - w rho, sign w) for every w in the Weyl group of f, in doubled
-    coordinates.  rho is regular, so its orbit lists each w once, and
-    sign w = (-1)^#{a > 0 : <w rho, a> < 0}."""
+    coordinates.  rho is regular, so its orbit lists each w once; the walk
+    is _factor_orbit's, and as sign w = det w, a weight reached by one
+    simple reflection has the opposite sign of the weight it came from."""
     rho = _factor_two_rho(f)
     if f.family == "A":
         rho = _a_canon(rho)
-    roots = _factor_roots(f)
-    out = []
-    for w in _factor_orbit(f, rho):
-        neg = sum(1 for a in roots if _dot(w, a) < 0)
-        out.append((_vadd(rho, w, -1), -1 if neg % 2 else 1))
-    return tuple(out)
+    refl = _factor_reflections(f)
+    orbit = [rho]
+    sign = {rho: 1}
+    for cur in orbit:
+        for r in refl:
+            nxt = r(cur)
+            if nxt not in sign:
+                sign[nxt] = -sign[cur]
+                orbit.append(nxt)
+    return tuple((_vadd(rho, w, -1), e) for w, e in sign.items())
 
 
 def _highest_weight_parts(alg: AlgebraType, lam):
@@ -491,17 +504,26 @@ def _packer(weights, reach):
     return pack, unpack
 
 
+def _power_size(ms, k, sym) -> int:
+    """multiset_size(ms), after a ValueError unless k and every
+    multiplicity of ms are non-negative and, for wedge, k <= the size."""
+    if k < 0:
+        raise ValueError(f"power exponent {k} is negative")
+    if any(m < 0 for m in ms.values()):
+        raise ValueError("negative input multiplicity")
+    n = multiset_size(ms)
+    if not sym and k > n:
+        raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
+    return n
+
+
 def _powers(alg: AlgebraType, ms, k, sym):
     """(levels, unpack): levels[j] is S^j (sym) or wedge^j of ms for
     j = 0..k, keyed by packed doubled weight, the t^j coefficient of
     prod 1/(1 - t e^mu) or prod (1 + t e^mu) over the weights mu of ms.
     Each factor updates the degrees in place, ascending for S so a weight
-    may repeat, descending for wedge so it may not."""
-    n = multiset_size(ms)
-    if k < 0:
-        raise ValueError(f"power exponent {k} is negative")
-    if not sym and k > n:
-        raise ValueError(f"wedge exponent {k} exceeds dimension {n}")
+    may repeat, descending for wedge so it may not.  The caller checks k
+    and the multiplicities (``_power_size``)."""
     zero = (0,) * alg.ncoords
     weights = list(zip(_checked(alg, ms), ms.values()))
     pack, unpack = _packer([zero, *(mu for mu, _ in weights)], k)
@@ -520,11 +542,22 @@ def _powers(alg: AlgebraType, ms, k, sym):
 
 
 def wedge_power(alg: AlgebraType, ms, k) -> dict:
-    levels, unpack = _powers(alg, ms, k, sym=False)
-    return {unpack(w): m for w, m in levels[k].items()}
+    """wedge^k of ms.  Past half the size n of ms it is read off degree
+    n - k: each k-subset of the weights is the complement of an
+    (n - k)-subset, so its sum is sigma - w for the weight sum sigma of
+    ms and the sum w of the complement, for any multiset (wedge^k is
+    (wedge^(n-k))* times det).  So the power loop never runs past n/2."""
+    n = _power_size(ms, k, sym=False)
+    j = min(k, n - k)
+    levels, unpack = _powers(alg, ms, j, sym=False)
+    if j == k:
+        return {unpack(w): m for w, m in levels[k].items()}
+    sigma = [sum(m * mu[t] for mu, m in ms.items()) for t in range(alg.ncoords)]
+    return {tuple(map(sub, sigma, unpack(w))): m for w, m in levels[j].items()}
 
 
 def sym_power(alg: AlgebraType, ms, k) -> dict:
+    _power_size(ms, k, sym=True)
     levels, unpack = _powers(alg, ms, k, sym=True)
     return {unpack(w): m for w, m in levels[k].items()}
 
@@ -578,15 +611,28 @@ def decompose(alg: AlgebraType, ms) -> list:
     Weyl-symmetric exactly when every weight has the multiplicity of its
     dominant conjugate and, for each dominant lam, |W lam| weights are
     conjugate to lam, |W lam| read off lam's coordinates."""
-    if any(m < 0 for m in ms.values()):
-        raise NotARepresentation("negative input multiplicity")
-    # weights that canonicalize alike are one weight
+    # one pass over ms: drop zero multiplicities, check the rest, and
+    # canonicalize A-blocks (when alg has any), adding the multiplicities
+    # of weights that canonicalize alike
+    n = alg.ncoords
     a_blocks = alg._a_blocks
-    nonzero = {w: m for w, m in ms.items() if m}
     weights = {}
-    for w, m in zip(_checked(alg, nonzero), nonzero.values()):
-        w = _canon(w, a_blocks)
-        weights[w] = weights.get(w, 0) + m
+    for w, m in ms.items():
+        if m <= 0:
+            if m:
+                raise NotARepresentation("negative input multiplicity")
+            continue
+        w = tuple(w)
+        if len(w) != n:
+            raise ValueError(f"weight has {len(w)} coordinates, {alg} needs {n}")
+        if a_blocks:
+            w = _canon(w, a_blocks)
+            m += weights.get(w, 0)
+        weights[w] = m
+    # _canon keeps a coordinate that is not an int one, so one scan of
+    # the kept weights finds it
+    if not all(map(isinstance, chain.from_iterable(weights), repeat(int))):
+        raise ValueError(f"weight is not integral for {alg}")
     conjugate = alg._conjugate
     orbits = {}  # dominant lam -> the number of weights conjugate to it
     for w, m in weights.items():

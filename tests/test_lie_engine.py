@@ -767,6 +767,20 @@ def test_decompose_canonicalizes_a_block_weights():
     assert le.decompose(le.A1, {(2, 0): 1, (1, -1): 1, (-1, 1): 2}) == [((2, 0), 2)]
 
 
+def test_decompose_canonicalizes_only_a_blocks_and_sizes_each_orbit_once(monkeypatch):
+    alg, ms = le.parse_expr("wedge(4, Gamma (+) Gamma)")
+    canon = []
+    monkeypatch.setattr(le, "_canon", lambda *args: canon.append(args))
+    le._factor_orbit_size.cache_clear()
+    got = le.decompose(alg, ms)
+    dominant = {w for w in ms if le._b_conjugate(w) == w}
+    assert le._factor_orbit_size.cache_info().misses == len(dominant)
+    assert le.decompose(alg, ms) == got
+    # the second call computed no orbit size again
+    assert le._factor_orbit_size.cache_info().misses == len(dominant)
+    assert canon == []
+
+
 def test_decompose_rejects_a_symmetric_virtual_character():
     # adjoint + (2,0,0) - vector: Weyl-symmetric with non-negative
     # multiplicities, but the vector irrep occurs -1 times
@@ -878,7 +892,86 @@ def test_powers_reject_bad_exponents():
         le.wedge_power(le.B3, gamma, 9)
 
 
-@pytest.mark.parametrize("name,order", [("A1", 2), ("A3", 24), ("B3", 48), ("D4", 192)])
+def test_powers_reject_a_negative_multiplicity():
+    # a negative count is no weight of a representation: the power loop
+    # would skip it, and the complement would fold it into sigma
+    mixed = {twice((1, 0, 0)): -1, (0, 0, 0): 3}
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="negative input multiplicity"):
+            le.wedge_power(le.B3, mixed, k)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="negative input multiplicity"):
+            le.sym_power(le.B3, {twice((1, 0, 0)): -1}, k)
+    # a zero count is no weight either, and adds nothing to sigma
+    zero = {twice((1, 0, 0)): 0, (0, 0, 0): 3}
+    assert le.wedge_power(le.B3, zero, 3) == {(0, 0, 0): 1}
+    assert le.sym_power(le.B3, zero, 2) == {(0, 0, 0): 6}
+
+
+def weight_sum(alg, ms):
+    """sigma, the sum of the weights of ms with multiplicity."""
+    return tuple(sum(m * w[t] for w, m in ms.items()) for t in range(alg.ncoords))
+
+
+COMPLEMENT_CASES = {
+    "Gamma (+) Gamma": le.parse_expr("Gamma (+) Gamma"),
+    "Gamma (+) Gamma (+) Gamma": le.parse_expr("Gamma (+) Gamma (+) Gamma"),
+    "W (+) W*": le.parse_expr("W (+) W*"),
+    # a Weyl-symmetric multiset has a W-invariant sigma, 0 on A3; one
+    # more e1 makes sigma the nonzero canonical weight e1
+    "W (+) W* + e1": (le.A3, le.dsum(le.parse_expr("W (+) W*")[1], {twice((1, 0, 0, 0)): 1})),
+    "lemma68 box": le.box_tensor(le.B3, le.atom("Gamma")[1], le.A1, le.atom("V2")[1]),
+    # no reflection preserves it, and a zero count rides along
+    "planted": (
+        le.B3,
+        {(3, -1, 2): 2, (0, 2, 0): 1, (1, 1, 1): 1, (-4, 0, 1): 3, (5, 5, 5): 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEMENT_CASES)
+def test_wedge_power_past_half_the_size_is_the_direct_level(name):
+    """Every degree against the generating function run straight to it:
+    levels[k] of one pass to degree n is what a pass to degree k ends in."""
+    alg, ms = COMPLEMENT_CASES[name]
+    n = le.multiset_size(ms)
+    levels, unpack = le._powers(alg, ms, n, sym=False)
+    for k in range(n + 1):
+        assert le.wedge_power(alg, ms, k) == {unpack(w): c for w, c in levels[k].items()}, k
+    sigma = weight_sum(alg, ms)
+    assert le.wedge_power(alg, ms, n) == {sigma: 1}
+    if name == "W (+) W* + e1":
+        assert sigma == twice((1, 0, 0, 0))
+
+
+def test_wedge_power_never_runs_the_powers_past_half_the_size(monkeypatch):
+    alg, ms = COMPLEMENT_CASES["Gamma (+) Gamma"]
+    degrees = []
+    real = le._powers
+
+    def powers(alg, ms, k, sym):
+        degrees.append(k)
+        return real(alg, ms, k, sym)
+
+    monkeypatch.setattr(le, "_powers", powers)
+    for k in range(17):
+        le.wedge_power(alg, ms, k)
+    assert degrees == [*range(9), *range(7, -1, -1)]
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_complementary_wedges_of_doubled_spin_decompose_alike(k):
+    # the representations of so(7) are self-dual, so wedge^(16-k) =
+    # (wedge^k)* (x) det is wedge^k; det is trivial, sigma being 0
+    alg, ms = COMPLEMENT_CASES["Gamma (+) Gamma"]
+    assert le.decompose(alg, le.wedge_power(alg, ms, 16 - k)) == le.decompose(
+        alg, le.wedge_power(alg, ms, k)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,order", [("A1", 2), ("A3", 24), ("A4", 120), ("B2", 8), ("B3", 48), ("D4", 192), ("D5", 1920)]
+)
 def test_weyl_shifts_list_the_group_once_with_its_signs(name, order):
     (f,) = le.AlgebraType.parse(name).factors
     shifts = le._factor_shifts(f)
@@ -891,6 +984,13 @@ def test_weyl_shifts_list_the_group_once_with_its_signs(name, order):
         rho = le._a_canon(rho)
     for r in le._factor_reflections(f):
         assert (le._vadd(rho, r(rho), -1), -1) in shifts
+    # the oracle: sign w = (-1)^#{a > 0 : <w rho, a> < 0}, counted on the
+    # roots, and the orbit of rho in _factor_orbit's order
+    orbit = [le._vadd(rho, s, -1) for s, _ in shifts]
+    assert orbit == le._factor_orbit(f, rho)
+    for w, (_, e) in zip(orbit, shifts):
+        neg = sum(1 for a in le._factor_roots(f) if le._dot(w, a) < 0)
+        assert e == (-1) ** neg, w
 
 
 def spin_row(m):

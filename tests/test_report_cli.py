@@ -6,7 +6,11 @@ the complete suite is exercised by the acceptance tests.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ import pytest
 from quatprym import cli, report, spin_explicit
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_module_names_frozen():
@@ -185,6 +190,35 @@ def test_cli_lie_decompose(capsys):
     assert payload["invariant_dim"] == 0
     parts = [(tuple(d["weight"]), d["mult"]) for d in payload["decomposition"]]
     assert parts == [(("1", "1", "0"), 1), (("1", "0", "0"), 1)]
+
+
+def test_cli_lie_decompose_reads_a_high_wedge_off_its_complement(capsys):
+    # wedge^10 of the 16 weights comes from degree 6, and so(7) is self-dual
+    code, out = run_cli(capsys, "lie", "--decompose", "B3", "wedge(10, Gamma (+) Gamma)")
+    assert code == 0
+    high = json.loads(out)
+    assert high["size"] == 8008 == comb(16, 10)
+    code, out = run_cli(capsys, "lie", "--decompose", "B3", "wedge(6, Gamma (+) Gamma)")
+    assert code == 0
+    low = json.loads(out)
+    assert high["decomposition"] == low["decomposition"]
+    assert high["invariant_dim"] == low["invariant_dim"] == 6
+
+
+def test_cli_exits_quietly_when_the_reader_closes_the_pipe():
+    # the read end is closed before the child writes, so its first write
+    # meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quatprym.cli", "lie", "--decompose", "B3",
+         "wedge(10, Gamma (+) Gamma)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE
+    assert err == ""
 
 
 def test_cli_lie_decompose_algebra_mismatch(capsys):
