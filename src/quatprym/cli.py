@@ -79,7 +79,9 @@ def _cmd_homs(args) -> int:
         )
         return 0 if out["reached"] else 1
     if args.verify_psi:
-        results = {k: surface_homs.verify_psi_in_Ag(g, k) for k in range(1, g)}
+        # k = 1 at least, so that verify_psi_in_Ag rejects genus 0 and 1
+        # instead of an empty range passing them
+        results = {k: surface_homs.verify_psi_in_Ag(g, k) for k in range(1, max(g, 2))}
         _print_json({"genus": g, "relator_conjugated": results})
         return 0 if all(results.values()) else 1
     print("choose one of --enumerate, --normalize, --verify-psi", file=sys.stderr)

@@ -16,12 +16,6 @@ the ``qalg`` tables ``Q8_MUL`` and ``Q8_INV``; the census and the
 normalization search run on tuples packed into one int, with each move
 compiled to lookup tables.
 
-Phase 2 of the normalization is a cached distance table when every
-genus-g tuple fits in the cap, else the bounded breadth-first search.
-Both return the lexicographically smallest shortest move path: the
-table by walking from the start along the smallest move index one step
-closer to the standard tuple.
-
 The census searches orbits over Aut(Q)-classes: moves commute with
 composing by an automorphism of Q, Aut(Q) acts freely on surjections,
 and by Schreier's lemma the labels of a class's tuples by automorphisms
@@ -272,9 +266,9 @@ def verify_psi_in_Ag(g, k) -> bool:
 # packed tuples and compiled moves
 #
 # The census and the normalization search work on tuples packed into one
-# int: bits 3t..3t+2 hold the QUAT_GROUP position of images[t].  Each move of
-# move_set(g) is compiled once per genus into lookup tables: output slot s
-# reads only the (at most three) input slots its image word names.
+# int: bits 3t..3t+2 hold the QUAT_GROUP position of images[t].  Each move is
+# compiled once, cached by the move, into lookup tables: output slot s reads
+# only the (at most three) input slots its image word names.
 
 
 # [8a + b] = a b a^-1 b^-1, the relator of one handle
@@ -302,10 +296,12 @@ def _aut_tables() -> tuple:
              for pa in map(powers, QUAT_GROUP[2:]) for pb in map(powers, QUAT_GROUP[2:]) if pb[1] not in pa]
     inner = [tuple(Q8_INDEX[qmul(qmul(a, x), qinv(a))] for x in QUAT_GROUP) for a in QUAT_GROUP[::2]]
     ints = tuple(range(512))  # the 24 tables share one int object per value
-    return tuple((p, tuple(ints[p[v & 7] | p[v >> 3 & 7] << 3 | p[v >> 6] << 6] for v in ints))
+    return tuple((p, tuple(ints[a | b | c] for c in [x << 6 for x in p]
+                           for b in [x << 3 for x in p] for a in p))
                  for p in inner + [p for p in perms if p not in inner])
 
 
+@cache
 def _compile_move(mv: Move) -> tuple:
     """(keep, slots) for mv: the bits of the slots it fixes, and for every
     other output slot (shift1, shift2, shift3, table).  The table maps
@@ -339,18 +335,17 @@ def _compile_move(mv: Move) -> tuple:
 def _compiled_moves(g) -> tuple:
     """move_set(g) as a tuple, and its compiled form in the same order."""
     moves = tuple(move_set(g))
-    return moves, tuple(_compile_move(mv) for mv in moves)
+    return moves, tuple(map(_compile_move, moves))
 
 
-def _successors(p, compiled) -> list:
-    """The packed images of the packed tuple p under each compiled move."""
-    out = []
+def _successors(p, compiled):
+    """Yield the packed images of the packed tuple p under the compiled
+    moves, in order, each only when asked for."""
     for keep, slots in compiled:
         q = p & keep
         for s1, s2, s3, table in slots:
             q |= table[(p >> s1 & 7) | (p >> s2 & 7) << 3 | (p >> s3 & 7) << 6]
-        out.append(q)
-    return out
+        yield q
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +469,18 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
 
     moves, compiled = _compiled_moves(g)
     start, goal = pack_images(h.images), pack_images(target.images)
-    # phase 2 by the distance table: every genus-g tuple fits in the cap,
-    # so the search below could not hit it and would find this same path
+    # phase 2 by the distance table, which gives the search's path
     if 8 ** (2 * g) <= node_budget:
         dist = _goal_distances(g)
         if start not in dist:
             return {"reached": False, "moves": []}
         path, cur = [], start
         while cur != goal:
-            i, cur = next((i, q) for i, q in enumerate(_successors(cur, compiled))
-                          if dist[q] < dist[cur])
+            i, cur = next(((i, q) for i, q in enumerate(_successors(cur, compiled))
+                           if dist[q] < dist[cur]), (None, cur))
+            if i is None:
+                bad = HomTuple(g, tuple(QUAT_GROUP[cur >> 3 * t & 7] for t in range(2 * g)))
+                raise RuntimeError(f"no move descends from {format_hom(bad)}")
             path.append(moves[i])
         return {"reached": True, "moves": path}
 
@@ -547,21 +544,24 @@ def _orbits(tuples, handle, labels):
     the compiled moves ``handle`` and the conjugations, one Aut(Q)-class at a
     time, writing into the zeroed bytearray ``labels``: labels[rho q] is 1 +
     the index of rho in _aut_tables(), q the first tuple reached in a class.
-    Each pass yields those first tuples and the stabilizer of its seed's orbit."""
-    auts = _aut_tables()
+    A pass goes breadth first from an unlabelled seed through the images of
+    each class's first tuple, and yields those and its orbit's stabilizer."""
+    auts = tuple(enumerate((table for _, table in _aut_tables()), 1))
     for seed in tuples:
         if labels[seed]:
             continue
-        reps, gens = [], set(range(4))  # Inn(Q) lies in every stabilizer
-        # breadth first: the seed, then the images of each class's first tuple
-        for q in chain([seed], (q for r in reps for q in _successors(r, handle))):
-            if labels[q]:
-                gens.add(labels[q] - 1)
-                continue
-            lo, hi = q & 511, q >> 9
-            for n, (_, table) in enumerate(auts, 1):
-                labels[table[lo] | table[hi] << 9] = n
-            reps.append(q)
+        reps, gens = [seed], set(range(4))  # Inn(Q) lies in every stabilizer
+        for n, table in auts:
+            labels[table[seed & 511] | table[seed >> 9] << 9] = n
+        for r in reps:
+            for q in _successors(r, handle):
+                if labels[q]:
+                    gens.add(labels[q] - 1)
+                    continue
+                lo, hi = q & 511, q >> 9
+                for n, table in auts:
+                    labels[table[lo] | table[hi] << 9] = n
+                reps.append(q)
         yield reps, _generated(gens)
 
 
@@ -615,8 +615,7 @@ def enumerate_surjections(g) -> EnumReport:
              if Q8_MUL[8 * r + c] == 0 and _AXIS_COUNT[x | y] >= 2 for q in qs)
     # the handle moves but the twists: BETA_TWIST(m) is BETA_SLIDE(m) squared,
     # so PSI and the slides generate the same group
-    handle = tuple(c for mv, c in zip(*_compiled_moves(g))
-                   if not mv.kind.startswith(("BETA_TWIST", "CONJ")))
+    handle = tuple(_compile_move(mv) for mv in handle_moves(g) if not mv.kind.startswith("BETA_TWIST"))
     orbit_sizes, standard_orbit, labelled = [], 0, 0
     std = pack_images(standard_hom(g).images) if g >= 2 else 0  # 0 is not surjective
     labels = bytearray(8 ** (2 * g))

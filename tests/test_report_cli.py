@@ -141,7 +141,16 @@ def test_cli_qalg_all_checks(capsys):
 def test_cli_homs_verify_psi(capsys):
     code, out = run_cli(capsys, "homs", "--genus", "2", "--verify-psi")
     assert code == 0
-    assert "true" in out.lower() or "PASS" in out
+    assert out == '{\n  "genus": 2,\n  "relator_conjugated": {\n    "1": true\n  }\n}\n'
+
+
+@pytest.mark.parametrize("g", ["0", "1"])
+def test_cli_homs_verify_psi_rejects_genus_below_two(capsys, g):
+    # there is no psi move below genus 2, so there would be nothing to check
+    assert cli.main(["homs", "--genus", g, "--verify-psi"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: genus must be at least 2\n"
 
 
 def test_cli_homs_normalize(capsys):

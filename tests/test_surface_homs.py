@@ -523,6 +523,45 @@ def test_census_peak_memory_stays_under_2_mb():
     assert peak < 2_000_000
 
 
+def test_census_peak_memory_stays_under_1_3_mb_with_cold_caches():
+    """The same census with its caches cleared, so the 24 Aut(Q) tables and
+    the compiled handle moves count towards the peak too."""
+    for cached in (sh._aut_tables, sh._compile_move, sh._compiled_moves):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        sh.enumerate_surjections(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_300_000
+
+
+def test_census_compiles_only_the_moves_it_reads(monkeypatch):
+    """From cold caches the genus-3 census compiles its 8 PSI and slide
+    moves, no twist and no conjugation, and _compiled_moves(3) then reuses
+    those compiled objects."""
+    real, handles = sh._orbits, []
+
+    def spy(tuples, handle, labels):
+        handles.append(handle)
+        return real(tuples, handle, labels)
+
+    monkeypatch.setattr(sh, "_orbits", spy)
+    sh._compile_move.cache_clear()
+    sh._compiled_moves.cache_clear()
+    sh.enumerate_surjections(3)
+    read = [mv for mv in sh.handle_moves(3) if mv.kind.startswith(("PSI", "ALPHA_SLIDE", "BETA_SLIDE"))]
+    assert len(read) == 8
+    assert sh._compile_move.cache_info().misses == sh._compile_move.cache_info().currsize == 8
+    [handle] = handles
+    # hits only: the census compiled exactly these moves
+    assert all(c is sh._compile_move(mv) for c, mv in zip(handle, read, strict=True))
+    moves, compiled = sh._compiled_moves(3)
+    assert sh._compile_move.cache_info().currsize == len(moves) == 17
+    assert all(compiled[moves.index(mv)] is c for mv, c in zip(read, handle))
+
+
 # the orders of the passes' stabilizers, which include non-normal ones (8)
 STABILIZER_ORDERS = {
     (2, ()): {4},
@@ -681,6 +720,24 @@ def test_goal_distances_satisfy_bellman_over_the_genus2_orbit():
         if x != goal:
             assert d == 1 + min(dist[y] for y in sh._successors(x, compiled)), x
     assert max(dist.values()) == 10
+
+
+def test_normalize_table_walk_names_the_tuple_no_move_descends_from(monkeypatch):
+    """Planted distance tables in which the walk gets stuck: it raises a
+    RuntimeError naming the tuple where no move leads down, not a bare
+    StopIteration."""
+    h = sh.parse_hom(2, "j,i,1,-1")
+    assert not sh._phase1_shape(h)
+    planted = dict.fromkeys(surjective_packed(2), 1)
+    monkeypatch.setattr(sh, "_goal_distances", lambda g: planted)
+    planted[sh.pack_images(h.images)] = 0  # stuck at the start
+    with pytest.raises(RuntimeError, match=re.escape("no move descends from j,i,1,-1")):
+        sh.normalize_hom(h)
+    planted[sh.pack_images(h.images)] = 2  # one step down, then stuck
+    first = sh.format_hom(sh.apply_move(h, sh.move_set(2)[0]))
+    assert first != "j,i,1,-1"
+    with pytest.raises(RuntimeError, match=re.escape(f"no move descends from {first}")):
+        sh.normalize_hom(h)
 
 
 def test_normalize_table_matches_unbounded_search():
