@@ -16,7 +16,8 @@ from quatprym import report
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--module", help="restrict to one module", default=None)
+    ap.add_argument("--module", choices=report.module_names(), default=None,
+                    help="restrict to one module")
     ap.add_argument(
         "--out", type=Path, default=Path("."), help="output directory"
     )

@@ -297,7 +297,7 @@ def test_candidates_match_family_enumerators_on_registry_tables(monkeypatch):
 
     build.cache_clear()
     monkeypatch.setattr(le, "_factor_irrep", spy)
-    report._lie_claims(report.Budgets())
+    report.run_suite("lie")
     assert {str(f) for f, _ in keys} >= {"A1", "A3", "B3", "D4"}
     for f, lam in keys:
         assert_same_candidates(f, lam)
@@ -1294,7 +1294,7 @@ def test_scenario_expected_values_have_one_home(monkeypatch):
         assert claim.expected == (values if len(values) > 1 else values[0])
     want = (1, 1, 1, 9)
     monkeypatch.setattr(report, "CLAIMS", tuple(
-        report.Claim(c.claim_id, c.statement, want, status=c.status, typo=c.typo)
+        report.Claim(c.claim_id, c.statement, want, c.compute, status=c.status, typo=c.typo)
         if c.claim_id == "lie.scenario_so8_hodge" else c
         for c in report.CLAIMS
     ))

@@ -146,9 +146,6 @@ cases = [
      lambda: spin_with("nullspace", lambda m: [[Fraction(t + 1) for t in range(8)]])),
     ("run_suite rows", lambda: patched(
         report, "CLAIMS", lambda real: real + real[:1], lambda: report.run_suite("qalg"))),
-    ("run_suite ids", lambda: patched(
-        report, "MODULE_BUILDERS", lambda real: (("qalg", lambda budgets: {"qalg.other": True}),),
-        lambda: report.run_suite("qalg"))),
     ("HomTuple", lambda: sh.HomTuple(2, ((1, 0),) * 3)),
     ("HomTuple image", lambda: sh.HomTuple(2, ((1, 5), (1, 1), (1, 2), (1, 0)))),
     ("standard_hom", lambda: sh.standard_hom(1)),
@@ -252,8 +249,6 @@ def test_checks_raise_under_python_O():
         "so7_invariant non-integral SpinConstructionError "
         "normalized invariant line is not integral",
         "run_suite rows RuntimeError claim ids must be unique",
-        "run_suite ids RuntimeError module 'qalg' and its claim rows differ on "
-        "['qalg.group_ring_shape', 'qalg.left_ideal_index', 'qalg.other', 'qalg.splitting_embed']",
         "HomTuple ValueError genus 2 needs 4 images, got 3",
         "HomTuple image ValueError image (1, 5) is not an element of Q8",
         "standard_hom ValueError genus must be at least 2",

@@ -9,13 +9,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from quatprym import cli, report, spin_explicit
+from quatprym import cli, report, spin_explicit, surface_homs
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "report.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +71,27 @@ def test_spin_claims_keep_a_non_integral_coefficient(monkeypatch):
     cmp = spin_explicit.reference_comparison(rep, spin_explicit.so7_invariant(rep))
     assert cmp["computed"][(1, 2, 3, 7)] == Fraction(5, 2)
     assert cmp["computed"][(0, 4, 5, 6)] == 2
+
+
+def test_shared_work_runs_once_per_suite_run(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real, by_args):
+        def counted(*args):
+            calls[(name, *args) if by_args else name] += 1
+            return real(*args)
+        return counted
+
+    for owner, name, by_args in ((surface_homs, "enumerate_surjections", True),
+                                 (spin_explicit, "build_spin_rep", False),
+                                 (spin_explicit, "so7_invariant", False)):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name), by_args))
+    # the second run counts the same again: no result is kept across runs
+    for _ in range(2):
+        calls.clear()
+        assert not report.has_failures(report.run_suite())
+        assert calls == {("enumerate_surjections", 1): 1, ("enumerate_surjections", 2): 1,
+                         "build_spin_rep": 1, "so7_invariant": 1}
 
 
 def test_unknown_module_rejected():
@@ -375,6 +397,26 @@ def test_cli_report_turns_a_raising_builder_into_fail_records(capsys, monkeypatc
     for got, want in zip(claims, golden):
         if got["claim_id"].startswith("cover."):
             want = {**want, "computed": "raised ZeroDivisionError: no cover today", "status": "FAIL"}
+        assert got == want
+
+
+def test_cli_report_turns_a_raising_row_into_one_fail_record(capsys, monkeypatch):
+    def broken(run):
+        raise ZeroDivisionError("no rank today")
+
+    monkeypatch.setattr(report, "CLAIMS", tuple(
+        report.Claim(c.claim_id, c.statement, c.expected, broken, c.status, c.typo)
+        if c.claim_id == "cover.h1_rank" else c
+        for c in report.CLAIMS
+    ))
+    code, out = run_cli(capsys, "report")
+    assert code == 1
+    golden = json.loads(GOLDEN.read_text())["claims"]
+    claims = json.loads(out)["claims"]
+    assert [c["claim_id"] for c in claims] == [c["claim_id"] for c in golden]
+    for got, want in zip(claims, golden):
+        if got["claim_id"] == "cover.h1_rank":
+            want = {**want, "computed": "raised ZeroDivisionError: no rank today", "status": "FAIL"}
         assert got == want
 
 

@@ -30,6 +30,15 @@ def test_run_report_writes_what_hodge_report_prints(tmp_path, capsys):
     assert (tmp_path / "report.md").read_bytes() == capsys.readouterr().out.encode()
 
 
+def test_run_report_rejects_an_unknown_module(tmp_path):
+    out = run_script("run_report.py", "--module", "nope", "--out", str(tmp_path), check=False)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    error = out.stderr.splitlines()[-1]
+    assert error.startswith("run_report.py: error: argument --module: invalid choice: 'nope'")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_orbit_survey_genus_2():
     lines = run_script("orbit_survey.py", "--genus", "2").stdout.splitlines()
     assert lines[0].startswith("genus 2 (")
