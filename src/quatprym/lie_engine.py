@@ -735,7 +735,10 @@ class _Parser:
 
     def take(self, expected=None):
         tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
+        if tok is None:
+            raise ValueError("expression ended early"
+                             + (f", expected {expected!r}" if expected is not None else ""))
+        if expected is not None and tok != expected:
             raise ValueError(f"expected {expected!r}, got {tok!r}")
         self.pos += 1
         return tok
@@ -762,7 +765,10 @@ class _Parser:
         tok = self.peek()
         if tok in ("wedge(", "sym("):
             self.take()
-            k = int(self.take())
+            k = self.take()
+            if not k.isdecimal():
+                raise ValueError(f"expected an integer exponent after {tok!r}, got {k!r}")
+            k = int(k)
             self.take(",")
             alg, ms = self.expr()
             self.take(")")

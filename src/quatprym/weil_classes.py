@@ -22,21 +22,31 @@ w(0), the wedge of the v_k.
 W_F is the span of the translates of W_K by F*.  F*(Q) is Zariski-dense
 in the connected group F* (Borel, *Linear Algebraic Groups*, 18.3), so
 W_F is the smallest subspace that contains W_K and is stable under the
-Lie algebra F, and so under D_i and D_j, as D_k = [D_i, D_j] / 2; its
-dimension is 2n + 1.  w(t) = ^_k (v_k + t j v_k) is the translate of
-w(0) by 1 + tj, a polynomial of degree 2n in t, so by Vandermonde the
-parts of w(0), ..., w(2n) span the parts of its coefficients, in W_F.
+Lie algebra F, and so under D_i and D_j, as D_k = [D_i, D_j] / 2.  It is
+taken as the D_j-Krylov space of W_K: the rows of W_K and their images
+under D_j^a, a = 1..2n, eliminated once.  That span lies in W_F, which
+contains W_K and is D_j-stable.  It is also the span of the parts of
+w(t) = ^_k (v_k + t j v_k), t = 0..2n, the translates of w(0) by 1 + tj
+that the tests keep as an oracle: the coefficient of t^m in w(t) is
+e_m(j_1, ..., j_2n) w(0), with j_k acting on the k-th factor, which
+Newton's identities and j_k^2 = s make a polynomial in
+D_j = j_1 + ... + j_2n applied to w(0).  Over a splitting field F* is
+GL_2, V is 2n copies of its standard representation, and each
+irreducible summand of wedge^{2n} V is some Sym^{2n-2m} (x) det^m, whose
+zero weight space, the kernel of D_i there, is a line.
 
 Certificates check all this exactly: D_i^2 = 4 n^2 r on both parts of
-w(0), and the span of the parts of the w(t) contains W_K and is mapped
-into itself by D_i and D_j, so it is W_F; the second is one elimination
-of the rows of W_F, W_K and the images of W_F, which must span no more
-than W_F.  Each image is taken by ``wedge_derivation`` on the rows' own
-support, cached per model (``HModel.derive_i`` and ``derive_j``), so a
-monomial is derived once per matrix, and a failed certificate raises
-RuntimeError.  A subspace (``SubspaceQ``) keeps its echelon rows as
-{monomial: coefficient}, so neither a matrix on wedge^{2n} nor a row
-over all C(4n, 2n) monomials is formed.
+w(0); the Krylov space is mapped into itself by D_i and D_j, so it
+contains W_F; and it meets ker D_i in a line, so it is irreducible and
+no more than W_F.  The second is one elimination of the Krylov space's
+rows and their images, which must span no more than the rows, and the
+third is the rank of the images under D_i.  Each image is taken by
+``wedge_derivation`` on the rows' own support, cached per model
+(``HModel.derive_i`` and ``derive_j``), so a monomial is derived once
+per matrix, and a failed certificate raises RuntimeError.  A subspace
+(``SubspaceQ``) keeps its echelon rows as {monomial: coefficient}, so
+neither a matrix on wedge^{2n} nor a row over all C(4n, 2n) monomials is
+formed.
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ from .linalg import (
     block_diag,
     int_echelon,
     mat_mul,
-    mat_vec,
     wedge_derivation,
     wedge_vector,
 )
@@ -149,29 +158,15 @@ def exterior_action(mat, k: int):
     return out
 
 
-def _over_k(mat, r, t, u, v):
-    """t * mat + (u + v sqrt(r)) * 1 as a matrix over K = Q(sqrt(r))."""
-    return [[KNum(r, t * x + u * (p == q), v * (p == q)) for q, x in enumerate(row)]
-            for p, row in enumerate(mat)]
-
-
-def _wedge_parts(model: HModel, ts):
-    """The rational and sqrt(r) parts of w(t) = ^_k (1 + t j) v_k for each
-    t in ts, as {monomial: coefficient}; v_1..v_2n are the columns of
-    i + sqrt(r) whose wedge with those kept before is nonzero."""
+def _wedge_parts(model: HModel):
+    """The rational and sqrt(r) parts of w(0), the wedge of v_1..v_2n, as
+    {monomial: coefficient}; v_1..v_2n are the columns of i + sqrt(r)
+    whose wedge with those kept before is nonzero."""
     unit = KNum.make(model.params.r, 1)
-    r, one = unit.r, {(): unit}
-    w, basis = one, []
-    for col in zip(*_over_k(model.mat_i, r, 1, 0, 1)):
-        grown = wedge_vector(w, col)
-        if grown:
-            w, basis = grown, basis + [col]
-    wedges = []
-    for t in ts:
-        one_tj = _over_k(model.mat_j, r, t, 1, 0)
-        wedges.append(reduce(wedge_vector, (mat_vec(one_tj, v) for v in basis), one))
-    return [{m: c.u for m, c in wt.items() if c.u} for wt in wedges] + [
-        {m: c.v for m, c in wt.items() if c.v} for wt in wedges]
+    w = {(): unit}
+    for q, col in enumerate(zip(*model.mat_i)):
+        w = wedge_vector(w, [KNum(unit.r, x, int(p == q)) for p, x in enumerate(col)]) or w
+    return [{m: c.u for m, c in w.items() if c.u}, {m: c.v for m, c in w.items() if c.v}]
 
 
 def _images(derive, vecs):
@@ -187,10 +182,19 @@ def _images(derive, vecs):
     return out
 
 
+def _krylov(derive, vecs, steps: int):
+    """The vectors and their images under D^a, a = 1..steps."""
+    out = list(vecs)
+    for _ in range(steps):
+        vecs = _images(derive, vecs)
+        out += vecs
+    return out
+
+
 def weil_kernel(model: HModel) -> SubspaceQ:
     """W_K: the span of the parts of w(0), certified to lie in
     ker(D_i^2 - 4 n^2 r)."""
-    parts = _wedge_parts(model, [0])
+    parts = _wedge_parts(model)
     ev = 4 * model.n**2 * model.params.r
     if _images(model.derive_i, _images(model.derive_i, parts)) != [
             {m: ev * c for m, c in x.items()} for x in parts]:
@@ -199,12 +203,14 @@ def weil_kernel(model: HModel) -> SubspaceQ:
 
 
 def quaternion_span(model: HModel, wk: SubspaceQ) -> SubspaceQ:
-    """W_F: the span of the parts of w(t), t = 0..2n, certified to contain
-    W_K and to be stable under D_i and D_j."""
-    wf = SubspaceQ.from_vectors(_wedge_parts(model, range(2 * model.n + 1)))
-    moved = _images(model.derive_i, wf.rows) + _images(model.derive_j, wf.rows)
-    if SubspaceQ.from_vectors([*wf.rows, *wk.rows, *moved]).dim > wf.dim:
-        raise RuntimeError("the span of the w(t) misses W_K or is not stable under D_i and D_j")
+    """W_F: the span of W_K and its images under D_j^a, a = 1..2n,
+    certified to be stable under D_i and D_j and to meet ker D_i in a line."""
+    wf = SubspaceQ.from_vectors(_krylov(model.derive_j, wk.rows, 2 * model.n))
+    by_i = _images(model.derive_i, wf.rows)
+    if SubspaceQ.from_vectors([*wf.rows, *by_i, *_images(model.derive_j, wf.rows)]).dim > wf.dim:
+        raise RuntimeError("the D_j-Krylov space of W_K is not stable under D_i and D_j")
+    if SubspaceQ.from_vectors(by_i).dim != wf.dim - 1:
+        raise RuntimeError("ker D_i does not meet the D_j-Krylov space of W_K in a line")
     return wf
 
 

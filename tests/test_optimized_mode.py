@@ -17,7 +17,7 @@ SCRIPT = """
 from fractions import Fraction
 from math import prod
 from quatprym import cover_homology as ch, curve_model as cm, lie_engine as le, linalg, qalg
-from quatprym import report, spin_explicit as sp, surface_homs as sh
+from quatprym import report, spin_explicit as sp, surface_homs as sh, weil_classes as wc
 
 print("debug", __debug__)
 third = qalg.QuatElem.make(qalg.HAMILTON, Fraction(1, 3))
@@ -98,6 +98,20 @@ def phase1_without_flips():
         return sh.normalize_hom(sh.parse_hom(3, "-1,i,j,1,1,1"))
     finally:
         sh._flip_moves = real
+
+
+def plant_last(real):  # 1 ^ i in each copy of F added to the last vector real returns
+    def fake(*args):
+        vecs = real(*args)
+        n = len(next(iter(vecs[-1]))) // 2
+        vecs[-1] = {**vecs[-1], tuple(p for b in range(n) for p in (4 * b, 4 * b + 1)): 1}
+        return vecs
+    return fake
+
+
+def weil_dim(n):
+    h = wc.HModel.make(n, qalg.HAMILTON)
+    return wc.quaternion_span(h, wc.weil_kernel(h)).dim
 
 
 i_field = qalg.KNum.make(-1, 1, 1)
@@ -198,6 +212,10 @@ cases = [
         ch.OrderLattice, "left_mult", lambda real: lambda self, q: eye4,
         lambda: ch.prym_lattice_model(2))),
     ("_self_loop_vec", lambda: ch._self_loop_vec(g2, 0, 1)),
+    ("weil_kernel", lambda: patched(wc, "_wedge_parts", plant_last, lambda: weil_dim(2))),
+    ("quaternion_span stable", lambda: patched(wc, "_krylov", plant_last, lambda: weil_dim(2))),
+    # at n = 1 the planted row leaves a span that D_i and D_j keep
+    ("quaternion_span kernel", lambda: patched(wc, "_krylov", plant_last, lambda: weil_dim(1))),
     ("det", lambda: linalg.det([[1, 2, 3], [4, 5, 6]])),
 ]
 for name, call in cases:
@@ -285,6 +303,11 @@ def test_checks_raise_under_python_O():
         "model basis ValueError explicit vectors do not form a basis of the minus part",
         "model structure ValueError module structure constants do not match",
         "_self_loop_vec ValueError edge 0 is not a self-loop at vertex 0 of handle 1",
+        "weil_kernel RuntimeError D_i^2 is not 4 n^2 r on the wedge of V_sigma",
+        "quaternion_span stable RuntimeError "
+        "the D_j-Krylov space of W_K is not stable under D_i and D_j",
+        "quaternion_span kernel RuntimeError "
+        "ker D_i does not meet the D_j-Krylov space of W_K in a line",
         "det ValueError matrix is not square",
     ]
 

@@ -263,6 +263,17 @@ def test_cli_lie_decompose_rejects_a_rank_too_small(capsys, alg):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("", "expression ended early"),
+    ("wedge(2,", "expression ended early"),
+    ("wedge(2", "expression ended early, expected ','"),
+    ("wedge(x, V)", "expected an integer exponent after 'wedge(', got 'x'"),
+])
+def test_cli_lie_decompose_names_a_malformed_expression(capsys, expr, message):
+    assert cli.main(["lie", "--decompose", "B3", expr]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_weil_report(capsys):
     # the algebra parameters are printed as JSON numbers, not strings
     assert run_cli(capsys, "weil", "--n", "1", "--params=-1,-3") == (0, """\

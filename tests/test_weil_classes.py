@@ -3,14 +3,17 @@
 The exterior-square oracle below expands 2x2 minors directly from the
 definition, independent of the implementation's column recursion.  The
 derivation is checked as the differential of the group action and as a
-Lie map.  W_K and W_F, spanned by wedges of eigenvectors, are gated
-against three oracles kept here: the nullspace of the dense D_i^2 - 4 n^2 r,
-the closure under D_i, D_j and D_k by whole rounds, and the group-action
-path: the per-element Weil kernels ker(X^2 + aX + b), intersected along
-the ladder 1 + sqrt(r), 2 + sqrt(r), ..., and the span of a fixed list
-of algebra translates.  The oracles keep dense rows over all C(4n, 2n)
-monomials (``DenseSpace``), and their rows are compared with the
-module's sparse rows once the zero entries are dropped.
+Lie map.  W_K, spanned by the parts of a wedge of eigenvectors, and W_F,
+its D_j-Krylov space, are gated against four oracles kept here: the
+nullspace of the dense D_i^2 - 4 n^2 r, the closure under D_i, D_j and
+D_k by whole rounds, the span of the translates of the wedge by 1 + tj,
+t = 0..2n, and the group-action path: the per-element Weil kernels
+ker(X^2 + aX + b), intersected along the ladder 1 + sqrt(r),
+2 + sqrt(r), ..., and the span of a fixed list of algebra translates.
+The translates are spanned as the module spans; the other oracles keep
+dense rows over all C(4n, 2n) monomials (``DenseSpace``), and their rows
+are compared with the module's sparse rows once the zero entries are
+dropped.
 The oracle's annihilator coefficients are rechecked against
 quadratic-field powers computed with the field arithmetic of the
 algebra module.
@@ -20,7 +23,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 
 import pytest
@@ -703,31 +706,40 @@ def test_pending_list_span_equals_the_round_closure(n, params, conjugate):
     assert wc.quaternion_span(h, wk).rows == round_quaternion_span(h, DenseSpace.of(wk, h)).sparse_rows(h)
 
 
-# the corrupting monomial takes 1 ^ x in each copy of F; D_x kills it, so
-# for x = i only the D_i^2 and D_j certificates can reject it, and for
-# x = j only the D_i one
+def planted(real, x):
+    """``real`` with 1 ^ x in each copy of F added to the last vector it
+    returns."""
+    def corrupted(*args):
+        vecs = real(*args)
+        n = len(next(iter(vecs[-1]))) // 2
+        vecs[-1] = {**vecs[-1], tuple(p for b in range(n) for p in (4 * b, 4 * b + x)): 1}
+        return vecs
+    return corrupted
+
+
+# the corrupting monomial takes 1 ^ x in each copy of F; D_x kills it, so for
+# x = i only the D_i^2 and D_j certificates can reject a bad w(0), and for
+# x = j only the D_i one.  Planted into the last row of the D_j-Krylov space,
+# it leaves at n = 1 a span that D_i and D_j keep (the complement of W_F in
+# wedge^2 V is killed by both), which only the kernel of D_i rejects
 @pytest.mark.parametrize("corrupt,x,message", [
-    (lambda ts: ts == [0], 1, "D_i\\^2 is not 4 n\\^2 r"),
-    (lambda ts: len(ts) > 1, 1, "not stable under D_i and D_j"),
-    (lambda ts: len(ts) > 1, 2, "not stable under D_i and D_j"),
+    (lambda name: name == "_wedge_parts", 1, "D_i\\^2 is not 4 n\\^2 r"),
+    (lambda name: name == "_krylov", 1, "not stable under D_i and D_j"),
+    (lambda name: name == "_krylov", 2, "not stable under D_i and D_j"),
 ])
 def test_a_corrupted_wedge_fails_its_certificate(corrupt, x, message, monkeypatch):
-    real = wc._wedge_parts
-
-    def corrupted(h, ts):
-        parts = real(h, ts)
-        if corrupt(list(ts)):
-            parts[-1] = {**parts[-1], tuple(p for b in range(h.n) for p in (4 * b, 4 * b + x)): 1}
-        return parts
-
-    monkeypatch.setattr(wc, "_wedge_parts", corrupted)
+    for name in ("_wedge_parts", "_krylov"):
+        if corrupt(name):
+            monkeypatch.setattr(wc, name, planted(getattr(wc, name), x))
     h = model(2, M13)
     with pytest.raises(RuntimeError, match=message):
         wc.quaternion_span(h, wc.weil_kernel(h))
     records = report.run_suite("weil")
-    assert records and all(r.status == report.FAIL for r in records)
-    # each row fails on its own computation: the n = 2 rows, whose model the
-    # certificate rejects above, name its error
+    # every row fails by a raise of its own model's certificate, and none
+    # reports a dimension; the n = 2 rows name the error seen above
+    assert len(records) == 4
+    assert all(r.status == report.FAIL for r in records)
+    assert all(r.computed.startswith("raised RuntimeError: ") for r in records)
     n2 = [r.computed for r in records if r.claim_id.startswith("weil.dims_n2_")]
     assert len(n2) == 2
     assert all(re.match(f"raised RuntimeError: .*{message}", c) for c in n2)
@@ -735,8 +747,54 @@ def test_a_corrupted_wedge_fails_its_certificate(corrupt, x, message, monkeypatc
 
 def test_quaternion_span_rejects_a_kernel_it_does_not_contain():
     h = model(2, M13)
-    with pytest.raises(RuntimeError, match="misses W_K"):
+    with pytest.raises(RuntimeError, match="not stable under D_i and D_j"):
         wc.quaternion_span(h, wc.weil_kernel(model(2, M25)))
+
+
+# ----------------------------------------- the translate construction of W_F
+
+
+def translate_parts(h, t):
+    """The rational and sqrt(r) parts of w(t) = ^_k (1 + t j) v_k, for
+    v_1..v_2n the columns of i + sqrt(r) whose wedge with those kept before
+    is nonzero: the translate of w(0) by 1 + tj, built over K."""
+    r = h.params.r
+
+    def over_k(mat, a, u, v):
+        """a * mat + (u + v sqrt(r)) * 1 as a matrix over K."""
+        return [[KNum.make(r, a * x + u * (p == q), v * (p == q)) for q, x in enumerate(row)]
+                for p, row in enumerate(mat)]
+
+    one = {(): KNum.make(r, 1)}
+    w, basis = one, []
+    for col in zip(*over_k(h.mat_i, 1, 0, 1)):
+        grown = linalg.wedge_vector(w, col)
+        if grown:
+            w, basis = grown, basis + [col]
+    one_tj = over_k(h.mat_j, t, 1, 0)
+    wt = reduce(linalg.wedge_vector, (linalg.mat_vec(one_tj, v) for v in basis), one)
+    return [{m: c.u for m, c in wt.items() if c.u}, {m: c.v for m, c in wt.items() if c.v}]
+
+
+def translate_span(h):
+    """W_F as the span of the parts of w(0), ..., w(2n): w(t) is a
+    polynomial of degree 2n in t, so by Vandermonde these span the parts of
+    its coefficients, each a polynomial in D_j applied to w(0)."""
+    return wc.SubspaceQ.from_vectors(
+        [part for t in range(2 * h.n + 1) for part in translate_parts(h, t)])
+
+
+@pytest.mark.parametrize("n,params,conjugate", [
+    *((n, p, False) for n in (1, 2, 3) for p in (M11, M13, M25, M37)),
+    (2, M13, True), (3, M13, True), (4, M11, False)])
+def test_krylov_span_equals_the_span_of_the_translates(n, params, conjugate):
+    h = model(n, params)
+    if conjugate:
+        h = conjugated(h, mat_of(h, QuatElem.make(params, 1, 0, 1, 0)))
+    assert wc._wedge_parts(h) == translate_parts(h, 0)
+    wf = wc.quaternion_span(h, wc.weil_kernel(h))
+    assert wf.dim == 2 * n + 1
+    assert wf.rows == translate_span(h).rows
 
 
 @pytest.mark.parametrize("n,params,dims", [
