@@ -11,6 +11,7 @@ Modules:
   weil_classes    Weil classes on quaternion modules, by derivations
   curve_model     the genus-2 curve, its quadrics, and the P^4 action
   report, cli     claim registry and the hodge command line tool
+  record          the value-record base: equality, hash and repr by fields
 """
 
 from .config import Budgets, load_budgets

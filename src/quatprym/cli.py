@@ -78,14 +78,11 @@ def _cmd_homs(args) -> int:
             }
         )
         return 0 if out["reached"] else 1
-    if args.verify_psi:
-        # k = 1 at least, so that verify_psi_in_Ag rejects genus 0 and 1
-        # instead of an empty range passing them
-        results = {k: surface_homs.verify_psi_in_Ag(g, k) for k in range(1, max(g, 2))}
-        _print_json({"genus": g, "relator_conjugated": results})
-        return 0 if all(results.values()) else 1
-    print("choose one of --enumerate, --normalize, --verify-psi", file=sys.stderr)
-    return 2
+    # --verify-psi: k = 1 at least, so that verify_psi_in_Ag rejects genus
+    # 0 and 1 instead of an empty range passing them
+    results = {k: surface_homs.verify_psi_in_Ag(g, k) for k in range(1, max(g, 2))}
+    _print_json({"genus": g, "relator_conjugated": results})
+    return 0 if all(results.values()) else 1
 
 
 def _cmd_prym(args) -> int:
@@ -112,31 +109,28 @@ def _cmd_lie(args) -> int:
         rep = report_mod.scenario_report(args.scenario)
         _print_json(rep)
         return 0 if rep["ok"] else 1
-    if args.decompose:
-        alg_text, expr = args.decompose
-        alg = lie_engine.AlgebraType.parse(alg_text)
-        got_alg, ms = lie_engine.parse_expr(expr)
-        if got_alg != alg:
-            print(
-                f"expression lives on {got_alg}, not {alg}",
-                file=sys.stderr,
-            )
-            return 2
-        dec = lie_engine.decompose(alg, ms)
-        _print_json(
-            {
-                "algebra": str(alg),
-                "size": lie_engine.multiset_size(ms),
-                "decomposition": [
-                    {"weight": list(lie_engine.weight_text(lam)), "mult": m} for lam, m in dec
-                ],
-                # the multiplicity of the trivial constituent
-                "invariant_dim": dict(dec).get((0,) * alg.ncoords, 0),
-            }
+    alg_text, expr = args.decompose
+    alg = lie_engine.AlgebraType.parse(alg_text)
+    got_alg, ms = lie_engine.parse_expr(expr)
+    if got_alg != alg:
+        print(
+            f"expression lives on {got_alg}, not {alg}",
+            file=sys.stderr,
         )
-        return 0
-    print("choose one of --scenario, --decompose", file=sys.stderr)
-    return 2
+        return 2
+    dec = lie_engine.decompose(alg, ms)
+    _print_json(
+        {
+            "algebra": str(alg),
+            "size": lie_engine.multiset_size(ms),
+            "decomposition": [
+                {"weight": list(lie_engine.weight_text(lam)), "mult": m} for lam, m in dec
+            ],
+            # the multiplicity of the trivial constituent
+            "invariant_dim": dict(dec).get((0,) * alg.ncoords, 0),
+        }
+    )
+    return 0
 
 
 def _cmd_spin(args) -> int:
@@ -147,14 +141,11 @@ def _cmd_spin(args) -> int:
             subsets = tuple(spin_explicit.SUBSETS[t] for t in mono)
             print(f"{mono}  {subsets}  coefficient {inv.get(mono, 0)}")
         return 0
-    if args.check_bracket:
-        failures = set(spin_explicit.bracket_failures(rep.two_rho))
-        for x, y in spin_explicit.BRACKET_PAIRS:
-            print(f"[{x}, {y}]: {'FAIL' if (x, y) in failures else 'pass'}")
-        print(f"{len(failures)} bracket failures" if failures else "all brackets pass")
-        return 1 if failures else 0
-    print("choose one of --invariant, --check-bracket", file=sys.stderr)
-    return 2
+    failures = set(spin_explicit.bracket_failures(rep.two_rho))
+    for x, y in spin_explicit.BRACKET_PAIRS:
+        print(f"[{x}, {y}]: {'FAIL' if (x, y) in failures else 'pass'}")
+    print(f"{len(failures)} bracket failures" if failures else "all brackets pass")
+    return 1 if failures else 0
 
 
 def _cmd_weil(args) -> int:
@@ -214,10 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homs", help="surface-group tuple calculus")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--normalize", metavar="TUPLE", default=None,
-                   help="2g comma-separated symbols from {1,-1,i,-i,j,-j,k,-k}")
-    p.add_argument("--verify-psi", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--enumerate", action="store_true")
+    mode.add_argument("--normalize", metavar="TUPLE", default=None,
+                      help="2g comma-separated symbols from {1,-1,i,-i,j,-j,k,-k}")
+    mode.add_argument("--verify-psi", action="store_true")
     p.set_defaults(func=_cmd_homs)
 
     p = sub.add_parser("prym", help="anti-invariant lattice model")
@@ -226,13 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prym)
 
     p = sub.add_parser("lie", help="weight-multiset representation engine")
-    p.add_argument("--scenario", choices=report_mod.SCENARIOS, default=None)
-    p.add_argument("--decompose", nargs=2, metavar=("ALG", "EXPR"), default=None)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--scenario", choices=report_mod.SCENARIOS, default=None)
+    mode.add_argument("--decompose", nargs=2, metavar=("ALG", "EXPR"), default=None)
     p.set_defaults(func=_cmd_lie)
 
     p = sub.add_parser("spin", help="explicit spinor model checks")
-    p.add_argument("--invariant", action="store_true")
-    p.add_argument("--check-bracket", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--invariant", action="store_true")
+    mode.add_argument("--check-bracket", action="store_true")
     p.set_defaults(func=_cmd_spin)
 
     p = sub.add_parser("weil", help="dimensions of the Weil spaces W_K and W_F")

@@ -11,8 +11,10 @@ these defaults.
 
 from __future__ import annotations
 
+from .record import Record
 
-class Budgets:
+
+class Budgets(Record):
     """The caps as class constants; every instance is the default one,
     so ``normalize_hom`` can read its default off the class."""
 
@@ -21,11 +23,6 @@ class Budgets:
     # normalization phase 2: a cached distance table when every genus-g
     # tuple fits in the cap, else the bounded breadth-first search
     bfs_node_cap = 200000
-
-    def __eq__(self, other):
-        if other.__class__ is not Budgets:
-            return NotImplemented
-        return True
 
 
 def load_budgets() -> Budgets:

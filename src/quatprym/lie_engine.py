@@ -58,14 +58,16 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from math import factorial, prod
-from operator import sub
+from operator import mul, sub
+
+from .record import Record
 
 
 class NotARepresentation(ValueError):
     """The multiset is not the weight system of any finite-dim rep."""
 
 
-class SimpleFactor:
+class SimpleFactor(Record):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
@@ -76,17 +78,6 @@ class SimpleFactor:
         self.family = family
         self.rank = rank
 
-    def __eq__(self, other):
-        if other.__class__ is not SimpleFactor:
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
-    def __repr__(self):
-        return f"SimpleFactor(family={self.family!r}, rank={self.rank!r})"
-
     @property
     def ncoords(self):
         return self.rank + 1 if self.family == "A" else self.rank
@@ -95,22 +86,11 @@ class SimpleFactor:
         return f"{self.family}{self.rank}"
 
 
-class AlgebraType:
+class AlgebraType(Record):
     __slots__ = ("factors", "__dict__")  # __dict__ holds the cached tables
 
     def __init__(self, factors: tuple):
         self.factors = factors
-
-    def __eq__(self, other):
-        if other.__class__ is not AlgebraType:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return f"AlgebraType(factors={self.factors!r})"
 
     @staticmethod
     def parse(text) -> "AlgebraType":
@@ -343,7 +323,7 @@ def _factor_two_rho(f: SimpleFactor):
 
 
 def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _vadd(u, v, k=1):
@@ -379,22 +359,17 @@ def _factor_weyl_dim(f: SimpleFactor, lam) -> int:
 @cache
 def _factor_shifts(f: SimpleFactor):
     """(rho - w rho, sign w) for every w in the Weyl group of f, in doubled
-    coordinates.  rho is regular, so its orbit lists each w once; the walk
-    is _factor_orbit's, and as sign w = det w, a weight reached by one
-    simple reflection has the opposite sign of the weight it came from."""
+    coordinates, in _factor_orbit's order.  rho is regular, so its orbit
+    lists each w once, and sign w = (-1)^(length of w), the length being
+    the number of positive roots a with <w rho, a> < 0."""
     rho = _factor_two_rho(f)
     if f.family == "A":
         rho = _a_canon(rho)
-    refl = _factor_reflections(f)
-    orbit = [rho]
-    sign = {rho: 1}
-    for cur in orbit:
-        for r in refl:
-            nxt = r(cur)
-            if nxt not in sign:
-                sign[nxt] = -sign[cur]
-                orbit.append(nxt)
-    return tuple((_vadd(rho, w, -1), e) for w, e in sign.items())
+    roots = _factor_roots(f)
+    return tuple(
+        (_vadd(rho, w, -1), (-1) ** sum(_dot(w, a) < 0 for a in roots))
+        for w in _factor_orbit(f, rho)
+    )
 
 
 def _highest_weight_parts(alg: AlgebraType, lam):

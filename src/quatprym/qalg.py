@@ -19,11 +19,12 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .linalg import frac_mat, inverse, mat_vec
+from .record import Record
 
 Q1 = Fraction(1)
 
 
-class AlgebraParams:
+class AlgebraParams(Record):
     """Structure constants (r, s) of a rational quaternion algebra."""
 
     __slots__ = ("r", "s")
@@ -31,17 +32,6 @@ class AlgebraParams:
     def __init__(self, r: Fraction, s: Fraction):
         self.r = r
         self.s = s
-
-    def __eq__(self, other):
-        if other.__class__ is not AlgebraParams:
-            return NotImplemented
-        return (self.r, self.s) == (other.r, other.s)
-
-    def __hash__(self):
-        return hash((self.r, self.s))
-
-    def __repr__(self):
-        return f"AlgebraParams(r={self.r!r}, s={self.s!r})"
 
     @staticmethod
     def make(r, s) -> "AlgebraParams":
@@ -54,7 +44,7 @@ class AlgebraParams:
 HAMILTON = AlgebraParams.make(-1, -1)
 
 
-class QuatElem:
+class QuatElem(Record):
     """Element a + b i + c j + d k of B(r, s)."""
 
     __slots__ = ("params", "a", "b", "c", "d")
@@ -65,19 +55,6 @@ class QuatElem:
         self.b = b
         self.c = c
         self.d = d
-
-    def __eq__(self, other):
-        if other.__class__ is not QuatElem:
-            return NotImplemented
-        return ((self.params, self.a, self.b, self.c, self.d)
-                == (other.params, other.a, other.b, other.c, other.d))
-
-    def __hash__(self):
-        return hash((self.params, self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return (f"QuatElem(params={self.params!r}, a={self.a!r}, b={self.b!r},"
-                f" c={self.c!r}, d={self.d!r})")
 
     @staticmethod
     def make(params, a, b=0, c=0, d=0) -> "QuatElem":
@@ -471,7 +448,7 @@ def group_ring_wedderburn():
 # splitting over K = Q(sqrt(r))
 
 
-class KNum:
+class KNum(Record):
     """Element u + v*sqrt(r) of the quadratic field K = Q(sqrt(r)).
 
     The one Q(sqrt(r)) type of the package; at r = -1 it is the field of
@@ -486,17 +463,6 @@ class KNum:
         self.r = r
         self.u = u
         self.v = v
-
-    def __eq__(self, other):
-        if other.__class__ is not KNum:
-            return NotImplemented
-        return (self.r, self.u, self.v) == (other.r, other.u, other.v)
-
-    def __hash__(self):
-        return hash((self.r, self.u, self.v))
-
-    def __repr__(self):
-        return f"KNum(r={self.r!r}, u={self.u!r}, v={self.v!r})"
 
     @staticmethod
     def make(r, u, v=0):

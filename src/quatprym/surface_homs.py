@@ -33,6 +33,7 @@ from itertools import chain
 
 from .config import Budgets
 from .qalg import Q8_INDEX, Q8_INV, Q8_MUL, QUAT_GROUP, qinv, qmul, qparse, qstr
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def surface_relator(g):
 # homomorphism tuples
 
 
-class HomTuple:
+class HomTuple(Record):
     """Images of alpha_1..alpha_g, beta_1..beta_g in Q, as (sign, axis)."""
 
     __slots__ = ("g", "images")
@@ -82,17 +83,6 @@ class HomTuple:
                 raise ValueError(f"image {x!r} is not an element of Q8")
         self.g = g
         self.images = images
-
-    def __eq__(self, other):
-        if other.__class__ is not HomTuple:
-            return NotImplemented
-        return (self.g, self.images) == (other.g, other.images)
-
-    def __hash__(self):
-        return hash((self.g, self.images))
-
-    def __repr__(self):
-        return f"HomTuple(g={self.g!r}, images={self.images!r})"
 
     def alpha(self, m):
         return self.images[m - 1]
@@ -142,7 +132,7 @@ def format_hom(h: HomTuple) -> str:
 # the move calculus
 
 
-class Move:
+class Move(Record):
     """A free-group endomorphism given by generator images, acting on
     HomTuples by precomposition."""
 
@@ -152,17 +142,6 @@ class Move:
         self.kind = kind
         self.g = g
         self.images = images  # 2g free words
-
-    def __eq__(self, other):
-        if other.__class__ is not Move:
-            return NotImplemented
-        return (self.kind, self.g, self.images) == (other.kind, other.g, other.images)
-
-    def __hash__(self):
-        return hash((self.kind, self.g, self.images))
-
-    def __repr__(self):
-        return f"Move(kind={self.kind!r}, g={self.g!r}, images={self.images!r})"
 
     def substitute(self, w):
         parts = []
@@ -512,7 +491,7 @@ def normalize_hom(h: HomTuple, node_budget=Budgets.bfs_node_cap) -> dict:
 # enumeration
 
 
-class EnumReport:
+class EnumReport(Record):
     __slots__ = ("genus", "total", "valid", "surjective", "orbit_sizes", "standard_orbit_size")
 
     def __init__(self, genus: int, total: int, valid: int, surjective: int,
@@ -523,11 +502,6 @@ class EnumReport:
         self.surjective = surjective
         self.orbit_sizes = orbit_sizes
         self.standard_orbit_size = standard_orbit_size
-
-    def __eq__(self, other):
-        if other.__class__ is not EnumReport:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
 
 
 def _generated(gens) -> frozenset:

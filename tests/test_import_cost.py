@@ -4,9 +4,10 @@ Every ``hodge`` run and every benchmark repetition starts by importing the
 package.  ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis``
 and ``tokenize``) and builds each decorated class's methods by ``exec``, so
 the records are plain slotted classes and no module imports it.  The value
-types that are compared, hashed and cached keep exactly what the
-dataclasses gave them: equality by value, the hash of the tuple of their
-fields, and the ``Name(field=value, ...)`` repr.
+types inherit ``record.Record`` and keep exactly what the dataclasses gave
+them: equality by value, the hash of the tuple of their fields, and the
+``Name(field=value, ...)`` repr.  Every other class keeps identity
+equality.
 """
 
 import subprocess
@@ -16,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from quatprym import config
 from quatprym import lie_engine as le
 from quatprym import qalg
 from quatprym import surface_homs as sh
+from quatprym.record import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -84,6 +87,14 @@ VALUES = {
         sh.alpha_slide(2, 1), ("BETA_SLIDE(1)", 2, ((1,), (2,), (3, 1), (4,))),
         "Move(kind='BETA_SLIDE(1)', g=2, images=((1,), (2,), (3, 1), (4,)))",
     ),
+    "EnumReport": (
+        sh.enumerate_surjections(2), sh.EnumReport(2, 4096, 2176, 1440, (1440,), 1440),
+        sh.EnumReport(2, 4096, 2176, 1440, (1440,), 1), (2, 4096, 2176, 1440, (1440,), 1440),
+        "EnumReport(genus=2, total=4096, valid=2176, surjective=1440, orbit_sizes=(1440,),"
+        " standard_orbit_size=1440)",
+    ),
+    # Budgets has no field to change, so None stands in for the other value
+    "Budgets": (config.Budgets(), config.load_budgets(), None, (), "Budgets()"),
 }
 
 
@@ -97,3 +108,14 @@ def test_value_types_keep_their_dataclass_semantics(name):
     assert {x: 1}[same] == 1 and len({x, same, other}) == 2
     assert repr(x) == text
 
+
+def _descendants(cls):
+    return {d for c in cls.__subclasses__() for d in {c} | _descendants(c)}
+
+
+def test_only_the_value_types_are_records():
+    # importing the package loads every module that defines a class.
+    # report._Run keys its memo on its arguments, among them identity-equal
+    # values such as a SpinRep, whose dict field cannot be hashed: a class
+    # like that must not inherit the record hash
+    assert {c.__name__ for c in _descendants(Record)} == set(VALUES)

@@ -27,7 +27,7 @@ import random
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, prod
 
 import pytest
@@ -991,6 +991,31 @@ def test_weyl_shifts_list_the_group_once_with_its_signs(name, order):
     for w, (_, e) in zip(orbit, shifts):
         neg = sum(1 for a in le._factor_roots(f) if le._dot(w, a) < 0)
         assert e == (-1) ** neg, w
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4", "D2", "D3", "D4", "D5"]
+)
+def test_weyl_shifts_match_signed_permutations_with_their_determinants(name):
+    # W is the permutations of the coordinates for A, with all sign changes
+    # for B and the even ones for D; w maps v to (eps_i v_perm(i))_i, whose
+    # matrix has determinant sign(perm) * prod(eps)
+    (f,) = le.AlgebraType.parse(name).factors
+    n = f.ncoords
+    rho = le._factor_two_rho(f)
+    if f.family == "A":
+        rho = le._a_canon(rho)
+    brute = []
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        for eps in [(1,) * n] if f.family == "A" else product((1, -1), repeat=n):
+            if f.family == "D" and prod(eps) < 0:
+                continue
+            w_rho = tuple(e * rho[p] for e, p in zip(eps, perm))
+            if f.family == "A":
+                w_rho = le._a_canon(w_rho)
+            brute.append((le._vadd(rho, w_rho, -1), (-1) ** inversions * prod(eps)))
+    assert sorted(le._factor_shifts(f)) == sorted(brute)
 
 
 def spin_row(m):

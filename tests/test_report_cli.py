@@ -390,6 +390,24 @@ def test_cli_rejects_removed_flags(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homs", "--genus", "2", "--normalize", "j,i,1,-1", "--verify-psi"],
+        ["homs", "--genus", "2"],
+        ["lie", "--scenario", "so7_hodge", "--decompose", "B3", "Gamma"],
+        ["lie"],
+        ["spin", "--invariant", "--check-bracket"],
+        ["spin"],
+    ],
+)
+def test_cli_takes_exactly_one_mode(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_rejects_unknown_module(capsys):
     assert cli.main(["report", "--module", "nope"]) == 2
 
